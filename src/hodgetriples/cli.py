@@ -21,20 +21,21 @@ All stability parameters are exact rationals like ``19/2`` with an optional
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import blocks, triples, verify
 from .laurent import LaurentPoly, NotDivisible, UniPoly
 
 CACHE_ENV = "HODGETRIPLES_CACHE"
 SCHEMA_VERSION = 1
-
-TARGETS = ("triple", "pair", "pair-fixed", "bundle", "bundle-fixed")
 
 
 class UserError(Exception):
@@ -84,66 +85,106 @@ def _parse_stability(text: str) -> triples.StabilityValue:
         raise UserError(str(exc)) from exc
 
 
-# -- output records ---------------------------------------------------------
+# -- target families ----------------------------------------------------------
+
+_Evaluation = tuple[triples.HodgeResult, Optional[int], Optional[UniPoly]]
 
 
-def _poly_terms_json(poly) -> list[dict]:
-    return [{"u": a, "v": b, "c": str(c)} for (a, b), c in poly.terms()]
+@dataclass(frozen=True)
+class _Family:
+    """What the cli knows about one family of targets.
+
+    ``params`` maps option names (``rank``, the degree options and the
+    stability option) to parsed values.
+    """
+
+    targets: tuple[str, ...]
+    ranked: bool  # takes --rank
+    degrees: tuple[str, ...]  # integers for compute, ranges for table
+    stability: Optional[str]  # the stability option; table enumerates one value per chamber
+    chambers: Callable[[str, int, dict], Iterator[tuple[str, dict]]]
+    """(cache key, params with the stability value) for each chamber of one degree choice."""
+    evaluate: Callable[[str, int, dict], _Evaluation]
+    """(result, chamber index d0, Poincare polynomial or None for the diagonal) of one request."""
 
 
-def _poincare_json(poincare: UniPoly) -> list[dict]:
-    return [{"t": k, "c": str(c)} for k, c in poincare.terms()]
+def _triple_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict]]:
+    spec = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
+    for sigma in triples.chamber_representatives(spec):
+        d0 = triples.chamber_d0(spec, sigma).d0
+        key = f"{target}:{spec.rank_pair[0]}{spec.rank_pair[1]}:g={g}:d1={spec.d1}:d2={spec.d2}:d0={d0}"
+        yield key, {**params, "sigma": sigma}
 
 
-def _record(request: dict, result: triples.HodgeResult, poincare: Optional[UniPoly]) -> dict:
-    rec = {
+def _triple_evaluate(target: str, g: int, params: dict) -> _Evaluation:
+    spec, sigma = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"]), params["sigma"]
+    result = triples.hodge_triples_closed(spec, sigma)
+    d0 = None if result.is_empty else triples.chamber_d0(spec, sigma).d0
+    return result, d0, None
+
+
+def _pair_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict]]:
+    d = params["degree"]
+    for tau in triples.pair_chamber_representatives(d):
+        yield f"{target}:g={g}:d={d}:d0={triples.pair_chamber(d, tau) + 1}", {**params, "tau": tau}
+
+
+def _pair_evaluate(target: str, g: int, params: dict) -> _Evaluation:
+    d, tau, fixed = params["degree"], params["tau"], target == "pair-fixed"
+    result = triples.hodge_pairs(g, d, tau, fixed_det=fixed)
+    fl = triples.pair_chamber(d, tau)
+    d0 = None if fl is None else fl + 1
+    poincare = triples.poincare_pairs_fixed_det_thaddeus(g, d, tau) if fixed else None
+    return result, d0, poincare
+
+
+def _bundle_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict]]:
+    if params["degree"] % 2:  # the closed forms cover odd degree only
+        yield f"{target}:g={g}:d={params['degree']}", params
+
+
+def _bundle_evaluate(target: str, g: int, params: dict) -> _Evaluation:
+    return triples.hodge_bundles_odd(g, params["degree"], fixed_det=target == "bundle-fixed"), None, None
+
+
+_FAMILIES = (
+    _Family(("triple",), True, ("d1", "d2"), "sigma", _triple_chambers, _triple_evaluate),
+    _Family(("pair", "pair-fixed"), False, ("degree",), "tau", _pair_chambers, _pair_evaluate),
+    _Family(("bundle", "bundle-fixed"), False, ("degree",), None, _bundle_chambers, _bundle_evaluate),
+)
+_FAMILY_OF = {target: family for family in _FAMILIES for target in family.targets}
+TARGETS = tuple(_FAMILY_OF)
+
+
+def _require(args: argparse.Namespace, names: Sequence[str], ranges: bool) -> None:
+    """Refuse a request that lacks one of the options ``names``."""
+    if all(getattr(args, name) is not None for name in names):
+        return
+    flags = [f"--{name}" for name in names]
+    listed = f"{', '.join(flags[:-1])} and {flags[-1]}" if len(flags) > 1 else flags[0]
+    if ranges:
+        listed = f"{listed} ranges" if len(flags) > 1 else f"a {listed} range"
+    raise UserError(f"{args.target} target needs {listed}")
+
+
+def _compute_record(target: str, g: int, params: dict) -> dict:
+    """Evaluate one target and package the result with its request echo."""
+    family = _FAMILY_OF[target]
+    result, d0, poincare = family.evaluate(target, g, params)
+    request = {"target": target, "genus": g}
+    if family.ranked:
+        request["rank"] = f"{params['rank'][0]},{params['rank'][1]}"
+    request.update((name, params[name]) for name in family.degrees)
+    if family.stability:
+        request[family.stability] = str(params[family.stability])
+        request["d0"] = d0
+    diagonal = result.poly.diagonal() if poincare is None else poincare
+    return {
         "request": request,
         "dim": result.complex_dim,
-        "terms": _poly_terms_json(result.poly),
+        "terms": [{"u": a, "v": b, "c": str(c)} for (a, b), c in result.poly.terms()],
+        "poincare": [{"t": k, "c": str(c)} for k, c in diagonal.terms()],
     }
-    rec["poincare"] = _poincare_json(result.poly.diagonal() if poincare is None else poincare)
-    return rec
-
-
-def _compute_record(target: str, g: int, args: dict) -> dict:
-    """Evaluate one target and package the result with its request echo."""
-    if target == "triple":
-        rank = args["rank"]
-        spec = triples.TripleSpec(g, rank, args["d1"], args["d2"])
-        sigma = args["sigma"]
-        result = triples.hodge_triples_closed(spec, sigma)
-        d0 = None if result.is_empty else triples.chamber_d0(spec, sigma).d0
-        request = {
-            "target": target,
-            "genus": g,
-            "rank": f"{rank[0]},{rank[1]}",
-            "d1": args["d1"],
-            "d2": args["d2"],
-            "sigma": str(sigma),
-            "d0": d0,
-        }
-        return _record(request, result, None)
-    if target in ("pair", "pair-fixed"):
-        d = args["degree"]
-        tau = args["tau"]
-        fixed = target == "pair-fixed"
-        result = triples.hodge_pairs(g, d, tau, fixed_det=fixed)
-        fl = triples._pair_chamber(d, tau)
-        request = {
-            "target": target,
-            "genus": g,
-            "degree": d,
-            "tau": str(tau),
-            "d0": None if fl is None else fl + 1,
-        }
-        poincare = triples.poincare_pairs_fixed_det_thaddeus(g, d, tau) if fixed else None
-        return _record(request, result, poincare)
-    if target in ("bundle", "bundle-fixed"):
-        d = args["degree"]
-        result = triples.hodge_bundles_odd(g, d, fixed_det=target == "bundle-fixed")
-        request = {"target": target, "genus": g, "degree": d}
-        return _record(request, result, None)
-    raise UserError(f"unknown target {target!r}")
 
 
 def _dump_json(obj) -> str:
@@ -160,26 +201,13 @@ def _record_text(rec: dict, poincare: bool) -> str:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    target = args.target
-    params: dict = {}
-    if target == "triple":
-        if args.d1 is None or args.d2 is None or args.sigma is None:
-            raise UserError("triple target needs --d1, --d2 and --sigma")
-        params = {
-            "rank": _parse_rank(args.rank),
-            "d1": args.d1,
-            "d2": args.d2,
-            "sigma": _parse_stability(args.sigma),
-        }
-    elif target in ("pair", "pair-fixed"):
-        if args.degree is None or args.tau is None:
-            raise UserError(f"{target} target needs --degree and --tau")
-        params = {"degree": args.degree, "tau": _parse_stability(args.tau)}
-    else:
-        if args.degree is None:
-            raise UserError(f"{target} target needs --degree")
-        params = {"degree": args.degree}
-    rec = _compute_record(target, args.genus, params)
+    family = _FAMILY_OF[args.target]
+    _require(args, family.degrees + ((family.stability,) if family.stability else ()), ranges=False)
+    params: dict = {"rank": _parse_rank(args.rank)} if family.ranked else {}
+    params.update((name, getattr(args, name)) for name in family.degrees)
+    if family.stability:
+        params[family.stability] = _parse_stability(getattr(args, family.stability))
+    rec = _compute_record(args.target, args.genus, params)
     if args.format == "json":
         out = dict(rec)
         if not args.poincare:
@@ -211,7 +239,7 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
             note = "  (= sigma_M)"
         print(f"  sigma_c = {sigma_c}  d_M = {d_m}{note}")
     print("chambers:")
-    bounds = [interval[0]] + [sc for sc, _ in walls if sc > interval[0]]
+    bounds = triples.chamber_bounds(spec)
     for lo, hi in zip(bounds, bounds[1:]):
         print(f"  ({lo}, {hi}): representative sigma = {(lo + hi) / 2}")
     return 0
@@ -220,40 +248,16 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
 # -- table -----------------------------------------------------------------
 
 
-def _table_rows(args: argparse.Namespace) -> list[tuple[str, tuple[str, int, dict]]]:
-    """(cache key, request) for every (parameter, chamber) pair, in canonical order."""
-    target = args.target
-    rows: list[tuple[str, tuple[str, int, dict]]] = []
+def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
+    """(cache key, genus, params) for every (parameter, chamber) pair, in canonical order."""
+    family = _FAMILY_OF[args.target]
+    rows = []
     for g in _parse_range(args.genus):
-        if target == "triple":
-            if args.d1 is None or args.d2 is None:
-                raise UserError("triple target needs --d1 and --d2 ranges")
-            rank = _parse_rank(args.rank)
-            for d1 in _parse_range(args.d1):
-                for d2 in _parse_range(args.d2):
-                    spec = triples.TripleSpec(g, rank, d1, d2)
-                    if spec.is_empty_family:
-                        continue
-                    for sigma in triples.chamber_representatives(spec):
-                        d0 = triples.chamber_d0(spec, sigma).d0
-                        key = f"{target}:{rank[0]}{rank[1]}:g={g}:d1={d1}:d2={d2}:d0={d0}"
-                        rows.append((key, ("triple", g, {"rank": rank, "d1": d1, "d2": d2, "sigma": sigma})))
-        elif target in ("pair", "pair-fixed"):
-            if args.degree is None:
-                raise UserError(f"{target} target needs a --degree range")
-            for d in _parse_range(args.degree):
-                for tau in triples.pair_chamber_representatives(d):
-                    d0 = triples._pair_chamber(d, tau) + 1
-                    key = f"{target}:g={g}:d={d}:d0={d0}"
-                    rows.append((key, (target, g, {"degree": d, "tau": tau})))
-        else:
-            if args.degree is None:
-                raise UserError(f"{target} target needs a --degree range")
-            for d in _parse_range(args.degree):
-                if d % 2 == 0:
-                    continue  # the closed forms cover odd degree only
-                key = f"{target}:g={g}:d={d}"
-                rows.append((key, (target, g, {"degree": d})))
+        _require(args, family.degrees, ranges=True)
+        fixed = {"rank": _parse_rank(args.rank)} if family.ranked else {}
+        for degrees in itertools.product(*(_parse_range(getattr(args, name)) for name in family.degrees)):
+            params = {**fixed, **dict(zip(family.degrees, degrees))}
+            rows.extend((key, g, chamber) for key, chamber in family.chambers(args.target, g, params))
     return rows
 
 
@@ -284,12 +288,17 @@ def _load_cache(path: str) -> dict[str, dict]:
 
 
 def _save_cache(path: str, cache: dict[str, dict]) -> None:
+    """Write the cache beside ``path`` and rename it over the old file, so a failed write loses nothing."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(tmp, "w", encoding="utf-8") as handle:
             for key in sorted(cache):
                 handle.write(_dump_json({"schema_version": SCHEMA_VERSION, "key": key, "record": cache[key]}))
                 handle.write("\n")
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         print(f"warning: could not write cache file {path}: {exc}", file=sys.stderr)
 
 
@@ -313,12 +322,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     cache = _load_cache(cache_path)
     fresh = False
     records: list[dict] = []
-    for key, request in _table_rows(args):
+    for key, g, params in _table_rows(args):
         if key in cache:
             records.append(cache[key])
             continue
-        target, g, params = request
-        rec = _compute_record(target, g, params)
+        rec = _compute_record(args.target, g, params)
         cache[key] = rec
         records.append(rec)
         fresh = True

@@ -258,13 +258,9 @@ def _chamber_or_empty(spec21: TripleSpec, sigma: StabilityValue) -> Optional[int
     """Resolve sigma to a chamber index, or None when the space is empty."""
     if spec21.is_empty_family:
         return None
-    if sigma.side == "exact" and _is_critical(spec21, sigma.value):
-        raise OnWall(f"sigma={sigma.value} is a critical value; use {sigma.value}+ or {sigma.value}-")
+    d0 = chamber_d0(spec21, sigma).d0
     above = sigma.value > spec21.sigma_m or (sigma.value == spec21.sigma_m and sigma.side == "plus")
-    if not above:
-        return None
-    d0 = _floor_side((sigma.value + spec21.d1 + spec21.d2) / 3, sigma.side) + 1
-    if d0 > spec21.d1 - spec21.d2:
+    if not above or d0 > spec21.d1 - spec21.d2:
         return None
     return d0
 
@@ -397,18 +393,27 @@ def chamber_representatives(spec: TripleSpec, include_beyond: bool = False) -> l
     s = _spec21(spec)
     if s.is_empty_family:
         return []
-    bounds = [s.sigma_m] + [sc for sc, _ in critical_values(s) if sc > s.sigma_m]
+    bounds = chamber_bounds(s)
     reps = [StabilityValue((lo + hi) / 2) for lo, hi in zip(bounds, bounds[1:])]
     if include_beyond:
         reps.append(StabilityValue(s.sigma_M + 1))
     return reps
 
 
+def chamber_bounds(spec: TripleSpec) -> list[Fraction]:
+    """sigma_m followed by the walls above it: consecutive entries bound one chamber each."""
+    return [spec.sigma_m] + [sc for sc, _ in critical_values(spec) if sc > spec.sigma_m]
+
+
 # -- pairs ---------------------------------------------------------------
 
 
-def _pair_chamber(d: int, tau: StabilityValue) -> Optional[int]:
-    """Resolve tau to floor(tau) inside a chamber of J = [d/2, d], else None."""
+def pair_chamber(d: int, tau: StabilityValue) -> Optional[int]:
+    """Resolve tau to floor(tau) inside a chamber of J = [d/2, d], else None.
+
+    The chamber's index d0 is floor(tau) + 1; tau exactly on a critical value
+    raises ``OnWall``.
+    """
     if tau.side == "exact" and tau.value.denominator == 1 and 2 * tau.value >= d and tau.value <= d:
         raise OnWall(f"tau={tau.value} is a critical value; use {tau.value}+ or {tau.value}-")
     half = Fraction(d, 2)
@@ -434,7 +439,7 @@ def hodge_pairs(g: int, d: int, tau: StabilityValue, fixed_det: bool = False) ->
     open interval the moduli space is empty.
     """
     _require_genus(g)
-    fl = _pair_chamber(d, tau)
+    fl = pair_chamber(d, tau)
     if fl is None:
         return _EMPTY
     n = d - 1 - fl
@@ -469,7 +474,7 @@ def poincare_pairs_fixed_det_thaddeus(g: int, d: int, tau: StabilityValue) -> Un
     ``hodge_pairs(..., fixed_det=True)``.
     """
     _require_genus(g)
-    fl = _pair_chamber(d, tau)
+    fl = pair_chamber(d, tau)
     if fl is None:
         return UniPoly()
     n = d - 1 - fl

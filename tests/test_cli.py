@@ -1,6 +1,8 @@
+import builtins
+import errno
 import json
 
-from hodgetriples import triples
+from hodgetriples import cli, triples
 from hodgetriples.cli import main
 from hodgetriples.laurent import ONE
 
@@ -172,6 +174,48 @@ class TestTable:
         third = run(capsys, *argv)
         assert third[1] == first[1] and third[2] == ""
 
+    def test_failed_cache_write_keeps_old_cache(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "bundle-fixed", "--genus", "2", "--format", "json-lines", "--cache", str(cache)]
+        assert run(capsys, *argv, "--degree", "1..5")[0] == 0
+        before = cache.read_text(encoding="utf-8")
+        assert len(before.splitlines()) == 3
+
+        class FullDisk:
+            """A file whose second record write fails with ENOSPC."""
+
+            def __init__(self, handle):
+                self.handle, self.records = handle, 0
+
+            def write(self, text):
+                if text != "\n":
+                    self.records += 1
+                    if self.records == 2:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                return self.handle.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            handle = builtins.open(file, mode, *args, **kwargs)
+            return FullDisk(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        code, out, err = run(capsys, *argv, "--degree", "1..7")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert "could not write cache file" in err
+        assert cache.read_text(encoding="utf-8") == before
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+    def test_bad_d2_range_refused_when_d1_empty(self, capsys):
+        code, out, err = run(capsys, "table", "--target", "triple", "--genus", "2", "--d1", "5..1", "--d2", "x")
+        assert code == 2
+        assert "cannot parse range 'x'" in err
+
 
 class TestVerifyCommand:
     def test_subset_run(self, capsys):
@@ -189,6 +233,11 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--checks", "bogus")
         assert code == 2
         assert "unknown checks" in err
+
+    def test_empty_d1_range(self, capsys):
+        code, out, err = run(capsys, "verify", "--g", "2", "--d2", "0", "--d1", "5..1", "--checks", "cross-pipeline")
+        assert code == 2
+        assert out == "" and err == "error: grid ranges must be nonempty\n"
 
     def test_injected_fault_exits_nonzero(self, capsys, monkeypatch):
         monkeypatch.setattr(triples, "flip_difference_series", lambda spec, d_m: ONE)

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from hodgetriples import blocks, triples, verify
-from hodgetriples.laurent import ONE
+from hodgetriples.laurent import ONE, UniPoly, monomial
 from hodgetriples.verify import CheckReport, VerifyGrid, run_suite, summarize, sym_power_oracle
 
 SMALL = VerifyGrid(g_values=(2,), d2_values=(0,), d1_values=(1, 2, 3, 4, 5))
@@ -70,11 +72,122 @@ class TestRunSuite:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             VerifyGrid(g_values=())
+        with pytest.raises(ValueError, match="nonempty"):
+            VerifyGrid(d1_values=())
         with pytest.raises(blocks.GenusOutOfRange):
             VerifyGrid(g_values=(1,))
 
 
+def _bump(result, delta):
+    """``result`` with ``delta(result)`` added to its polynomial; empty results pass through."""
+    if result.is_empty:
+        return result
+    return triples.HodgeResult(result.poly + delta(result), result.complex_dim)
+
+
+def _closed_drift(real):
+    calls = itertools.count()
+    return lambda spec, sigma: _bump(real(spec, sigma), lambda res: next(calls) * ONE)
+
+
+def _index_drift(real):
+    calls = itertools.count()
+    return lambda spec, sigma: triples.ChamberIndex(next(calls))
+
+
+# (check, triples function replaced, breaker of the real function, the one expected report line);
+# every case runs on the family g=2 d1=5 d2=0, pair degree 5.
+FAULTS = [
+    (
+        "cross-pipeline",
+        "hodge_triples_sum",
+        lambda real: lambda spec, sigma: _bump(real(spec, sigma), lambda res: ONE),
+        "FAIL cross-pipeline [g=2 d1=5 d2=0]: sigma=13/4: closed formula and wall sum differ",
+    ),
+    (
+        "flip-two-path",
+        "flip_difference_series",
+        lambda real: lambda spec, d_m: ONE,
+        "FAIL flip-two-path [g=2 d1=5 d2=0]: d_M=3: block product and series extraction differ",
+    ),
+    (
+        "chamber-constancy",
+        "hodge_triples_closed",
+        _closed_drift,
+        "FAIL chamber-constancy [g=2 d1=5 d2=0]: (5/2,4): results differ within one chamber",
+    ),
+    (
+        "chamber-constancy",
+        "chamber_d0",
+        _index_drift,
+        "FAIL chamber-constancy [g=2 d1=5 d2=0]: (5/2,4): chamber indices differ",
+    ),
+    (
+        "hodge-symmetry",
+        "hodge_triples_closed",
+        lambda real: lambda spec, sigma: _bump(real(spec, sigma), lambda res: monomial(1, 1, 0)),
+        "FAIL hodge-symmetry [g=2 d1=5 d2=0]: sigma=13/4: not u<->v symmetric",
+    ),
+    (
+        "palindrome-duality",
+        "hodge_triples_closed",
+        lambda real: lambda spec, sigma: _bump(real(spec, sigma), lambda res: ONE),
+        "FAIL palindrome-duality [g=2 d1=5 d2=0]: sigma=13/4: fails Poincare duality at n=9",
+    ),
+    (
+        "top-monomial",
+        "hodge_triples_closed",
+        lambda real: lambda spec, sigma: _bump(
+            real(spec, sigma), lambda res: monomial(1, res.complex_dim, res.complex_dim)
+        ),
+        "FAIL top-monomial [g=2 d1=5 d2=0]: sigma=13/4: top monomial is not (uv)^9",
+    ),
+    (
+        "nonnegativity",
+        "hodge_triples_closed",
+        lambda real: lambda spec, sigma: _bump(real(spec, sigma), lambda res: -2 * res.poly),
+        "FAIL nonnegativity [g=2 d1=5 d2=0]: sigma=13/4: negative coefficient",
+    ),
+    (
+        "duality-rank12",
+        "hodge_triples_closed",
+        lambda real: lambda spec, sigma: _bump(
+            real(spec, sigma), lambda res: ONE if spec.rank_pair == (1, 2) else 0 * ONE
+        ),
+        "FAIL duality-rank12 [g=2 (1,2) d1=0 d2=-5]: sigma=13/4: duality violated",
+    ),
+    (
+        "pairs-factorization",
+        "hodge_pairs",
+        lambda real: lambda g, d, tau, fixed_det=False: _bump(real(g, d, tau, fixed_det), lambda res: ONE),
+        "FAIL pairs-factorization [g=2 d1=5 d2=0]: sigma=13/4: Jac * pairs != triples",
+    ),
+    (
+        "fixed-det-factorization",
+        "hodge_pairs",
+        lambda real: lambda g, d, tau, fixed_det=False: _bump(
+            real(g, d, tau, fixed_det), lambda res: ONE if fixed_det else 0 * ONE
+        ),
+        "FAIL fixed-det-factorization [g=2 d=5]: tau=11/4: Jacobian factorization fails",
+    ),
+    (
+        "thaddeus",
+        "poincare_pairs_fixed_det_thaddeus",
+        lambda real: lambda g, d, tau: real(g, d, tau) + UniPoly({0: 1}),
+        "FAIL thaddeus [g=2 d=5]: tau=11/4: diagonal != Poincare formula",
+    ),
+]
+
+
 class TestFaultInjection:
+    @pytest.mark.parametrize(
+        "check, target, breaker, expected", FAULTS, ids=[f"{c[0]}-{c[1]}" for c in FAULTS]
+    )
+    def test_broken_evaluator_reports_first_failure(self, monkeypatch, check, target, breaker, expected):
+        monkeypatch.setattr(triples, target, breaker(getattr(triples, target)))
+        grid = VerifyGrid(g_values=(2,), d2_values=(0,), d1_values=(5,), checks=(check,))
+        assert [r.line() for r in run_suite(grid)] == [expected]
+
     def test_broken_flip_series_is_detected(self, monkeypatch):
         monkeypatch.setattr(triples, "flip_difference_series", lambda spec, d_m: ONE)
         grid = VerifyGrid(g_values=(2,), d2_values=(0,), d1_values=(2,), checks=("flip-two-path",))
