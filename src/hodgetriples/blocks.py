@@ -59,13 +59,7 @@ def sym_power(g: int, k: int) -> LaurentPoly:
     _require_genus(g)
     if k < 0:
         raise ValueError(f"symmetric power must be >= 0, got {k}")
-    series = (
-        TruncatedSeries.binomial_power(U, g, k)
-        * TruncatedSeries.binomial_power(V, g, k)
-        * TruncatedSeries.geometric(ONE, k)
-        * TruncatedSeries.geometric(UV, k)
-    )
-    return series.coeff(k)
+    return TruncatedSeries.rational(k, [(U, g), (V, g)], [ONE, UV]).coeff(k)
 
 
 Side11 = Literal["above_sigma_m", "at_sigma_m"]

@@ -8,9 +8,9 @@ value types are:
   Negative exponents are first-class, since intermediates such as
   (uv)^{-1} x geometric tails occur before a final polynomial emerges.
 * ``TruncatedSeries``: power series in an auxiliary variable x with
-  ``LaurentPoly`` coefficients and an explicit truncation order.  This is
-  the engine behind every coefficient-of-x^k extraction from a rational
-  generating function.
+  ``LaurentPoly`` coefficients and an explicit truncation order.  Its
+  ``rational`` constructor, which expands prod (1 + b x)^m / prod (1 - r x),
+  is the one engine behind every coefficient-of-x^k extraction.
 * ``UniPoly``: integer polynomial in a single variable t, the target of the
   diagonal (Poincare) specialization u = v = t.
 
@@ -20,7 +20,6 @@ u-exponent a.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -411,7 +410,8 @@ class TruncatedSeries:
     """Power series in x over LaurentPoly, truncated at an explicit order.
 
     ``coeffs[j]`` is the x^j coefficient; arithmetic between two series is
-    carried out at the minimum of their truncation orders.
+    carried out at the minimum of their truncation orders.  ``rational`` is
+    the one expansion; the generic product ``*`` is its independent check.
     """
 
     __slots__ = ("_coeffs",)
@@ -438,31 +438,47 @@ class TruncatedSeries:
         return cls.of([ONE], order)
 
     @classmethod
+    def rational(
+        cls, order: int, binomials: Iterable[tuple[LaurentPoly, int]] = (), ratios: Iterable[LaurentPoly] = ()
+    ) -> "TruncatedSeries":
+        """prod (1 + b x)^m / prod (1 - r x) over (b, m) in ``binomials``, monomial r in ``ratios``.
+
+        Each factor acts in place on one coefficient list: (1 + b x)^m in one
+        pass with the terms C(m, i) b^i, i <= min(m, order), so the cost does
+        not grow with m; 1/(1 - r x) as the prefix recurrence c_j += r c_(j-1).
+        """
+        coeffs = [ONE] + [ZERO] * order
+        for base, m in binomials:
+            if m < 0:
+                raise ValueError("binomial exponent must be nonnegative")
+            steps = [ONE]  # steps[i] = C(m, i) base^i
+            power, binom = ONE, 1
+            for i in range(1, min(m, order) + 1):
+                power, binom = power * base, binom * (m - i + 1) // i
+                steps.append(binom * power)
+            # descending j, so each c_(j-i) read is still the old coefficient
+            for j in range(order, 0, -1):
+                acc = coeffs[j]
+                for i in range(1, min(j, len(steps) - 1) + 1):
+                    if coeffs[j - i]:
+                        acc = acc + steps[i] * coeffs[j - i]
+                coeffs[j] = acc
+        for ratio in ratios:
+            if len(ratio) > 1:
+                raise NotMonomial(f"geometric ratio must be a monomial, got {ratio!r}")
+            for j in range(1, order + 1):
+                coeffs[j] = coeffs[j] + ratio * coeffs[j - 1]
+        return cls(coeffs)
+
+    @classmethod
     def geometric(cls, ratio: LaurentPoly, order: int) -> "TruncatedSeries":
         """Expansion of 1/(1 - ratio*x): the x^j coefficient is ratio^j."""
-        if len(ratio) > 1:
-            raise NotMonomial(f"geometric ratio must be a monomial, got {ratio!r}")
-        coeffs = [ONE]
-        acc = ONE
-        for _ in range(order):
-            acc = acc * ratio
-            coeffs.append(acc)
-        return cls(coeffs)
+        return cls.rational(order, ratios=[ratio])
 
     @classmethod
     def binomial_power(cls, base: LaurentPoly, n: int, order: int) -> "TruncatedSeries":
         """Expansion of (1 + base*x)^n: the x^j coefficient is C(n,j) base^j."""
-        if n < 0:
-            raise ValueError("binomial exponent must be nonnegative")
-        coeffs = [ONE]
-        acc = ONE
-        for j in range(1, order + 1):
-            if j > n:
-                coeffs.append(ZERO)
-                continue
-            acc = acc * base
-            coeffs.append(math.comb(n, j) * acc)
-        return cls(coeffs)
+        return cls.rational(order, binomials=[(base, n)])
 
     @property
     def trunc_order(self) -> int:

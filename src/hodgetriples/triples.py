@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Union
 
-from .blocks import _require_genus, jacobian, proj_space, sym_power
+from .blocks import TypeVector, _require_genus, chi_triples, jacobian, moduli_11, proj_space
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, monomial
 
 
@@ -269,17 +269,21 @@ def flip_difference(spec: TripleSpec, d_M: int) -> LaurentPoly:
     """Wall-crossing contribution at sigma_c = 3 d_M - d1 - d2, rank (2,1).
 
     Crossing the wall downwards replaces a projectivized extension bundle
-    over Jac x (Jac x Sym) by another, so the change of Hodge polynomial is
+    over Jac x N_(1,1)(d1 - d_M, d2) = Jac x (Jac x Sym) by another.  Their
+    ranks are -chi of the wall's types T' = (1, 0, d_M, 0) and
+    T'' = (1, 1, d1 - d_M, d2), quotient first, so the change is
 
-        (e_(2 d_M - d1 + g - 1) - e_(d1 - d2 - d_M))
-            * e(Jac X)^2 * e(Sym^(d1 - d2 - d_M) X).
+        (e_(-chi(T', T'')) - e_(-chi(T'', T'))) * e(N_(1,1)) * e(Jac X)
+        = (e_(2 d_M - d1 + g - 1) - e_(d1 - d2 - d_M)) * e(Jac X)^2 * e(Sym^(d1 - d2 - d_M) X).
 
     Only walls strictly above sigma_m (d_M > mu1) are covered.
     """
     _check_flip_args(spec, d_M)
-    k = spec.d1 - spec.d2 - d_M
-    ranks = proj_space(2 * d_M - spec.d1 + spec.g - 1) - proj_space(k)
-    return ranks * jacobian(spec.g) ** 2 * sym_power(spec.g, k)
+    g = spec.g
+    t1, t2 = TypeVector(1, 0, d_M, 0), TypeVector(1, 1, spec.d1 - d_M, spec.d2)
+    ranks = proj_space(-chi_triples(t1, t2, g)) - proj_space(-chi_triples(t2, t1, g))
+    # the rank difference goes last: it cancels down to |a - b| diagonal terms
+    return moduli_11(g, spec.d1 - d_M, spec.d2, "above_sigma_m") * jacobian(g) * ranks
 
 
 def flip_difference_series(spec: TripleSpec, d_M: int) -> LaurentPoly:
@@ -294,14 +298,9 @@ def flip_difference_series(spec: TripleSpec, d_M: int) -> LaurentPoly:
     _check_flip_args(spec, d_M)
     g = spec.g
     k = spec.d1 - spec.d2 - d_M
-    series = (
-        TruncatedSeries.binomial_power(U, g, k)
-        * TruncatedSeries.binomial_power(V, g, k)
-        * TruncatedSeries.geometric(ONE, k)
-        * TruncatedSeries.geometric(UV, k)
-    )
+    coeff = TruncatedSeries.rational(k, [(U, g), (V, g)], [ONE, UV]).coeff(k)
     e_top = 2 * d_M - spec.d1 + g - 1
-    numerator = (monomial(1, k, k) - monomial(1, e_top, e_top)) * jacobian(g) ** 2 * series.coeff(k)
+    numerator = (monomial(1, k, k) - monomial(1, e_top, e_top)) * jacobian(g) ** 2 * coeff
     return numerator / (ONE - UV)
 
 
@@ -314,18 +313,6 @@ def _check_flip_args(spec: TripleSpec, d_M: int) -> None:
         raise ValueError(f"d_M = {d_M} > d1 - d2 = {spec.d1 - spec.d2}: no such wall")
 
 
-def _tail_coeff(g: int, order: int, ratio: LaurentPoly) -> LaurentPoly:
-    """[x^order] (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)(1-ratio*x))."""
-    series = (
-        TruncatedSeries.binomial_power(U, g, order)
-        * TruncatedSeries.binomial_power(V, g, order)
-        * TruncatedSeries.geometric(ONE, order)
-        * TruncatedSeries.geometric(UV, order)
-        * TruncatedSeries.geometric(ratio, order)
-    )
-    return series.coeff(order)
-
-
 def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
     """Common coefficient extraction behind the closed chamber formulas.
 
@@ -335,8 +322,8 @@ def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
     telescoped sums of the wall contributions above the chamber, so the
     quotient is always an honest polynomial.
     """
-    a = _tail_coeff(g, n, monomial(1, -1, -1))
-    b = _tail_coeff(g, n, monomial(1, 2, 2))
+    a = TruncatedSeries.rational(n, [(U, g), (V, g)], [ONE, UV, monomial(1, -1, -1)]).coeff(n)
+    b = TruncatedSeries.rational(n, [(U, g), (V, g)], [ONE, UV, monomial(1, 2, 2)]).coeff(n)
     numerator = monomial(1, n, n) * a - monomial(1, e2, e2) * b
     return numerator / (ONE - UV)
 
@@ -479,13 +466,8 @@ def poincare_pairs_fixed_det_thaddeus(g: int, d: int, tau: StabilityValue) -> Un
         return UniPoly()
     n = d - 1 - fl
     t2 = monomial(1, 2, 0)
-    series = (
-        TruncatedSeries.binomial_power(U, 2 * g, n)
-        * TruncatedSeries.geometric(ONE, n)
-        * TruncatedSeries.geometric(t2, n)
-    )
-    a = (series * TruncatedSeries.geometric(monomial(1, -2, 0), n)).coeff(n)
-    b = (series * TruncatedSeries.geometric(monomial(1, 4, 0), n)).coeff(n)
+    a = TruncatedSeries.rational(n, [(U, 2 * g)], [ONE, t2, monomial(1, -2, 0)]).coeff(n)
+    b = TruncatedSeries.rational(n, [(U, 2 * g)], [ONE, t2, monomial(1, 4, 0)]).coeff(n)
     numerator = monomial(1, 2 * n, 0) * a - monomial(1, 2 * g + 2 - 2 * d + 4 * fl, 0) * b
     return (numerator / (ONE - t2)).diagonal()
 

@@ -67,6 +67,8 @@ class VerifyGrid:
     def __post_init__(self) -> None:
         if not self.g_values or not self.d2_values or (self.d1_values is not None and not self.d1_values):
             raise ValueError("grid ranges must be nonempty")
+        if self.checks is not None and not self.checks:
+            raise ValueError("check list must be nonempty")
         if any(g < 2 for g in self.g_values):
             raise blocks.GenusOutOfRange("grid genus values must be >= 2")
 

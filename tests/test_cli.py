@@ -2,6 +2,8 @@ import builtins
 import errno
 import json
 
+import pytest
+
 from hodgetriples import cli, triples
 from hodgetriples.cli import main
 from hodgetriples.laurent import ONE
@@ -238,6 +240,12 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--g", "2", "--d2", "0", "--d1", "5..1", "--checks", "cross-pipeline")
         assert code == 2
         assert out == "" and err == "error: grid ranges must be nonempty\n"
+
+    @pytest.mark.parametrize("checks", [",", ""])
+    def test_empty_check_list(self, capsys, checks):
+        code, out, err = run(capsys, "verify", "--g", "2", "--d2", "0", "--checks", checks)
+        assert code == 2
+        assert out == "" and err == "error: check list must be nonempty\n"
 
     def test_injected_fault_exits_nonzero(self, capsys, monkeypatch):
         monkeypatch.setattr(triples, "flip_difference_series", lambda spec, d_m: ONE)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,47 @@ class TestBinomialSeries:
     def test_zeroth_power(self):
         s = TruncatedSeries.binomial_power(U, 0, 2)
         assert s == TruncatedSeries.of([ONE], 2)
+
+
+bases = st.one_of(monomials, st.builds(lambda a, b: a + b, monomials, monomials))
+
+
+class TestRational:
+    """``rational`` against the generic series product of explicit factor expansions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(bases, st.integers(0, 6)), max_size=3),
+        st.lists(monomials, max_size=3),
+        st.integers(0, 8),
+    )
+    def test_matches_generic_product(self, binomials, ratios, order):
+        expected = TruncatedSeries.one(order)
+        for base, m in binomials:
+            expected = expected * TruncatedSeries.of([math.comb(m, j) * base**j for j in range(m + 1)], order)
+        for ratio in ratios:
+            expected = expected * TruncatedSeries.of([ratio**j for j in range(order + 1)], order)
+        assert TruncatedSeries.rational(order, binomials, ratios) == expected
+
+    def test_two_term_ratio_rejected(self):
+        with pytest.raises(NotMonomial):
+            TruncatedSeries.rational(3, [(U, 2)], [ONE, ONE + U])
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            TruncatedSeries.rational(3, [(U, -1)])
+        with pytest.raises(ValueError):
+            TruncatedSeries.binomial_power(U, -1, 3)
+
+    def test_binomial_power_non_monomial_base(self):
+        base = U + 2 * V
+        s = TruncatedSeries.binomial_power(base, 3, 4)
+        assert list(s.coefficients()) == [ONE, 3 * base, 3 * base**2, base**3, ZERO]
+
+    def test_binomial_cost_independent_of_exponent(self):
+        n = 10**6
+        s = TruncatedSeries.binomial_power(U, n, 2)
+        assert list(s.coefficients()) == [ONE, n * U, math.comb(n, 2) * U**2]
 
 
 class TestSeriesCoeff:

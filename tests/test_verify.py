@@ -74,6 +74,8 @@ class TestRunSuite:
             VerifyGrid(g_values=())
         with pytest.raises(ValueError, match="nonempty"):
             VerifyGrid(d1_values=())
+        with pytest.raises(ValueError, match="check list must be nonempty"):
+            VerifyGrid(checks=())
         with pytest.raises(blocks.GenusOutOfRange):
             VerifyGrid(g_values=(1,))
 
