@@ -27,7 +27,6 @@ from .laurent import (
 )
 from .triples import (
     ChamberIndex,
-    DegeneratePoles,
     EmptyFamily,
     EvenDegree,
     HodgeResult,
@@ -48,10 +47,9 @@ from .triples import (
     hodge_triples_sum,
     pair_chamber_representatives,
     poincare_pairs_fixed_det_thaddeus,
-    residue_extract_check,
     sigma_interval,
 )
-from .verify import CheckReport, VerifyGrid, run_suite
+from .verify import CheckReport, DegeneratePoles, VerifyGrid, residue_extract_check, run_suite
 
 __version__ = "0.1.0"
 

@@ -261,30 +261,44 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
     return rows
 
 
-def _load_cache(path: str) -> dict[str, dict]:
+def _load_cache(path: str) -> tuple[dict[str, dict], bool]:
+    """(records by key, whether the file needs rewriting).
+
+    Each line is checked on its own, so a bad line (truncated, not UTF-8, not
+    JSON, another schema) is dropped and counted while the good ones are kept.
+    """
     cache: dict[str, dict] = {}
     if not path or not os.path.exists(path):
-        return cache
-    corrupt = False
+        return cache, False
+    dropped = 0
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
                     entry = json.loads(line)
-                    if entry.get("schema_version") != SCHEMA_VERSION:
-                        raise ValueError("schema version mismatch")
+                except ValueError:
+                    entry = None
+                if (
+                    isinstance(entry, dict)
+                    and entry.get("schema_version") == SCHEMA_VERSION
+                    and isinstance(entry.get("key"), str)
+                    and isinstance(entry.get("record"), dict)
+                ):
                     cache[entry["key"]] = entry["record"]
-                except (ValueError, KeyError, TypeError):
-                    corrupt = True
-    except OSError:
-        corrupt = True
-    if corrupt:
-        print(f"warning: cache file {path} is corrupt; recomputing and overwriting", file=sys.stderr)
-        return {}
-    return cache
+                else:
+                    dropped += 1
+    except OSError as exc:
+        print(f"warning: cache file {path} is unreadable: {exc}; recomputing and overwriting", file=sys.stderr)
+        return {}, True
+    if dropped:
+        print(
+            f"warning: cache file {path} is corrupt: dropped {dropped} bad line(s), kept {len(cache)} record(s); "
+            "recomputing the dropped ones and rewriting the file",
+            file=sys.stderr,
+        )
+    return cache, bool(dropped)
 
 
 def _save_cache(path: str, cache: dict[str, dict]) -> None:
@@ -319,8 +333,7 @@ def _latex_row(rec: dict) -> str:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     cache_path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV, "")
-    cache = _load_cache(cache_path)
-    fresh = False
+    cache, stale = _load_cache(cache_path)
     records: list[dict] = []
     for key, g, params in _table_rows(args):
         if key in cache:
@@ -329,8 +342,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         rec = _compute_record(args.target, g, params)
         cache[key] = rec
         records.append(rec)
-        fresh = True
-    if cache_path and fresh:
+        stale = True
+    if cache_path and stale:
         _save_cache(cache_path, cache)
 
     if args.format == "json-lines":

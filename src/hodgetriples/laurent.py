@@ -20,6 +20,7 @@ u-exponent a.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -163,6 +164,14 @@ class LaurentPoly:
         honest polynomials.  Long division then proceeds greedily against
         the divisor's leading term in the canonical order, which is a
         well-order on nonnegative exponents, so the loop terminates.
+
+        The remainder is walked from the top through a max-heap of its keys.
+        The top strictly decreases and every key a step touches lies below
+        it, so each key is pushed once, when it first enters the remainder;
+        a key whose coefficient cancels stays in the remainder as 0 and is
+        skipped when popped.  If n keys enter the remainder in all, the walk
+        costs O(n log n) heap work plus one dict update per divisor term per
+        quotient term, where a per-step scan of the remainder is quadratic.
         """
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
@@ -179,24 +188,34 @@ class LaurentPoly:
         rem = {(a - pa, b - pb): c for (a, b), c in self._terms.items()}
         div = {(a - qa, b - qb): c for (a, b), c in other._terms.items()}
         lead = max(div, key=_term_key)
-        lead_c = div[lead]
+        lead_c = div.pop(lead)
+        # Every key stays at or below the first top, so 0 <= a <= a+b < base and
+        # the entry -((a+b) base + a) packs the canonical order into one int.
+        base = max(a + b for a, b in rem) + 1
+        heap = [-(a + b) * base - a for a, b in rem]
+        heapq.heapify(heap)
         quot: dict[Exponent, int] = {}
-        while rem:
-            top = max(rem, key=_term_key)
+        while heap:
+            total, a = divmod(-heapq.heappop(heap), base)
+            top = (a, total - a)
+            c = rem.pop(top)
+            if not c:
+                continue
             da, db = top[0] - lead[0], top[1] - lead[1]
             if da < 0 or db < 0:
                 raise NotDivisible(f"remainder term u^{top[0]} v^{top[1]} not reducible")
-            q, r = divmod(rem[top], lead_c)
+            q, r = divmod(c, lead_c)
             if r:
-                raise NotDivisible(f"coefficient {rem[top]} not divisible by {lead_c}")
+                raise NotDivisible(f"coefficient {c} not divisible by {lead_c}")
             quot[(da, db)] = q
-            for (ea, eb), c in div.items():
+            for (ea, eb), dc in div.items():
                 key = (ea + da, eb + db)
-                new = rem.get(key, 0) - q * c
-                if new:
-                    rem[key] = new
-                elif key in rem:
-                    del rem[key]
+                old = rem.get(key)
+                if old is None:
+                    rem[key] = -q * dc
+                    heapq.heappush(heap, -(key[0] + key[1]) * base - key[0])
+                else:
+                    rem[key] = old - q * dc
         shift_a, shift_b = pa - qa, pb - qb
         return _wrap({(a + shift_a, b + shift_b): c for (a, b), c in quot.items()})
 

@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 from .blocks import TypeVector, _require_genus, chi_triples, jacobian, moduli_11, proj_space
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, monomial
@@ -56,13 +56,7 @@ class EvenDegree(ValueError):
     """The closed bundle-moduli formulas require odd degree."""
 
 
-class DegeneratePoles(ValueError):
-    """The residue extraction needs pairwise distinct nonzero poles."""
-
-
 Side = Literal["exact", "plus", "minus"]
-
-Rational = Union[Fraction, int]
 
 
 @dataclass(frozen=True)
@@ -520,54 +514,3 @@ def hodge_bundles_via_triples(g: int, d: int) -> LaurentPoly:
     spec = TripleSpec(g, (2, 1), d, d2)
     small = hodge_triples_closed(spec, StabilityValue(spec.sigma_m, "plus"))
     return small.poly / (jacobian(g) * proj_space(2 * g - 1))
-
-
-# -- residue-theorem check ------------------------------------------------
-
-
-def _qmul(p: list[Fraction], q: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for j in range(min(order - i, len(q) - 1) + 1):
-            out[i + j] += pi * q[j]
-    return out
-
-
-def residue_extract_check(
-    g: int, a: Rational, b: Rational, c: Rational, u0: Rational, v0: Rational
-) -> tuple[Fraction, Fraction]:
-    """Two evaluations of F(a,b,c) = [x^0] x f(x) / ((1-ax)(1-bx)(1-cx)).
-
-    Here f(x) = (1+u0 x)^g (1+v0 x)^g x^(1-2g), so the series route reads
-    the x^(2g-2) coefficient of (1+u0 x)^g (1+v0 x)^g / ((1-ax)(1-bx)(1-cx)).
-    The residue theorem turns the same quantity into
-
-        sum over t in {a, b, c} of (t+u0)^g (t+v0)^g / prod (t - other).
-
-    Returns the pair (series value, residue value); the two must be equal.
-    """
-    _require_genus(g)
-    a, b, c, u0, v0 = (Fraction(x) for x in (a, b, c, u0, v0))
-    if len({a, b, c}) < 3 or 0 in (a, b, c):
-        raise DegeneratePoles(f"poles must be pairwise distinct and nonzero: {(a, b, c)}")
-    order = 2 * g - 2
-
-    def binom_coeffs(z: Fraction) -> list[Fraction]:
-        return [math.comb(g, j) * z**j for j in range(min(g, order) + 1)]
-
-    series = _qmul(binom_coeffs(u0), binom_coeffs(v0), order)
-    for pole in (a, b, c):
-        series = _qmul(series, [pole**j for j in range(order + 1)], order)
-    series_value = series[order]
-
-    def numerator(t: Fraction) -> Fraction:
-        return (t + u0) ** g * (t + v0) ** g
-
-    residue_value = (
-        numerator(a) / ((a - b) * (a - c))
-        + numerator(b) / ((b - a) * (b - c))
-        + numerator(c) / ((c - a) * (c - b))
-    )
-    return series_value, residue_value

@@ -18,6 +18,10 @@ kind of grid point:
 
 Family and pair predicates yield their failures lazily, so a check stops
 computing at the first failure of each grid point.
+
+The ``residue`` check's device, ``residue_extract_check``, lives here too: it
+evaluates one rational-series coefficient twice, by expansion and by the
+residue theorem, and is a verification tool rather than a moduli computation.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import blocks, triples
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, monomial
@@ -368,9 +372,67 @@ def _check_bundles_two_routes(grid: VerifyGrid, rng: random.Random) -> list[Chec
     return reports
 
 
+# -- residue-theorem check ------------------------------------------------
+
+
+Rational = Union[Fraction, int]
+
+
+class DegeneratePoles(ValueError):
+    """The residue extraction needs pairwise distinct nonzero poles."""
+
+
+def _qmul(p: list[Fraction], q: list[Fraction], order: int) -> list[Fraction]:
+    out = [Fraction(0)] * (order + 1)
+    for i, pi in enumerate(p):
+        if pi == 0:
+            continue
+        for j in range(min(order - i, len(q) - 1) + 1):
+            out[i + j] += pi * q[j]
+    return out
+
+
+def residue_extract_check(
+    g: int, a: Rational, b: Rational, c: Rational, u0: Rational, v0: Rational
+) -> tuple[Fraction, Fraction]:
+    """Two evaluations of F(a,b,c) = [x^0] x f(x) / ((1-ax)(1-bx)(1-cx)).
+
+    Here f(x) = (1+u0 x)^g (1+v0 x)^g x^(1-2g), so the series route reads
+    the x^(2g-2) coefficient of (1+u0 x)^g (1+v0 x)^g / ((1-ax)(1-bx)(1-cx)).
+    The residue theorem turns the same quantity into
+
+        sum over t in {a, b, c} of (t+u0)^g (t+v0)^g / prod (t - other).
+
+    Returns the pair (series value, residue value); the two must be equal.
+    """
+    blocks._require_genus(g)
+    a, b, c, u0, v0 = (Fraction(x) for x in (a, b, c, u0, v0))
+    if len({a, b, c}) < 3 or 0 in (a, b, c):
+        raise DegeneratePoles(f"poles must be pairwise distinct and nonzero: {(a, b, c)}")
+    order = 2 * g - 2
+
+    def binom_coeffs(z: Fraction) -> list[Fraction]:
+        return [math.comb(g, j) * z**j for j in range(min(g, order) + 1)]
+
+    series = _qmul(binom_coeffs(u0), binom_coeffs(v0), order)
+    for pole in (a, b, c):
+        series = _qmul(series, [pole**j for j in range(order + 1)], order)
+    series_value = series[order]
+
+    def numerator(t: Fraction) -> Fraction:
+        return (t + u0) ** g * (t + v0) ** g
+
+    residue_value = (
+        numerator(a) / ((a - b) * (a - c))
+        + numerator(b) / ((b - a) * (b - c))
+        + numerator(c) / ((c - a) * (c - b))
+    )
+    return series_value, residue_value
+
+
 def _check_residue(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
     reports = []
-    fixture = triples.residue_extract_check(2, 1, 2, 3, 0, 0)
+    fixture = residue_extract_check(2, 1, 2, 3, 0, 0)
     reports.append(
         _report("residue", "g=2 poles=(1,2,3) point=(0,0)", fixture == (25, 25), f"fixture gave {fixture}")
     )
@@ -383,7 +445,7 @@ def _check_residue(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
                     poles.append(cand)
             u0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             v0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            series_value, residue_value = triples.residue_extract_check(g, *poles, u0, v0)
+            series_value, residue_value = residue_extract_check(g, *poles, u0, v0)
             ok = series_value == residue_value
             reports.append(
                 _report(

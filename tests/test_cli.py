@@ -176,6 +176,34 @@ class TestTable:
         third = run(capsys, *argv)
         assert third[1] == first[1] and third[2] == ""
 
+    def test_partly_corrupt_cache_salvaged(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1..7", "--format", "json-lines", "--cache", str(cache)]
+        first = run(capsys, *argv)
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 4
+        lines[1] = lines[1][: len(lines[1]) // 2]  # a write cut short
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out == first[1]
+        assert len(computed) == 1  # the three good records are cache hits
+        assert "corrupt: dropped 1 bad line(s), kept 3 record(s)" in err
+        assert run(capsys, *argv) == first and len(computed) == 1
+
+    def test_bad_line_rewritten_without_new_records(self, capsys, tmp_path):
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1..3", "--format", "json-lines", "--cache", str(cache)]
+        first = run(capsys, *argv)
+        good = cache.read_text(encoding="utf-8")
+        cache.write_bytes(good.encode() + b'{"schema_version": 0}\n\xff\xfe\n5\n')  # old schema, not UTF-8, not an object
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out == first[1]
+        assert "dropped 3 bad line(s), kept 2 record(s)" in err
+        assert cache.read_text(encoding="utf-8") == good
+
     def test_failed_cache_write_keeps_old_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "records.jsonl"
         argv = ["table", "--target", "bundle-fixed", "--genus", "2", "--format", "json-lines", "--cache", str(cache)]

@@ -1,4 +1,4 @@
-"""Deterministic cost pins: polynomial multiplies and term pairs of fixed sweeps.
+"""Deterministic cost pins: polynomial multiplies, term pairs and term-order keys of fixed workloads.
 
 The counts are machine-independent, so a change that makes an evaluator do
 more polynomial arithmetic fails here without any timing noise.  Each bound
@@ -7,16 +7,20 @@ is the count the current code measures; lower it when a change cuts the cost.
 
 import pytest
 
-from hodgetriples import blocks, triples
+from hodgetriples import blocks, laurent, triples
 from hodgetriples.laurent import LaurentPoly
 
 SPEC = triples.TripleSpec(3, (2, 1), 8, 0)
 
 
-def _sweep_cost(monkeypatch, evaluate) -> tuple[int, int]:
-    """(multiplies, term pairs) of ``evaluate`` over every chamber of SPEC, from cold block caches."""
+def _clear_block_caches() -> None:
     for cached in (blocks.sym_power, blocks.jacobian, blocks.proj_space):
         cached.cache_clear()
+
+
+def _sweep_cost(monkeypatch, evaluate) -> tuple[int, int]:
+    """(multiplies, term pairs) of ``evaluate`` over every chamber of SPEC, from cold block caches."""
+    _clear_block_caches()
     tally = [0, 0]
     mul = LaurentPoly.__mul__
 
@@ -46,3 +50,26 @@ def test_sweep_cost_pinned(monkeypatch, evaluate, max_multiplies, max_term_pairs
     multiplies, term_pairs = _sweep_cost(monkeypatch, evaluate)
     assert multiplies <= max_multiplies
     assert term_pairs <= max_term_pairs
+
+
+def test_division_cost_pinned(monkeypatch):
+    """Canonical-order keys computed by the two bundle routes, which divide exactly.
+
+    A division that rescans its remainder for the top term at every step
+    computes a key per remainder term per step: 1,365,800 keys here, where
+    the heap walk needs 2,885.
+    """
+    _clear_block_caches()
+    calls = [0]
+    term_key = laurent._term_key
+
+    def counted(exponent):
+        calls[0] += 1
+        return term_key(exponent)
+
+    monkeypatch.setattr(laurent, "_term_key", counted)
+    triples.hodge_bundles_odd(12, 1)
+    triples.hodge_bundles_odd(12, 1, fixed_det=True)
+    triples.hodge_bundles_via_triples(6, 1)
+    monkeypatch.undo()
+    assert calls[0] <= 2885

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hodgetriples.laurent import (
@@ -20,6 +20,7 @@ from hodgetriples.laurent import (
     ZeroAtPole,
     monomial,
 )
+from hodgetriples.laurent import _term_key
 
 exponents = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=8).map(LaurentPoly)
@@ -29,6 +30,56 @@ monomials = st.builds(
     st.integers(-3, 3),
     st.integers(-3, 3),
 )
+
+nonzero_coeff_polys = st.dictionaries(exponents, st.integers(-9, 9).filter(bool), max_size=8).map(LaurentPoly)
+divisors = st.dictionaries(exponents, st.integers(-9, 9).filter(bool), min_size=1, max_size=4).map(LaurentPoly)
+
+
+def _reference_divide(self: LaurentPoly, other: LaurentPoly) -> LaurentPoly:
+    """The max-scan long division that the heap walk of ``LaurentPoly.__truediv__`` replaced.
+
+    It rescans the whole remainder for its top term at every step, so it is
+    quadratic in the number of terms; kept as the oracle for the fast route.
+    """
+    terms, other_terms = dict(self.terms()), dict(other.terms())
+    if not other_terms:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not terms:
+        return ZERO
+    pa = min(a for a, _ in terms)
+    pb = min(b for _, b in terms)
+    qa = min(a for a, _ in other_terms)
+    qb = min(b for _, b in other_terms)
+    rem = {(a - pa, b - pb): c for (a, b), c in terms.items()}
+    div = {(a - qa, b - qb): c for (a, b), c in other_terms.items()}
+    lead = max(div, key=_term_key)
+    lead_c = div[lead]
+    quot = {}
+    while rem:
+        top = max(rem, key=_term_key)
+        da, db = top[0] - lead[0], top[1] - lead[1]
+        if da < 0 or db < 0:
+            raise NotDivisible(f"remainder term u^{top[0]} v^{top[1]} not reducible")
+        q, r = divmod(rem[top], lead_c)
+        if r:
+            raise NotDivisible(f"coefficient {rem[top]} not divisible by {lead_c}")
+        quot[(da, db)] = q
+        for (ea, eb), c in div.items():
+            key = (ea + da, eb + db)
+            new = rem.get(key, 0) - q * c
+            if new:
+                rem[key] = new
+            elif key in rem:
+                del rem[key]
+    shift_a, shift_b = pa - qa, pb - qb
+    return LaurentPoly({(a + shift_a, b + shift_b): c for (a, b), c in quot.items()})
+
+
+def _division_outcome(divide, numerator: LaurentPoly, divisor: LaurentPoly) -> tuple[str, object]:
+    try:
+        return "quotient", divide(numerator, divisor)
+    except NotDivisible as exc:
+        return "NotDivisible", str(exc)
 
 
 class TestProduct:
@@ -97,6 +148,27 @@ class TestExactDivision:
     @given(polys, polys.filter(bool))
     def test_roundtrip(self, r, q):
         assert (r * q) / q == r
+
+
+
+class TestDivisionOracle:
+    """The heap walk of ``__truediv__`` against the max-scan ``_reference_divide``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_coeff_polys, divisors)
+    def test_divisible_quotients_agree(self, p, q):
+        quotient = (p * q) / q
+        assert quotient == _reference_divide(p * q, q) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_coeff_polys, divisors, nonzero_coeff_polys.filter(bool))
+    @example(ONE, ONE - UV, -U)  # the top term is not reducible
+    @example(ONE, 2 * UV + ONE, UV)  # the top coefficient is not divisible
+    def test_non_divisible_messages_agree(self, p, q, r):
+        numerator = p * q + r
+        expected = _division_outcome(_reference_divide, numerator, q)
+        assume(expected[0] == "NotDivisible")
+        assert _division_outcome(LaurentPoly.__truediv__, numerator, q) == expected
 
 
 class TestGeometricSeries:

@@ -8,7 +8,6 @@ from hodgetriples.blocks import GenusOutOfRange, jacobian, moduli_11, proj_space
 from hodgetriples.laurent import ONE, UV, U, V, monomial
 from hodgetriples.triples import (
     ChamberIndex,
-    DegeneratePoles,
     EmptyFamily,
     EvenDegree,
     HodgeResult,
@@ -29,9 +28,9 @@ from hodgetriples.triples import (
     hodge_triples_sum,
     pair_chamber_representatives,
     poincare_pairs_fixed_det_thaddeus,
-    residue_extract_check,
     sigma_interval,
 )
+from hodgetriples.verify import DegeneratePoles, residue_extract_check
 
 SV = StabilityValue.parse
 
