@@ -26,7 +26,6 @@ from .laurent import (
     monomial,
 )
 from .triples import (
-    ChamberIndex,
     EmptyFamily,
     EvenDegree,
     HodgeResult,
@@ -47,14 +46,12 @@ from .triples import (
     hodge_triples_sum,
     pair_chamber_representatives,
     poincare_pairs_fixed_det_thaddeus,
-    sigma_interval,
 )
 from .verify import CheckReport, DegeneratePoles, VerifyGrid, residue_extract_check, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChamberIndex",
     "CheckReport",
     "DegeneratePoles",
     "EmptyFamily",
@@ -99,6 +96,5 @@ __all__ = [
     "proj_space",
     "residue_extract_check",
     "run_suite",
-    "sigma_interval",
     "sym_power",
 ]

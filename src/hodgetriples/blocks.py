@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
 
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, V
 
@@ -62,23 +61,15 @@ def sym_power(g: int, k: int) -> LaurentPoly:
     return TruncatedSeries.rational(k, [(U, g), (V, g)], [ONE, UV]).coeff(k)
 
 
-Side11 = Literal["above_sigma_m", "at_sigma_m"]
-
-
-def moduli_11(g: int, d1: int, d2: int, side: Side11) -> LaurentPoly:
-    """Hodge polynomial of the moduli of rank-(1,1) triples L2 -> L1.
+def moduli_11(g: int, d1: int, d2: int) -> LaurentPoly:
+    """Hodge polynomial of the moduli of rank-(1,1) triples L2 -> L1 above sigma_m.
 
     Empty when d1 < d2.  Otherwise the space is Jac^(d2) X x Sym^(d1-d2) X
-    for any stability parameter above sigma_m = d1 - d2, while at sigma_m
-    the polystable locus is Jac^(d1) X x Jac^(d2) X.
+    for any stability parameter above sigma_m = d1 - d2.
     """
     _require_genus(g)
-    if side not in ("above_sigma_m", "at_sigma_m"):
-        raise ValueError(f"unknown side {side!r}")
     if d1 < d2:
         return LaurentPoly()
-    if side == "at_sigma_m":
-        return jacobian(g) ** 2
     return jacobian(g) * sym_power(g, d1 - d2)
 
 

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from . import blocks, triples, verify
+from . import triples, verify
 from .laurent import LaurentPoly, NotDivisible, UniPoly
 
 CACHE_ENV = "HODGETRIPLES_CACHE"
@@ -78,13 +78,6 @@ def _parse_range(text: str) -> list[int]:
         raise UserError(f"cannot parse range {text!r}") from exc
 
 
-def _parse_stability(text: str) -> triples.StabilityValue:
-    try:
-        return triples.StabilityValue.parse(text)
-    except ValueError as exc:
-        raise UserError(str(exc)) from exc
-
-
 # -- target families ----------------------------------------------------------
 
 _Evaluation = tuple[triples.HodgeResult, Optional[int], Optional[UniPoly]]
@@ -111,7 +104,7 @@ class _Family:
 def _triple_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict]]:
     spec = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
     for sigma in triples.chamber_representatives(spec):
-        d0 = triples.chamber_d0(spec, sigma).d0
+        d0 = triples.chamber_d0(spec, sigma)
         key = f"{target}:{spec.rank_pair[0]}{spec.rank_pair[1]}:g={g}:d1={spec.d1}:d2={spec.d2}:d0={d0}"
         yield key, {**params, "sigma": sigma}
 
@@ -119,7 +112,7 @@ def _triple_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, d
 def _triple_evaluate(target: str, g: int, params: dict) -> _Evaluation:
     spec, sigma = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"]), params["sigma"]
     result = triples.hodge_triples_closed(spec, sigma)
-    d0 = None if result.is_empty else triples.chamber_d0(spec, sigma).d0
+    d0 = None if result.is_empty else triples.chamber_d0(spec, sigma)
     return result, d0, None
 
 
@@ -206,7 +199,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     params: dict = {"rank": _parse_rank(args.rank)} if family.ranked else {}
     params.update((name, getattr(args, name)) for name in family.degrees)
     if family.stability:
-        params[family.stability] = _parse_stability(getattr(args, family.stability))
+        params[family.stability] = triples.StabilityValue.parse(getattr(args, family.stability))
     rec = _compute_record(args.target, args.genus, params)
     if args.format == "json":
         out = dict(rec)
@@ -223,19 +216,18 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_chambers(args: argparse.Namespace) -> int:
     spec = triples.TripleSpec(args.genus, _parse_rank(args.rank), args.d1, args.d2)
-    interval = triples.sigma_interval(spec)
-    if interval is None:
+    if spec.is_empty_family:
         raise UserError("moduli empty: mu1 < mu2")
     walls = triples.critical_values(spec)
     print(f"rank ({spec.rank_pair[0]},{spec.rank_pair[1]}) genus {spec.g} d1={spec.d1} d2={spec.d2}")
-    print(f"sigma_m = {interval[0]}")
-    print(f"sigma_M = {interval[1]}")
+    print(f"sigma_m = {spec.sigma_m}")
+    print(f"sigma_M = {spec.sigma_M}")
     print("walls:")
     for sigma_c, d_m in walls:
         note = ""
-        if sigma_c == interval[0]:
+        if sigma_c == spec.sigma_m:
             note = "  (= sigma_m)"
-        elif sigma_c == interval[1]:
+        elif sigma_c == spec.sigma_M:
             note = "  (= sigma_M)"
         print(f"  sigma_c = {sigma_c}  d_M = {d_m}{note}")
     print("chambers:")
@@ -251,11 +243,13 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
 def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
     """(cache key, genus, params) for every (parameter, chamber) pair, in canonical order."""
     family = _FAMILY_OF[args.target]
+    genera = _parse_range(args.genus)
+    _require(args, family.degrees, ranges=True)
+    fixed = {"rank": _parse_rank(args.rank)} if family.ranked else {}
+    grid = list(itertools.product(*(_parse_range(getattr(args, name)) for name in family.degrees)))
     rows = []
-    for g in _parse_range(args.genus):
-        _require(args, family.degrees, ranges=True)
-        fixed = {"rank": _parse_rank(args.rank)} if family.ranked else {}
-        for degrees in itertools.product(*(_parse_range(getattr(args, name)) for name in family.degrees)):
+    for g in genera:
+        for degrees in grid:
             params = {**fixed, **dict(zip(family.degrees, degrees))}
             rows.extend((key, g, chamber) for key, chamber in family.chambers(args.target, g, params))
     return rows
@@ -391,17 +385,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks: Optional[tuple[str, ...]] = None
     if args.checks:
         checks = tuple(name for chunk in args.checks for name in chunk.split(",") if name)
-    try:
-        grid = verify.VerifyGrid(
-            g_values=tuple(_parse_range(args.g)),
-            d2_values=tuple(_parse_range(args.d2)),
-            d1_values=tuple(_parse_range(args.d1)) if args.d1 is not None else None,
-            checks=checks,
-            seed=args.seed,
-        )
-        reports = verify.run_suite(grid)
-    except (ValueError, blocks.GenusOutOfRange) as exc:
-        raise UserError(str(exc)) from exc
+    grid = verify.VerifyGrid(
+        g_values=tuple(_parse_range(args.g)),
+        d2_values=tuple(_parse_range(args.d2)),
+        d1_values=tuple(_parse_range(args.d1)) if args.d1 is not None else None,
+        checks=checks,
+        seed=args.seed,
+    )
+    reports = verify.run_suite(grid)
     for report in reports:
         print(report.line())
     print(verify.summarize(reports))
@@ -472,7 +463,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NotDivisible, AssertionError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1
-    except (UserError, blocks.GenusOutOfRange, ValueError) as exc:
+    except (UserError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

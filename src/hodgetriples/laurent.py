@@ -84,9 +84,6 @@ class LaurentPoly:
     def coeff(self, a: int, b: int) -> int:
         return self._terms.get((a, b), 0)
 
-    def support(self) -> list[Exponent]:
-        return sorted(self._terms, key=_term_key)
-
     def is_zero(self) -> bool:
         return not self._terms
 

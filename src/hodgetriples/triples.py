@@ -103,13 +103,6 @@ class StabilityValue:
 
 
 @dataclass(frozen=True)
-class ChamberIndex:
-    """Chamber label d0: the smallest wall parameter strictly above sigma."""
-
-    d0: int
-
-
-@dataclass(frozen=True)
 class TripleSpec:
     """Discrete parameters of a family of triple moduli spaces."""
 
@@ -188,13 +181,6 @@ class HodgeResult:
 _EMPTY = HodgeResult(LaurentPoly(), None)
 
 
-def sigma_interval(spec: TripleSpec) -> Optional[tuple[Fraction, Fraction]]:
-    """[sigma_m, sigma_M] = [mu1 - mu2, 4(mu1 - mu2)], or None when empty."""
-    if spec.is_empty_family:
-        return None
-    return (spec.sigma_m, spec.sigma_M)
-
-
 def _spec21(spec: TripleSpec) -> TripleSpec:
     return spec if spec.rank_pair == (2, 1) else spec.dual()
 
@@ -234,8 +220,10 @@ def _floor_side(q: Fraction, side: Side) -> int:
     return f
 
 
-def chamber_d0(spec: TripleSpec, sigma: StabilityValue) -> ChamberIndex:
+def chamber_d0(spec: TripleSpec, sigma: StabilityValue) -> int:
     """Chamber index d0 = floor((sigma + d1 + d2)/3) + 1 on rank (2,1).
+
+    d0 is the smallest wall parameter d_M strictly above sigma.
 
     Rank (1,2) uses d0 = floor((sigma - d1 - d2)/3) + 1, which is the same
     number computed on the dual family.  Side tags resolve wall values to
@@ -245,14 +233,14 @@ def chamber_d0(spec: TripleSpec, sigma: StabilityValue) -> ChamberIndex:
         raise OnWall(f"sigma={sigma.value} is a critical value; use {sigma.value}+ or {sigma.value}-")
     s = _spec21(spec)
     q = (sigma.value + s.d1 + s.d2) / 3
-    return ChamberIndex(_floor_side(q, sigma.side) + 1)
+    return _floor_side(q, sigma.side) + 1
 
 
 def _chamber_or_empty(spec21: TripleSpec, sigma: StabilityValue) -> Optional[int]:
     """Resolve sigma to a chamber index, or None when the space is empty."""
     if spec21.is_empty_family:
         return None
-    d0 = chamber_d0(spec21, sigma).d0
+    d0 = chamber_d0(spec21, sigma)
     above = sigma.value > spec21.sigma_m or (sigma.value == spec21.sigma_m and sigma.side == "plus")
     if not above or d0 > spec21.d1 - spec21.d2:
         return None
@@ -277,7 +265,7 @@ def flip_difference(spec: TripleSpec, d_M: int) -> LaurentPoly:
     t1, t2 = TypeVector(1, 0, d_M, 0), TypeVector(1, 1, spec.d1 - d_M, spec.d2)
     ranks = proj_space(-chi_triples(t1, t2, g)) - proj_space(-chi_triples(t2, t1, g))
     # the rank difference goes last: it cancels down to |a - b| diagonal terms
-    return moduli_11(g, spec.d1 - d_M, spec.d2, "above_sigma_m") * jacobian(g) * ranks
+    return moduli_11(g, spec.d1 - d_M, spec.d2) * jacobian(g) * ranks
 
 
 def flip_difference_series(spec: TripleSpec, d_M: int) -> LaurentPoly:
@@ -432,15 +420,12 @@ def hodge_pairs(g: int, d: int, tau: StabilityValue, fixed_det: bool = False) ->
     return HodgeResult(poly, dim)
 
 
-def pair_chamber_representatives(d: int, include_beyond: bool = False) -> list[StabilityValue]:
+def pair_chamber_representatives(d: int) -> list[StabilityValue]:
     """One exact rational inside each chamber of J = [d/2, d]."""
     if d <= 0:
-        return [StabilityValue(Fraction(d + 1))] if include_beyond else []
+        return []
     bounds = sorted({Fraction(d, 2)} | {Fraction(k) for k in range(math.ceil(Fraction(d, 2)), d + 1)})
-    reps = [StabilityValue((lo + hi) / 2) for lo, hi in zip(bounds, bounds[1:])]
-    if include_beyond:
-        reps.append(StabilityValue(Fraction(d + 1)))
-    return reps
+    return [StabilityValue((lo + hi) / 2) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def poincare_pairs_fixed_det_thaddeus(g: int, d: int, tau: StabilityValue) -> UniPoly:
@@ -505,7 +490,8 @@ def hodge_bundles_via_triples(g: int, d: int) -> LaurentPoly:
         e(N_(sigma_m+)) = e(Jac X) e(M(2,d)) e_(2g-1)
 
     and the division by e(Jac X) e_(2g-1) must be exact.  Must agree with
-    ``hodge_bundles_odd(g, d)``.
+    ``hodge_bundles_odd(g, d)``.  The factors are divided out one at a time
+    because each long-division step costs one update per divisor term.
     """
     _require_genus(g)
     if d % 2 == 0:
@@ -513,4 +499,4 @@ def hodge_bundles_via_triples(g: int, d: int) -> LaurentPoly:
     d2 = (d - (4 * g - 3)) // 2
     spec = TripleSpec(g, (2, 1), d, d2)
     small = hodge_triples_closed(spec, StabilityValue(spec.sigma_m, "plus"))
-    return small.poly / (jacobian(g) * proj_space(2 * g - 1))
+    return small.poly / proj_space(2 * g - 1) / jacobian(g)

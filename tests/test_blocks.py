@@ -88,21 +88,13 @@ class TestSymPower:
 
 class TestModuli11:
     def test_empty_when_d1_below_d2(self):
-        assert moduli_11(2, 3, 5, "above_sigma_m") == 0
-        assert moduli_11(2, 3, 5, "at_sigma_m") == 0
+        assert moduli_11(2, 3, 5) == 0
 
     def test_equal_degrees(self):
-        assert moduli_11(2, 4, 4, "above_sigma_m") == (ONE + U) ** 2 * (ONE + V) ** 2
+        assert moduli_11(2, 4, 4) == (ONE + U) ** 2 * (ONE + V) ** 2
 
     def test_generic(self):
-        assert moduli_11(2, 4, 3, "above_sigma_m") == jacobian(2) * (ONE + 2 * U + 2 * V + UV)
-
-    def test_polystable_wall_value(self):
-        assert moduli_11(2, 4, 3, "at_sigma_m") == jacobian(2) ** 2
-
-    def test_side_validated(self):
-        with pytest.raises(ValueError):
-            moduli_11(2, 4, 3, "below")
+        assert moduli_11(2, 4, 3) == jacobian(2) * (ONE + 2 * U + 2 * V + UV)
 
 
 class TestChiTriples:

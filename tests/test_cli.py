@@ -246,6 +246,16 @@ class TestTable:
         assert code == 2
         assert "cannot parse range 'x'" in err
 
+    @pytest.mark.parametrize("options, message", [
+        (("--d1", "x", "--d2", "0"), "cannot parse range 'x'"),
+        ((), "triple target needs --d1 and --d2 ranges"),
+        (("--rank", "3,1", "--d1", "1", "--d2", "0"), "rank must be 2,1 or 1,2"),
+    ], ids=["bad-range", "missing-options", "bad-rank"])
+    def test_options_checked_when_genus_range_empty(self, capsys, options, message):
+        code, out, err = run(capsys, "table", "--target", "triple", "--genus", "5..2", *options)
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestVerifyCommand:
     def test_subset_run(self, capsys):
@@ -298,6 +308,7 @@ class TestRank12:
         assert code == 0
         assert "rank (1,2)" in out
         assert "sigma_m = 3/2" in out
+        assert "sigma_M = 6" in out
         assert "sigma_c = 3  d_M = 0" in out
 
     def test_bad_rank(self, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hodgetriples.blocks import GenusOutOfRange, jacobian, moduli_11, proj_space
 from hodgetriples.laurent import ONE, UV, U, V, monomial
 from hodgetriples.triples import (
-    ChamberIndex,
     EmptyFamily,
     EvenDegree,
     HodgeResult,
@@ -28,7 +27,6 @@ from hodgetriples.triples import (
     hodge_triples_sum,
     pair_chamber_representatives,
     poincare_pairs_fixed_det_thaddeus,
-    sigma_interval,
 )
 from hodgetriples.verify import DegeneratePoles, residue_extract_check
 
@@ -81,13 +79,17 @@ class TestTripleSpec:
 
 class TestSigmaInterval:
     def test_rank21(self):
-        assert sigma_interval(TripleSpec(2, (2, 1), 5, 0)) == (Fraction(5, 2), Fraction(10))
+        spec = TripleSpec(2, (2, 1), 5, 0)
+        assert not spec.is_empty_family
+        assert (spec.sigma_m, spec.sigma_M) == (Fraction(5, 2), Fraction(10))
 
     def test_empty(self):
-        assert sigma_interval(TripleSpec(2, (2, 1), 0, 1)) is None
+        assert TripleSpec(2, (2, 1), 0, 1).is_empty_family
 
     def test_rank12(self):
-        assert sigma_interval(TripleSpec(2, (1, 2), 3, 2)) == (Fraction(2), Fraction(8))
+        spec = TripleSpec(2, (1, 2), 3, 2)
+        assert not spec.is_empty_family
+        assert (spec.sigma_m, spec.sigma_M) == (Fraction(2), Fraction(8))
 
 
 class TestCriticalValues:
@@ -119,13 +121,13 @@ class TestCriticalValues:
 
 class TestChamberD0:
     def test_interior_value(self):
-        assert chamber_d0(TripleSpec(2, (2, 1), 5, 0), SV("5")) == ChamberIndex(4)
+        assert chamber_d0(TripleSpec(2, (2, 1), 5, 0), SV("5")) == 4
 
     def test_wall_plus(self):
-        assert chamber_d0(TripleSpec(2, (2, 1), 5, 0), SV("7+")) == ChamberIndex(5)
+        assert chamber_d0(TripleSpec(2, (2, 1), 5, 0), SV("7+")) == 5
 
     def test_wall_minus(self):
-        assert chamber_d0(TripleSpec(2, (2, 1), 5, 0), SV("7-")) == ChamberIndex(4)
+        assert chamber_d0(TripleSpec(2, (2, 1), 5, 0), SV("7-")) == 4
 
     def test_wall_exact_rejected(self):
         with pytest.raises(OnWall):
@@ -135,13 +137,13 @@ class TestChamberD0:
         # (sigma + d1 + d2)/3 integral while sigma is non-critical: the
         # plain floor applies and the chamber is already empty.
         spec = TripleSpec(2, (2, 1), 5, 0)
-        assert chamber_d0(spec, SV("13")) == ChamberIndex(7)
+        assert chamber_d0(spec, SV("13")) == 7
 
     def test_rank12_formula(self):
         # floor((7/2 - 3 - 2)/3) + 1 = floor(-1/2) + 1 = 0
         spec = TripleSpec(2, (1, 2), 3, 2)
         sigma = SV("7/2")
-        assert chamber_d0(spec, sigma) == ChamberIndex(0)
+        assert chamber_d0(spec, sigma) == 0
         assert chamber_d0(spec, sigma) == chamber_d0(spec.dual(), sigma)
 
 
@@ -497,6 +499,6 @@ class TestFlipBlockDecomposition:
         for _, d_m in critical_values(spec):
             if d_m <= spec.mu1:
                 continue
-            base = jacobian(3) * moduli_11(3, spec.d1 - d_m, spec.d2, "above_sigma_m")
+            base = jacobian(3) * moduli_11(3, spec.d1 - d_m, spec.d2)
             ranks = proj_space(2 * d_m - spec.d1 + spec.g - 1) - proj_space(spec.d1 - spec.d2 - d_m)
             assert flip_difference(spec, d_m) == ranks * base
