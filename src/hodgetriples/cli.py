@@ -36,6 +36,12 @@ from .laurent import LaurentPoly, NotDivisible, UniPoly
 
 CACHE_ENV = "HODGETRIPLES_CACHE"
 SCHEMA_VERSION = 1
+# Stamped on every cache line; a line of another revision is recomputed.  Bump
+# it whenever an evaluator or the arithmetic kernel changes.
+FORMULA_REVISION = 1
+# The most values one range option may hold; larger ranges are refused
+# before any list is built.
+MAX_RANGE_VALUES = 10_000
 
 
 class UserError(Exception):
@@ -55,7 +61,7 @@ def _parse_rank(text: str) -> tuple[int, int]:
 
 
 def _parse_range(text: str) -> list[int]:
-    """Integer ranges: "3", "1..8", "1..9:2"."""
+    """Integer ranges: "3", "1..8", "1..9:2", of at most MAX_RANGE_VALUES values."""
     step = 1
     if ":" in text:
         text, step_text = text.split(":", 1)
@@ -71,7 +77,10 @@ def _parse_range(text: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError as exc:
             raise UserError(f"cannot parse range {text!r}") from exc
-        return list(range(lo, hi + 1, step))
+        values = range(lo, hi + 1, step)
+        if len(values) > MAX_RANGE_VALUES:
+            raise UserError(f"range {text!r} has {len(values)} values; at most {MAX_RANGE_VALUES} are allowed")
+        return list(values)
     try:
         return [int(text)]
     except ValueError as exc:
@@ -255,16 +264,19 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
     return rows
 
 
-def _load_cache(path: str) -> tuple[dict[str, dict], bool]:
-    """(records by key, whether the file needs rewriting).
+def _load_cache(path: str) -> tuple[dict[str, str], bool]:
+    """(JSON text of each record by key, whether the file needs rewriting).
 
     Each line is checked on its own, so a bad line (truncated, not UTF-8, not
     JSON, another schema) is dropped and counted while the good ones are kept.
+    A good line of another formula revision is dropped too, so its record is
+    recomputed by the current code.  Records are held as their JSON text, not
+    as parsed dicts, so a large table holds a few bytes per term.
     """
-    cache: dict[str, dict] = {}
+    cache: dict[str, str] = {}
     if not path or not os.path.exists(path):
         return cache, False
-    dropped = 0
+    dropped = stale = 0
     try:
         with open(path, "rb") as handle:
             for line in handle:
@@ -274,15 +286,17 @@ def _load_cache(path: str) -> tuple[dict[str, dict], bool]:
                     entry = json.loads(line)
                 except ValueError:
                     entry = None
-                if (
+                if not (
                     isinstance(entry, dict)
                     and entry.get("schema_version") == SCHEMA_VERSION
                     and isinstance(entry.get("key"), str)
                     and isinstance(entry.get("record"), dict)
                 ):
-                    cache[entry["key"]] = entry["record"]
-                else:
                     dropped += 1
+                elif entry.get("formula_revision") != FORMULA_REVISION:
+                    stale += 1
+                else:
+                    cache[entry["key"]] = _dump_json(entry["record"])
     except OSError as exc:
         print(f"warning: cache file {path} is unreadable: {exc}; recomputing and overwriting", file=sys.stderr)
         return {}, True
@@ -292,17 +306,27 @@ def _load_cache(path: str) -> tuple[dict[str, dict], bool]:
             "recomputing the dropped ones and rewriting the file",
             file=sys.stderr,
         )
-    return cache, bool(dropped)
+    if stale:
+        print(
+            f"warning: cache file {path} has {stale} record(s) of another formula revision; "
+            f"recomputing them with revision {FORMULA_REVISION} and rewriting the file",
+            file=sys.stderr,
+        )
+    return cache, bool(dropped or stale)
 
 
-def _save_cache(path: str, cache: dict[str, dict]) -> None:
-    """Write the cache beside ``path`` and rename it over the old file, so a failed write loses nothing."""
+def _save_cache(path: str, cache: dict[str, str]) -> None:
+    """Write the cache beside ``path`` and rename it over the old file, so a failed write loses nothing.
+
+    Each line is the compact JSON of {schema_version, formula_revision, key,
+    record}, spliced from the record's JSON text.
+    """
     tmp = f"{path}.{os.getpid()}.tmp"
+    head = f'{{"schema_version":{SCHEMA_VERSION},"formula_revision":{FORMULA_REVISION},"key":'
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             for key in sorted(cache):
-                handle.write(_dump_json({"schema_version": SCHEMA_VERSION, "key": key, "record": cache[key]}))
-                handle.write("\n")
+                handle.write(f'{head}{_dump_json(key)},"record":{cache[key]}}}\n')
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -328,24 +352,25 @@ def _latex_row(rec: dict) -> str:
 def _cmd_table(args: argparse.Namespace) -> int:
     cache_path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV, "")
     cache, stale = _load_cache(cache_path)
-    records: list[dict] = []
+    texts: list[str] = []
     for key, g, params in _table_rows(args):
-        if key in cache:
-            records.append(cache[key])
-            continue
-        rec = _compute_record(args.target, g, params)
-        cache[key] = rec
-        records.append(rec)
-        stale = True
+        if key not in cache:
+            cache[key] = _dump_json(_compute_record(args.target, g, params))
+            stale = True
+        texts.append(cache[key])
     if cache_path and stale:
         _save_cache(cache_path, cache)
 
-    if args.format == "json-lines":
+    # Records stay JSON text until printed and are parsed one at a time, so
+    # the table never holds all of them as dicts.
+    records = map(json.loads, texts)
+    if args.format == "json-lines" and args.poincare:
+        for text in texts:
+            print(text)
+    elif args.format == "json-lines":
         for rec in records:
-            out = dict(rec)
-            if not args.poincare:
-                out.pop("poincare")
-            print(_dump_json(out))
+            rec.pop("poincare")
+            print(_dump_json(rec))
     elif args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -156,6 +156,17 @@ class TestTable:
         second = run(capsys, *argv)
         assert second == first
 
+    def test_cache_lines_are_compact_json(self, capsys, tmp_path):
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "triple", "--genus", "2", "--d1", "1..3", "--d2", "0", "--poincare", "--cache", str(cache)]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        entries = [json.loads(line) for line in lines]
+        assert lines == [cli._dump_json(entry) for entry in entries]
+        assert list(entries[0]) == ["schema_version", "formula_revision", "key", "record"]
+        assert sorted(cli._dump_json(entry["record"]) for entry in entries) == sorted(out.splitlines())
+
     def test_cache_via_environment(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-cache.jsonl"
         monkeypatch.setenv("HODGETRIPLES_CACHE", str(cache))
@@ -203,6 +214,39 @@ class TestTable:
         assert code == 0 and out == first[1]
         assert "dropped 3 bad line(s), kept 2 record(s)" in err
         assert cache.read_text(encoding="utf-8") == good
+
+    def test_other_formula_revision_recomputed(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1..5", "--format", "json-lines", "--cache", str(cache)]
+        first = run(capsys, *argv)
+        written = cache.read_text(encoding="utf-8")
+        entries = [json.loads(line) for line in written.splitlines()]
+        assert [e["formula_revision"] for e in entries] == [cli.FORMULA_REVISION] * 3
+        entries[0]["formula_revision"] = cli.FORMULA_REVISION - 1
+        del entries[1]["formula_revision"]  # a line written before revisions were stamped
+        cache.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out == first[1]
+        assert len(computed) == 2  # only the third record is served from the cache
+        assert "2 record(s) of another formula revision" in err
+        assert "corrupt" not in err
+        assert cache.read_text(encoding="utf-8") == written
+        assert run(capsys, *argv) == first and len(computed) == 2
+
+    def test_oversized_range_refused(self, capsys):
+        code, out, err = run(capsys, "table", "--target", "bundle", "--genus", "2", "--degree", "1..1000000000")
+        assert (code, out) == (2, "")
+        assert f"range '1..1000000000' has 1000000000 values; at most {cli.MAX_RANGE_VALUES} are allowed" in err
+
+    def test_range_limit_counts_values(self):
+        limit = cli.MAX_RANGE_VALUES
+        assert len(cli._parse_range(f"1..{limit}")) == limit
+        assert len(cli._parse_range(f"1..{2 * limit}:2")) == limit
+        with pytest.raises(cli.UserError, match=f"has {limit + 1} values"):
+            cli._parse_range(f"0..{limit}")
 
     def test_failed_cache_write_keeps_old_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "records.jsonl"

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hodgetriples import laurent
 from hodgetriples.laurent import (
     ONE,
+    PACKED_MIN_PAIRS,
     UV,
     ZERO,
     LaurentPoly,
@@ -20,7 +22,7 @@ from hodgetriples.laurent import (
     ZeroAtPole,
     monomial,
 )
-from hodgetriples.laurent import _term_key
+from hodgetriples.laurent import _dict_product, _packed_product, _term_key
 
 exponents = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=8).map(LaurentPoly)
@@ -33,6 +35,19 @@ monomials = st.builds(
 
 nonzero_coeff_polys = st.dictionaries(exponents, st.integers(-9, 9).filter(bool), max_size=8).map(LaurentPoly)
 divisors = st.dictionaries(exponents, st.integers(-9, 9).filter(bool), min_size=1, max_size=4).map(LaurentPoly)
+
+# small and beyond 2^64, both signs, never zero
+coefficients = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80)).filter(bool)
+
+
+@st.composite
+def dense_boxes(draw) -> dict:
+    """Terms with a nonzero coefficient at every exponent of a box of at most 4 x 4, shifted by up to 5."""
+    height, width = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    a0, b0 = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    size = (height + 1) * (width + 1)
+    coeffs = draw(st.lists(coefficients, min_size=size, max_size=size))
+    return {(a0 + i // (width + 1), b0 + i % (width + 1)): c for i, c in enumerate(coeffs)}
 
 
 def _reference_divide(self: LaurentPoly, other: LaurentPoly) -> LaurentPoly:
@@ -100,6 +115,89 @@ class TestProduct:
         assert (p + q) * r == p * r + q * r
         assert (p * q) * r == p * (q * r)
         assert p * q == q * p
+
+
+class TestPackedProduct:
+    """The Kronecker route ``_packed_product`` against the dict loop ``_dict_product``.
+
+    Dense boxes always pack (their product box never exceeds the term-pair
+    count), so every example here exercises the packed route.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_boxes(), dense_boxes())
+    @example({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (1, 0): 1})  # (1 - u)(1 + u) = 1 - u^2
+    @example({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (1, 0): -1})  # (1 + u)(1 - u)
+    @example({(0, -1): -1, (1, -1): 2, (0, 0): 3}, {(-2, 0): 5, (-2, 1): -7})  # mixed signs, negative exponents
+    @example({(-3, 2): -(2**70)}, {(4, -1): 2**65 + 1})  # one term each, beyond 2^64
+    @example({(0, 0): 2**64 - 1}, {(0, 0): 2**64 - 1, (0, 1): -(2**64) + 1})  # digits of exactly 128 bits, a whole number of bytes
+    def test_matches_dict_loop(self, p, q):
+        assert _packed_product(p, q) == _dict_product(p, q)
+
+    def test_cancellation_leaves_few_terms(self):
+        p = {(0, 0): 1, (1, 0): -1}  # 1 - u
+        q = {(i, 0): 1 for i in range(9)}  # 1 + u + ... + u^8
+        assert _packed_product(p, q) == _dict_product(p, q) == {(0, 0): 1, (9, 0): -1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys.filter(bool), polys.filter(bool))
+    def test_sparse_operands_refused_or_equal(self, p, q):
+        p, q = dict(p.terms()), dict(q.terms())
+        packed = _packed_product(p, q)
+        if packed is None:
+            box = (
+                (max(a for a, _ in p) - min(a for a, _ in p) + max(a for a, _ in q) - min(a for a, _ in q) + 1)
+                * (max(b for _, b in p) - min(b for _, b in p) + max(b for _, b in q) - min(b for _, b in q) + 1)
+            )
+            assert box > len(p) * len(q)
+        else:
+            assert packed == _dict_product(p, q)
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record the result of every call of the route ``laurent.<name>``."""
+    results, route = [], getattr(laurent, name)
+
+    def spy(p, q):
+        results.append(route(p, q))
+        return results[-1]
+
+    monkeypatch.setattr(laurent, name, spy)
+    return results
+
+
+def _line_operands(pairs: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """A u-line and a v-line, mixed signs beyond 2^64, exactly ``pairs`` term pairs and as many box slots."""
+    k = max(d for d in range(1, math.isqrt(pairs) + 1) if pairs % d == 0)
+    p = LaurentPoly({(i - 2, 0): (-1) ** i * (2**70 + i) for i in range(k)})
+    q = LaurentPoly({(0, j - 3): (-1) ** (j // 2) * (3 + j) for j in range(pairs // k)})
+    return p, q
+
+
+class TestMultiplyRoute:
+    """``__mul__`` sends products to the packed route from PACKED_MIN_PAIRS term pairs on."""
+
+    @pytest.mark.parametrize("pairs, packed", [(PACKED_MIN_PAIRS, True), (PACKED_MIN_PAIRS - 1, False)], ids=["at", "below"])
+    def test_dense_routes_at_threshold(self, monkeypatch, pairs, packed):
+        p, q = _line_operands(pairs)
+        assert len(p) * len(q) == pairs
+        expected = LaurentPoly(_dict_product(dict(p.terms()), dict(q.terms())))
+        packed_results, dict_results = _spy(monkeypatch, "_packed_product"), _spy(monkeypatch, "_dict_product")
+        assert p * q == expected
+        assert (len(packed_results), len(dict_results)) == ((1, 0) if packed else (0, 1))
+        assert packed_results == ([dict(expected.terms())] if packed else [])
+
+    def test_sparse_operand_takes_dict_route(self, monkeypatch):
+        k = math.isqrt(PACKED_MIN_PAIRS // 2) + 1
+        q = ((ONE + U) * (ONE - V)) ** k  # (k + 1)^2 terms
+        far = monomial(1, 10**6, 0)
+        p = ONE + far
+        assert len(p) * len(q) >= PACKED_MIN_PAIRS
+        expected = q + far * q
+        packed_results, dict_results = _spy(monkeypatch, "_packed_product"), _spy(monkeypatch, "_dict_product")
+        assert p * q == expected
+        assert packed_results == [None]  # refused: a box of 10^6 u-exponents
+        assert len(dict_results) == 1
 
 
 class TestPower:
