@@ -26,6 +26,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -39,7 +40,8 @@ SCHEMA_VERSION = 1
 # Stamped on every cache line; a line of another revision is recomputed.  Bump
 # it whenever an evaluator or the arithmetic kernel changes.
 FORMULA_REVISION = 1
-# The most values one range option may hold; larger ranges are refused
+# The most values one range option may hold, and the most parameter choices
+# (genus times degrees) one table may sweep; larger requests are refused
 # before any list is built.
 MAX_RANGE_VALUES = 10_000
 
@@ -255,13 +257,51 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
     genera = _parse_range(args.genus)
     _require(args, family.degrees, ranges=True)
     fixed = {"rank": _parse_rank(args.rank)} if family.ranked else {}
-    grid = list(itertools.product(*(_parse_range(getattr(args, name)) for name in family.degrees)))
+    ranges = [_parse_range(getattr(args, name)) for name in family.degrees]
+    choices = math.prod(map(len, ranges), start=len(genera))
+    if choices > MAX_RANGE_VALUES:
+        raise UserError(f"table has {choices} parameter choices; at most {MAX_RANGE_VALUES} are allowed")
+    grid = list(itertools.product(*ranges))
     rows = []
     for g in genera:
         for degrees in grid:
             params = {**fixed, **dict(zip(family.degrees, degrees))}
             rows.extend((key, g, chamber) for key, chamber in family.chambers(args.target, g, params))
     return rows
+
+
+_CACHE_HEAD = f'{{"schema_version":{SCHEMA_VERSION},"formula_revision":{FORMULA_REVISION},"key":'
+_DECODER = json.JSONDecoder()
+# JSON whitespace and the escape character: a record holding one may be spelled
+# otherwise than ``_dump_json`` would spell it.
+_RESPELLED = " \t\n\r\\"
+
+
+def _spliced_record(line: bytes) -> Optional[tuple[str, str]]:
+    """(key, record text) of a line that starts as ``_save_cache`` writes it, else None.
+
+    The record's text is the slice of the line it was parsed from, taken only
+    when the record closes the line and the slice holds no whitespace,
+    backslash or non-ASCII character, as on every line ``_save_cache``
+    writes; a line spelled otherwise has its record encoded again.
+    """
+    try:
+        text = line.decode("utf-8")
+        if not text.startswith(_CACHE_HEAD):
+            return None
+        key, end = _DECODER.raw_decode(text, len(_CACHE_HEAD))
+        if not text.startswith(',"record":', end):
+            return None
+        start = end + len(',"record":')
+        record, end = _DECODER.raw_decode(text, start)
+    except ValueError:
+        return None
+    body = text[start:end]
+    if not (isinstance(key, str) and isinstance(record, dict) and text[end:].rstrip("\n") == "}"):
+        return None
+    if not body.isascii() or any(c in body for c in _RESPELLED):
+        return None
+    return key, body
 
 
 def _load_cache(path: str) -> tuple[dict[str, str], bool]:
@@ -271,7 +311,9 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
     JSON, another schema) is dropped and counted while the good ones are kept.
     A good line of another formula revision is dropped too, so its record is
     recomputed by the current code.  Records are held as their JSON text, not
-    as parsed dicts, so a large table holds a few bytes per term.
+    as parsed dicts, so a large table holds a few bytes per term.  A line
+    spelled exactly as ``_save_cache`` writes it lends its record text as is;
+    any other good line has its record encoded again.
     """
     cache: dict[str, str] = {}
     if not path or not os.path.exists(path):
@@ -281,6 +323,10 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
         with open(path, "rb") as handle:
             for line in handle:
                 if not line.strip():
+                    continue
+                spliced = _spliced_record(line)
+                if spliced:
+                    cache[spliced[0]] = spliced[1]
                     continue
                 try:
                     entry = json.loads(line)
@@ -322,11 +368,10 @@ def _save_cache(path: str, cache: dict[str, str]) -> None:
     record}, spliced from the record's JSON text.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
-    head = f'{{"schema_version":{SCHEMA_VERSION},"formula_revision":{FORMULA_REVISION},"key":'
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             for key in sorted(cache):
-                handle.write(f'{head}{_dump_json(key)},"record":{cache[key]}}}\n')
+                handle.write(f'{_CACHE_HEAD}{_dump_json(key)},"record":{cache[key]}}}\n')
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):

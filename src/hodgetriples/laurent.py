@@ -18,8 +18,9 @@ Canonical term order throughout: ascending total degree a+b, then ascending
 u-exponent a.
 
 ``LaurentPoly`` products take one of two routes by size.  Below
-``PACKED_MIN_PAIRS`` term pairs a dict loop multiplies every pair of terms;
-it is also the oracle the tests hold the other route to.  From there on,
+``PACKED_MIN_PAIRS`` term pairs, or with an operand of fewer than
+``PACKED_MIN_TERMS`` terms, a dict loop multiplies every pair of terms; it
+is also the oracle the tests hold the other route to.  From there on,
 Kronecker substitution (D. Harvey, J. Symbolic Comput. 2009) packs each
 operand into one big integer with a byte-aligned slot per exponent, wide
 enough for max|c_p| * max|c_q| * min(len p, len q) plus a guard bit, and
@@ -136,21 +137,23 @@ class LaurentPoly:
     def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         """Product, routed by operand size; both routes give the same dict.
 
-        Below ``PACKED_MIN_PAIRS`` term pairs the dict loop multiplies every
-        pair of terms.  At or above it, ``_packed_product`` packs each operand
-        into one big integer (Kronecker substitution), one byte-aligned slot
-        per exponent of at least bit_length(max|c_p| max|c_q| min(len)) + 1
-        bits, so that CPython's Karatsuba integer multiply does the
-        convolution; it gives way to the dict loop when the packed box would
-        exceed the term-pair count.  The threshold is the measured crossover
-        of the two routes on the package's own products.
+        Below ``PACKED_MIN_PAIRS`` term pairs, or with an operand of fewer than
+        ``PACKED_MIN_TERMS`` terms, the dict loop multiplies every pair of
+        terms.  Otherwise ``_packed_product`` packs each operand into one big
+        integer (Kronecker substitution), one byte-aligned slot per exponent
+        of at least bit_length(max|c_p| max|c_q| min(len)) + 1 bits, so that
+        CPython's Karatsuba integer multiply does the convolution; it gives
+        way to the dict loop when the packed box would exceed the term-pair
+        count.  Both thresholds are measured crossovers of the two routes on
+        the package's own products.
         """
         if isinstance(other, int):
             return _wrap({key: c * other for key, c in self._terms.items()} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         p, q = self._terms, other._terms
-        acc = _packed_product(p, q) if len(p) * len(q) >= PACKED_MIN_PAIRS else None
+        packs = len(p) * len(q) >= PACKED_MIN_PAIRS and min(len(p), len(q)) >= PACKED_MIN_TERMS
+        acc = _packed_product(p, q) if packs else None
         return _wrap(_dict_product(p, q) if acc is None else acc)
 
     __rmul__ = __mul__
@@ -306,6 +309,11 @@ def _wrap(terms: dict[Exponent, int]) -> LaurentPoly:
 # sweeps, both bundle routes, ``verify`` and ``table`` perform: the total time
 # saved is flat for thresholds 128..256, and below 256 some shapes lose.
 PACKED_MIN_PAIRS = 256
+# Terms the smaller operand needs for the packed route.  Packing costs about
+# one slot per product exponent, so an operand of a few terms gains nothing:
+# on the workloads' own products every one with a 1- to 4-term operand was
+# slower packed (1.04x to 3.4x; a monomial times 625 terms 747 against 221 us).
+PACKED_MIN_TERMS = 5
 
 
 def _dict_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> dict[Exponent, int]:

@@ -15,7 +15,9 @@ This module exposes:
   raw series extraction (two independent pipelines);
 * ``hodge_triples_closed`` / ``hodge_triples_sum``: the closed
   coefficient-extraction formula and the telescoped sum of wall
-  contributions (the central cross-check of the package);
+  contributions (the central cross-check of the package).  The sums are
+  built once per family, from the top wall down, one flip per wall, and
+  held for at most two families;
 * pair moduli (rank 2, with or without fixed determinant), their Poincare
   polynomials via an independent one-variable extraction, and the moduli of
   rank-2 odd-degree bundles through two more routes.
@@ -26,6 +28,7 @@ N_sigma(1,2,d1,d2) = N_sigma(2,1,-d2,-d1).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -334,11 +337,25 @@ def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult
     return HodgeResult(poly, spec.complex_dim)
 
 
+@functools.lru_cache(maxsize=2)
+def _wall_sums(spec21: TripleSpec) -> list[LaurentPoly]:
+    """Suffix sums of one rank-(2,1) family: entry k sums flip_difference over its k highest walls.
+
+    Starts as [0] and is extended downwards by ``hodge_triples_sum``, one
+    flip per wall.  Callers sweep one family at a time, so two entries
+    suffice (a rank-(1,2) sweep shares its dual's).
+    """
+    return [LaurentPoly()]
+
+
 def hodge_triples_sum(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult:
     """Hodge polynomial of N_sigma as the sum of wall contributions.
 
     e(N_sigma) = sum of flip_difference over the walls strictly above
-    sigma, i.e. d_M = d0, ..., d1 - d2.  Must agree exactly with
+    sigma, i.e. d_M = d0, ..., d1 - d2.  The sums are built once per
+    family, from the top wall down to the lowest d0 asked for so far, and
+    kept for the last two families, so a sweep over all chambers costs one
+    flip and one add per wall.  Must agree exactly with
     ``hodge_triples_closed``; the pair is the package's central
     cross-check.
     """
@@ -346,10 +363,11 @@ def hodge_triples_sum(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult:
     d0 = _chamber_or_empty(spec21, sigma)
     if d0 is None:
         return _EMPTY
-    total = LaurentPoly()
-    for d_M in range(d0, spec21.d1 - spec21.d2 + 1):
-        total = total + flip_difference(spec21, d_M)
-    return HodgeResult(total, spec.complex_dim)
+    top = spec21.d1 - spec21.d2
+    sums = _wall_sums(spec21)
+    while len(sums) <= top - d0 + 1:
+        sums.append(sums[-1] + flip_difference(spec21, top + 1 - len(sums)))
+    return HodgeResult(sums[top - d0 + 1], spec.complex_dim)
 
 
 def chamber_representatives(spec: TripleSpec, include_beyond: bool = False) -> list[StabilityValue]:

@@ -167,6 +167,25 @@ class TestTable:
         assert list(entries[0]) == ["schema_version", "formula_revision", "key", "record"]
         assert sorted(cli._dump_json(entry["record"]) for entry in entries) == sorted(out.splitlines())
 
+    def test_respelled_cache_lines_served_as_cold(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "triple", "--genus", "2", "--d1", "1..3", "--d2", "0", "--poincare", "--cache", str(cache)]
+        cold = run(capsys, *argv)
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 4 and all(cli._spliced_record(line.encode()) for line in lines)
+        entries = [json.loads(line) for line in lines]
+        head = lines[1][: lines[1].index('"record":') + len('"record":')]
+        lines[0] = json.dumps(entries[0])  # spaces everywhere, the head included
+        lines[1] = head + json.dumps(entries[1]["record"]) + "}"  # the head as written, spaces in the record
+        lines[2] = lines[2].replace('"triple"', '"\\u0074riple"')  # a \u escape in the record
+        lines[3] = lines[3][:-1] + ',"note":1}'  # a field after the record
+        assert [cli._spliced_record(line.encode()) for line in lines] == [None] * 4
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        assert run(capsys, *argv) == cold and computed == []
+
     def test_cache_via_environment(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-cache.jsonl"
         monkeypatch.setenv("HODGETRIPLES_CACHE", str(cache))
@@ -240,6 +259,16 @@ class TestTable:
         code, out, err = run(capsys, "table", "--target", "bundle", "--genus", "2", "--degree", "1..1000000000")
         assert (code, out) == (2, "")
         assert f"range '1..1000000000' has 1000000000 values; at most {cli.MAX_RANGE_VALUES} are allowed" in err
+
+    @pytest.mark.parametrize("options, choices", [
+        (("--target", "triple", "--genus", "2", "--d1", "1..10000", "--d2=-10000..-1"), 10**8),
+        (("--target", "bundle", "--genus", "2..101", "--degree", "1..101"), 10100),
+    ], ids=["degrees", "genus-times-degree"])
+    def test_oversized_grid_refused(self, capsys, monkeypatch, options, choices):
+        monkeypatch.setattr(cli, "itertools", None)  # refused before any grid is built
+        code, out, err = run(capsys, "table", *options)
+        assert (code, out) == (2, "")
+        assert err == f"error: table has {choices} parameter choices; at most {cli.MAX_RANGE_VALUES} are allowed\n"
 
     def test_range_limit_counts_values(self):
         limit = cli.MAX_RANGE_VALUES

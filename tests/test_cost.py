@@ -5,6 +5,9 @@ more polynomial arithmetic fails here without any timing noise.  Each bound
 is the count the current code measures; lower it when a change cuts the cost.
 """
 
+import itertools
+import random
+
 import pytest
 
 from hodgetriples import blocks, laurent, triples
@@ -14,7 +17,7 @@ SPEC = triples.TripleSpec(3, (2, 1), 8, 0)
 
 
 def _clear_block_caches() -> None:
-    for cached in (blocks.sym_power, blocks.jacobian, blocks.proj_space):
+    for cached in (blocks.sym_power, blocks.jacobian, blocks.proj_space, triples._wall_sums):
         cached.cache_clear()
 
 
@@ -42,7 +45,7 @@ def _sweep_cost(monkeypatch, evaluate) -> tuple[int, int]:
     "evaluate, max_multiplies, max_term_pairs",
     [
         (triples.hodge_triples_closed, 143, 6450),
-        (triples.hodge_triples_sum, 89, 9127),
+        (triples.hodge_triples_sum, 71, 3973),
     ],
     ids=["closed", "sum"],
 )
@@ -50,6 +53,49 @@ def test_sweep_cost_pinned(monkeypatch, evaluate, max_multiplies, max_term_pairs
     multiplies, term_pairs = _sweep_cost(monkeypatch, evaluate)
     assert multiplies <= max_multiplies
     assert term_pairs <= max_term_pairs
+
+
+def _flip_calls(monkeypatch, queries) -> int:
+    """flip_difference calls of hodge_triples_sum over (spec, sigma) ``queries``, from cold caches."""
+    _clear_block_caches()
+    calls = [0]
+    flip = triples.flip_difference
+
+    def counted(spec, d_M):
+        calls[0] += 1
+        return flip(spec, d_M)
+
+    monkeypatch.setattr(triples, "flip_difference", counted)
+    for spec, sigma in queries:
+        triples.hodge_triples_sum(spec, sigma)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_wall_sum_one_flip_per_wall(monkeypatch):
+    """The top chamber costs one flip; a full sweep, and its rank-(1,2) dual after it, one per wall."""
+    top = triples.chamber_representatives(SPEC)[-1]
+    assert _flip_calls(monkeypatch, [(SPEC, top)]) == 1
+    descending = [(SPEC, sigma) for sigma in reversed(triples.chamber_representatives(SPEC))]
+    dual = SPEC.dual()
+    dual_sweep = [(dual, sigma) for sigma in triples.chamber_representatives(dual)]
+    walls_above = sum(1 for _, d_M in triples.critical_values(SPEC) if d_M > SPEC.mu1)
+    assert walls_above == 4
+    assert _flip_calls(monkeypatch, descending + dual_sweep) == walls_above
+
+
+def test_wall_sum_order_independent():
+    """Sums asked for in shuffled chamber order, alternating between two families, equal the closed formula."""
+    _clear_block_caches()
+    rng = random.Random(7)
+    sweeps = []
+    for spec in (SPEC, triples.TripleSpec(2, (1, 2), 1, -6)):
+        sigmas = triples.chamber_representatives(spec, include_beyond=True)
+        rng.shuffle(sigmas)
+        sweeps.append([(spec, sigma) for sigma in sigmas])
+    assert len(sweeps[0]) == len(sweeps[1]) == 5
+    for spec, sigma in itertools.chain.from_iterable(zip(*sweeps)):
+        assert triples.hodge_triples_sum(spec, sigma) == triples.hodge_triples_closed(spec, sigma)
 
 
 def test_division_cost_pinned(monkeypatch):

@@ -9,6 +9,7 @@ from hodgetriples import laurent
 from hodgetriples.laurent import (
     ONE,
     PACKED_MIN_PAIRS,
+    PACKED_MIN_TERMS,
     UV,
     ZERO,
     LaurentPoly,
@@ -188,16 +189,29 @@ class TestMultiplyRoute:
         assert packed_results == ([dict(expected.terms())] if packed else [])
 
     def test_sparse_operand_takes_dict_route(self, monkeypatch):
-        k = math.isqrt(PACKED_MIN_PAIRS // 2) + 1
+        k = math.isqrt(PACKED_MIN_PAIRS // PACKED_MIN_TERMS) + 1
         q = ((ONE + U) * (ONE - V)) ** k  # (k + 1)^2 terms
+        near = (ONE + V) ** (PACKED_MIN_TERMS - 2)
         far = monomial(1, 10**6, 0)
-        p = ONE + far
-        assert len(p) * len(q) >= PACKED_MIN_PAIRS
-        expected = q + far * q
+        p = near + far
+        assert len(p) == PACKED_MIN_TERMS and len(p) * len(q) >= PACKED_MIN_PAIRS
+        expected = near * q + far * q
         packed_results, dict_results = _spy(monkeypatch, "_packed_product"), _spy(monkeypatch, "_dict_product")
         assert p * q == expected
         assert packed_results == [None]  # refused: a box of 10^6 u-exponents
         assert len(dict_results) == 1
+
+    @pytest.mark.parametrize("terms", [1, PACKED_MIN_TERMS - 1, PACKED_MIN_TERMS], ids=["monomial", "below", "at"])
+    def test_small_operand_takes_dict_route(self, monkeypatch, terms):
+        """Times 625 terms in a dense box, an operand of fewer than PACKED_MIN_TERMS terms stays on the dict loop."""
+        q = ((ONE + U) * (ONE - V)) ** 24
+        p = monomial(-3, 2, -1) * (ONE + UV) ** (terms - 1)
+        assert (len(p), len(q)) == (terms, 625)
+        expected = LaurentPoly(_dict_product(dict(p.terms()), dict(q.terms())))
+        packed_results, dict_results = _spy(monkeypatch, "_packed_product"), _spy(monkeypatch, "_dict_product")
+        assert p * q == expected and q * p == expected
+        packed = terms >= PACKED_MIN_TERMS
+        assert (len(packed_results), len(dict_results)) == ((2, 0) if packed else (0, 2))
 
 
 class TestPower:
