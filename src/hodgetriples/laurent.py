@@ -71,23 +71,14 @@ class LaurentPoly:
 
     def __init__(self, terms: Union[Mapping[Exponent, int], Iterable[tuple[Exponent, int]]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Exponent, int] = {}
-        for (a, b), c in items:
-            if c:
-                key = (int(a), int(b))
-                new = acc.get(key, 0) + int(c)
-                if new:
-                    acc[key] = new
-                elif key in acc:
-                    del acc[key]
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", _collect([((int(a), int(b)), int(c)) for (a, b), c in items], {}))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
     def constant(c: int) -> "LaurentPoly":
-        return LaurentPoly({(0, 0): c})
+        return _wrap({(0, 0): int(c)} if c else {})
 
     def terms(self) -> list[tuple[Exponent, int]]:
         """Term list in canonical order (total degree, then u-exponent)."""
@@ -111,14 +102,7 @@ class LaurentPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            new = acc.get(key, 0) + c
-            if new:
-                acc[key] = new
-            elif key in acc:
-                del acc[key]
-        return _wrap(acc)
+        return _wrap(_collect(other._terms.items(), dict(self._terms)))
 
     __radd__ = __add__
 
@@ -284,10 +268,10 @@ class LaurentPoly:
     # -- formatting --------------------------------------------------------
 
     def text(self) -> str:
-        return _format_terms(self.terms(), _mono_text)
+        return _format_terms(self.terms(), _mono)
 
     def latex(self) -> str:
-        return _format_terms(self.terms(), _mono_latex)
+        return _format_terms(self.terms(), _mono, "{", "}")
 
 
 def _coerce(value) -> LaurentPoly:
@@ -296,6 +280,17 @@ def _coerce(value) -> LaurentPoly:
     if isinstance(value, int):
         return LaurentPoly.constant(value)
     return NotImplemented
+
+
+def _collect(items: Iterable[tuple], acc: dict) -> dict:
+    """``acc`` with each (key, coefficient) of ``items`` added in place; a key whose sum is 0 is dropped."""
+    for key, c in items:
+        new = acc.get(key, 0) + c
+        if new:
+            acc[key] = new
+        elif key in acc:
+            del acc[key]
+    return acc
 
 
 def _wrap(terms: dict[Exponent, int]) -> LaurentPoly:
@@ -397,38 +392,27 @@ V = monomial(1, 0, 1)
 UV = monomial(1, 1, 1)
 
 
-def _mono_text(a: int, b: int) -> str:
+def _mono(exponent: Exponent, left: str, right: str) -> str:
+    """u^a v^b, or "" for a = b = 0; an exponent other than 1 sits between ``left`` and ``right`` ({ } in LaTeX)."""
+    a, b = exponent
     if a == b:
         if a == 0:
             return ""
-        return "uv" if a == 1 else f"(uv)^{a}"
+        return "uv" if a == 1 else f"(uv)^{left}{a}{right}"
     parts = []
     if a:
-        parts.append("u" if a == 1 else f"u^{a}")
+        parts.append("u" if a == 1 else f"u^{left}{a}{right}")
     if b:
-        parts.append("v" if b == 1 else f"v^{b}")
+        parts.append("v" if b == 1 else f"v^{left}{b}{right}")
     return " ".join(parts)
 
 
-def _mono_latex(a: int, b: int) -> str:
-    if a == b:
-        if a == 0:
-            return ""
-        return "uv" if a == 1 else f"(uv)^{{{a}}}"
-    parts = []
-    if a:
-        parts.append("u" if a == 1 else f"u^{{{a}}}")
-    if b:
-        parts.append("v" if b == 1 else f"v^{{{b}}}")
-    return " ".join(parts)
-
-
-def _format_terms(terms, mono) -> str:
+def _format_terms(terms, mono, left: str = "", right: str = "") -> str:
     if not terms:
         return "0"
     out = []
     for exp, c in terms:
-        m = mono(*exp) if isinstance(exp, tuple) else mono(exp)
+        m = mono(exp, left, right)
         sign = (" - " if out else "-") if c < 0 else (" + " if out else "")
         c = abs(c)
         if not m:
@@ -451,15 +435,7 @@ class UniPoly:
 
     def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
-        for k, c in items:
-            if c:
-                new = acc.get(int(k), 0) + int(c)
-                if new:
-                    acc[int(k)] = new
-                elif int(k) in acc:
-                    del acc[int(k)]
-        object.__setattr__(self, "_coeffs", acc)
+        object.__setattr__(self, "_coeffs", _collect([(int(k), int(c)) for k, c in items], {}))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("UniPoly is immutable")
@@ -513,10 +489,10 @@ class UniPoly:
         return f"UniPoly({self.text()!r})"
 
     def text(self) -> str:
-        def mono(k: int) -> str:
+        def mono(k: int, left: str, right: str) -> str:
             if k == 0:
                 return ""
-            return "t" if k == 1 else f"t^{k}"
+            return "t" if k == 1 else f"t^{left}{k}{right}"
 
         return _format_terms(self.terms(), mono)
 

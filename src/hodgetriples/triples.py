@@ -170,7 +170,7 @@ class HodgeResult:
             if not self.poly.is_zero():
                 raise ValueError("an empty moduli space must carry the zero polynomial")
             return
-        for (a, b), _ in self.poly.terms():
+        for a, b in self.poly._terms:  # unsorted: the bounds need no order
             if not (0 <= a <= self.complex_dim and 0 <= b <= self.complex_dim):
                 raise AssertionError(
                     f"exponent u^{a} v^{b} outside [0, {self.complex_dim}]^2: internal inconsistency"

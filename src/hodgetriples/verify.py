@@ -84,11 +84,7 @@ class VerifyGrid:
                     yield g, d1, d2
 
     def pair_degrees(self) -> list[tuple[int, int]]:
-        seen = []
-        for g, d1, d2 in self.points():
-            if (g, d1 - 2 * d2) not in seen:
-                seen.append((g, d1 - 2 * d2))
-        return sorted(seen)
+        return sorted({(g, d1 - 2 * d2) for g, d1, d2 in self.points()})
 
 
 def _report(name: str, params: str, ok: bool, detail: str = "") -> CheckReport:
@@ -256,9 +252,9 @@ def _check_sym_structure(grid: VerifyGrid, rng: random.Random) -> list[CheckRepo
             p = blocks.sym_power(g, k)
             if p.swap_uv() != p:
                 problems.append(f"k={k} not symmetric")
-            if any(c < 0 for _, c in p.terms()):
+            if any(c < 0 for c in p._terms.values()):
                 problems.append(f"k={k} negative coefficient")
-            if k and max(a + b for (a, b), _ in p.terms()) != 2 * k:
+            if k and max(a + b for a, b in p._terms) != 2 * k:
                 problems.append(f"k={k} top degree != 2k")
         reports.append(_report("sym-structure", f"g={g} k<2g-1", not problems, "; ".join(problems[:3])))
     return reports
@@ -487,7 +483,8 @@ CHECKS: dict[str, Callable[[VerifyGrid, random.Random], list[CheckReport]]] = {
         ),
     ),
     "nonnegativity": _family_check(
-        "nonnegativity", _closed_property(lambda res: all(c >= 0 for _, c in res.poly.terms()), "negative coefficient")
+        "nonnegativity",
+        _closed_property(lambda res: all(c >= 0 for c in res.poly._terms.values()), "negative coefficient"),
     ),
     "duality-rank12": _family_check(
         "duality-rank12", _duality_rank12_failures, lambda spec: f"g={spec.g} (1,2) d1={-spec.d2} d2={-spec.d1}"

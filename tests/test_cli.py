@@ -1,12 +1,15 @@
 import builtins
 import errno
 import json
+from pathlib import Path
 
 import pytest
 
 from hodgetriples import cli, triples
 from hodgetriples.cli import main
 from hodgetriples.laurent import ONE
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -122,6 +125,17 @@ class TestTable:
         assert len(lines) == 2  # even degrees are skipped
         assert all(line.endswith("\\\\") for line in lines)
         assert "(uv)^{3}" in lines[0]
+
+    @pytest.mark.parametrize("name, options", [
+        ("table_triple_latex", ("--target", "triple", "--genus", "2", "--d1", "5", "--d2", "0", "--format", "latex")),
+        ("table_pair_latex", ("--target", "pair", "--genus", "2", "--degree", "3", "--format", "latex")),
+        ("table_pair_fixed_csv_poincare", ("--target", "pair-fixed", "--genus", "2", "--degree", "3", "--format", "csv", "--poincare")),
+    ], ids=["triple-latex", "pair-latex", "pair-fixed-csv-poincare"])
+    def test_output_byte_exact(self, capsys, name, options):
+        """Stdout equals the recorded rows: the sigma and tau labels of latex, the csv poincare column."""
+        code, out, err = run(capsys, "table", *options)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
     def test_json_lines(self, capsys):
         code, out, err = run(capsys, "table", "--target", "pair-fixed", "--genus", "2", "--degree", "1..2", "--format", "json-lines")

@@ -103,7 +103,7 @@ def test_division_cost_pinned(monkeypatch):
 
     A division that rescans its remainder for the top term at every step
     computes a key per remainder term per step: over a million keys here,
-    where the heap walk needs 2,766.
+    where the heap walk needs 70, one per divisor term to find its lead.
     """
     _clear_block_caches()
     calls = [0]
@@ -118,4 +118,4 @@ def test_division_cost_pinned(monkeypatch):
     triples.hodge_bundles_odd(12, 1, fixed_det=True)
     triples.hodge_bundles_via_triples(6, 1)
     monkeypatch.undo()
-    assert calls[0] <= 2766
+    assert calls[0] <= 70

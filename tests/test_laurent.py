@@ -453,6 +453,26 @@ class TestStructure:
     def test_swap_uv(self):
         assert (U + 2 * V**2).swap_uv() == V + 2 * U**2
 
+    def test_constructor_drops_cancelled_terms(self):
+        p = LaurentPoly([((1, 0), 2), ((1, 0), -2)])
+        assert p.is_zero() and p == ZERO
+
+
+class TestIntOperands:
+    """An int operand acts as the constant polynomial it names."""
+
+    P = 3 * U**2 - 6 * UV + 9
+
+    def test_add_and_subtract(self):
+        one = LaurentPoly.constant(1)
+        assert self.P + 1 == self.P + one == 3 * U**2 - 6 * UV + 10
+        assert 1 + self.P == one + self.P == 3 * U**2 - 6 * UV + 10
+        assert self.P - 1 == self.P - one == 3 * U**2 - 6 * UV + 8
+        assert 1 - self.P == one - self.P == -3 * U**2 + 6 * UV - 8
+
+    def test_exact_division(self):
+        assert self.P / 3 == self.P / LaurentPoly.constant(3) == U**2 - 2 * UV + 3
+
 
 class TestUniPoly:
     def test_arithmetic_and_eval(self):
@@ -473,6 +493,9 @@ class TestUniPoly:
 
     def test_negative_coefficient_text(self):
         assert UniPoly({0: -1, 2: 1}).text() == "-1 + t^2"
+
+    def test_constructor_drops_cancelled_terms(self):
+        assert UniPoly([(1, 2), (1, -2)]) == 0
 
 
 class TestLatex:
