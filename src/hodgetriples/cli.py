@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import triples, verify
-from .laurent import LaurentPoly, NotDivisible, UniPoly
+from .laurent import NotDivisible, UniPoly, _format_terms, _mono, _t_mono
 
 CACHE_ENV = "HODGETRIPLES_CACHE"
 SCHEMA_VERSION = 1
@@ -195,10 +195,15 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _record_terms(rec: dict) -> list[tuple[tuple[int, int], int]]:
+    """The record's u, v terms, which it holds in canonical order already."""
+    return [((t["u"], t["v"]), int(t["c"])) for t in rec["terms"]]
+
+
 def _record_text(rec: dict, poincare: bool) -> str:
     if poincare:
-        return UniPoly({int(t["t"]): int(t["c"]) for t in rec["poincare"]}).text()
-    return LaurentPoly({(t["u"], t["v"]): int(t["c"]) for t in rec["terms"]}).text()
+        return _format_terms([(t["t"], int(t["c"])) for t in rec["poincare"]], _t_mono)
+    return _format_terms(_record_terms(rec), _mono)
 
 
 # -- compute ---------------------------------------------------------------
@@ -381,7 +386,7 @@ def _save_cache(path: str, cache: dict[str, str]) -> None:
 
 def _latex_row(rec: dict) -> str:
     req = rec["request"]
-    poly = LaurentPoly({(t["u"], t["v"]): int(t["c"]) for t in rec["terms"]})
+    poly = _format_terms(_record_terms(rec), _mono, "{", "}")
     label = [f"g={req['genus']}"]
     if "degree" in req:
         label.append(f"d={req['degree']}")
@@ -391,7 +396,7 @@ def _latex_row(rec: dict) -> str:
         label.append(f"\\sigma={req['sigma']}")
     if "tau" in req:
         label.append(f"\\tau={req['tau']}")
-    return f"${', '.join(label)}$ & ${poly.latex()}$ \\\\"
+    return f"${', '.join(label)}$ & ${poly}$ \\\\"
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

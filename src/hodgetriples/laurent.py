@@ -253,7 +253,9 @@ class LaurentPoly:
                 acc[k] = new
             elif k in acc:
                 del acc[k]
-        return UniPoly(acc)
+        poincare = UniPoly.__new__(UniPoly)
+        object.__setattr__(poincare, "_coeffs", acc)
+        return poincare
 
     def evaluate(self, u0: Fraction, v0: Fraction) -> Fraction:
         """Exact value at a rational point; ZeroAtPole on 0^(negative)."""
@@ -407,6 +409,13 @@ def _mono(exponent: Exponent, left: str, right: str) -> str:
     return " ".join(parts)
 
 
+def _t_mono(k: int, left: str, right: str) -> str:
+    """t^k, or "" for k = 0; the counterpart of ``_mono`` for ``UniPoly``."""
+    if k == 0:
+        return ""
+    return "t" if k == 1 else f"t^{left}{k}{right}"
+
+
 def _format_terms(terms, mono, left: str = "", right: str = "") -> str:
     if not terms:
         return "0"
@@ -489,12 +498,7 @@ class UniPoly:
         return f"UniPoly({self.text()!r})"
 
     def text(self) -> str:
-        def mono(k: int, left: str, right: str) -> str:
-            if k == 0:
-                return ""
-            return "t" if k == 1 else f"t^{left}{k}{right}"
-
-        return _format_terms(self.terms(), mono)
+        return _format_terms(self.terms(), _t_mono)
 
 
 class TruncatedSeries:

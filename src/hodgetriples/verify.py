@@ -7,17 +7,14 @@ values and every stability chamber.  Failures are reported as data, with
 the parameters needed to reproduce them; randomized checks draw from a
 generator seeded per check, so a full run is deterministic.
 
-Most checks are a small predicate placed in one of three skeletons, one per
-kind of grid point:
-
-* ``_random_check``: a fixed number of seeded random cases, one report each;
-* ``_family_check``: one report per nonempty rank-(2,1) family, carrying
-  its first failure;
-* ``_pair_check``: one report per (genus, pair degree), carrying its first
-  failure.
-
-Family and pair predicates yield their failures lazily, so a check stops
-computing at the first failure of each grid point.
+Every check is built by one skeleton, ``_check(name, points, failures)``:
+``points(grid, rng)`` yields, per grid point, the report parameters and the
+arguments of ``failures``, and ``failures(*args)`` yields the failure details
+of that point lazily.  Each point gets one report, carrying its first
+failure, and nothing after that failure is computed.  The point sources are
+seeded random cases (``_random_check`` adapts a case function that draws
+one), the rank-(2,1) families, the (genus, pair degree) pairs, the genera,
+and the residue fixture followed by its seeded cases.
 
 The ``residue`` check's device, ``residue_extract_check``, lives here too: it
 evaluates one rational-series coefficient twice, by expansion and by the
@@ -30,7 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import blocks, triples
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, monomial
@@ -83,13 +81,6 @@ class VerifyGrid:
                 for d1 in sorted(d1s):
                     yield g, d1, d2
 
-    def pair_degrees(self) -> list[tuple[int, int]]:
-        return sorted({(g, d1 - 2 * d2) for g, d1, d2 in self.points()})
-
-
-def _report(name: str, params: str, ok: bool, detail: str = "") -> CheckReport:
-    return CheckReport(name, params, "pass" if ok else "fail", "" if ok else detail)
-
 
 def _rand_poly(rng: random.Random, max_terms: int = 8, emax: int = 5, cmax: int = 9) -> LaurentPoly:
     terms = {}
@@ -117,70 +108,67 @@ def sym_power_oracle(g: int, k: int) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
-# -- check skeletons ---------------------------------------------------------
+# -- check skeleton and point sources ----------------------------------------
+
+
+def _check(name: str, points: Callable[..., Iterable[tuple]], failures: Callable[..., Iterator[str]]):
+    """One report per point that ``points`` yields, carrying the first failure ``failures`` yields for it.
+
+    ``points(grid, rng)`` yields (report parameters, arguments of ``failures``).
+    """
+
+    def check(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
+        reports = []
+        for params, args in points(grid, rng):
+            bad = next(failures(*args), "")
+            reports.append(CheckReport(name, params, "fail" if bad else "pass", bad))
+        return reports
+
+    return check
 
 
 def _random_check(name: str, cases: int, case: Callable[[VerifyGrid, random.Random], tuple[str, bool, str]]):
-    """A check of ``cases`` seeded random cases, one report each.
+    """A check of ``cases`` seeded random cases.
 
     ``case`` draws one case from the generator and returns the extra report
     parameters, whether the case passed, and the failure detail.
     """
 
-    def check(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
-        reports = []
+    def points(grid: VerifyGrid, rng: random.Random) -> Iterator[tuple]:
         for i in range(cases):
             extra, ok, detail = case(grid, rng)
-            reports.append(_report(name, f"seed={grid.seed} case={i}{extra}", ok, detail))
-        return reports
+            yield f"seed={grid.seed} case={i}{extra}", (ok, detail)
 
-    return check
+    return _check(name, points, _verdict)
 
 
-def _spec_points(grid: VerifyGrid) -> Iterator[triples.TripleSpec]:
+def _verdict(ok: bool, detail: str) -> Iterator[str]:
+    if not ok:
+        yield detail
+
+
+def _families(grid: VerifyGrid, rng: random.Random, with_empty: bool = False) -> Iterator[tuple]:
+    """The nonempty rank-(2,1) families of the grid, or every family ``with_empty``."""
     for g, d1, d2 in grid.points():
-        yield triples.TripleSpec(g, (2, 1), d1, d2)
+        spec = triples.TripleSpec(g, (2, 1), d1, d2)
+        if with_empty or not spec.is_empty_family:
+            yield f"g={g} d1={d1} d2={d2}", (spec,)
 
 
-def _family_params(spec: triples.TripleSpec) -> str:
-    return f"g={spec.g} d1={spec.d1} d2={spec.d2}"
+def _rank12_families(grid: VerifyGrid, rng: random.Random) -> Iterator[tuple]:
+    """The nonempty rank-(2,1) families, reported under the label of their rank-(1,2) duals."""
+    for _, (spec,) in _families(grid, rng):
+        yield f"g={spec.g} (1,2) d1={-spec.d2} d2={-spec.d1}", (spec,)
 
 
-def _family_check(
-    name: str,
-    failures: Callable[[triples.TripleSpec], Iterator[str]],
-    params: Callable[[triples.TripleSpec], str] = _family_params,
-    with_empty: bool = False,
-):
-    """One report per nonempty rank-(2,1) family of the grid, or per family ``with_empty``.
-
-    ``failures`` yields the failure details of one family lazily; the report
-    carries the first one, and nothing after it is computed.
-    """
-
-    def check(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
-        reports = []
-        for spec in _spec_points(grid):
-            if spec.is_empty_family and not with_empty:
-                continue
-            bad = next(failures(spec), "")
-            reports.append(_report(name, params(spec), not bad, bad))
-        return reports
-
-    return check
+def _pair_degrees(grid: VerifyGrid, rng: random.Random) -> Iterator[tuple]:
+    for g, d in sorted({(g, d1 - 2 * d2) for g, d1, d2 in grid.points()}):
+        yield f"g={g} d={d}", (g, d)
 
 
-def _pair_check(name: str, failures: Callable[[int, int], Iterator[str]]):
-    """One report per (genus, pair degree) of the grid, carrying the first failure ``failures`` yields."""
-
-    def check(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
-        reports = []
-        for g, d in grid.pair_degrees():
-            bad = next(failures(g, d), "")
-            reports.append(_report(name, f"g={g} d={d}", not bad, bad))
-        return reports
-
-    return check
+def _genera(label: str):
+    """One point per genus of the grid, reported as ``label`` with ``{g}`` filled in."""
+    return lambda grid, rng: ((label.format(g=g), (g,)) for g in sorted(set(grid.g_values)))
 
 
 # -- laurent-layer checks --------------------------------------------------
@@ -231,33 +219,30 @@ def _diagonal_morphism_case(grid: VerifyGrid, rng: random.Random) -> tuple[str, 
 # -- block checks ----------------------------------------------------------
 
 
-def _check_proj_space_identity(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
+def _proj_space_failures() -> Iterator[str]:
     bad = [n for n in range(51) if blocks.proj_space(n) * (ONE - UV) != ONE - UV**n]
-    return [_report("proj-space-identity", "n=0..50", not bad, f"fails at n={bad[:3]}")]
+    if bad:
+        yield f"fails at n={bad[:3]}"
 
 
-def _check_sym_oracle(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
-    reports = []
-    for g in sorted(set(grid.g_values)):
-        bad = [k for k in range(9) if blocks.sym_power(g, k) != sym_power_oracle(g, k)]
-        reports.append(_report("sym-oracle", f"g={g} k=0..8", not bad, f"mismatch at k={bad[:3]}"))
-    return reports
+def _sym_oracle_failures(g: int) -> Iterator[str]:
+    bad = [k for k in range(9) if blocks.sym_power(g, k) != sym_power_oracle(g, k)]
+    if bad:
+        yield f"mismatch at k={bad[:3]}"
 
 
-def _check_sym_structure(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
-    reports = []
-    for g in sorted(set(grid.g_values)):
-        problems = []
-        for k in range(2 * g - 1):
-            p = blocks.sym_power(g, k)
-            if p.swap_uv() != p:
-                problems.append(f"k={k} not symmetric")
-            if any(c < 0 for c in p._terms.values()):
-                problems.append(f"k={k} negative coefficient")
-            if k and max(a + b for a, b in p._terms) != 2 * k:
-                problems.append(f"k={k} top degree != 2k")
-        reports.append(_report("sym-structure", f"g={g} k<2g-1", not problems, "; ".join(problems[:3])))
-    return reports
+def _sym_structure_failures(g: int) -> Iterator[str]:
+    problems = []
+    for k in range(2 * g - 1):
+        p = blocks.sym_power(g, k)
+        if p.swap_uv() != p:
+            problems.append(f"k={k} not symmetric")
+        if any(c < 0 for c in p._terms.values()):
+            problems.append(f"k={k} negative coefficient")
+        if k and max(a + b for a, b in p._terms) != 2 * k:
+            problems.append(f"k={k} top degree != 2k")
+    if problems:
+        yield "; ".join(problems[:3])
 
 
 def _chi_bilinear_case(grid: VerifyGrid, rng: random.Random) -> tuple[str, bool, str]:
@@ -352,20 +337,18 @@ def _thaddeus_failures(g: int, d: int) -> Iterator[str]:
             yield f"tau={tau}: diagonal != Poincare formula"
 
 
-def _check_bundles_two_routes(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
-    reports = []
+def _bundle_degrees(grid: VerifyGrid, rng: random.Random) -> Iterator[tuple]:
     for g in sorted(set(grid.g_values)):
         for d in (1, 3):
-            params = f"g={g} d={d}"
-            try:
-                via = triples.hodge_bundles_via_triples(g, d)
-                closed = triples.hodge_bundles_odd(g, d)
-                ok = via == closed.poly
-                detail = "triple route differs from closed form"
-            except Exception as exc:
-                ok, detail = False, f"unexpected {type(exc).__name__}: {exc}"
-            reports.append(_report("bundles-two-routes", params, ok, detail))
-    return reports
+            yield f"g={g} d={d}", (g, d)
+
+
+def _bundles_two_routes_failures(g: int, d: int) -> Iterator[str]:
+    try:
+        if triples.hodge_bundles_via_triples(g, d) != triples.hodge_bundles_odd(g, d).poly:
+            yield "triple route differs from closed form"
+    except Exception as exc:
+        yield f"unexpected {type(exc).__name__}: {exc}"
 
 
 # -- residue-theorem check ------------------------------------------------
@@ -426,12 +409,9 @@ def residue_extract_check(
     return series_value, residue_value
 
 
-def _check_residue(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
-    reports = []
-    fixture = residue_extract_check(2, 1, 2, 3, 0, 0)
-    reports.append(
-        _report("residue", "g=2 poles=(1,2,3) point=(0,0)", fixture == (25, 25), f"fixture gave {fixture}")
-    )
+def _residue_points(grid: VerifyGrid, rng: random.Random) -> Iterator[tuple]:
+    """The fixture, whose two values are both 25, then 12 seeded cases per genus that must agree."""
+    yield "g=2 poles=(1,2,3) point=(0,0)", ((2, 1, 2, 3, 0, 0), 25)
     for g in sorted(set(grid.g_values)):
         for i in range(12):
             poles: list[Fraction] = []
@@ -441,17 +421,16 @@ def _check_residue(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
                     poles.append(cand)
             u0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             v0 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            series_value, residue_value = residue_extract_check(g, *poles, u0, v0)
-            ok = series_value == residue_value
-            reports.append(
-                _report(
-                    "residue",
-                    f"seed={grid.seed} g={g} case={i} poles=({poles[0]},{poles[1]},{poles[2]}) point=({u0},{v0})",
-                    ok,
-                    f"series {series_value} != residue {residue_value}",
-                )
-            )
-    return reports
+            params = f"seed={grid.seed} g={g} case={i} poles=({poles[0]},{poles[1]},{poles[2]}) point=({u0},{v0})"
+            yield params, ((g, *poles, u0, v0), None)
+
+
+def _residue_failures(args: tuple, fixture: Optional[int]) -> Iterator[str]:
+    values = residue_extract_check(*args)
+    if fixture is not None and values != (fixture, fixture):
+        yield f"fixture gave {values}"
+    elif fixture is None and values[0] != values[1]:
+        yield f"series {values[0]} != residue {values[1]}"
 
 
 CHECKS: dict[str, Callable[[VerifyGrid, random.Random], list[CheckReport]]] = {
@@ -460,40 +439,41 @@ CHECKS: dict[str, Callable[[VerifyGrid, random.Random], list[CheckReport]]] = {
     "division-roundtrip": _random_check("division-roundtrip", 40, _division_roundtrip_case),
     "palindrome-involution": _random_check("palindrome-involution", 40, _palindrome_involution_case),
     "diagonal-morphism": _random_check("diagonal-morphism", 40, _diagonal_morphism_case),
-    "proj-space-identity": _check_proj_space_identity,
-    "sym-oracle": _check_sym_oracle,
-    "sym-structure": _check_sym_structure,
+    "proj-space-identity": _check("proj-space-identity", lambda grid, rng: [("n=0..50", ())], _proj_space_failures),
+    "sym-oracle": _check("sym-oracle", _genera("g={g} k=0..8"), _sym_oracle_failures),
+    "sym-structure": _check("sym-structure", _genera("g={g} k<2g-1"), _sym_structure_failures),
     "chi-bilinear": _random_check("chi-bilinear", 40, _chi_bilinear_case),
-    "cross-pipeline": _family_check("cross-pipeline", _cross_pipeline_failures, with_empty=True),
-    "flip-two-path": _family_check("flip-two-path", _flip_two_path_failures),
-    "chamber-constancy": _family_check("chamber-constancy", _chamber_constancy_failures),
-    "hodge-symmetry": _family_check(
-        "hodge-symmetry", _closed_property(lambda res: res.poly.swap_uv() == res.poly, "not u<->v symmetric")
+    "cross-pipeline": _check("cross-pipeline", partial(_families, with_empty=True), _cross_pipeline_failures),
+    "flip-two-path": _check("flip-two-path", _families, _flip_two_path_failures),
+    "chamber-constancy": _check("chamber-constancy", _families, _chamber_constancy_failures),
+    "hodge-symmetry": _check(
+        "hodge-symmetry", _families, _closed_property(lambda res: res.poly.swap_uv() == res.poly, "not u<->v symmetric")
     ),
-    "palindrome-duality": _family_check(
+    "palindrome-duality": _check(
         "palindrome-duality",
+        _families,
         _closed_property(
             lambda res: res.poly.palindrome_dual(res.complex_dim) == res.poly, "fails Poincare duality at n={n}"
         ),
     ),
-    "top-monomial": _family_check(
+    "top-monomial": _check(
         "top-monomial",
+        _families,
         _closed_property(
             lambda res: res.poly.coeff(res.complex_dim, res.complex_dim) == 1, "top monomial is not (uv)^{n}"
         ),
     ),
-    "nonnegativity": _family_check(
+    "nonnegativity": _check(
         "nonnegativity",
+        _families,
         _closed_property(lambda res: all(c >= 0 for c in res.poly._terms.values()), "negative coefficient"),
     ),
-    "duality-rank12": _family_check(
-        "duality-rank12", _duality_rank12_failures, lambda spec: f"g={spec.g} (1,2) d1={-spec.d2} d2={-spec.d1}"
-    ),
-    "pairs-factorization": _family_check("pairs-factorization", _pairs_factorization_failures),
-    "fixed-det-factorization": _pair_check("fixed-det-factorization", _fixed_det_factorization_failures),
-    "thaddeus": _pair_check("thaddeus", _thaddeus_failures),
-    "bundles-two-routes": _check_bundles_two_routes,
-    "residue": _check_residue,
+    "duality-rank12": _check("duality-rank12", _rank12_families, _duality_rank12_failures),
+    "pairs-factorization": _check("pairs-factorization", _families, _pairs_factorization_failures),
+    "fixed-det-factorization": _check("fixed-det-factorization", _pair_degrees, _fixed_det_factorization_failures),
+    "thaddeus": _check("thaddeus", _pair_degrees, _thaddeus_failures),
+    "bundles-two-routes": _check("bundles-two-routes", _bundle_degrees, _bundles_two_routes_failures),
+    "residue": _check("residue", _residue_points, _residue_failures),
 }
 
 

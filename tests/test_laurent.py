@@ -394,6 +394,10 @@ class TestSpecialize:
         assert p.diagonal() == UniPoly({0: 1, 2: 1, 3: 4, 4: 1, 6: 1})
         assert p.diagonal().text() == "1 + t^2 + 4 t^3 + t^4 + t^6"
 
+    def test_diagonal_drops_cancelled_terms(self):
+        assert (U - V + 2 * UV).diagonal() == UniPoly({2: 2})
+        assert (U - V).diagonal() == 0
+
     def test_point(self):
         assert ((ONE + U) * (ONE + V)).evaluate(1, 1) == 4
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from hodgetriples import blocks, triples, verify
-from hodgetriples.laurent import ONE, UniPoly, monomial
+from hodgetriples.laurent import ONE, LaurentPoly, UniPoly, monomial
 from hodgetriples.verify import CheckReport, VerifyGrid, run_suite, summarize, sym_power_oracle
 
 SMALL = VerifyGrid(g_values=(2,), d2_values=(0,), d1_values=(1, 2, 3, 4, 5))
@@ -68,6 +68,12 @@ class TestRunSuite:
             "residue",
         }
         assert expected <= set(verify.CHECKS)
+
+    def test_per_check_runs_reproduce_full_run(self):
+        grid = dict(g_values=(2,), d2_values=(0, 1), d1_values=(0, 1, 2, 3))
+        full = [r.line() for r in run_suite(VerifyGrid(**grid))]
+        one_by_one = [r.line() for name in sorted(verify.CHECKS) for r in run_suite(VerifyGrid(**grid, checks=(name,)))]
+        assert one_by_one == full
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -181,6 +187,79 @@ FAULTS = [
 ]
 
 
+def _raise_boom(real):
+    def broken(g, d):
+        raise ZeroDivisionError("boom")
+
+    return broken
+
+
+# (checks run, owner and attribute replaced, breaker of the real attribute, the first report
+# lines that fail, the number that fail); every case runs on the grid g=2 d1=5 d2=0.
+LOOP_FAULTS = [
+    (
+        ("sym-oracle", "sym-structure"),
+        blocks,
+        "sym_power",
+        lambda real: lambda g, k: real(g, k) + (monomial(1, 1, 0) if (g, k) == (2, 2) else 0 * ONE),
+        [
+            "FAIL sym-oracle [g=2 k=0..8]: mismatch at k=[2]",
+            "FAIL sym-structure [g=2 k<2g-1]: k=2 not symmetric",
+        ],
+        2,
+    ),
+    (
+        ("proj-space-identity",),
+        blocks,
+        "proj_space",
+        lambda real: lambda n: real(n) + (ONE if n == 4 else 0 * ONE),
+        ["FAIL proj-space-identity [n=0..50]: fails at n=[4]"],
+        1,
+    ),
+    (
+        ("bundles-two-routes",),
+        triples,
+        "hodge_bundles_via_triples",
+        lambda real: lambda g, d: real(g, d) + 1,
+        [
+            "FAIL bundles-two-routes [g=2 d=1]: triple route differs from closed form",
+            "FAIL bundles-two-routes [g=2 d=3]: triple route differs from closed form",
+        ],
+        2,
+    ),
+    (
+        ("bundles-two-routes",),
+        triples,
+        "hodge_bundles_via_triples",
+        _raise_boom,
+        [
+            "FAIL bundles-two-routes [g=2 d=1]: unexpected ZeroDivisionError: boom",
+            "FAIL bundles-two-routes [g=2 d=3]: unexpected ZeroDivisionError: boom",
+        ],
+        2,
+    ),
+    (
+        ("residue",),
+        verify,
+        "residue_extract_check",
+        lambda real: lambda *args: (real(*args)[0], real(*args)[1] + 1),
+        [
+            "FAIL residue [g=2 poles=(1,2,3) point=(0,0)]: fixture gave (Fraction(25, 1), Fraction(26, 1))",
+            "FAIL residue [seed=0 g=2 case=0 poles=(-1,-3/4,1) point=(1,1/2)]: series 41/16 != residue 57/16",
+        ],
+        13,
+    ),
+    (
+        ("diagonal-morphism",),
+        LaurentPoly,
+        "diagonal",
+        lambda real: lambda self: real(self) * 2,
+        ["FAIL diagonal-morphism [seed=0 case=0]: diagonal of product differs"],
+        29,
+    ),
+]
+
+
 class TestFaultInjection:
     @pytest.mark.parametrize(
         "check, target, breaker, expected", FAULTS, ids=[f"{c[0]}-{c[1]}" for c in FAULTS]
@@ -207,6 +286,19 @@ class TestFaultInjection:
         grid = VerifyGrid(g_values=(2,), d2_values=(0,), d1_values=(1,), checks=("sym-oracle",))
         reports = run_suite(grid)
         assert any(r.status == "fail" for r in reports)
+
+    @pytest.mark.parametrize(
+        "checks, owner, attr, breaker, expected, failed",
+        LOOP_FAULTS,
+        ids=["sym_power", "proj_space", "bundles-differ", "bundles-raise", "residue", "diagonal"],
+    )
+    def test_fault_report_lines(self, monkeypatch, checks, owner, attr, breaker, expected, failed):
+        real = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, breaker(getattr(real, "__wrapped__", real)))
+        grid = VerifyGrid(g_values=(2,), d2_values=(0,), d1_values=(5,), checks=checks)
+        lines = [r.line() for r in run_suite(grid) if r.status != "pass"]
+        assert lines[: len(expected)] == expected
+        assert len(lines) == failed
 
 
 class TestOracle:
