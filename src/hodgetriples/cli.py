@@ -171,8 +171,17 @@ def _require(args: argparse.Namespace, names: Sequence[str], ranges: bool) -> No
     raise UserError(f"{args.target} target needs {listed}")
 
 
-def _compute_record(target: str, g: int, params: dict) -> dict:
-    """Evaluate one target and package the result with its request echo."""
+def _compute_record(target: str, g: int, params: dict) -> str:
+    """Evaluate one target; its record, with the request echo, as compact JSON text.
+
+    The text is built directly from the result's terms in canonical order
+    and from its diagonal, never through a dict.  It must stay byte for byte
+    what ``_dump_json`` gives for the record
+    {"request": ..., "dim": ..., "terms": [{"u", "v", "c"}, ...],
+    "poincare": [{"t", "c"}, ...]}: no whitespace, keys in that order,
+    coefficients as decimal strings, ``null`` for the d0 and dim of an empty
+    space.  Only the request echo and dim go through ``_dump_json``.
+    """
     family = _FAMILY_OF[target]
     result, d0, poincare = family.evaluate(target, g, params)
     request = {"target": target, "genus": g}
@@ -183,12 +192,12 @@ def _compute_record(target: str, g: int, params: dict) -> dict:
         request[family.stability] = str(params[family.stability])
         request["d0"] = d0
     diagonal = result.poly.diagonal() if poincare is None else poincare
-    return {
-        "request": request,
-        "dim": result.complex_dim,
-        "terms": [{"u": a, "v": b, "c": str(c)} for (a, b), c in result.poly.terms()],
-        "poincare": [{"t": k, "c": str(c)} for k, c in diagonal.terms()],
-    }
+    terms = ",".join(f'{{"u":{a},"v":{b},"c":"{c}"}}' for (a, b), c in result.poly.terms())
+    diagonal_terms = ",".join(f'{{"t":{k},"c":"{c}"}}' for k, c in diagonal.terms())
+    return (
+        f'{{"request":{_dump_json(request)},"dim":{_dump_json(result.complex_dim)},'
+        f'"terms":[{terms}],"poincare":[{diagonal_terms}]}}'
+    )
 
 
 def _dump_json(obj) -> str:
@@ -216,7 +225,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     params.update((name, getattr(args, name)) for name in family.degrees)
     if family.stability:
         params[family.stability] = triples.StabilityValue.parse(getattr(args, family.stability))
-    rec = _compute_record(args.target, args.genus, params)
+    rec = json.loads(_compute_record(args.target, args.genus, params))
     if args.format == "json":
         out = dict(rec)
         if not args.poincare:
@@ -370,13 +379,17 @@ def _save_cache(path: str, cache: dict[str, str]) -> None:
     """Write the cache beside ``path`` and rename it over the old file, so a failed write loses nothing.
 
     Each line is the compact JSON of {schema_version, formula_revision, key,
-    record}, spliced from the record's JSON text.
+    record}, spliced from the record's JSON text.  The new file is flushed
+    and synced to disk before the rename, so a crash cannot leave the rename
+    pointing at unwritten data.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             for key in sorted(cache):
                 handle.write(f'{_CACHE_HEAD}{_dump_json(key)},"record":{cache[key]}}}\n')
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -405,7 +418,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     texts: list[str] = []
     for key, g, params in _table_rows(args):
         if key not in cache:
-            cache[key] = _dump_json(_compute_record(args.target, g, params))
+            cache[key] = _compute_record(args.target, g, params)
             stale = True
         texts.append(cache[key])
     if cache_path and stale:

@@ -17,7 +17,9 @@ This module exposes:
   coefficient-extraction formula and the telescoped sum of wall
   contributions (the central cross-check of the package).  The sums are
   built once per family, from the top wall down, one flip per wall, and
-  held for at most two families;
+  held for at most two families.  The closed formula's two series tails
+  are held per (g, n) for the life of the process, and the square of the
+  Jacobian factor per genus;
 * pair moduli (rank 2, with or without fixed determinant), their Poincare
   polynomials via an independent one-variable extraction, and the moduli of
   rank-2 odd-degree bundles through two more routes.
@@ -285,7 +287,7 @@ def flip_difference_series(spec: TripleSpec, d_M: int) -> LaurentPoly:
     k = spec.d1 - spec.d2 - d_M
     coeff = TruncatedSeries.rational(k, [(U, g), (V, g)], [ONE, UV]).coeff(k)
     e_top = 2 * d_M - spec.d1 + g - 1
-    numerator = (monomial(1, k, k) - monomial(1, e_top, e_top)) * jacobian(g) ** 2 * coeff
+    numerator = (monomial(1, k, k) - monomial(1, e_top, e_top)) * _jacobian_squared(g) * coeff
     return numerator / (ONE - UV)
 
 
@@ -298,6 +300,20 @@ def _check_flip_args(spec: TripleSpec, d_M: int) -> None:
         raise ValueError(f"d_M = {d_M} > d1 - d2 = {spec.d1 - spec.d2}: no such wall")
 
 
+@functools.lru_cache(maxsize=None)
+def _closed_tails(g: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The tails (A, B) of ``_closed_core``, each one series expanded to order n."""
+    a = TruncatedSeries.rational(n, [(U, g), (V, g)], [ONE, UV, monomial(1, -1, -1)]).coeff(n)
+    b = TruncatedSeries.rational(n, [(U, g), (V, g)], [ONE, UV, monomial(1, 2, 2)]).coeff(n)
+    return a, b
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobian_squared(g: int) -> LaurentPoly:
+    """e(Jac X)^2, the prefactor of the closed triple formula and of each flip."""
+    return jacobian(g) ** 2
+
+
 def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
     """Common coefficient extraction behind the closed chamber formulas.
 
@@ -306,9 +322,15 @@ def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
     ratios r = (uv)^(-1) and r = (uv)^2.  The two geometric tails are the
     telescoped sums of the wall contributions above the chamber, so the
     quotient is always an honest polynomial.
+
+    A and B depend on (g, n) alone, not on the degrees or on e2, and
+    tensoring a triple by a line bundle leaves n fixed, so a sweep meets few
+    distinct n.  The pair is therefore held per (g, n) for the life of the
+    process (``_closed_tails``).  The truncation order does not change
+    coefficient n: any expansion to order n or beyond gives the same A and B,
+    so a held pair equals a fresh one.
     """
-    a = TruncatedSeries.rational(n, [(U, g), (V, g)], [ONE, UV, monomial(1, -1, -1)]).coeff(n)
-    b = TruncatedSeries.rational(n, [(U, g), (V, g)], [ONE, UV, monomial(1, 2, 2)]).coeff(n)
+    a, b = _closed_tails(g, n)
     numerator = monomial(1, n, n) * a - monomial(1, e2, e2) * b
     return numerator / (ONE - UV)
 
@@ -333,7 +355,7 @@ def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult
     g = spec21.g
     n = spec21.d1 - spec21.d2 - d0
     e2 = -spec21.d1 + g - 1 + 2 * d0
-    poly = jacobian(g) ** 2 * _closed_core(g, n, e2)
+    poly = _jacobian_squared(g) * _closed_core(g, n, e2)
     return HodgeResult(poly, spec.complex_dim)
 
 

@@ -10,6 +10,11 @@ from hodgetriples.cli import main
 from hodgetriples.laurent import ONE
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# json-lines tables recorded byte for byte in GOLDEN, one per target family (triples of both ranks)
+TRIPLE_21 = ("--target", "triple", "--genus", "2", "--d1", "3..5", "--d2", "0", "--format", "json-lines")
+TRIPLE_12 = ("--target", "triple", "--rank", "1,2", "--genus", "2", "--d1", "0", "--d2=-5..-3", "--format", "json-lines")
+PAIR_FIXED = ("--target", "pair-fixed", "--genus", "2..3", "--degree", "1..4", "--format", "json-lines")
+BUNDLE = ("--target", "bundle", "--genus", "2..3", "--degree", "1..5", "--format", "json-lines")
 
 
 def run(capsys, *argv):
@@ -65,6 +70,14 @@ class TestCompute:
         assert parsed["request"]["tau"] == "3/4"
         assert parsed["dim"] == 1
         assert parsed["terms"] == [{"u": 0, "v": 0, "c": "1"}, {"u": 1, "v": 1, "c": "1"}]
+
+    @pytest.mark.parametrize("name, sigma", [
+        ("compute_triple_json_poincare", "7+"),
+        ("compute_triple_empty_json_poincare", "21"),  # past sigma_M = 10: null d0 and dim, no terms
+    ], ids=["nonempty", "empty"])
+    def test_json_byte_exact(self, capsys, name, sigma):
+        argv = ("compute", "triple", "--genus", "2", "--d1", "5", "--d2", "0", "--sigma", sigma, "--format", "json", "--poincare")
+        assert run(capsys, *argv) == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), "")
 
     def test_json_empty_result(self, capsys):
         code, out, err = run(capsys, "compute", "pair", "--genus", "2", "--degree", "1", "--tau", "1/4", "--format", "json")
@@ -130,9 +143,21 @@ class TestTable:
         ("table_triple_latex", ("--target", "triple", "--genus", "2", "--d1", "5", "--d2", "0", "--format", "latex")),
         ("table_pair_latex", ("--target", "pair", "--genus", "2", "--degree", "3", "--format", "latex")),
         ("table_pair_fixed_csv_poincare", ("--target", "pair-fixed", "--genus", "2", "--degree", "3", "--format", "csv", "--poincare")),
-    ], ids=["triple-latex", "pair-latex", "pair-fixed-csv-poincare"])
+        ("table_triple_json_lines", TRIPLE_21),
+        ("table_triple_json_lines_poincare", TRIPLE_21 + ("--poincare",)),
+        ("table_triple12_json_lines", TRIPLE_12),
+        ("table_triple12_json_lines_poincare", TRIPLE_12 + ("--poincare",)),
+        ("table_pair_fixed_json_lines", PAIR_FIXED),
+        ("table_pair_fixed_json_lines_poincare", PAIR_FIXED + ("--poincare",)),
+        ("table_bundle_json_lines", BUNDLE),
+        ("table_bundle_json_lines_poincare", BUNDLE + ("--poincare",)),
+    ], ids=[
+        "triple-latex", "pair-latex", "pair-fixed-csv-poincare",
+        "triple-json-lines", "triple-json-lines-poincare", "triple12-json-lines", "triple12-json-lines-poincare",
+        "pair-fixed-json-lines", "pair-fixed-json-lines-poincare", "bundle-json-lines", "bundle-json-lines-poincare",
+    ])  # fmt: skip
     def test_output_byte_exact(self, capsys, name, options):
-        """Stdout equals the recorded rows: the sigma and tau labels of latex, the csv poincare column."""
+        """Stdout equals the recorded rows: latex labels, the csv poincare column, every json-lines separator and null."""
         code, out, err = run(capsys, "table", *options)
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
@@ -327,6 +352,26 @@ class TestTable:
         assert "could not write cache file" in err
         assert cache.read_text(encoding="utf-8") == before
         assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+    def test_cache_synced_before_rename(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "bundle-fixed", "--genus", "2", "--format", "json-lines", "--cache", str(cache)]
+        assert run(capsys, *argv, "--degree", "1")[0] == 0
+        before = cache.read_text(encoding="utf-8")
+        synced = []
+        fsync = cli.os.fsync
+
+        def recording_fsync(fd):
+            tmp = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+            assert len(tmp) == 1 and len(tmp[0].read_text(encoding="utf-8").splitlines()) == 3  # flushed
+            assert cache.read_text(encoding="utf-8") == before  # not yet renamed
+            synced.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(cli.os, "fsync", recording_fsync)
+        code, out, err = run(capsys, *argv, "--degree", "1..5")
+        assert (code, err) == (0, "") and len(synced) == 1
+        assert len(cache.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_bad_d2_range_refused_when_d1_empty(self, capsys):
         code, out, err = run(capsys, "table", "--target", "triple", "--genus", "2", "--d1", "5..1", "--d2", "x")

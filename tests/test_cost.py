@@ -5,24 +5,29 @@ more polynomial arithmetic fails here without any timing noise.  Each bound
 is the count the current code measures; lower it when a change cuts the cost.
 """
 
+import contextlib
+import io
 import itertools
 import random
 
 import pytest
 
-from hodgetriples import blocks, laurent, triples
-from hodgetriples.laurent import LaurentPoly
+from hodgetriples import blocks, cli, laurent, triples
+from hodgetriples.laurent import LaurentPoly, TruncatedSeries
 
 SPEC = triples.TripleSpec(3, (2, 1), 8, 0)
 
 
 def _clear_block_caches() -> None:
-    for cached in (blocks.sym_power, blocks.jacobian, blocks.proj_space, triples._wall_sums):
-        cached.cache_clear()
+    """Clear every lru cache of ``blocks`` and ``triples``, so that no pin starts warm."""
+    for module in (blocks, triples):
+        for cached in vars(module).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
 
 
-def _sweep_cost(monkeypatch, evaluate) -> tuple[int, int]:
-    """(multiplies, term pairs) of ``evaluate`` over every chamber of SPEC, from cold block caches."""
+def _multiply_cost(monkeypatch, work) -> tuple[int, int]:
+    """(multiplies, term pairs) of ``work()``, from cold caches."""
     _clear_block_caches()
     tally = [0, 0]
     mul = LaurentPoly.__mul__
@@ -35,8 +40,7 @@ def _sweep_cost(monkeypatch, evaluate) -> tuple[int, int]:
     # __rmul__ is an alias of __mul__, so 3 * p is counted as well
     monkeypatch.setattr(LaurentPoly, "__mul__", counted)
     monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
-    for sigma in triples.chamber_representatives(SPEC):
-        evaluate(SPEC, sigma)
+    work()
     monkeypatch.undo()
     return tally[0], tally[1]
 
@@ -44,15 +48,49 @@ def _sweep_cost(monkeypatch, evaluate) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "evaluate, max_multiplies, max_term_pairs",
     [
-        (triples.hodge_triples_closed, 143, 6450),
+        (triples.hodge_triples_closed, 137, 5535),
         (triples.hodge_triples_sum, 71, 3973),
     ],
     ids=["closed", "sum"],
 )
 def test_sweep_cost_pinned(monkeypatch, evaluate, max_multiplies, max_term_pairs):
-    multiplies, term_pairs = _sweep_cost(monkeypatch, evaluate)
+    """Every chamber of SPEC, evaluated once."""
+
+    def sweep():
+        for sigma in triples.chamber_representatives(SPEC):
+            evaluate(SPEC, sigma)
+
+    multiplies, term_pairs = _multiply_cost(monkeypatch, sweep)
     assert multiplies <= max_multiplies
     assert term_pairs <= max_term_pairs
+
+
+def test_cold_table_cost_pinned(monkeypatch):
+    """A cold in-process table of 140 triple records expands two series per distinct (g, n), 24 in all.
+
+    Evaluating each record's tails afresh took 280 expansions and 4,560
+    multiplies (166,627 term pairs); each record now costs one product by
+    the per-genus Jacobian square and the two monomial shifts of its tails.
+    """
+    argv = ["table", "--target", "triple", "--genus", "2..3", "--d1", "1..10", "--d2=-1..0"]
+    expansions = [0]
+    rational = TruncatedSeries.rational.__func__
+
+    def counted(cls, *args, **kwargs):
+        expansions[0] += 1
+        return rational(cls, *args, **kwargs)
+
+    def table():
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        monkeypatch.setattr(TruncatedSeries, "rational", classmethod(counted))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert out.getvalue().count("\n") == 140
+
+    multiplies, term_pairs = _multiply_cost(monkeypatch, table)
+    assert expansions[0] <= 24
+    assert multiplies <= 928
+    assert term_pairs <= 131064
 
 
 def _flip_calls(monkeypatch, queries) -> int:

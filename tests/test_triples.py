@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgetriples import blocks, triples
 from hodgetriples.blocks import GenusOutOfRange, jacobian, moduli_11, proj_space
-from hodgetriples.laurent import ONE, UV, U, V, monomial
+from hodgetriples.laurent import ONE, UV, TruncatedSeries, U, V, monomial
 from hodgetriples.triples import (
     EmptyFamily,
     EvenDegree,
@@ -285,6 +287,60 @@ class TestDuality:
             right = hodge_triples_closed(spec21, sigma)
             assert left.poly == right.poly
             assert left.complex_dim == right.complex_dim
+
+
+def _clear_caches() -> None:
+    for module in (blocks, triples):
+        for cached in vars(module).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+
+
+def _memo_agrees(evaluate, points) -> None:
+    """``evaluate`` over ``points`` in shuffled order, on a warming memo, equals each point evaluated from cold caches."""
+    reference = []
+    for point in points:
+        _clear_caches()
+        reference.append(evaluate(*point))
+    _clear_caches()
+    order = list(range(len(points)))
+    random.Random(10).shuffle(order)
+    for i in order:
+        assert evaluate(*points[i]) == reference[i], points[i]
+    for i in reversed(order):  # the memo is warm for every point now
+        assert evaluate(*points[i]) == reference[i], points[i]
+
+
+class TestClosedMemo:
+    """The closed tails are held per (g, n) and the Jacobian square per genus; holding them changes no value."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_tails_equal_fresh_expansion(self, g):
+        for n in range(13):
+            for tail, ratio in zip(triples._closed_tails(g, n), (monomial(1, -1, -1), monomial(1, 2, 2))):
+                for order in (n, n + 3):  # the truncation order does not change coefficient n
+                    fresh = TruncatedSeries.rational(order, [(U, g), (V, g)], [ONE, UV, ratio]).coeff(n)
+                    assert tail == fresh, (g, n, order)
+
+    def test_closed_triples_warm_equals_cold(self):
+        points = []
+        for g in (2, 3):
+            for d1, d2 in ((3, 0), (5, 0), (6, -1), (7, 1)):
+                for spec in (TripleSpec(g, (2, 1), d1, d2), TripleSpec(g, (1, 2), -d2, -d1)):
+                    points.extend((spec, sigma) for sigma in chamber_representatives(spec, include_beyond=True))
+        assert len(points) == 64
+        _memo_agrees(hodge_triples_closed, points)
+
+    @pytest.mark.parametrize("fixed_det", [False, True], ids=["unfixed", "fixed"])
+    def test_pairs_warm_equals_cold(self, fixed_det):
+        points = [
+            (g, d, tau, fixed_det)
+            for g in (2, 3, 4)
+            for d in range(1, 8)
+            for tau in pair_chamber_representatives(d) + [SV(f"{d}+")]
+        ]
+        assert len(points) == 69
+        _memo_agrees(hodge_pairs, points)
 
 
 class TestHodgePairs:
