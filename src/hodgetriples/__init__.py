@@ -22,7 +22,6 @@ from .laurent import (
     U,
     UniPoly,
     V,
-    ZeroAtPole,
     monomial,
 )
 from .triples import (
@@ -76,7 +75,6 @@ __all__ = [
     "VerifyGrid",
     "WallAtSigmaM",
     "ZERO",
-    "ZeroAtPole",
     "chamber_d0",
     "chamber_representatives",
     "chi_triples",

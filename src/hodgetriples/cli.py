@@ -204,6 +204,11 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _json_record(text: str, poincare: bool) -> str:
+    """A held record text as JSON output: whole, or cut at its last key, ``poincare``, and closed again."""
+    return text if poincare else text[: text.rindex(_POINCARE)] + "}"
+
+
 def _record_terms(rec: dict) -> list[tuple[tuple[int, int], int]]:
     """The record's u, v terms, which it holds in canonical order already."""
     return [((t["u"], t["v"]), int(t["c"])) for t in rec["terms"]]
@@ -225,14 +230,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     params.update((name, getattr(args, name)) for name in family.degrees)
     if family.stability:
         params[family.stability] = triples.StabilityValue.parse(getattr(args, family.stability))
-    rec = json.loads(_compute_record(args.target, args.genus, params))
+    text = _compute_record(args.target, args.genus, params)
     if args.format == "json":
-        out = dict(rec)
-        if not args.poincare:
-            out.pop("poincare")
-        print(_dump_json(out))
+        print(_json_record(text, args.poincare))
     else:
-        print(_record_text(rec, args.poincare))
+        print(_record_text(json.loads(text), args.poincare))
     return 0
 
 
@@ -289,15 +291,23 @@ _DECODER = json.JSONDecoder()
 # JSON whitespace and the escape character: a record holding one may be spelled
 # otherwise than ``_dump_json`` would spell it.
 _RESPELLED = " \t\n\r\\"
+# A record's keys in the order ``_compute_record`` writes them, and the text opening the last.
+_RECORD_KEYS = ["request", "dim", "terms", "poincare"]
+_POINCARE = ',"poincare":'
+
+
+def _well_shaped(record, text: str) -> bool:
+    """Whether ``record`` has the ``_RECORD_KEYS`` in order, and ``text`` no other ``,"poincare":`` to cut at."""
+    return isinstance(record, dict) and list(record) == _RECORD_KEYS and text.count(_POINCARE) == 1
 
 
 def _spliced_record(line: bytes) -> Optional[tuple[str, str]]:
     """(key, record text) of a line that starts as ``_save_cache`` writes it, else None.
 
     The record's text is the slice of the line it was parsed from, taken only
-    when the record closes the line and the slice holds no whitespace,
-    backslash or non-ASCII character, as on every line ``_save_cache``
-    writes; a line spelled otherwise has its record encoded again.
+    when the record is well shaped and closes the line and the slice holds no
+    whitespace, backslash or non-ASCII character, as on every line
+    ``_save_cache`` writes; a line spelled otherwise has its record encoded again.
     """
     try:
         text = line.decode("utf-8")
@@ -311,7 +321,7 @@ def _spliced_record(line: bytes) -> Optional[tuple[str, str]]:
     except ValueError:
         return None
     body = text[start:end]
-    if not (isinstance(key, str) and isinstance(record, dict) and text[end:].rstrip("\n") == "}"):
+    if not (isinstance(key, str) and _well_shaped(record, body) and text[end:].rstrip("\n") == "}"):
         return None
     if not body.isascii() or any(c in body for c in _RESPELLED):
         return None
@@ -322,7 +332,7 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
     """(JSON text of each record by key, whether the file needs rewriting).
 
     Each line is checked on its own, so a bad line (truncated, not UTF-8, not
-    JSON, another schema) is dropped and counted while the good ones are kept.
+    JSON, another schema or record shape) is dropped and counted, the rest kept.
     A good line of another formula revision is dropped too, so its record is
     recomputed by the current code.  Records are held as their JSON text, not
     as parsed dicts, so a large table holds a few bytes per term.  A line
@@ -346,17 +356,18 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
                     entry = json.loads(line)
                 except ValueError:
                     entry = None
+                record = entry.get("record") if isinstance(entry, dict) else None
+                text = _dump_json(record)
                 if not (
-                    isinstance(entry, dict)
+                    _well_shaped(record, text)
                     and entry.get("schema_version") == SCHEMA_VERSION
                     and isinstance(entry.get("key"), str)
-                    and isinstance(entry.get("record"), dict)
                 ):
                     dropped += 1
                 elif entry.get("formula_revision") != FORMULA_REVISION:
                     stale += 1
                 else:
-                    cache[entry["key"]] = _dump_json(entry["record"])
+                    cache[entry["key"]] = text
     except OSError as exc:
         print(f"warning: cache file {path} is unreadable: {exc}; recomputing and overwriting", file=sys.stderr)
         return {}, True
@@ -424,16 +435,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if cache_path and stale:
         _save_cache(cache_path, cache)
 
-    # Records stay JSON text until printed and are parsed one at a time, so
-    # the table never holds all of them as dicts.
+    # Records stay text until printed; formats other than JSON lines parse one at a time, never all.
     records = map(json.loads, texts)
-    if args.format == "json-lines" and args.poincare:
+    if args.format == "json-lines":
         for text in texts:
-            print(text)
-    elif args.format == "json-lines":
-        for rec in records:
-            rec.pop("poincare")
-            print(_dump_json(rec))
+            print(_json_record(text, args.poincare))
     elif args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

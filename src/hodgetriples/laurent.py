@@ -1,8 +1,7 @@
 """Exact arithmetic for bivariate Laurent polynomials and truncated series.
 
-Every coefficient is an arbitrary-precision integer (exact rationals appear
-only at specialization points); nothing here touches floating point.  The
-value types are:
+Every coefficient is an arbitrary-precision integer; nothing here touches
+floating point.  The value types are:
 
 * ``LaurentPoly``: sparse Laurent polynomial in the Hodge variables u, v.
   Negative exponents are first-class, since intermediates such as
@@ -33,8 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Exponent = tuple[int, int]
 
@@ -49,10 +47,6 @@ class NotMonomial(ValueError):
 
 class OrderExceeded(ValueError):
     """A series coefficient beyond the truncation order was requested."""
-
-
-class ZeroAtPole(ZeroDivisionError):
-    """A negative exponent was evaluated at a zero coordinate."""
 
 
 def _term_key(exponent: Exponent) -> tuple[int, int]:
@@ -257,23 +251,10 @@ class LaurentPoly:
         object.__setattr__(poincare, "_coeffs", acc)
         return poincare
 
-    def evaluate(self, u0: Fraction, v0: Fraction) -> Fraction:
-        """Exact value at a rational point; ZeroAtPole on 0^(negative)."""
-        u0, v0 = Fraction(u0), Fraction(v0)
-        total = Fraction(0)
-        for (a, b), c in self._terms.items():
-            if (a < 0 and u0 == 0) or (b < 0 and v0 == 0):
-                raise ZeroAtPole(f"u^{a} v^{b} evaluated at ({u0}, {v0})")
-            total += c * u0**a * v0**b
-        return total
-
     # -- formatting --------------------------------------------------------
 
     def text(self) -> str:
         return _format_terms(self.terms(), _mono)
-
-    def latex(self) -> str:
-        return _format_terms(self.terms(), _mono, "{", "}")
 
 
 def _coerce(value) -> LaurentPoly:
@@ -455,11 +436,6 @@ class UniPoly:
     def coeff(self, k: int) -> int:
         return self._coeffs.get(k, 0)
 
-    def degree(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self._coeffs)
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -479,10 +455,6 @@ class UniPoly:
         return UniPoly(acc)
 
     __rmul__ = __mul__
-
-    def evaluate(self, t0: Fraction) -> Fraction:
-        t0 = Fraction(t0)
-        return sum((c * t0**k for k, c in self._coeffs.items()), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -584,9 +556,6 @@ class TruncatedSeries:
             raise OrderExceeded(f"x^{j} requested from a series truncated at order {self.trunc_order}")
         return self._coeffs[j]
 
-    def coefficients(self) -> Iterator[LaurentPoly]:
-        return iter(self._coeffs)
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.trunc_order, other.trunc_order)
         return TruncatedSeries([self._coeffs[j] + other._coeffs[j] for j in range(order + 1)])
@@ -618,9 +587,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         inner = " + ".join(f"({c.text()}) x^{j}" for j, c in enumerate(self._coeffs))

@@ -15,6 +15,13 @@ TRIPLE_21 = ("--target", "triple", "--genus", "2", "--d1", "3..5", "--d2", "0", 
 TRIPLE_12 = ("--target", "triple", "--rank", "1,2", "--genus", "2", "--d1", "0", "--d2=-5..-3", "--format", "json-lines")
 PAIR_FIXED = ("--target", "pair-fixed", "--genus", "2..3", "--degree", "1..4", "--format", "json-lines")
 BUNDLE = ("--target", "bundle", "--genus", "2..3", "--degree", "1..5", "--format", "json-lines")
+# every table output format, run cold and warm against one cache
+FORMATS = {
+    "json-lines": ("--format", "json-lines"),
+    "json-lines-poincare": ("--format", "json-lines", "--poincare"),
+    "csv": ("--format", "csv"),
+    "latex": ("--format", "latex"),
+}
 
 
 def run(capsys, *argv):
@@ -71,12 +78,14 @@ class TestCompute:
         assert parsed["dim"] == 1
         assert parsed["terms"] == [{"u": 0, "v": 0, "c": "1"}, {"u": 1, "v": 1, "c": "1"}]
 
-    @pytest.mark.parametrize("name, sigma", [
-        ("compute_triple_json_poincare", "7+"),
-        ("compute_triple_empty_json_poincare", "21"),  # past sigma_M = 10: null d0 and dim, no terms
-    ], ids=["nonempty", "empty"])
-    def test_json_byte_exact(self, capsys, name, sigma):
-        argv = ("compute", "triple", "--genus", "2", "--d1", "5", "--d2", "0", "--sigma", sigma, "--format", "json", "--poincare")
+    @pytest.mark.parametrize("name, sigma, poincare", [
+        ("compute_triple_json_poincare", "7+", ("--poincare",)),
+        ("compute_triple_empty_json_poincare", "21", ("--poincare",)),  # past sigma_M = 10: null d0 and dim, no terms
+        ("compute_triple_json", "7+", ()),
+        ("compute_triple_empty_json", "21", ()),
+    ], ids=["nonempty", "empty", "nonempty-without-poincare", "empty-without-poincare"])  # fmt: skip
+    def test_json_byte_exact(self, capsys, name, sigma, poincare):
+        argv = ("compute", "triple", "--genus", "2", "--d1", "5", "--d2", "0", "--sigma", sigma, "--format", "json", *poincare)
         assert run(capsys, *argv) == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), "")
 
     def test_json_empty_result(self, capsys):
@@ -187,13 +196,38 @@ class TestTable:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["request"]["degree"] for r in records] == [1, 3, 5]
 
-    def test_warm_cache_byte_identical(self, capsys, tmp_path):
+    @pytest.mark.parametrize("options", FORMATS.values(), ids=FORMATS)
+    def test_warm_cache_byte_identical(self, capsys, tmp_path, options):
         cache = tmp_path / "records.jsonl"
-        argv = ["table", "--target", "triple", "--genus", "2", "--d1", "1..3", "--d2", "0", "--format", "csv", "--cache", str(cache)]
+        argv = ["table", "--target", "triple", "--genus", "2", "--d1", "1..3", "--d2", "0", *options, "--cache", str(cache)]
         first = run(capsys, *argv)
         assert first[0] == 0 and cache.exists()
         second = run(capsys, *argv)
         assert second == first
+
+    @pytest.mark.parametrize("options", FORMATS.values(), ids=FORMATS)
+    def test_misshapen_records_dropped(self, capsys, tmp_path, monkeypatch, options):
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "triple", "--genus", "2", "--d1", "1..3", "--d2", "0", *options, "--cache", str(cache)]
+        cold = run(capsys, *argv)
+        written = cache.read_text(encoding="utf-8")
+        lines = written.splitlines()
+        assert len(lines) == 4
+        heads = [line[: line.index('"record":') + len('"record":')] for line in lines]
+        records = [json.loads(line)["record"] for line in lines]
+        reordered = {"poincare": records[1].pop("poincare"), **records[1]}
+        records[2]["poincare"][0]["poincare"] = []  # a second key named poincare, inside the list
+        lines[0] = heads[0] + "{}}"
+        lines[1] = heads[1] + cli._dump_json(reordered) + "}"
+        lines[2] = heads[2] + cli._dump_json(records[2]) + "}"
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (0, cold[1]) and len(computed) == 3
+        assert "corrupt: dropped 3 bad line(s), kept 1 record(s)" in err
+        assert cache.read_text(encoding="utf-8") == written
 
     def test_cache_lines_are_compact_json(self, capsys, tmp_path):
         cache = tmp_path / "records.jsonl"
