@@ -23,15 +23,29 @@ is also the oracle the tests hold the other route to.  From there on,
 Kronecker substitution (D. Harvey, J. Symbolic Comput. 2009) packs each
 operand into one big integer with a byte-aligned slot per exponent, wide
 enough for max|c_p| * max|c_q| * min(len p, len q) plus a guard bit, and
-lets CPython's Karatsuba multiply do the convolution.  The threshold is the
-crossover measured on the package's own products; operands too sparse to
-pack into a box of at most one slot per term pair stay on the dict loop.
+lets CPython's Karatsuba multiply do the convolution.  A slot of at most 8
+bytes is rounded up to 1, 2, 4 or 8 bytes, so that on a little-endian host
+the product is unpacked a machine word at a time by ``memoryview.cast``;
+wider slots are read by byte slices.  The thresholds are the crossover
+measured on the package's own products; operands too sparse to pack into
+a box of at most one slot per term pair stay on the dict loop.
+
+Exact division takes one of two routes by the divisor's shape.  A divisor
+that is 1 - u^p v^q up to a monomial factor, such as the 1 - uv of every
+closed chamber formula, divides by running sums along the chains
+e, e + (p, q), e + 2 (p, q), ... of the numerator.  Every other divisor, and
+a numerator that such a divisor does not divide, goes to long division
+through a max-heap of remainder keys; it is also the oracle of the first
+route and raises ``NotDivisible``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import operator
+import struct
+import sys
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Exponent = tuple[int, int]
@@ -119,7 +133,8 @@ class LaurentPoly:
         ``PACKED_MIN_TERMS`` terms, the dict loop multiplies every pair of
         terms.  Otherwise ``_packed_product`` packs each operand into one big
         integer (Kronecker substitution), one byte-aligned slot per exponent
-        of at least bit_length(max|c_p| max|c_q| min(len)) + 1 bits, so that
+        of at least bit_length(max|c_p| max|c_q| min(len)) + 1 bits (rounded
+        up to a machine word when that is at most 8 bytes), so that
         CPython's Karatsuba integer multiply does the convolution; it gives
         way to the dict loop when the packed box would exceed the term-pair
         count.  Both thresholds are measured crossovers of the two routes on
@@ -152,19 +167,16 @@ class LaurentPoly:
     def __truediv__(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises NotDivisible when no Laurent quotient exists.
 
-        Both operands are reduced by their monomial content, after which
+        The divisor is reduced by its monomial content and routed on its
+        shape, as ``__mul__`` routes on size.  A divisor 1 - u^p v^q goes to
+        ``_running_sum_quotient``, which takes prefix sums of the numerator
+        along each chain e, e + (p, q), ... in one pass.  Every other
+        divisor, and a numerator whose chains do not all sum to 0, goes to
+        ``_heap_quotient``: with the numerator also reduced by its content,
         divisibility in the Laurent ring coincides with divisibility of
-        honest polynomials.  Long division then proceeds greedily against
-        the divisor's leading term in the canonical order, which is a
-        well-order on nonnegative exponents, so the loop terminates.
-
-        The remainder is walked from the top through a max-heap of its keys.
-        The top strictly decreases and every key a step touches lies below
-        it, so each key is pushed once, when it first enters the remainder;
-        a key whose coefficient cancels stays in the remainder as 0 and is
-        skipped when popped.  If n keys enter the remainder in all, the walk
-        costs O(n log n) heap work plus one dict update per divisor term per
-        quotient term, where a per-step scan of the remainder is quadratic.
+        honest polynomials, and long division walks the remainder from the
+        top through a max-heap of its keys.  The heap walk is the one that
+        raises NotDivisible, so its message does not depend on the route.
         """
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
@@ -174,43 +186,20 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return ZERO
-        pa = min(a for a, _ in self._terms)
-        pb = min(b for _, b in self._terms)
         qa = min(a for a, _ in other._terms)
         qb = min(b for _, b in other._terms)
-        rem = {(a - pa, b - pb): c for (a, b), c in self._terms.items()}
         div = {(a - qa, b - qb): c for (a, b), c in other._terms.items()}
-        lead = max(div, key=_term_key)
-        lead_c = div.pop(lead)
-        # Every key stays at or below the first top, so 0 <= a <= a+b < base and
-        # the entry -((a+b) base + a) packs the canonical order into one int.
-        base = max(a + b for a, b in rem) + 1
-        heap = [-(a + b) * base - a for a, b in rem]
-        heapq.heapify(heap)
-        quot: dict[Exponent, int] = {}
-        while heap:
-            total, a = divmod(-heapq.heappop(heap), base)
-            top = (a, total - a)
-            c = rem.pop(top)
-            if not c:
-                continue
-            da, db = top[0] - lead[0], top[1] - lead[1]
-            if da < 0 or db < 0:
-                raise NotDivisible(f"remainder term u^{top[0]} v^{top[1]} not reducible")
-            q, r = divmod(c, lead_c)
-            if r:
-                raise NotDivisible(f"coefficient {c} not divisible by {lead_c}")
-            quot[(da, db)] = q
-            for (ea, eb), dc in div.items():
-                key = (ea + da, eb + db)
-                old = rem.get(key)
-                if old is None:
-                    rem[key] = -q * dc
-                    heapq.heappush(heap, -(key[0] + key[1]) * base - key[0])
-                else:
-                    rem[key] = old - q * dc
+        if len(div) == 2 and div.get((0, 0)) == 1:
+            step = max(div)  # the other key, (p, q) >= (0, 0)
+            if div[step] == -1:
+                quot = _running_sum_quotient(self._terms, step, (-qa, -qb))
+                if quot is not None:
+                    return _wrap(quot)
+        pa = min(a for a, _ in self._terms)
+        pb = min(b for _, b in self._terms)
+        rem = {(a - pa, b - pb): c for (a, b), c in self._terms.items()}
         shift_a, shift_b = pa - qa, pb - qb
-        return _wrap({(a + shift_a, b + shift_b): c for (a, b), c in quot.items()})
+        return _wrap({(a + shift_a, b + shift_b): c for (a, b), c in _heap_quotient(rem, div).items()})
 
     # -- structure -------------------------------------------------------
 
@@ -283,15 +272,20 @@ def _wrap(terms: dict[Exponent, int]) -> LaurentPoly:
 
 
 # Term pairs from which ``__mul__`` takes the packed route.  Both routes were
-# timed on every product of 64..2047 term pairs that the closed and wall-sum
-# sweeps, both bundle routes, ``verify`` and ``table`` perform: the total time
-# saved is flat for thresholds 128..256, and below 256 some shapes lose.
-PACKED_MIN_PAIRS = 256
+# timed on every distinct product of 64 or more term pairs that the closed and
+# wall-sum sweeps, both bundle routes, ``verify`` and ``table`` perform: the
+# total time saved is flat for thresholds 96..144, and above 144 it falls.
+PACKED_MIN_PAIRS = 144
 # Terms the smaller operand needs for the packed route.  Packing costs about
-# one slot per product exponent, so an operand of a few terms gains nothing:
-# on the workloads' own products every one with a 1- to 4-term operand was
-# slower packed (1.04x to 3.4x; a monomial times 625 terms 747 against 221 us).
-PACKED_MIN_TERMS = 5
+# one slot per product exponent, so an operand of one or two terms gains
+# nothing: on those products a monomial was 1.9x to 3.0x slower packed and a
+# binomial 0.95x, while 3- and 4-term operands were 0.56x to 1.05x.
+PACKED_MIN_TERMS = 3
+
+
+# Slot widths in bytes that ``memoryview.cast`` reads as native unsigned
+# words; the byte order must be little-endian, as ``to_bytes`` writes it.
+_WORD_FORMATS = {struct.calcsize(word): word for word in "BHIQ"} if sys.byteorder == "little" else {}
 
 
 def _dict_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> dict[Exponent, int]:
@@ -320,7 +314,10 @@ def _packed_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> Optional[
     holds every partial sum with a guard bit to spare.  Positive and
     negative coefficients are packed apart, four nonnegative products give
     X = P+Q+ + P-Q- and Y = P+Q- + P-Q+, and each coefficient is its X slot
-    minus its Y slot, read from one ``to_bytes`` each by byte slices.
+    minus its Y slot, read from one ``to_bytes`` each.  A slot of at most 8
+    bytes is rounded up to 1, 2, 4 or 8 bytes: on a little-endian host
+    ``memoryview.cast`` then reads all slots as native words in C, where a
+    wider slot (or a big-endian host) takes one ``int.from_bytes`` per slice.
     """
     pa, pb = zip(*p)
     qa, qb = zip(*q)
@@ -333,22 +330,32 @@ def _packed_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> Optional[
         return None
     bound = max(map(abs, p.values())) * max(map(abs, q.values())) * min(len(p), len(q))
     n = bound.bit_length() // 8 + 1
+    if n <= 8 and _WORD_FORMATS:
+        n = 1 << (n - 1).bit_length()
+    word = _WORD_FORMATS.get(n)
     p_pos, p_neg = _pack(p, pa0, pb0, width, n, p_height * width + p_width + 1)
     q_pos, q_neg = _pack(q, qa0, qb0, width, n, q_height * width + q_width + 1)
     x = p_pos * q_pos + p_neg * q_neg
     y = p_pos * q_neg + p_neg * q_pos
     size = slots * n
-    x_bytes, offsets = x.to_bytes(size, "little"), range(0, size, n)
-    if y:
+    x_bytes = x.to_bytes(size, "little")
+    if word:
+        x_words = memoryview(x_bytes).cast(word)
+        if y:
+            digits = list(map(operator.sub, x_words, memoryview(y.to_bytes(size, "little")).cast(word)))
+        else:
+            digits = x_words.tolist()
+    elif y:
         y_bytes = y.to_bytes(size, "little")
-        digits = (
-            int.from_bytes(x_bytes[i : i + n], "little") - int.from_bytes(y_bytes[i : i + n], "little") for i in offsets
-        )
+        digits = [
+            int.from_bytes(x_bytes[i : i + n], "little") - int.from_bytes(y_bytes[i : i + n], "little")
+            for i in range(0, size, n)
+        ]
     else:
-        digits = (int.from_bytes(x_bytes[i : i + n], "little") for i in offsets)
+        digits = [int.from_bytes(x_bytes[i : i + n], "little") for i in range(0, size, n)]
     a0, b0 = pa0 + qa0, pb0 + qb0
     keys = itertools.product(range(a0, a0 + height), range(b0, b0 + width))
-    return {key: c for key, c in zip(keys, digits) if c}
+    return dict(itertools.compress(zip(keys, digits), digits))
 
 
 def _pack(terms: dict[Exponent, int], a0: int, b0: int, width: int, n: int, slots: int) -> tuple[int, int]:
@@ -361,6 +368,90 @@ def _pack(terms: dict[Exponent, int], a0: int, b0: int, width: int, n: int, slot
         else:
             neg[(a - a0) * width + b - b0] = (-c).to_bytes(n, "little")
     return int.from_bytes(b"".join(pos), "little"), int.from_bytes(b"".join(neg), "little")
+
+
+def _heap_quotient(rem: dict[Exponent, int], div: dict[Exponent, int]) -> dict[Exponent, int]:
+    """Terms of ``rem`` / ``div`` by long division, for nonnegative exponents with both minima 0.
+
+    Greedy against the divisor's leading term in the canonical order, which
+    is a well-order on nonnegative exponents, so the walk terminates; raises
+    NotDivisible at the first remainder term that the lead cannot reduce.
+    The remainder is walked from the top through a max-heap of its keys.
+    The top strictly decreases and every key a step touches lies below it,
+    so each key is pushed once, when it first enters the remainder; a key
+    whose coefficient cancels stays in the remainder as 0 and is skipped
+    when popped.  If n keys enter the remainder in all, the walk costs
+    O(n log n) heap work plus one dict update per divisor term per quotient
+    term.  Both arguments are consumed.  It serves every divisor that is not
+    1 - u^p v^q, and every numerator that such a divisor does not divide,
+    and it is the oracle of ``_running_sum_quotient``.
+    """
+    lead = max(div, key=_term_key)
+    lead_c = div.pop(lead)
+    # Every key stays at or below the first top, so 0 <= a <= a+b < base and
+    # the entry -((a+b) base + a) packs the canonical order into one int.
+    base = max(a + b for a, b in rem) + 1
+    heap = [-(a + b) * base - a for a, b in rem]
+    heapq.heapify(heap)
+    quot: dict[Exponent, int] = {}
+    while heap:
+        total, a = divmod(-heapq.heappop(heap), base)
+        top = (a, total - a)
+        c = rem.pop(top)
+        if not c:
+            continue
+        da, db = top[0] - lead[0], top[1] - lead[1]
+        if da < 0 or db < 0:
+            raise NotDivisible(f"remainder term u^{top[0]} v^{top[1]} not reducible")
+        q, r = divmod(c, lead_c)
+        if r:
+            raise NotDivisible(f"coefficient {c} not divisible by {lead_c}")
+        quot[(da, db)] = q
+        for (ea, eb), dc in div.items():
+            key = (ea + da, eb + db)
+            old = rem.get(key)
+            if old is None:
+                rem[key] = -q * dc
+                heapq.heappush(heap, -(key[0] + key[1]) * base - key[0])
+            else:
+                rem[key] = old - q * dc
+    return quot
+
+
+def _running_sum_quotient(
+    terms: dict[Exponent, int], step: Exponent, shift: Exponent
+) -> Optional[dict[Exponent, int]]:
+    """Terms of ``terms`` / (1 - u^p v^q), each exponent moved by ``shift``, or None when it does not divide.
+
+    With s = (p, q) >= (0, 0), s != (0, 0), the exponents fall into chains
+    e, e + s, e + 2s, ...; u^a v^b sits at place k = a // p (b // q when
+    p = 0) of the chain labelled e - k s, so every term of one chain has the
+    same label, negative exponents included.  Since (1 - u^p v^q) Q = N
+    reads Q(e) - Q(e - s) = N(e), the quotient along a chain is the running
+    sum of the numerator from the chain's lowest term up, gaps included,
+    and the division is exact iff every chain sums to 0.  One dict update
+    per numerator term, then a prefix sum per chain in C, where the heap
+    walk pays a heap push and pop per term.
+    """
+    p, q = step
+    chains: dict[Exponent, dict[int, int]] = {}
+    for (a, b), c in terms.items():
+        k = a // p if p else b // q
+        label = (a - k * p, b - k * q)
+        try:
+            chains[label][k] = c
+        except KeyError:
+            chains[label] = {k: c}
+    quot: dict[Exponent, int] = {}
+    sa, sb = shift
+    for (a, b), chain in chains.items():
+        lo, hi = min(chain), max(chain)
+        sums = list(itertools.accumulate(map(chain.get, range(lo, hi + 1), itertools.repeat(0))))
+        if sums[-1]:
+            return None
+        keys = zip(itertools.count(a + lo * p + sa, p), itertools.count(b + lo * q + sb, q))
+        quot.update(itertools.compress(zip(keys, sums), sums))
+    return quot
 
 
 def monomial(c: int, a: int, b: int) -> LaurentPoly:

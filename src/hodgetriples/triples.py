@@ -502,7 +502,9 @@ def hodge_bundles_odd(g: int, d: int, fixed_det: bool = False) -> HodgeResult:
     e(M(2,Lambda)) = ((1+u^2 v)^g (1+u v^2)^g
                       - (uv)^g (1+u)^g (1+v)^g) / ((1-uv)(1-(uv)^2)).
 
-    The divisions are exact; a failure signals an implementation bug.
+    The divisions are exact; a failure signals an implementation bug.  The
+    denominator is divided out one binomial at a time, so that both steps
+    take the running-sum route of ``LaurentPoly.__truediv__``.
     """
     _require_genus(g)
     if d % 2 == 0:
@@ -516,7 +518,7 @@ def hodge_bundles_odd(g: int, d: int, fixed_det: bool = False) -> HodgeResult:
     else:
         numerator = jac * twisted - uv_g * jac**2
         dim = 4 * g - 3
-    poly = numerator / ((ONE - UV) * (ONE - UV**2))
+    poly = numerator / (ONE - UV) / (ONE - UV**2)
     return HodgeResult(poly, dim)
 
 

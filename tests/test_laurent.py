@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -152,6 +153,32 @@ class TestPackedProduct:
         else:
             assert packed == _dict_product(p, q)
 
+    @pytest.mark.parametrize(
+        "magnitude, width",
+        [(2, 1), (2**3, 2), (2**10, 4), (2**20, 8), (2**40, 11)],
+        ids=["1-byte", "2-byte", "4-byte", "8-byte", "wider"],
+    )
+    @pytest.mark.parametrize("mixed", [True, False], ids=["mixed-signs", "positive"])
+    def test_every_slot_width(self, monkeypatch, magnitude, width, mixed):
+        """3 x 3 boxes whose bound max|c_p| max|c_q| 9 needs slots of ``width`` bytes.
+
+        Slots of 1 to 8 bytes round up to a machine word and are read through
+        ``memoryview.cast``; wider ones are read by byte slices.  With all
+        coefficients positive, Y = P+Q- + P-Q+ is 0.
+        """
+        sign = (lambda i: (-1) ** (i // 2)) if mixed else (lambda i: 1)
+        p = {(i // 3, i % 3 - 1): sign(i) * (magnitude - i % 2) for i in range(9)}
+        q = {(i // 3 - 2, i % 3): sign(i + 1) * (magnitude - (i + 1) % 2) for i in range(9)}
+        widths, pack = [], laurent._pack
+
+        def spy(terms, a0, b0, box_width, n, slots):
+            widths.append(n)
+            return pack(terms, a0, b0, box_width, n, slots)
+
+        monkeypatch.setattr(laurent, "_pack", spy)
+        assert _packed_product(p, q) == _dict_product(p, q)
+        assert widths == [width, width]
+
 
 def _spy(monkeypatch, name: str) -> list:
     """Record the result of every call of the route ``laurent.<name>``."""
@@ -259,6 +286,72 @@ class TestExactDivision:
     def test_roundtrip(self, r, q):
         assert (r * q) / q == r
 
+
+
+def _heap_divide(numerator: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
+    """``numerator / divisor`` with the running-sum route refused, so that every divisor takes the heap walk."""
+    with mock.patch.object(laurent, "_running_sum_quotient", lambda terms, step, shift: None):
+        return numerator / divisor
+
+
+steps = st.integers(1, 4).flatmap(lambda k: st.sampled_from([(k, 0), (0, k), (k, k)]))
+# 1 - u^a v^b times monomial content u^i v^j, e.g. u^2 v - u^3 v^2 = u^2 v (1 - uv)
+binomial_divisors = st.builds(
+    lambda step, i, j: monomial(1, i, j) - monomial(1, i + step[0], j + step[1]),
+    steps,
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+
+
+class TestRunningSumDivision:
+    """The running-sum route of ``__truediv__`` for 1 - u^p v^q, against the heap walk ``_heap_quotient``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero_coeff_polys, binomial_divisors)
+    @example(monomial(5, -4, 2) + monomial(-3, 1, -5), monomial(1, 2, 1) - monomial(1, 3, 2))
+    @example(ONE, ONE - UV**6)  # the quotient fills the gap between the two numerator terms
+    def test_quotients_agree(self, p, d):
+        numerator = p * d
+        assert numerator / d == _heap_divide(numerator, d) == p
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero_coeff_polys, binomial_divisors, nonzero_coeff_polys.filter(bool))
+    @example(ZERO, ONE - UV, -U)  # the top term is not reducible
+    @example(ONE + V, ONE - U**2, 2 * U)  # one chain sums to 2
+    @example(monomial(1, -3, 0), monomial(1, -1, 2) - monomial(1, 2, 2), monomial(-7, -5, 4))
+    def test_non_divisible_messages_agree(self, p, d, r):
+        numerator = p * d + r
+        expected = _division_outcome(_heap_divide, numerator, d)
+        assert _division_outcome(LaurentPoly.__truediv__, numerator, d) == expected
+
+    @pytest.mark.parametrize(
+        "divisor, walks",
+        [
+            (ONE - U**3, 0),
+            (ONE - V**2, 0),
+            (ONE - UV, 0),
+            (monomial(1, 2, 1) - monomial(1, 3, 2), 0),
+            (ONE + UV, 1),
+            (UV - ONE, 1),
+            (2 - 2 * UV, 1),
+            (ONE - monomial(1, 1, -1), 1),
+            (V - U, 1),
+            ((ONE - UV) * (ONE - UV**2), 1),
+        ],
+        ids=["1-u^3", "1-v^2", "1-uv", "content", "1+uv", "uv-1", "2-2uv", "1-u/v", "v-u", "product"],
+    )
+    def test_heap_walk_only_off_the_binomial(self, monkeypatch, divisor, walks):
+        """A divisor 1 - m skips the heap walk; every other divisor takes it, once.
+
+        The quotient holds 1 - u, 1 - v and 1 - uv, so a numerator that took
+        the running sum under the wrong binomial would still divide, wrongly.
+        """
+        quotient = (ONE - U) * (ONE - V) * (ONE - UV) * (ONE + 3 * U - monomial(2, -1, 4) + UV**5)
+        numerator = quotient * divisor
+        heap_results = _spy(monkeypatch, "_heap_quotient")
+        assert numerator / divisor == quotient
+        assert len(heap_results) == walks
 
 
 class TestDivisionOracle:
