@@ -38,11 +38,11 @@ from .laurent import NotDivisible, UniPoly, _format_terms, _mono, _t_mono
 CACHE_ENV = "HODGETRIPLES_CACHE"
 SCHEMA_VERSION = 1
 # Stamped on every cache line; a line of another revision is recomputed.  Bump
-# it whenever an evaluator or the arithmetic kernel changes.
+# it with any change that could alter the bytes of a record for some input.
 FORMULA_REVISION = 1
 # The most values one range option may hold, and the most parameter choices
-# (genus times degrees) one table may sweep; larger requests are refused
-# before any list is built.
+# (genus times degrees) one table or verify run may sweep; larger requests are
+# refused before any list is built.
 MAX_RANGE_VALUES = 10_000
 
 
@@ -60,6 +60,11 @@ def _parse_rank(text: str) -> tuple[int, int]:
         if rank in ((2, 1), (1, 2)):
             return rank
     raise UserError(f"rank must be 2,1 or 1,2, got {text!r}")
+
+
+def _check_choices(command: str, choices: int) -> None:
+    if choices > MAX_RANGE_VALUES:
+        raise UserError(f"{command} has {choices} parameter choices; at most {MAX_RANGE_VALUES} are allowed")
 
 
 def _parse_range(text: str) -> list[int]:
@@ -274,9 +279,7 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
     _require(args, family.degrees, ranges=True)
     fixed = {"rank": _parse_rank(args.rank)} if family.ranked else {}
     ranges = [_parse_range(getattr(args, name)) for name in family.degrees]
-    choices = math.prod(map(len, ranges), start=len(genera))
-    if choices > MAX_RANGE_VALUES:
-        raise UserError(f"table has {choices} parameter choices; at most {MAX_RANGE_VALUES} are allowed")
+    _check_choices("table", math.prod(map(len, ranges), start=len(genera)))
     grid = list(itertools.product(*ranges))
     rows = []
     for g in genera:
@@ -286,58 +289,61 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
     return rows
 
 
-_CACHE_HEAD = f'{{"schema_version":{SCHEMA_VERSION},"formula_revision":{FORMULA_REVISION},"key":'
-_DECODER = json.JSONDecoder()
-# JSON whitespace and the escape character: a record holding one may be spelled
-# otherwise than ``_dump_json`` would spell it.
+def _not_an_integer(text: str):
+    raise ValueError(f"{text} is not an integer")
+
+
+_CACHE_HEAD = f'{{"schema_version":{SCHEMA_VERSION},"formula_revision":'
+# Every number in a cache line is an integer; one spelled as a float, NaN or Infinity fails to decode.
+_DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
+# JSON whitespace and the escape character: a line holding one is spelled
+# otherwise than ``_save_cache`` writes it.
 _RESPELLED = " \t\n\r\\"
 # A record's keys in the order ``_compute_record`` writes them, and the text opening the last.
 _RECORD_KEYS = ["request", "dim", "terms", "poincare"]
 _POINCARE = ',"poincare":'
 
 
-def _well_shaped(record, text: str) -> bool:
-    """Whether ``record`` has the ``_RECORD_KEYS`` in order, and ``text`` no other ``,"poincare":`` to cut at."""
-    return isinstance(record, dict) and list(record) == _RECORD_KEYS and text.count(_POINCARE) == 1
+def _cache_line(line: bytes) -> Optional[tuple[int, str, str]]:
+    """(formula revision, key, record text) of a line spelled as ``_save_cache`` writes it, else None.
 
-
-def _spliced_record(line: bytes) -> Optional[tuple[str, str]]:
-    """(key, record text) of a line that starts as ``_save_cache`` writes it, else None.
-
-    The record's text is the slice of the line it was parsed from, taken only
-    when the record is well shaped and closes the line and the slice holds no
-    whitespace, backslash or non-ASCII character, as on every line
-    ``_save_cache`` writes; a line spelled otherwise has its record encoded again.
+    The line must be ASCII with no whitespace or backslash, open with
+    ``_CACHE_HEAD`` and hold the revision, ``"key"`` and ``"record"`` in that
+    order, the record closing the line.  The record's keys must be the
+    ``_RECORD_KEYS`` in order, with no other ``,"poincare":`` to cut at.  Its
+    text is the slice of the line it was parsed from.
     """
     try:
-        text = line.decode("utf-8")
-        if not text.startswith(_CACHE_HEAD):
+        text = line.decode("ascii").removesuffix("\n")
+        if any(c in text for c in _RESPELLED):
             return None
-        key, end = _DECODER.raw_decode(text, len(_CACHE_HEAD))
-        if not text.startswith(',"record":', end):
-            return None
-        start = end + len(',"record":')
-        record, end = _DECODER.raw_decode(text, start)
+        values, end = [], 0
+        for head in (_CACHE_HEAD, ',"key":', ',"record":'):
+            if not text.startswith(head, end):
+                return None
+            start = end + len(head)
+            value, end = _DECODER.raw_decode(text, start)
+            values.append(value)
     except ValueError:
         return None
+    revision, key, record = values
     body = text[start:end]
-    if not (isinstance(key, str) and _well_shaped(record, body) and text[end:].rstrip("\n") == "}"):
-        return None
-    if not body.isascii() or any(c in body for c in _RESPELLED):
-        return None
-    return key, body
+    if type(revision) is int and isinstance(key, str) and isinstance(record, dict) and text[end:] == "}":
+        if list(record) == _RECORD_KEYS and body.count(_POINCARE) == 1:
+            return revision, key, body
+    return None
 
 
 def _load_cache(path: str) -> tuple[dict[str, str], bool]:
     """(JSON text of each record by key, whether the file needs rewriting).
 
-    Each line is checked on its own, so a bad line (truncated, not UTF-8, not
-    JSON, another schema or record shape) is dropped and counted, the rest kept.
-    A good line of another formula revision is dropped too, so its record is
-    recomputed by the current code.  Records are held as their JSON text, not
-    as parsed dicts, so a large table holds a few bytes per term.  A line
-    spelled exactly as ``_save_cache`` writes it lends its record text as is;
-    any other good line has its record encoded again.
+    Each line is read on its own by ``_cache_line``, so a bad line (truncated,
+    not ASCII, not JSON, another schema or record shape, or spelled otherwise
+    than ``_save_cache`` writes it, as a line without a revision stamp is) is
+    dropped and counted, the rest kept.  A line of another formula revision is
+    dropped too, so its record is recomputed by the current code.  Records are
+    held as their JSON text, not as parsed dicts, so a large table holds a few
+    bytes per term.
     """
     cache: dict[str, str] = {}
     if not path or not os.path.exists(path):
@@ -346,28 +352,13 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
     try:
         with open(path, "rb") as handle:
             for line in handle:
-                if not line.strip():
-                    continue
-                spliced = _spliced_record(line)
-                if spliced:
-                    cache[spliced[0]] = spliced[1]
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    entry = None
-                record = entry.get("record") if isinstance(entry, dict) else None
-                text = _dump_json(record)
-                if not (
-                    _well_shaped(record, text)
-                    and entry.get("schema_version") == SCHEMA_VERSION
-                    and isinstance(entry.get("key"), str)
-                ):
+                read = _cache_line(line)
+                if read is None:
                     dropped += 1
-                elif entry.get("formula_revision") != FORMULA_REVISION:
+                elif read[0] != FORMULA_REVISION:
                     stale += 1
                 else:
-                    cache[entry["key"]] = text
+                    cache[read[1]] = read[2]
     except OSError as exc:
         print(f"warning: cache file {path} is unreadable: {exc}; recomputing and overwriting", file=sys.stderr)
         return {}, True
@@ -398,7 +389,7 @@ def _save_cache(path: str, cache: dict[str, str]) -> None:
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             for key in sorted(cache):
-                handle.write(f'{_CACHE_HEAD}{_dump_json(key)},"record":{cache[key]}}}\n')
+                handle.write(f'{_CACHE_HEAD}{FORMULA_REVISION},"key":{_dump_json(key)},"record":{cache[key]}}}\n')
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -479,13 +470,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks: Optional[tuple[str, ...]] = None
     if args.checks:
         checks = tuple(name for chunk in args.checks for name in chunk.split(",") if name)
-    grid = verify.VerifyGrid(
-        g_values=tuple(_parse_range(args.g)),
-        d2_values=tuple(_parse_range(args.d2)),
-        d1_values=tuple(_parse_range(args.d1)) if args.d1 is not None else None,
-        checks=checks,
-        seed=args.seed,
-    )
+    g_values, d2_values = tuple(_parse_range(args.g)), tuple(_parse_range(args.d2))
+    d1_values = tuple(_parse_range(args.d1)) if args.d1 is not None else None
+    d1_count = len(d1_values) if d1_values is not None else 8  # VerifyGrid's default: eight d1 values per d2
+    _check_choices("verify", len(g_values) * len(d2_values) * d1_count)
+    grid = verify.VerifyGrid(g_values, d2_values, d1_values, checks, args.seed)
     reports = verify.run_suite(grid)
     for report in reports:
         print(report.line())

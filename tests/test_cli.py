@@ -244,20 +244,45 @@ class TestTable:
         cache = tmp_path / "records.jsonl"
         argv = ["table", "--target", "triple", "--genus", "2", "--d1", "1..3", "--d2", "0", "--poincare", "--cache", str(cache)]
         cold = run(capsys, *argv)
-        lines = cache.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 4 and all(cli._spliced_record(line.encode()) for line in lines)
+        written = cache.read_text(encoding="utf-8")
+        lines = written.splitlines()
+        assert len(lines) == 4 and all(cli._cache_line(f"{line}\n".encode()) for line in lines)
         entries = [json.loads(line) for line in lines]
         head = lines[1][: lines[1].index('"record":') + len('"record":')]
         lines[0] = json.dumps(entries[0])  # spaces everywhere, the head included
         lines[1] = head + json.dumps(entries[1]["record"]) + "}"  # the head as written, spaces in the record
         lines[2] = lines[2].replace('"triple"', '"\\u0074riple"')  # a \u escape in the record
         lines[3] = lines[3][:-1] + ',"note":1}'  # a field after the record
-        assert [cli._spliced_record(line.encode()) for line in lines] == [None] * 4
+        assert [cli._cache_line(f"{line}\n".encode()) for line in lines] == [None] * 4
         cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
         computed = []
         compute = cli._compute_record
         monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
-        assert run(capsys, *argv) == cold and computed == []
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (0, cold[1]) and len(computed) == 4  # never served, each recomputed
+        assert "corrupt: dropped 4 bad line(s), kept 0 record(s)" in err
+        assert cache.read_text(encoding="utf-8") == written
+
+    def test_cache_line_reads_only_the_written_spelling(self, capsys, tmp_path):
+        cache = tmp_path / "records.jsonl"
+        run(capsys, "table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1", "--cache", str(cache))
+        line = cache.read_bytes()
+        assert cli._cache_line(line)[0] == cli.FORMULA_REVISION
+        stamp = b'"formula_revision":%d,' % cli.FORMULA_REVISION
+        dim = b'"dim":%d,' % json.loads(line)["record"]["dim"]
+        respelled = [
+            line.replace(stamp, b'"formula_revision":true,'),
+            line.replace(stamp, b'"formula_revision":"%d",' % cli.FORMULA_REVISION),
+            line.replace(stamp, b'"formula_revision":%d.0,' % cli.FORMULA_REVISION),
+            line.replace(dim, dim[:-1] + b".0,"),
+            line.replace(dim, dim[:-1] + b"e0,"),
+            line.replace(dim, b'"dim":NaN,'),
+            line.replace(b"\n", b"\r\n"),
+            line.replace(b"}\n", b"} \n"),
+            b"\n",
+        ]
+        assert line not in respelled
+        assert [cli._cache_line(other) for other in respelled] == [None] * len(respelled)
 
     def test_cache_via_environment(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-cache.jsonl"
@@ -315,16 +340,16 @@ class TestTable:
         entries = [json.loads(line) for line in written.splitlines()]
         assert [e["formula_revision"] for e in entries] == [cli.FORMULA_REVISION] * 3
         entries[0]["formula_revision"] = cli.FORMULA_REVISION - 1
-        del entries[1]["formula_revision"]  # a line written before revisions were stamped
-        cache.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+        del entries[1]["formula_revision"]  # a line written before revisions were stamped: a bad line
+        cache.write_text("".join(cli._dump_json(e) + "\n" for e in entries), encoding="utf-8")
         computed = []
         compute = cli._compute_record
         monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
         code, out, err = run(capsys, *argv)
         assert code == 0 and out == first[1]
         assert len(computed) == 2  # only the third record is served from the cache
-        assert "2 record(s) of another formula revision" in err
-        assert "corrupt" not in err
+        assert "has 1 record(s) of another formula revision" in err
+        assert "corrupt: dropped 1 bad line(s), kept 1 record(s)" in err
         assert cache.read_text(encoding="utf-8") == written
         assert run(capsys, *argv) == first and len(computed) == 2
 
@@ -450,6 +475,20 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--g", "2", "--d2", "0", "--checks", checks)
         assert code == 2
         assert out == "" and err == "error: check list must be nonempty\n"
+
+    @pytest.mark.parametrize("options, choices", [
+        (("--g", "2..3", "--d1", "1..9999", "--d2=-9999..0"), 2 * 9999 * 10000),
+        (("--g", "2..3", "--d2=-625..0"), 2 * 626 * 8),  # eight default d1 values per d2
+    ], ids=["d1-range", "default-d1"])
+    def test_oversized_grid_refused(self, capsys, monkeypatch, options, choices):
+        def never(*args, **kwargs):
+            raise AssertionError("an oversized grid must be refused before it is built")
+
+        monkeypatch.setattr(cli.verify, "VerifyGrid", never)
+        monkeypatch.setattr(cli.verify, "run_suite", never)
+        code, out, err = run(capsys, "verify", *options)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify has {choices} parameter choices; at most {cli.MAX_RANGE_VALUES} are allowed\n"
 
     def test_injected_fault_exits_nonzero(self, capsys, monkeypatch):
         monkeypatch.setattr(triples, "flip_difference_series", lambda spec, d_m: ONE)

@@ -1,10 +1,12 @@
-"""The README's library example runs and states true values; every package export exists."""
+"""The README's library and CLI examples run and state true values; every package export exists."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import hodgetriples
+from hodgetriples import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,6 +36,20 @@ def test_readme_library_example():
     for expression, text in STATED.items():
         assert comments[expression].startswith(text), expression
         assert eval(expression, namespace) == ast.literal_eval(text), expression
+
+
+def test_readme_cli_examples(capsys):
+    block = re.search(r"```sh\n(.*?)```", README.read_text(encoding="utf-8").split("## CLI", 1)[1], re.S).group(1)
+    lines = block.splitlines()
+    examples = [
+        (command, stated.removeprefix("# -> "))
+        for command, stated in zip(lines, lines[1:])
+        if command.startswith("hodgetriples compute ") and stated.startswith("# -> ")
+    ]
+    assert len(examples) >= 2  # both stated in the README today
+    for command, stated in examples:
+        assert cli.main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().out == stated + "\n", command
 
 
 def test_every_export_resolves():
