@@ -296,9 +296,9 @@ def _not_an_integer(text: str):
 _CACHE_HEAD = f'{{"schema_version":{SCHEMA_VERSION},"formula_revision":'
 # Every number in a cache line is an integer; one spelled as a float, NaN or Infinity fails to decode.
 _DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
-# JSON whitespace and the escape character: a line holding one is spelled
-# otherwise than ``_save_cache`` writes it.
-_RESPELLED = " \t\n\r\\"
+# JSON whitespace but the line's closing newline, and the escape character:
+# a line holding one is spelled otherwise than ``_save_cache`` writes it.
+_RESPELLED = " \t\r\\"
 # A record's keys in the order ``_compute_record`` writes them, and the text opening the last.
 _RECORD_KEYS = ["request", "dim", "terms", "poincare"]
 _POINCARE = ',"poincare":'
@@ -307,15 +307,24 @@ _POINCARE = ',"poincare":'
 def _cache_line(line: bytes) -> Optional[tuple[int, str, str]]:
     """(formula revision, key, record text) of a line spelled as ``_save_cache`` writes it, else None.
 
-    The line must be ASCII with no whitespace or backslash, open with
+    The line must be ASCII with no whitespace, backslash or "-0", open with
     ``_CACHE_HEAD`` and hold the revision, ``"key"`` and ``"record"`` in that
-    order, the record closing the line.  The record's keys must be the
-    ``_RECORD_KEYS`` in order, with no other ``,"poincare":`` to cut at.  Its
-    text is the slice of the line it was parsed from.
+    order, the record closing the line.  No written integer or string holds
+    "-0", but an integer spelled -0 decodes to 0 and would be served as
+    spelled; one search in C finds it, where a ``parse_int`` hook would call
+    Python per integer.  The record's keys must be the ``_RECORD_KEYS`` in
+    order, with "poincare" nowhere else, so there is no other
+    ``,"poincare":`` to cut at.  Its text is the slice of the line it was
+    parsed from.
     """
     try:
-        text = line.decode("ascii").removesuffix("\n")
+        # a line as file iteration splits it, so a newline can only close it;
+        # it is not stripped, as that would copy the line
+        text = line.decode("ascii")
         if any(c in text for c in _RESPELLED):
+            return None
+        # rfind: CPython's reverse search tests the rare "-" first, in half the time of ``in``
+        if text.rfind("-0") >= 0:
             return None
         values, end = [], 0
         for head in (_CACHE_HEAD, ',"key":', ',"record":'):
@@ -328,8 +337,8 @@ def _cache_line(line: bytes) -> Optional[tuple[int, str, str]]:
         return None
     revision, key, record = values
     body = text[start:end]
-    if type(revision) is int and isinstance(key, str) and isinstance(record, dict) and text[end:] == "}":
-        if list(record) == _RECORD_KEYS and body.count(_POINCARE) == 1:
+    if type(revision) is int and isinstance(key, str) and isinstance(record, dict) and text[end:] in ("}", "}\n"):
+        if list(record) == _RECORD_KEYS and body.count("poincare") == 1:
             return revision, key, body
     return None
 
@@ -350,7 +359,8 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
         return cache, False
     dropped = stale = 0
     try:
-        with open(path, "rb") as handle:
+        # a buffer past the ~10 kB lines of a large table, which an 8 kB default splits
+        with open(path, "rb", buffering=1 << 20) as handle:
             for line in handle:
                 read = _cache_line(line)
                 if read is None:
@@ -542,7 +552,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout stopped early (``| head``).  Stop without a
+        # traceback, with the status 128 + 13 that a shell reports for a
+        # process killed by SIGPIPE; stdout goes to devnull so the flush at
+        # exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (NotDivisible, AssertionError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1

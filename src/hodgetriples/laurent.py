@@ -21,22 +21,25 @@ u-exponent a.
 ``PACKED_MIN_TERMS`` terms, a dict loop multiplies every pair of terms; it
 is also the oracle the tests hold the other route to.  From there on,
 Kronecker substitution (D. Harvey, J. Symbolic Comput. 2009) packs each
-operand into one big integer with a byte-aligned slot per exponent, wide
-enough for max|c_p| * max|c_q| * min(len p, len q) plus a guard bit, and
-lets CPython's Karatsuba multiply do the convolution.  A slot of at most 8
-bytes is rounded up to 1, 2, 4 or 8 bytes, so that on a little-endian host
-the product is unpacked a machine word at a time by ``memoryview.cast``;
-wider slots are read by byte slices.  The thresholds are the crossover
+operand into one signed big integer with a byte-aligned slot per exponent,
+wide enough for max|c_p| * max|c_q| * min(len p, len q) plus a sign bit,
+and lets CPython's Karatsuba multiply do the convolution.  A slot of at
+most 8 bytes is rounded up to 1, 2, 4 or 8 bytes, so that on a
+little-endian host the product's balanced digits are read a machine word at
+a time by ``memoryview.cast``; wider slots are read by byte slices.  The thresholds are the crossover
 measured on the package's own products; operands too sparse to pack into
 a box of at most one slot per term pair stay on the dict loop.
 
-Exact division takes one of two routes by the divisor's shape.  A divisor
-that is 1 - u^p v^q up to a monomial factor, such as the 1 - uv of every
-closed chamber formula, divides by running sums along the chains
-e, e + (p, q), e + 2 (p, q), ... of the numerator.  Every other divisor, and
-a numerator that such a divisor does not divide, goes to long division
-through a max-heap of remainder keys; it is also the oracle of the first
-route and raises ``NotDivisible``.
+Exact division takes one of three routes.  A divisor that is 1 - u^p v^q
+up to a monomial factor, such as the 1 - uv of every closed chamber
+formula, divides by running sums along the chains e, e + (p, q),
+e + 2 (p, q), ... of the numerator.  Every other divisor, from
+``PACKED_MIN_PAIRS`` numerator-divisor term pairs on, divides by Kronecker
+substitution: one ``divmod`` of the packed integers, the quotient read
+back in balanced digits and accepted on a certificate, with no check
+multiply.  The rest, and every numerator that a faster route cannot
+certify, goes to long division through a max-heap of remainder keys; it is
+the oracle of both other routes and the only one to raise ``NotDivisible``.
 """
 
 from __future__ import annotations
@@ -168,15 +171,20 @@ class LaurentPoly:
         """Exact division; raises NotDivisible when no Laurent quotient exists.
 
         The divisor is reduced by its monomial content and routed on its
-        shape, as ``__mul__`` routes on size.  A divisor 1 - u^p v^q goes to
-        ``_running_sum_quotient``, which takes prefix sums of the numerator
-        along each chain e, e + (p, q), ... in one pass.  Every other
-        divisor, and a numerator whose chains do not all sum to 0, goes to
-        ``_heap_quotient``: with the numerator also reduced by its content,
-        divisibility in the Laurent ring coincides with divisibility of
-        honest polynomials, and long division walks the remainder from the
-        top through a max-heap of its keys.  The heap walk is the one that
-        raises NotDivisible, so its message does not depend on the route.
+        shape and size, as ``__mul__`` routes on size.  A divisor 1 - u^p v^q
+        goes to ``_running_sum_quotient``, which takes prefix sums of the
+        numerator along each chain e, e + (p, q), ... in one pass.  With the
+        numerator also reduced by its content, divisibility in the Laurent
+        ring coincides with divisibility of honest polynomials.  Any other
+        divisor of a numerator with at least ``PACKED_MIN_PAIRS`` term pairs
+        goes to ``_packed_quotient``: one ``divmod`` of the two polynomials
+        packed into big integers (Kronecker substitution), its quotient
+        accepted only when a certificate proves it the polynomial quotient.
+        Every other division, and every numerator the first two routes
+        refuse, goes to ``_heap_quotient``, long division that walks the
+        remainder from the top through a max-heap of its keys.  The heap
+        walk is the one that raises NotDivisible, so its message does not
+        depend on the route.
         """
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
@@ -199,7 +207,10 @@ class LaurentPoly:
         pb = min(b for _, b in self._terms)
         rem = {(a - pa, b - pb): c for (a, b), c in self._terms.items()}
         shift_a, shift_b = pa - qa, pb - qb
-        return _wrap({(a + shift_a, b + shift_b): c for (a, b), c in _heap_quotient(rem, div).items()})
+        quot = _packed_quotient(rem, div, (shift_a, shift_b)) if len(rem) * len(div) >= PACKED_MIN_PAIRS else None
+        if quot is None:
+            quot = {(a + shift_a, b + shift_b): c for (a, b), c in _heap_quotient(rem, div).items()}
+        return _wrap(quot)
 
     # -- structure -------------------------------------------------------
 
@@ -275,16 +286,33 @@ def _wrap(terms: dict[Exponent, int]) -> LaurentPoly:
 # timed on every distinct product of 64 or more term pairs that the closed and
 # wall-sum sweeps, both bundle routes, ``verify`` and ``table`` perform: the
 # total time saved is flat for thresholds 96..144, and above 144 it falls.
+# ``__truediv__`` packs from the same count of numerator-divisor term pairs:
+# on dense quotients over divisors of 1 to 13 terms, packed division was
+# 0.12x to 0.89x the heap walk from 144 pairs on and 0.65x to 3.0x below it,
+# and ``verify``'s random round trips (at most 96 pairs) stay on the walk.
 PACKED_MIN_PAIRS = 144
-# Terms the smaller operand needs for the packed route.  Packing costs about
+# Terms the smaller operand needs for the packed product.  Packing costs about
 # one slot per product exponent, so an operand of one or two terms gains
 # nothing: on those products a monomial was 1.9x to 3.0x slower packed and a
-# binomial 0.95x, while 3- and 4-term operands were 0.56x to 1.05x.
+# binomial 0.95x, while 3- and 4-term operands were 0.56x to 1.05x.  Division
+# has no such floor: monomial and binomial divisors were 0.40x to 0.61x the
+# heap walk from 144 pairs on.
 PACKED_MIN_TERMS = 3
 
 
-# Slot widths in bytes that ``memoryview.cast`` reads as native unsigned
-# words; the byte order must be little-endian, as ``to_bytes`` writes it.
+# Byte products of the packed division's schoolbook ``divmod``, (quotient
+# bytes) x (divisor bytes), per numerator-divisor term pair, above which a
+# division stays on the heap walk.  Timed on dense quotients of 400 to 4,900
+# terms over the divisors e_5, e_12, e_23, e(Jac) at genus 4 and 8, (1 + u)^8
+# and sparse 2-D trinomials: the packed route was 0.12x to 0.80x the heap walk
+# up to 1,835 per pair and 0.56x to 2.7x from 2,068 on (e_23 with 8-byte
+# slots 2.7x): a divisor with many slots per term, such as e_n, does not pay.
+PACKED_DIV_COST = 2048
+
+
+# Slot widths in bytes that ``memoryview.cast`` writes and reads as native
+# words (unsigned, or signed in lower case); the byte order must be
+# little-endian, as ``to_bytes`` and ``from_bytes`` take it.
 _WORD_FORMATS = {struct.calcsize(word): word for word in "BHIQ"} if sys.byteorder == "little" else {}
 
 
@@ -311,10 +339,9 @@ def _packed_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> Optional[
     the dict loop is cheaper and the integers could be huge (1 + u^(10^6)).
     Each product coefficient sums at most min(len p, len q) term products,
     so a digit slot of n bytes with 8n > bit_length(max|c_p| max|c_q| min(len))
-    holds every partial sum with a guard bit to spare.  Positive and
-    negative coefficients are packed apart, four nonnegative products give
-    X = P+Q+ + P-Q- and Y = P+Q- + P-Q+, and each coefficient is its X slot
-    minus its Y slot, read from one ``to_bytes`` each.  A slot of at most 8
+    holds every coefficient in [-B/2, B/2), B = 2^(8n).  The two packed
+    integers are signed, one multiply gives the packed product, and
+    ``_balanced_digits`` reads its coefficients back.  A slot of at most 8
     bytes is rounded up to 1, 2, 4 or 8 bytes: on a little-endian host
     ``memoryview.cast`` then reads all slots as native words in C, where a
     wider slot (or a big-endian host) takes one ``int.from_bytes`` per slice.
@@ -332,42 +359,124 @@ def _packed_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> Optional[
     n = bound.bit_length() // 8 + 1
     if n <= 8 and _WORD_FORMATS:
         n = 1 << (n - 1).bit_length()
-    word = _WORD_FORMATS.get(n)
-    p_pos, p_neg = _pack(p, pa0, pb0, width, n, p_height * width + p_width + 1)
-    q_pos, q_neg = _pack(q, qa0, qb0, width, n, q_height * width + q_width + 1)
-    x = p_pos * q_pos + p_neg * q_neg
-    y = p_pos * q_neg + p_neg * q_pos
-    size = slots * n
-    x_bytes = x.to_bytes(size, "little")
-    if word:
-        x_words = memoryview(x_bytes).cast(word)
-        if y:
-            digits = list(map(operator.sub, x_words, memoryview(y.to_bytes(size, "little")).cast(word)))
-        else:
-            digits = x_words.tolist()
-    elif y:
-        y_bytes = y.to_bytes(size, "little")
-        digits = [
-            int.from_bytes(x_bytes[i : i + n], "little") - int.from_bytes(y_bytes[i : i + n], "little")
-            for i in range(0, size, n)
-        ]
-    else:
-        digits = [int.from_bytes(x_bytes[i : i + n], "little") for i in range(0, size, n)]
+    packed = _pack(p, pa0, pb0, (width, 1), n, p_height * width + p_width + 1)
+    packed *= _pack(q, qa0, qb0, (width, 1), n, q_height * width + q_width + 1)
+    digits = _balanced_digits(packed, n, slots)
     a0, b0 = pa0 + qa0, pb0 + qb0
     keys = itertools.product(range(a0, a0 + height), range(b0, b0 + width))
     return dict(itertools.compress(zip(keys, digits), digits))
 
 
-def _pack(terms: dict[Exponent, int], a0: int, b0: int, width: int, n: int, slots: int) -> tuple[int, int]:
-    """(positive part, negated negative part) of ``terms``, one n-byte little-endian slot per digit."""
-    zero = bytes(n)
-    pos, neg = [zero] * slots, [zero] * slots
-    for (a, b), c in terms.items():
-        if c > 0:
-            pos[(a - a0) * width + b - b0] = c.to_bytes(n, "little")
-        else:
-            neg[(a - a0) * width + b - b0] = (-c).to_bytes(n, "little")
-    return int.from_bytes(b"".join(pos), "little"), int.from_bytes(b"".join(neg), "little")
+def _pack(terms: dict[Exponent, int], a0: int, b0: int, strides: Exponent, n: int, slots: int) -> int:
+    """The signed integer sum c B^slot over ``terms``, B = 2^(8n), one n-byte little-endian slot per digit.
+
+    u^a v^b goes to slot (a - a0) s_a + (b - b0) s_b for ``strides`` (s_a, s_b),
+    so either axis can be the minor one.  Positive and negated negative
+    coefficients are packed apart and subtracted.  A word-width slot is
+    written in place through ``memoryview.cast``; a wider one (or any slot on
+    a big-endian host) is one ``to_bytes`` per coefficient, joined.
+    """
+    stride_a, stride_b = strides
+    word = _WORD_FORMATS.get(n)
+    if word:
+        pos, neg = bytearray(slots * n), bytearray(slots * n)
+        pos_slots, neg_slots = memoryview(pos).cast(word), memoryview(neg).cast(word)
+        for (a, b), c in terms.items():
+            if c > 0:
+                pos_slots[(a - a0) * stride_a + (b - b0) * stride_b] = c
+            else:
+                neg_slots[(a - a0) * stride_a + (b - b0) * stride_b] = -c
+    else:
+        zero = bytes(n)
+        pos_slots, neg_slots = [zero] * slots, [zero] * slots
+        for (a, b), c in terms.items():
+            if c > 0:
+                pos_slots[(a - a0) * stride_a + (b - b0) * stride_b] = c.to_bytes(n, "little")
+            else:
+                neg_slots[(a - a0) * stride_a + (b - b0) * stride_b] = (-c).to_bytes(n, "little")
+        pos, neg = b"".join(pos_slots), b"".join(neg_slots)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _balanced_digits(value: int, n: int, slots: int) -> Optional[list[int]]:
+    """Digits d_i in [-B/2, B/2), i < slots, with sum d_i B^i = ``value``, B = 2^(8n); None when there are none.
+
+    Adding h = sum (B/2) B^i makes every digit d_i + B/2 nonnegative, and
+    XOR with h then leaves the two's-complement bytes of d_i in each slot, so
+    a signed read of the slots gives the digits: by ``memoryview.cast`` for a
+    word-width slot, else by one ``int.from_bytes`` per slice.
+    """
+    half = int.from_bytes((bytes(n - 1) + b"\x80") * slots, "little")
+    try:
+        raw = ((value + half) ^ half).to_bytes(slots * n, "little")
+    except OverflowError:  # value + h is negative, or wider than the slots
+        return None
+    word = _WORD_FORMATS.get(n)
+    if word:
+        return memoryview(raw).cast(word.lower()).tolist()
+    return [int.from_bytes(raw[i : i + n], "little", signed=True) for i in range(0, slots * n, n)]
+
+
+def _packed_quotient(
+    rem: dict[Exponent, int], div: dict[Exponent, int], shift: Exponent
+) -> Optional[dict[Exponent, int]]:
+    """Terms of ``rem`` / ``div`` by Kronecker substitution, each exponent moved by ``shift``, or None if not certified.
+
+    Arguments as for ``_heap_quotient`` (nonnegative exponents, both minima
+    0), but neither is consumed.  The divisor's longer axis is the minor
+    digit axis, of width W the numerator's extent along it, so a divisor in
+    u alone, such as (1 + u)^g, packs into deg + 1 slots.  A quotient has
+    the numerator's extents less the divisor's.  The numerator's box must
+    not exceed its term pairs with the divisor (so 1 + u^(10^6) never
+    packs), and the byte products of the schoolbook ``divmod`` must not
+    exceed ``PACKED_DIV_COST`` per term pair.  A slot of n bytes with
+    8n > bits(max|P|) + bits(sum|d|) holds max|P| < B/2, B = 2^(8n).  One
+    ``divmod`` of the packed integers gives q, accepted only when the
+    remainder is 0 and a certificate holds:
+
+    * q has balanced digits (``_balanced_digits``), none of them nonzero
+      outside the quotient's minor-axis extent, so q = Q'(B) for the
+      polynomial Q' they spell;
+    * max|Q'| sum|d| < B/2.
+
+    Then Q' D has minor extent below W and coefficients below B/2, and packs
+    to q D(B) = P(B): two balanced base-B expansions of one integer, so
+    Q' D = P term by term.  Any failed check returns None, and the heap walk
+    decides.
+    """
+    ra, rb = zip(*rem)
+    da, db = zip(*div)
+    height_a, height_b, div_a, div_b = max(ra), max(rb), max(da), max(db)
+    slots = (height_a + 1) * (height_b + 1)
+    if height_a < div_a or height_b < div_b or slots > len(rem) * len(div):
+        return None
+    minor_u = div_a >= div_b
+    if minor_u:  # u^a v^b in slot b W + a
+        major, minor, div_major, div_minor = height_b, height_a, div_b, div_a
+    else:  # in slot a W + b
+        major, minor, div_major, div_minor = height_a, height_b, div_a, div_b
+    width, rows, cols = minor + 1, major - div_major + 1, minor - div_minor + 1
+    div_slots, quot_slots = div_major * width + div_minor + 1, rows * width
+    div_sum = sum(map(abs, div.values()))
+    n = (max(map(abs, rem.values())).bit_length() + div_sum.bit_length()) // 8 + 1
+    if n <= 8 and _WORD_FORMATS:
+        n = 1 << (n - 1).bit_length()
+    if quot_slots * div_slots * n * n > PACKED_DIV_COST * len(rem) * len(div):
+        return None
+    strides = (1, width) if minor_u else (width, 1)
+    quot, r = divmod(_pack(rem, 0, 0, strides, n, slots), _pack(div, 0, 0, strides, n, div_slots))
+    digits = None if r else _balanced_digits(quot, n, quot_slots)
+    if digits is None or any(any(digits[i + cols : i + width]) for i in range(0, quot_slots, width)):
+        return None
+    coeffs = list(itertools.chain.from_iterable(digits[i : i + cols] for i in range(0, quot_slots, width)))
+    if max(map(abs, coeffs)) * div_sum >= 1 << (8 * n - 1):
+        return None
+    sa, sb = shift
+    if minor_u:
+        keys = map(operator.itemgetter(1, 0), itertools.product(range(sb, sb + rows), range(sa, sa + cols)))
+    else:
+        keys = itertools.product(range(sa, sa + rows), range(sb, sb + cols))
+    return dict(itertools.compress(zip(keys, coeffs), coeffs))
 
 
 def _heap_quotient(rem: dict[Exponent, int], div: dict[Exponent, int]) -> dict[Exponent, int]:
@@ -382,9 +491,9 @@ def _heap_quotient(rem: dict[Exponent, int], div: dict[Exponent, int]) -> dict[E
     whose coefficient cancels stays in the remainder as 0 and is skipped
     when popped.  If n keys enter the remainder in all, the walk costs
     O(n log n) heap work plus one dict update per divisor term per quotient
-    term.  Both arguments are consumed.  It serves every divisor that is not
-    1 - u^p v^q, and every numerator that such a divisor does not divide,
-    and it is the oracle of ``_running_sum_quotient``.
+    term.  Both arguments are consumed.  It serves every division that the
+    running sums and the packed route do not take or cannot certify, and it
+    is the oracle of ``_running_sum_quotient`` and ``_packed_quotient``.
     """
     lead = max(div, key=_term_key)
     lead_c = div.pop(lead)

@@ -532,8 +532,12 @@ def hodge_bundles_via_triples(g: int, d: int) -> LaurentPoly:
         e(N_(sigma_m+)) = e(Jac X) e(M(2,d)) e_(2g-1)
 
     and the division by e(Jac X) e_(2g-1) must be exact.  Must agree with
-    ``hodge_bundles_odd(g, d)``.  The factors are divided out one at a time
-    because each long-division step costs one update per divisor term.
+    ``hodge_bundles_odd(g, d)``.  The divisor is taken in factors, each on a
+    fast route of ``LaurentPoly.__truediv__``: e_(2g-1) (1 - uv) = 1 - (uv)^(2g-1)
+    is a running sum once the numerator is multiplied by 1 - uv, and
+    e(Jac X) = (1+u)^g (1+v)^g is two packed divisions, each by a divisor in
+    one variable (g + 1 slots).  Packing e(Jac X) whole was slower, and
+    e_(2g-1) as one divisor was slower than the heap walk.
     """
     _require_genus(g)
     if d % 2 == 0:
@@ -541,4 +545,4 @@ def hodge_bundles_via_triples(g: int, d: int) -> LaurentPoly:
     d2 = (d - (4 * g - 3)) // 2
     spec = TripleSpec(g, (2, 1), d, d2)
     small = hodge_triples_closed(spec, StabilityValue(spec.sigma_m, "plus"))
-    return small.poly / proj_space(2 * g - 1) / jacobian(g)
+    return small.poly * (ONE - UV) / (ONE - UV ** (2 * g - 1)) / (ONE + U) ** g / (ONE + V) ** g

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hodgetriples.blocks import (
@@ -9,7 +11,7 @@ from hodgetriples.blocks import (
     proj_space,
     sym_power,
 )
-from hodgetriples.laurent import ONE, UV, U, UniPoly, V
+from hodgetriples.laurent import ONE, UV, LaurentPoly, U, UniPoly, V
 from hodgetriples.verify import sym_power_oracle
 
 
@@ -29,6 +31,7 @@ class TestProjSpace:
 
     @pytest.mark.parametrize("n", range(51))
     def test_geometric_identity(self, n):
+        """``hodge_bundles_via_triples`` divides by 1 - (uv)^n after a product by 1 - uv, in place of e_n."""
         assert proj_space(n) * (ONE - UV) == ONE - UV**n
 
 
@@ -49,6 +52,12 @@ class TestJacobian:
 
     def test_genus_three_diagonal(self):
         assert jacobian(3).diagonal() == UniPoly({k: c for k, c in enumerate([1, 6, 15, 20, 15, 6, 1])})
+
+    @pytest.mark.parametrize("g", [2, 3, 6, 12, 24])
+    def test_factors(self, g):
+        """``hodge_bundles_via_triples`` divides by (1+u)^g and (1+v)^g in place of e(Jac)."""
+        binomials = LaurentPoly({(a, b): math.comb(g, a) * math.comb(g, b) for a in range(g + 1) for b in range(g + 1)})
+        assert (ONE + U) ** g * (ONE + V) ** g == jacobian(g) == binomials
 
     def test_genus_guard(self):
         with pytest.raises(GenusOutOfRange):

@@ -1,6 +1,9 @@
 import builtins
 import errno
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from hodgetriples.cli import main
 from hodgetriples.laurent import ONE
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 # json-lines tables recorded byte for byte in GOLDEN, one per target family (triples of both ranks)
 TRIPLE_21 = ("--target", "triple", "--genus", "2", "--d1", "3..5", "--d2", "0", "--format", "json-lines")
 TRIPLE_12 = ("--target", "triple", "--rank", "1,2", "--genus", "2", "--d1", "0", "--d2=-5..-3", "--format", "json-lines")
@@ -277,10 +281,17 @@ class TestTable:
             line.replace(dim, dim[:-1] + b".0,"),
             line.replace(dim, dim[:-1] + b"e0,"),
             line.replace(dim, b'"dim":NaN,'),
+            line.replace(b'"u":0,', b'"u":-0,', 1),
+            line.replace(b'"request":{', b'"request":{"poincare":null,', 1),  # a second "poincare" to cut at
             line.replace(b"\n", b"\r\n"),
             line.replace(b"}\n", b"} \n"),
             b"\n",
         ]
+        triple_cache = tmp_path / "triple.jsonl"
+        run(capsys, "table", "--target", "triple", "--genus", "2", "--d1", "1", "--d2", "0", "--cache", str(triple_cache))
+        triple_line = triple_cache.read_bytes().splitlines(keepends=True)[0]
+        assert cli._cache_line(triple_line) is not None and b'"d2":0,' in triple_line
+        respelled.append(triple_line.replace(b'"d2":0,', b'"d2":-0,'))  # decodes to 0, but would be served as -0
         assert line not in respelled
         assert [cli._cache_line(other) for other in respelled] == [None] * len(respelled)
 
@@ -446,6 +457,23 @@ class TestTable:
         code, out, err = run(capsys, "table", "--target", "triple", "--genus", "5..2", *options)
         assert (code, out) == (2, "")
         assert message in err
+
+    def test_closed_pipe_exits_quietly(self):
+        """Two processes: the cli writing a 180 kB table into a pipe, and this test reading 150 bytes of it, then closing.
+
+        The cli's next write fails with EPIPE; it must stop with no traceback
+        and the status of a process killed by SIGPIPE, 128 + 13.
+        """
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        env.pop(cli.CACHE_ENV, None)
+        argv = [sys.executable, "-m", "hodgetriples", "table", *TRIPLE_21[:4], "--d1", "1..10", "--d2=-1..0"]
+        writer = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = writer.stdout.read(150)
+        writer.stdout.close()
+        err = writer.stderr.read()
+        writer.stderr.close()
+        assert (writer.wait(timeout=120), err) == (141, b"")
+        assert head.startswith(b'{"request":{"target":"triple","genus":2,')
 
 
 class TestVerifyCommand:

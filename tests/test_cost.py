@@ -146,26 +146,35 @@ def test_wall_sum_order_independent():
 
 
 def test_division_cost_pinned(monkeypatch):
-    """Canonical-order keys computed by the two bundle routes, which divide exactly.
+    """Canonical-order keys computed, and heap walks taken, by the two bundle routes, which divide exactly.
 
     A division that rescans its remainder for the top term at every step
-    computes a key per remainder term per step: over a million keys here,
-    where the heap walk needs one per divisor term to find its lead.  The
-    closed forms divide by 1 - uv and 1 - (uv)^2 as running sums, which
-    need no key; the 60 left are the lead terms of the via-triples
-    divisors at genus 6, e_11 (11 terms) and e(Jac) (49 terms).
+    computes a key per remainder term per step, over a million here, and
+    the heap walk one per divisor term.  The closed forms divide by 1 - uv
+    and 1 - (uv)^2, and the via-triples route by 1 - (uv)^(2g-1), as running
+    sums, and the via-triples route by (1+u)^g and (1+v)^g on the packed
+    route: at genus 6 and 12 no division computes a key or takes the heap
+    walk.
     """
     _clear_block_caches()
-    calls = [0]
-    term_key = laurent._term_key
+    calls, walks = [0], [0]
+    term_key, heap_quotient = laurent._term_key, laurent._heap_quotient
 
     def counted(exponent):
         calls[0] += 1
         return term_key(exponent)
 
+    def counted_walk(rem, div):
+        walks[0] += 1
+        return heap_quotient(rem, div)
+
     monkeypatch.setattr(laurent, "_term_key", counted)
+    monkeypatch.setattr(laurent, "_heap_quotient", counted_walk)
     triples.hodge_bundles_odd(12, 1)
     triples.hodge_bundles_odd(12, 1, fixed_det=True)
     triples.hodge_bundles_via_triples(6, 1)
+    for d in (1, 3):
+        triples.hodge_bundles_via_triples(12, d)
     monkeypatch.undo()
-    assert calls[0] <= 60
+    assert calls[0] == 0
+    assert walks[0] == 0

@@ -22,7 +22,15 @@ from hodgetriples.laurent import (
     V,
     monomial,
 )
-from hodgetriples.laurent import _dict_product, _format_terms, _mono, _packed_product, _term_key
+from hodgetriples.laurent import (
+    _dict_product,
+    _format_terms,
+    _heap_quotient,
+    _mono,
+    _packed_product,
+    _packed_quotient,
+    _term_key,
+)
 
 exponents = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=8).map(LaurentPoly)
@@ -164,7 +172,7 @@ class TestPackedProduct:
 
         Slots of 1 to 8 bytes round up to a machine word and are read through
         ``memoryview.cast``; wider ones are read by byte slices.  With all
-        coefficients positive, Y = P+Q- + P-Q+ is 0.
+        coefficients positive, no packed integer or digit is negative.
         """
         sign = (lambda i: (-1) ** (i // 2)) if mixed else (lambda i: 1)
         p = {(i // 3, i % 3 - 1): sign(i) * (magnitude - i % 2) for i in range(9)}
@@ -184,8 +192,8 @@ def _spy(monkeypatch, name: str) -> list:
     """Record the result of every call of the route ``laurent.<name>``."""
     results, route = [], getattr(laurent, name)
 
-    def spy(p, q):
-        results.append(route(p, q))
+    def spy(*args):
+        results.append(route(*args))
         return results[-1]
 
     monkeypatch.setattr(laurent, name, spy)
@@ -289,9 +297,10 @@ class TestExactDivision:
 
 
 def _heap_divide(numerator: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
-    """``numerator / divisor`` with the running-sum route refused, so that every divisor takes the heap walk."""
+    """``numerator / divisor`` with the running-sum and packed routes refused, so that every divisor takes the heap walk."""
     with mock.patch.object(laurent, "_running_sum_quotient", lambda terms, step, shift: None):
-        return numerator / divisor
+        with mock.patch.object(laurent, "_packed_quotient", lambda rem, div, shift: None):
+            return numerator / divisor
 
 
 steps = st.integers(1, 4).flatmap(lambda k: st.sampled_from([(k, 0), (0, k), (k, k)]))
@@ -326,32 +335,214 @@ class TestRunningSumDivision:
         assert _division_outcome(LaurentPoly.__truediv__, numerator, d) == expected
 
     @pytest.mark.parametrize(
-        "divisor, walks",
+        "divisor, binomial",
         [
-            (ONE - U**3, 0),
-            (ONE - V**2, 0),
-            (ONE - UV, 0),
-            (monomial(1, 2, 1) - monomial(1, 3, 2), 0),
-            (ONE + UV, 1),
-            (UV - ONE, 1),
-            (2 - 2 * UV, 1),
-            (ONE - monomial(1, 1, -1), 1),
-            (V - U, 1),
-            ((ONE - UV) * (ONE - UV**2), 1),
+            (ONE - U**3, True),
+            (ONE - V**2, True),
+            (ONE - UV, True),
+            (monomial(1, 2, 1) - monomial(1, 3, 2), True),
+            (ONE + UV, False),
+            (UV - ONE, False),
+            (2 - 2 * UV, False),
+            (ONE - monomial(1, 1, -1), False),
+            (V - U, False),
+            ((ONE - UV) * (ONE - UV**2), False),
         ],
         ids=["1-u^3", "1-v^2", "1-uv", "content", "1+uv", "uv-1", "2-2uv", "1-u/v", "v-u", "product"],
     )
-    def test_heap_walk_only_off_the_binomial(self, monkeypatch, divisor, walks):
-        """A divisor 1 - m skips the heap walk; every other divisor takes it, once.
+    def test_heap_walk_only_off_the_binomial(self, monkeypatch, divisor, binomial):
+        """A divisor 1 - m takes the running sum at every size; any other the heap walk, then the packed route from PACKED_MIN_PAIRS.
 
         The quotient holds 1 - u, 1 - v and 1 - uv, so a numerator that took
         the running sum under the wrong binomial would still divide, wrongly.
+        The large one times a divisor fills its numerator's box, so the
+        packed route accepts it.
         """
-        quotient = (ONE - U) * (ONE - V) * (ONE - UV) * (ONE + 3 * U - monomial(2, -1, 4) + UV**5)
+        small = (ONE - U) * (ONE - V) * (ONE - UV)
+        large = small * (ONE + 3 * U - monomial(2, -1, 4) + UV**5) * ((ONE + U) * (ONE + V)) ** 5
+        routes = {name: _spy(monkeypatch, name) for name in ("_running_sum_quotient", "_packed_quotient", "_heap_quotient")}
+        for quotient, packs in ((small, False), (large, True)):
+            numerator = quotient * divisor
+            assert (len(numerator) * len(divisor) >= PACKED_MIN_PAIRS) == packs
+            assert numerator / divisor == quotient
+        running, packed, heap = routes.values()
+        if binomial:
+            assert (len(running), len(packed), len(heap)) == (2, 0, 0)
+        else:
+            assert (running, len(packed), len(heap)) == ([], 1, 1)
+            assert packed == [dict(large.terms())]
+
+
+def _reduced(terms: dict) -> tuple[dict, tuple[int, int]]:
+    """(``terms`` shifted to both exponent minima 0, the shift taken off)."""
+    a0, b0 = min(a for a, _ in terms), min(b for _, b in terms)
+    return {(a - a0, b - b0): c for (a, b), c in terms.items()}, (a0, b0)
+
+
+def _packed_and_heap(numerator: dict, divisor: dict) -> tuple:
+    """(``_packed_quotient``, ``_heap_quotient``) of ``numerator`` / ``divisor``, both moved back by the content."""
+    (rem, (pa, pb)), (div, (qa, qb)) = _reduced(numerator), _reduced(divisor)
+    shift = (pa - qa, pb - qb)
+    packed = _packed_quotient(rem, div, shift)
+    heap = {(a + shift[0], b + shift[1]): c for (a, b), c in _heap_quotient(dict(rem), dict(div)).items()}
+    return packed, heap
+
+
+# Divisor exponents in u alone, v alone or both.
+_AXES = {"u": (4, 0), "v": (0, 4), "uv": (3, 3)}
+
+
+@st.composite
+def packed_divisions(draw, sides=st.integers(0, 3), coeffs=coefficients) -> tuple[dict, dict]:
+    """(quotient, divisor): a dense quotient box of sides 1 + ``sides``, and a divisor of 1 to 5 terms in u alone, v alone or both.
+
+    Both are shifted by up to 5 either way, so they carry monomial content
+    and negative exponents.
+    """
+    height, width = draw(sides), draw(sides)
+    a0, b0 = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    size = (height + 1) * (width + 1)
+    values = draw(st.lists(coeffs, min_size=size, max_size=size))
+    quotient = {(a0 + i // (width + 1), b0 + i % (width + 1)): c for i, c in enumerate(values)}
+    a_max, b_max = _AXES[draw(st.sampled_from(sorted(_AXES)))]
+    exponents = draw(st.lists(st.tuples(st.integers(0, a_max), st.integers(0, b_max)), min_size=1, max_size=5, unique=True))
+    a1, b1 = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    divisor = {(a + a1, b + b1): draw(coeffs) for a, b in exponents}
+    return quotient, divisor
+
+
+class TestPackedQuotient:
+    """The Kronecker route ``_packed_quotient`` against the heap walk ``_heap_quotient``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_divisions(), st.booleans())
+    @example(({(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1}), True)  # (1 + v)(1 + u): the minor axis is u
+    @example(({(-3, 2): -(2**70), (-3, 3): 5}, {(4, -1): 2**65 + 1, (4, 0): -3, (5, 1): 7}), False)
+    @example(({(0, 0): 2**64 - 1, (1, 0): 1}, {(0, 0): 2**64 - 1, (0, 1): -(2**64) + 1}), True)
+    def test_matches_heap_walk(self, case, words):
+        """Equal quotients, or None; with ``words`` off every slot is read by byte slices."""
+        quotient, divisor = case
+        numerator = _dict_product(quotient, divisor)
+        with mock.patch.object(laurent, "_WORD_FORMATS", laurent._WORD_FORMATS if words else {}):
+            packed, heap = _packed_and_heap(numerator, divisor)
+        assert heap == quotient
+        assert packed is None or packed == heap
+
+    @pytest.mark.parametrize(
+        "magnitude, word, raw",
+        [(2, 1, 1), (2**6, 2, 2), (2**12, 4, 3), (2**40, 8, 6), (2**70, 10, 10)],
+        ids=["1-byte", "2-byte", "3-byte", "8-byte", "wider"],
+    )
+    @pytest.mark.parametrize("words", [True, False], ids=["words", "byte-slices"])
+    @pytest.mark.parametrize("axis", sorted(_AXES))
+    def test_every_slot_width(self, monkeypatch, magnitude, word, raw, words, axis):
+        """A 3 x 3 mixed-sign quotient over a divisor in u, v or both, with slots of 1, 2, 3 (4 as a word), 6 (8) and 10 bytes.
+
+        Every case is accepted: max|Q| stays below max|P|, so the certificate holds.
+        """
+        divisor = {"u": {(-2, 3): 1, (-1, 3): 2, (0, 3): -1}, "v": {(1, -1): 1, (1, 0): 2, (1, 1): -1}}.get(
+            axis, {(0, 0): 1, (1, 0): 1, (0, 1): -2, (1, 1): 1}
+        )
+        quotient = {(i // 3 - 1, i % 3 - 2): (-1) ** (i // 2) * (magnitude - i % 2) for i in range(9)}
+        widths, pack = [], laurent._pack
+
+        def spy(terms, a0, b0, strides, n, slots):
+            widths.append(n)
+            return pack(terms, a0, b0, strides, n, slots)
+
+        monkeypatch.setattr(laurent, "_pack", spy)
+        if not words:
+            monkeypatch.setattr(laurent, "_WORD_FORMATS", {})
+        packed, heap = _packed_and_heap(_dict_product(quotient, divisor), divisor)
+        assert packed == heap == quotient
+        assert widths == [word if words else raw] * 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(packed_divisions(sides=st.integers(6, 9), coeffs=st.integers(-9, 9).filter(bool)), nonzero_coeff_polys.filter(bool))
+    def test_non_divisible_messages_agree(self, case, r):
+        """Through ``__truediv__``, mostly past PACKED_MIN_PAIRS term pairs, the outcome is the heap walk's, message included."""
+        quotient, divisor = map(LaurentPoly, case)
+        numerator = quotient * divisor + r
+        expected = _division_outcome(_heap_divide, numerator, divisor)
+        assert _division_outcome(LaurentPoly.__truediv__, numerator, divisor) == expected
+
+    @pytest.mark.parametrize("n, magnitude, packs", [(5, 10**4, True), (23, 10**9, False)], ids=["e_5", "e_23"])
+    def test_divisor_of_many_slots_per_term_stays_on_heap_walk(self, monkeypatch, n, magnitude, packs):
+        """e_n = 1 + uv + ... + (uv)^(n-1) packs into (n - 1) W + n slots for n terms.
+
+        Over a 40 x 40 quotient, the ``divmod``'s byte products per term pair
+        stay below ``PACKED_DIV_COST`` for e_5 with 4-byte slots, and pass it
+        for e_23 with 8-byte slots (packed, that division was 2.7x the heap
+        walk).
+        """
+        quotient = LaurentPoly({(a, b): (-1) ** (a * b) * (magnitude + a - b) for a in range(40) for b in range(40)})
+        divisor = LaurentPoly({(i, i): 1 for i in range(n)})
         numerator = quotient * divisor
-        heap_results = _spy(monkeypatch, "_heap_quotient")
+        packed = _spy(monkeypatch, "_packed_quotient")
+        heap = mock.Mock(wraps=laurent._heap_quotient)
+        monkeypatch.setattr(laurent, "_heap_quotient", heap)
         assert numerator / divisor == quotient
-        assert len(heap_results) == walks
+        assert (packed[0] is not None, heap.call_count) == (packs, 0 if packs else 1)
+
+    def test_sparse_numerator_takes_heap_walk(self, monkeypatch):
+        """A numerator whose box far exceeds its term pairs with the divisor is refused and divided by the heap walk.
+
+        A 7 x 7 quotient box plus u^2000, over 1 + u - 2 u^2: past
+        PACKED_MIN_PAIRS term pairs, but packed into 14,021 slots for 192
+        term pairs.  The ``divmod`` would stay under ``PACKED_DIV_COST``, so
+        the box check alone refuses it.
+        """
+        quotient = LaurentPoly({(a, b): 1 + a - b for a in range(7) for b in range(7)}) + monomial(3, 2000, 0)
+        divisor = ONE + U - 2 * U**2
+        numerator = quotient * divisor
+        assert len(numerator) * len(divisor) >= PACKED_MIN_PAIRS
+        packed = _spy(monkeypatch, "_packed_quotient")
+        heap = mock.Mock(wraps=laurent._heap_quotient)
+        monkeypatch.setattr(laurent, "_heap_quotient", heap)
+        assert numerator / divisor == quotient
+        assert packed == [None] and heap.call_count == 1
+
+    def test_quotient_whose_product_carries_refused(self):
+        """An exact integer quotient inside the extent, but max|Q'| sum|d| >= B/2: the second check refuses it.
+
+        P = -1 - u + u^2 + 10 u^3 and D = 3 + u pack into 1-byte slots
+        (B = 256) and P(B) = 259 * 648021 exactly, whose balanced digits
+        spell Q' = 85 - 29 u + 10 u^2.  But Q' D = 255 - 2 u + u^2 + 10 u^3
+        carries 255 into the next slot, so it is not P, and D does not
+        divide P at all (P(-3) != 0).
+        """
+        numerator, divisor = {(0, 0): -1, (1, 0): -1, (2, 0): 1, (3, 0): 10}, {(0, 0): 3, (1, 0): 1}
+        assert divmod(-1 - 256 + 256**2 + 10 * 256**3, 259) == (85 - 29 * 256 + 10 * 256**2, 0)
+        assert _packed_quotient(numerator, divisor, (0, 0)) is None
+        with pytest.raises(NotDivisible):
+            _heap_quotient(numerator, divisor)
+
+    def test_certificate_failure_falls_back_to_heap_walk(self, monkeypatch):
+        """An exact integer quotient that spells no polynomial quotient goes to the heap walk, which raises.
+
+        The divisor is 1 + u, so u is the minor axis and W = 6 the
+        numerator's u-extent plus 1.  Q' fills u^0..u^5, one column past any
+        quotient's u^0..u^4.  The numerator is Q' (1 + u) with its u^6 column
+        moved to u^0 one row up, the slot it packs to: so P(B) = Q'(B) D(B)
+        and the ``divmod`` is exact, but the digits of u^5 lie outside the
+        quotient's extent.  P(-1, v) != 0, so 1 + u does not divide it.
+        """
+        columns = {(a, b): 1 + a + b for a in range(6) for b in range(12)}
+        folded = {}
+        for (a, b), c in _dict_product(columns, {(0, 0): 1, (1, 0): 1}).items():
+            key = (0, b + 1) if a == 6 else (a, b)
+            folded[key] = folded.get(key, 0) + c
+        numerator, divisor = LaurentPoly(folded), ONE + U
+        assert len(numerator) * len(divisor) >= PACKED_MIN_PAIRS
+        expected = _division_outcome(_heap_divide, numerator, divisor)
+        assert expected[0] == "NotDivisible"
+        packed, digits = _spy(monkeypatch, "_packed_quotient"), _spy(monkeypatch, "_balanced_digits")
+        heap = mock.Mock(wraps=laurent._heap_quotient)  # it raises, so a spy would record nothing
+        monkeypatch.setattr(laurent, "_heap_quotient", heap)
+        assert _division_outcome(LaurentPoly.__truediv__, numerator, divisor) == expected
+        assert packed == [None] and heap.call_count == 1
+        # the quotient's u^5 column, rows v^0..v^12 (v^12 empty): Q' itself
+        assert [row[5] for row in zip(*[iter(digits[0])] * 6)] == [1 + 5 + b for b in range(12)] + [0]
 
 
 class TestDivisionOracle:
