@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import triples, verify
-from .laurent import NotDivisible, UniPoly, _format_terms, _mono, _t_mono
+from .laurent import NotDivisible, _format_terms, _mono, _t_mono
 
 CACHE_ENV = "HODGETRIPLES_CACHE"
 SCHEMA_VERSION = 1
@@ -96,7 +96,7 @@ def _parse_range(text: str) -> list[int]:
 
 # -- target families ----------------------------------------------------------
 
-_Evaluation = tuple[triples.HodgeResult, Optional[int], Optional[UniPoly]]
+_Evaluation = tuple[triples.HodgeResult, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class _Family:
     chambers: Callable[[str, int, dict], Iterator[tuple[str, dict]]]
     """(cache key, params with the stability value) for each chamber of one degree choice."""
     evaluate: Callable[[str, int, dict], _Evaluation]
-    """(result, chamber index d0, Poincare polynomial or None for the diagonal) of one request."""
+    """(result, chamber index d0) of one request."""
 
 
 def _triple_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict]]:
@@ -128,8 +128,7 @@ def _triple_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, d
 def _triple_evaluate(target: str, g: int, params: dict) -> _Evaluation:
     spec, sigma = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"]), params["sigma"]
     result = triples.hodge_triples_closed(spec, sigma)
-    d0 = None if result.is_empty else triples.chamber_d0(spec, sigma)
-    return result, d0, None
+    return result, None if result.is_empty else triples.chamber_d0(spec, sigma)
 
 
 def _pair_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict]]:
@@ -139,12 +138,9 @@ def _pair_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dic
 
 
 def _pair_evaluate(target: str, g: int, params: dict) -> _Evaluation:
-    d, tau, fixed = params["degree"], params["tau"], target == "pair-fixed"
-    result = triples.hodge_pairs(g, d, tau, fixed_det=fixed)
+    d, tau = params["degree"], params["tau"]
     fl = triples.pair_chamber(d, tau)
-    d0 = None if fl is None else fl + 1
-    poincare = triples.poincare_pairs_fixed_det_thaddeus(g, d, tau) if fixed else None
-    return result, d0, poincare
+    return triples.hodge_pairs(g, d, tau, fixed_det=target == "pair-fixed"), None if fl is None else fl + 1
 
 
 def _bundle_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict]]:
@@ -153,7 +149,7 @@ def _bundle_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, d
 
 
 def _bundle_evaluate(target: str, g: int, params: dict) -> _Evaluation:
-    return triples.hodge_bundles_odd(g, params["degree"], fixed_det=target == "bundle-fixed"), None, None
+    return triples.hodge_bundles_odd(g, params["degree"], fixed_det=target == "bundle-fixed"), None
 
 
 _FAMILIES = (
@@ -166,7 +162,10 @@ TARGETS = tuple(_FAMILY_OF)
 
 
 def _require(args: argparse.Namespace, names: Sequence[str], ranges: bool) -> None:
-    """Refuse a request that lacks one of the options ``names``."""
+    """Refuse a request that lacks one of the target's options ``names`` or gives one it does not take."""
+    for name in ("d1", "d2", "degree", "sigma", "tau"):
+        if name not in names and getattr(args, name, None) is not None:
+            raise UserError(f"{args.target} target does not take --{name}")
     if all(getattr(args, name) is not None for name in names):
         return
     flags = [f"--{name}" for name in names]
@@ -180,15 +179,15 @@ def _compute_record(target: str, g: int, params: dict) -> str:
     """Evaluate one target; its record, with the request echo, as compact JSON text.
 
     The text is built directly from the result's terms in canonical order
-    and from its diagonal, never through a dict.  It must stay byte for byte
-    what ``_dump_json`` gives for the record
-    {"request": ..., "dim": ..., "terms": [{"u", "v", "c"}, ...],
+    and from their diagonal, the ``poincare`` list of every target, never
+    through a dict.  It must stay byte for byte what ``_dump_json`` gives for
+    the record {"request": ..., "dim": ..., "terms": [{"u", "v", "c"}, ...],
     "poincare": [{"t", "c"}, ...]}: no whitespace, keys in that order,
     coefficients as decimal strings, ``null`` for the d0 and dim of an empty
     space.  Only the request echo and dim go through ``_dump_json``.
     """
     family = _FAMILY_OF[target]
-    result, d0, poincare = family.evaluate(target, g, params)
+    result, d0 = family.evaluate(target, g, params)
     request = {"target": target, "genus": g}
     if family.ranked:
         request["rank"] = f"{params['rank'][0]},{params['rank'][1]}"
@@ -196,9 +195,8 @@ def _compute_record(target: str, g: int, params: dict) -> str:
     if family.stability:
         request[family.stability] = str(params[family.stability])
         request["d0"] = d0
-    diagonal = result.poly.diagonal() if poincare is None else poincare
     terms = ",".join(f'{{"u":{a},"v":{b},"c":"{c}"}}' for (a, b), c in result.poly.terms())
-    diagonal_terms = ",".join(f'{{"t":{k},"c":"{c}"}}' for k, c in diagonal.terms())
+    diagonal_terms = ",".join(f'{{"t":{k},"c":"{c}"}}' for k, c in result.poly.diagonal().terms())
     return (
         f'{{"request":{_dump_json(request)},"dim":{_dump_json(result.complex_dim)},'
         f'"terms":[{terms}],"poincare":[{diagonal_terms}]}}'
@@ -264,8 +262,8 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
         print(f"  sigma_c = {sigma_c}  d_M = {d_m}{note}")
     print("chambers:")
     bounds = triples.chamber_bounds(spec)
-    for lo, hi in zip(bounds, bounds[1:]):
-        print(f"  ({lo}, {hi}): representative sigma = {(lo + hi) / 2}")
+    for lo, hi, sigma in zip(bounds, bounds[1:], triples.chamber_representatives(spec)):
+        print(f"  ({lo}, {hi}): representative sigma = {sigma}")
     return 0
 
 
@@ -482,7 +480,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checks = tuple(name for chunk in args.checks for name in chunk.split(",") if name)
     g_values, d2_values = tuple(_parse_range(args.g)), tuple(_parse_range(args.d2))
     d1_values = tuple(_parse_range(args.d1)) if args.d1 is not None else None
-    d1_count = len(d1_values) if d1_values is not None else 8  # VerifyGrid's default: eight d1 values per d2
+    d1_count = len(d1_values) if d1_values is not None else verify._D1_WINDOW
     _check_choices("verify", len(g_values) * len(d2_values) * d1_count)
     grid = verify.VerifyGrid(g_values, d2_values, d1_values, checks, args.seed)
     reports = verify.run_suite(grid)
@@ -536,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("verify", help="run the invariant suite")
     check.add_argument("--g", default="2..3", help='genus range, e.g. "2..3"')
-    check.add_argument("--d1", help="d1 range (default: 2*d2+1 .. 2*d2+8 per d2)")
+    check.add_argument("--d1", help=f"d1 range (default: 2*d2+1 .. 2*d2+{verify._D1_WINDOW} per d2)")
     check.add_argument("--d2", default="-2..0", help="d2 range")
     check.add_argument("--checks", action="append", help="comma-separated check names (default: all)")
     check.add_argument("--seed", type=int, default=0)

@@ -33,6 +33,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from . import blocks, triples
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, monomial
 
+_D1_WINDOW = 8  # d1 values per d2 in a grid without ``d1_values``; ``cli`` counts them before building one
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -56,8 +58,7 @@ class CheckReport:
 class VerifyGrid:
     """Parameter grid for a verification run.
 
-    When ``d1_values`` is omitted, each d2 gets d1 = 2 d2 + 1, ..., 2 d2 + 8
-    (one representative family per pair degree 1..8).
+    Without ``d1_values``, each d2 gets d1 = 2 d2 + 1, ..., 2 d2 + _D1_WINDOW, one family per pair degree.
     """
 
     g_values: tuple[int, ...] = (2, 3)
@@ -77,7 +78,7 @@ class VerifyGrid:
     def points(self) -> Iterator[tuple[int, int, int]]:
         for g in sorted(self.g_values):
             for d2 in sorted(self.d2_values):
-                d1s = self.d1_values if self.d1_values is not None else range(2 * d2 + 1, 2 * d2 + 9)
+                d1s = self.d1_values if self.d1_values is not None else range(2 * d2 + 1, 2 * d2 + 1 + _D1_WINDOW)
                 for d1 in sorted(d1s):
                     yield g, d1, d2
 

@@ -143,6 +143,41 @@ class TestChambers:
         assert "sigma_c = 2  d_M = 2  (= sigma_m)" in out
 
 
+class TestOptions:
+    @pytest.mark.parametrize("argv, option", [
+        (("compute", "bundle", "--genus", "2", "--degree", "1", "--sigma", "3"), "sigma"),
+        (("compute", "pair", "--genus", "2", "--degree", "3", "--tau", "7/4", "--d1", "9"), "d1"),
+        (("table", "--target", "bundle", "--genus", "2", "--degree", "1", "--d1", "3"), "d1"),
+    ], ids=["compute-bundle-sigma", "compute-pair-d1", "table-bundle-d1"])  # fmt: skip
+    def test_option_the_target_does_not_take_refused(self, capsys, argv, option):
+        target = argv[1] if argv[0] == "compute" else argv[2]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {target} target does not take --{option}\n")
+
+
+class TestPoincare:
+    @pytest.mark.parametrize("argv", [
+        ("table", "--target", "pair-fixed", "--genus", "2..3", "--degree", "1..6", "--poincare"),
+        ("compute", "pair-fixed", "--genus", "3", "--degree", "5", "--tau", "7/2", "--poincare", "--format", "json"),
+    ], ids=["table", "compute"])  # fmt: skip
+    def test_pair_fixed_poincare_is_diagonal_of_terms(self, capsys, monkeypatch, argv):
+        """Every record's poincare list is its terms summed by u + v, zero sums dropped; Thaddeus's formula is not run."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("records take their Poincare polynomial from the diagonal of their terms")
+
+        monkeypatch.setattr(triples, "poincare_pairs_fixed_det_thaddeus", never)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records and all(rec["terms"] for rec in records)
+        for rec in records:
+            sums: dict[int, int] = {}
+            for t in rec["terms"]:
+                sums[t["u"] + t["v"]] = sums.get(t["u"] + t["v"], 0) + int(t["c"])
+            assert rec["poincare"] == [{"t": k, "c": str(c)} for k, c in sorted(sums.items()) if c]
+
+
 class TestTable:
     def test_latex_bundle_rows(self, capsys):
         code, out, err = run(capsys, "table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1..3", "--format", "latex")
@@ -504,14 +539,16 @@ class TestVerifyCommand:
         assert code == 2
         assert out == "" and err == "error: check list must be nonempty\n"
 
-    @pytest.mark.parametrize("options, choices", [
-        (("--g", "2..3", "--d1", "1..9999", "--d2=-9999..0"), 2 * 9999 * 10000),
-        (("--g", "2..3", "--d2=-625..0"), 2 * 626 * 8),  # eight default d1 values per d2
-    ], ids=["d1-range", "default-d1"])
-    def test_oversized_grid_refused(self, capsys, monkeypatch, options, choices):
+    @pytest.mark.parametrize("options, window, choices", [
+        (("--g", "2..3", "--d1", "1..9999", "--d2=-9999..0"), 8, 2 * 9999 * 10000),
+        (("--g", "2..3", "--d2=-625..0"), 8, 2 * 626 * 8),  # eight default d1 values per d2
+        (("--g", "2..3", "--d2=-1..0"), 10_000, 2 * 2 * 10_000),  # the cli counts verify's own window
+    ], ids=["d1-range", "default-d1", "wide-default-window"])
+    def test_oversized_grid_refused(self, capsys, monkeypatch, options, window, choices):
         def never(*args, **kwargs):
             raise AssertionError("an oversized grid must be refused before it is built")
 
+        monkeypatch.setattr(cli.verify, "_D1_WINDOW", window)
         monkeypatch.setattr(cli.verify, "VerifyGrid", never)
         monkeypatch.setattr(cli.verify, "run_suite", never)
         code, out, err = run(capsys, "verify", *options)
