@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -50,7 +51,10 @@ class UserError(Exception):
     """Invalid request; reported on stderr with exit code 2."""
 
 
-def _parse_rank(text: str) -> tuple[int, int]:
+def _parse_rank(text: Optional[str]) -> tuple[int, int]:
+    """The rank pair of ``--rank``; (2,1) when the option is not given."""
+    if text is None:
+        return (2, 1)
     parts = text.replace("(", "").replace(")", "").split(",")
     if len(parts) == 2:
         try:
@@ -161,10 +165,17 @@ _FAMILY_OF = {target: family for family in _FAMILIES for target in family.target
 TARGETS = tuple(_FAMILY_OF)
 
 
-def _require(args: argparse.Namespace, names: Sequence[str], ranges: bool) -> None:
-    """Refuse a request that lacks one of the target's options ``names`` or gives one it does not take."""
-    for name in ("d1", "d2", "degree", "sigma", "tau"):
-        if name not in names and getattr(args, name, None) is not None:
+def _require(args: argparse.Namespace, family: _Family, ranges: bool) -> None:
+    """Refuse a request that lacks an option the target needs or gives one it does not take.
+
+    ``compute`` needs the degrees and the stability value; ``table`` takes
+    degree ranges and enumerates the stability values itself.  ``--rank``
+    is optional, and only triples take it.
+    """
+    names = family.degrees if ranges or not family.stability else (*family.degrees, family.stability)
+    takes = (*names, "rank") if family.ranked else names
+    for name in ("rank", "d1", "d2", "degree", "sigma", "tau"):
+        if name not in takes and getattr(args, name, None) is not None:
             raise UserError(f"{args.target} target does not take --{name}")
     if all(getattr(args, name) is not None for name in names):
         return
@@ -228,7 +239,7 @@ def _record_text(rec: dict, poincare: bool) -> str:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     family = _FAMILY_OF[args.target]
-    _require(args, family.degrees + ((family.stability,) if family.stability else ()), ranges=False)
+    _require(args, family, ranges=False)
     params: dict = {"rank": _parse_rank(args.rank)} if family.ranked else {}
     params.update((name, getattr(args, name)) for name in family.degrees)
     if family.stability:
@@ -274,7 +285,7 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
     """(cache key, genus, params) for every (parameter, chamber) pair, in canonical order."""
     family = _FAMILY_OF[args.target]
     genera = _parse_range(args.genus)
-    _require(args, family.degrees, ranges=True)
+    _require(args, family, ranges=True)
     fixed = {"rank": _parse_rank(args.rank)} if family.ranked else {}
     ranges = [_parse_range(getattr(args, name)) for name in family.degrees]
     _check_choices("table", math.prod(map(len, ranges), start=len(genera)))
@@ -287,70 +298,82 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
     return rows
 
 
-def _not_an_integer(text: str):
-    raise ValueError(f"{text} is not an integer")
-
-
 _CACHE_HEAD = f'{{"schema_version":{SCHEMA_VERSION},"formula_revision":'
-# Every number in a cache line is an integer; one spelled as a float, NaN or Infinity fails to decode.
-_DECODER = json.JSONDecoder(parse_float=_not_an_integer, parse_constant=_not_an_integer)
-# JSON whitespace but the line's closing newline, and the escape character:
-# a line holding one is spelled otherwise than ``_save_cache`` writes it.
-_RESPELLED = " \t\r\\"
-# A record's keys in the order ``_compute_record`` writes them, and the text opening the last.
-_RECORD_KEYS = ["request", "dim", "terms", "poincare"]
-_POINCARE = ',"poincare":'
+_POINCARE = ',"poincare":'  # the text opening a record's last key, where ``_json_record`` cuts
+
+# The grammar of a cache line: exactly what ``_save_cache`` writes around the
+# record text of ``_compute_record``.  Integers are spelled as ``str`` spells
+# an int: no leading zero, no "-0", no "+".
+_NAT = "(?!0[0-9])[0-9]+"  # the lookahead runs faster in ``re`` than the alternation of ``_INT``
+_INT = "(?:0|-?[1-9][0-9]*)"
+_RATIONAL = f"{_INT}(?:/[1-9][0-9]*)?[+-]?"  # a stability value as ``StabilityValue.__str__`` spells it
+_COEFF = '"-?[1-9][0-9]*"'  # a nonzero coefficient, as a decimal string
+# a target, then its rank (21 or 12) and its name=integer fields, colon-separated
+_KEY = f"[a-z-]+(?::(?:21|12|[a-z][a-z0-9]*={_INT}))*"
+
+
+def _request_grammar(family: _Family) -> str:
+    """The request echo ``_compute_record`` writes for the family's targets, braces excluded."""
+    grammar = f'"target":"(?:{"|".join(family.targets)})","genus":{_NAT}'
+    if family.ranked:
+        grammar += ',"rank":"(?:2,1|1,2)"'
+    grammar += "".join(f',"{name}":{_INT}' for name in family.degrees)
+    if family.stability:
+        grammar += f',"{family.stability}":"{_RATIONAL}","d0":(?:{_INT}|null)'
+    return grammar
+
+
+def _list_grammar(item: str) -> str:
+    return rf"\[(?:{item}(?:,{item})*)?\]"
+
+
+_REQUEST = "|".join(map(_request_grammar, _FAMILIES))
+_TERMS = _list_grammar(rf'\{{"u":{_NAT},"v":{_NAT},"c":{_COEFF}\}}')
+_DIAGONAL = _list_grammar(rf'\{{"t":{_NAT},"c":{_COEFF}\}}')
+# No possessive quantifier or atomic group (Python 3.11 and up): every choice
+# is settled within a few characters, so a match takes time linear in the line.
+_CACHE_LINE = re.compile(
+    (
+        re.escape(_CACHE_HEAD) + rf'({_NAT}),"key":"({_KEY})","record":'
+        rf'(\{{"request":\{{(?:{_REQUEST})\}},"dim":(?:{_NAT}|null),"terms":{_TERMS},"poincare":{_DIAGONAL}\}})'
+        r"\}\n?"
+    ).encode("ascii")
+)
 
 
 def _cache_line(line: bytes) -> Optional[tuple[int, str, str]]:
     """(formula revision, key, record text) of a line spelled as ``_save_cache`` writes it, else None.
 
-    The line must be ASCII with no whitespace, backslash or "-0", open with
-    ``_CACHE_HEAD`` and hold the revision, ``"key"`` and ``"record"`` in that
-    order, the record closing the line.  No written integer or string holds
-    "-0", but an integer spelled -0 decodes to 0 and would be served as
-    spelled; one search in C finds it, where a ``parse_int`` hook would call
-    Python per integer.  The record's keys must be the ``_RECORD_KEYS`` in
-    order, with "poincare" nowhere else, so there is no other
-    ``,"poincare":`` to cut at.  Its text is the slice of the line it was
-    parsed from.
+    The line must match ``_CACHE_LINE`` whole: the head
+    ``{"schema_version":1,"formula_revision":N,"key":"...","record":`` and a
+    record with the keys ``request``, ``dim``, ``terms`` and ``poincare`` in
+    that order, closing the line.  The request echoes the target, genus,
+    rank (triples only), degrees, and the stability value with its chamber
+    index d0 (an integer or ``null``); ``dim`` is a natural number or
+    ``null``; each term is ``{"u":a,"v":b,"c":"k"}`` and each ``poincare``
+    entry ``{"t":k,"c":"k"}``, with k a nonzero decimal.  So a line holding
+    whitespace, an escape, a float, "-0", a reordered or extra key, a value
+    of another shape or a byte outside ASCII is refused, and ``_POINCARE``
+    occurs once.  Nothing is decoded as JSON: the record text is the slice
+    of the line its group matched.
     """
-    try:
-        # a line as file iteration splits it, so a newline can only close it;
-        # it is not stripped, as that would copy the line
-        text = line.decode("ascii")
-        if any(c in text for c in _RESPELLED):
-            return None
-        # rfind: CPython's reverse search tests the rare "-" first, in half the time of ``in``
-        if text.rfind("-0") >= 0:
-            return None
-        values, end = [], 0
-        for head in (_CACHE_HEAD, ',"key":', ',"record":'):
-            if not text.startswith(head, end):
-                return None
-            start = end + len(head)
-            value, end = _DECODER.raw_decode(text, start)
-            values.append(value)
-    except ValueError:
+    match = _CACHE_LINE.fullmatch(line)
+    if match is None:
         return None
-    revision, key, record = values
-    body = text[start:end]
-    if type(revision) is int and isinstance(key, str) and isinstance(record, dict) and text[end:] in ("}", "}\n"):
-        if list(record) == _RECORD_KEYS and body.count("poincare") == 1:
-            return revision, key, body
-    return None
+    revision, key, record = match.groups()
+    return int(revision), key.decode("ascii"), record.decode("ascii")
 
 
 def _load_cache(path: str) -> tuple[dict[str, str], bool]:
     """(JSON text of each record by key, whether the file needs rewriting).
 
-    Each line is read on its own by ``_cache_line``, so a bad line (truncated,
-    not ASCII, not JSON, another schema or record shape, or spelled otherwise
-    than ``_save_cache`` writes it, as a line without a revision stamp is) is
-    dropped and counted, the rest kept.  A line of another formula revision is
-    dropped too, so its record is recomputed by the current code.  Records are
-    held as their JSON text, not as parsed dicts, so a large table holds a few
-    bytes per term.
+    Each line is matched on its own against the grammar of ``_cache_line``,
+    so a bad line (truncated, another schema, a record of another shape, or
+    any spelling other than the one ``_save_cache`` writes, as a line without
+    a revision stamp has) is dropped and counted, the rest kept.  A line of
+    another formula revision is dropped too, so its record is recomputed by
+    the current code.  Records are held as their JSON text, never decoded
+    here, so a large table holds a few bytes per term.
     """
     cache: dict[str, str] = {}
     if not path or not os.path.exists(path):
@@ -503,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="compute a single Hodge polynomial")
     compute.add_argument("target", choices=TARGETS)
     compute.add_argument("--genus", type=int, required=True)
-    compute.add_argument("--rank", default="2,1", help="rank pair for triples: 2,1 or 1,2")
+    compute.add_argument("--rank", help="rank pair for triples: 2,1 (the default) or 1,2")
     compute.add_argument("--d1", type=int)
     compute.add_argument("--d2", type=int)
     compute.add_argument("--degree", type=int)
@@ -515,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chambers = sub.add_parser("chambers", help="list walls and chambers of a triple family")
     chambers.add_argument("--genus", type=int, required=True)
-    chambers.add_argument("--rank", default="2,1")
+    chambers.add_argument("--rank", help="2,1 (the default) or 1,2")
     chambers.add_argument("--d1", type=int, required=True)
     chambers.add_argument("--d2", type=int, required=True)
     chambers.set_defaults(func=_cmd_chambers)
@@ -523,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="batch tables over parameter ranges")
     table.add_argument("--target", choices=TARGETS, required=True)
     table.add_argument("--genus", required=True, help='range, e.g. "2" or "2..4"')
-    table.add_argument("--rank", default="2,1")
+    table.add_argument("--rank", help="rank pair for triples: 2,1 (the default) or 1,2")
     table.add_argument("--d1", help='range, e.g. "1..8"')
     table.add_argument("--d2", help='range; write negative ranges as --d2=-2..0')
     table.add_argument("--degree", help='range, e.g. "1..5:2" (bundles skip even degrees)')

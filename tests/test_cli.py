@@ -2,6 +2,7 @@ import builtins
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,11 +149,22 @@ class TestOptions:
         (("compute", "bundle", "--genus", "2", "--degree", "1", "--sigma", "3"), "sigma"),
         (("compute", "pair", "--genus", "2", "--degree", "3", "--tau", "7/4", "--d1", "9"), "d1"),
         (("table", "--target", "bundle", "--genus", "2", "--degree", "1", "--d1", "3"), "d1"),
-    ], ids=["compute-bundle-sigma", "compute-pair-d1", "table-bundle-d1"])  # fmt: skip
+        (("compute", "pair", "--genus", "2", "--degree", "1", "--tau", "3/4", "--rank", "garbage"), "rank"),
+        (("table", "--target", "bundle", "--genus", "2", "--degree", "1", "--rank", "2,1"), "rank"),
+    ], ids=["compute-bundle-sigma", "compute-pair-d1", "table-bundle-d1", "compute-pair-rank", "table-bundle-rank"])  # fmt: skip
     def test_option_the_target_does_not_take_refused(self, capsys, argv, option):
         target = argv[1] if argv[0] == "compute" else argv[2]
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {target} target does not take --{option}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "triple", "--genus", "2", "--d1", "5", "--d2", "0", "--sigma", "7+", "--format", "json"),
+        ("chambers", "--genus", "2", "--d1", "5", "--d2", "0"),
+        ("table", *TRIPLE_21),
+    ], ids=["compute", "chambers", "table"])  # fmt: skip
+    def test_triples_default_to_rank_21(self, capsys, argv):
+        default = run(capsys, *argv)
+        assert default[0] == 0 and default == run(capsys, *argv, "--rank", "2,1")
 
 
 class TestPoincare:
@@ -267,6 +279,64 @@ class TestTable:
         assert (code, out) == (0, cold[1]) and len(computed) == 3
         assert "corrupt: dropped 3 bad line(s), kept 1 record(s)" in err
         assert cache.read_text(encoding="utf-8") == written
+
+    @pytest.mark.parametrize("options", FORMATS.values(), ids=FORMATS)
+    def test_misshapen_values_dropped(self, capsys, tmp_path, monkeypatch, options):
+        """Lines with the written keys in order but values of another shape are dropped, never served."""
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "bundle-fixed", "--genus", "2..3", "--degree", "1..5", *options, "--cache", str(cache)]
+        cold = run(capsys, *argv)
+        written = cache.read_text(encoding="utf-8")
+        lines = written.splitlines()
+        assert len(lines) == 6 and all('"terms":[{"u":0,"v":0,"c":"1"},' in line for line in lines)
+        first_term, dim = '{"u":0,"v":0,"c":"1"}', re.compile(r'"dim":(\d+),')
+        lines[0] = re.sub(r'"terms":\[.*?\]', '"terms":"x"', lines[0])
+        lines[1] = lines[1].replace(first_term, '{"u":0,"v":0,"c":"1","w":0}')  # a fourth key
+        lines[2] = lines[2].replace(first_term, '{"u":0,"v":0,"c":"01"}')  # a leading zero
+        lines[3] = lines[3].replace(first_term, '{"u":0,"v":0,"c":1}')  # a number, not a decimal string
+        lines[4] = dim.sub(r'"dim":"\1",', lines[4])
+        lines[5] = lines[5].replace('"poincare":[{"t":0,', '"poincare":[{"t":0,"u":0,')
+        assert len(set(lines) - set(written.splitlines())) == 6
+        assert all(json.loads(line)["record"] for line in lines)  # each still a JSON record
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (0, cold[1]) and len(computed) == 6
+        assert "corrupt: dropped 6 bad line(s), kept 0 record(s)" in err
+        assert cache.read_text(encoding="utf-8") == written
+
+    @pytest.mark.parametrize("options, negative_d0", [
+        (("--target", "triple", "--genus", "2", "--d1=-3..8", "--d2=-2..0"), True),
+        (("--target", "triple", "--rank", "1,2", "--genus", "2", "--d1=-3..8", "--d2=-2..0"), False),
+        (("--target", "pair", "--genus", "2..3", "--degree", "1..6"), False),
+        (("--target", "pair-fixed", "--genus", "2..3", "--degree", "1..6"), False),
+        (("--target", "bundle", "--genus", "2..3", "--degree", "1..7"), False),
+        (("--target", "bundle-fixed", "--genus", "2..3", "--degree", "1..7"), False),
+    ], ids=["triple", "triple12", "pair", "pair-fixed", "bundle", "bundle-fixed"])  # fmt: skip
+    def test_every_written_line_reads_back(self, capsys, tmp_path, options, negative_d0):
+        """Each line ``_save_cache`` writes is read back, with no warning, and warm output equals cold in every format."""
+        cache = tmp_path / "records.jsonl"
+        colds = {name: run(capsys, "table", *options, *fmt) for name, fmt in FORMATS.items()}
+        assert run(capsys, "table", *options, "--cache", str(cache)) == colds["json-lines"]
+        lines = cache.read_bytes().splitlines(keepends=True)
+        assert len(lines) == colds["json-lines"][1].count("\n") > 0
+        assert None not in map(cli._cache_line, lines)
+        records, stale = cli._load_cache(str(cache))
+        assert (len(records), stale) == (len(lines), False)
+        assert any(b":d0=-1" in line and b'"d0":-1}' in line for line in lines) == negative_d0
+        for name, fmt in FORMATS.items():
+            assert run(capsys, "table", *options, *fmt, "--cache", str(cache)) == colds[name] and colds[name][2] == ""
+
+    def test_empty_record_reads_back(self, capsys, tmp_path):
+        """A record of an empty space, null d0 and dim and no terms, which ``compute`` writes, is read back whole."""
+        cache = tmp_path / "records.jsonl"
+        text = (GOLDEN / "compute_triple_empty_json_poincare.txt").read_text(encoding="utf-8").rstrip("\n")
+        assert '"d0":null},"dim":null,"terms":[],"poincare":[]}' in text
+        cli._save_cache(str(cache), {"triple:21:g=2:d1=5:d2=0:d0=12": text})
+        assert capsys.readouterr() == ("", "")
+        assert cli._load_cache(str(cache)) == ({"triple:21:g=2:d1=5:d2=0:d0=12": text}, False)
 
     def test_cache_lines_are_compact_json(self, capsys, tmp_path):
         cache = tmp_path / "records.jsonl"

@@ -8,6 +8,7 @@ is the count the current code measures; lower it when a change cuts the cost.
 import contextlib
 import io
 import itertools
+import json
 import random
 
 import pytest
@@ -100,6 +101,43 @@ def test_cold_table_cost_pinned(monkeypatch):
     assert heap_walks[0] == 0
     assert multiplies <= 928
     assert term_pairs <= 131064
+
+
+@pytest.mark.parametrize("fmt, decodes_per_record", [("json-lines", 0), ("csv", 1), ("latex", 1)])
+def test_warm_table_decodes_pinned(monkeypatch, tmp_path, fmt, decodes_per_record):
+    """A warm table checks its cache lines against a grammar and decodes no JSON to read them.
+
+    JSON lines print each held record text as it is, with no decoder at
+    all; csv and latex decode each record once, to format it.  Reading a
+    line by a full decode, as an earlier reader did, took three more per
+    line: the revision, the key and the record.
+    """
+    cache = tmp_path / "records.jsonl"
+    argv = ["table", "--target", "triple", "--genus", "2", "--d1", "1..6", "--d2=-1..0", "--poincare"]
+    argv += ["--format", fmt, "--cache", str(cache)]
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    with contextlib.redirect_stdout(io.StringIO()) as cold:
+        assert cli.main(argv) == 0
+    records = cache.read_text(encoding="utf-8").count("\n")
+    assert records == 30
+    decodes = [0]
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counted(self, *args, **kwargs):
+        decodes[0] += 1
+        return raw_decode(self, *args, **kwargs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a warm json-lines table decodes no JSON")
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted if decodes_per_record else never)
+    if not decodes_per_record:
+        monkeypatch.setattr(json, "loads", never)
+    with contextlib.redirect_stdout(io.StringIO()) as warm, contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(argv) == 0
+    monkeypatch.undo()
+    assert (warm.getvalue(), err.getvalue()) == (cold.getvalue(), "")
+    assert decodes[0] == decodes_per_record * records
 
 
 def _flip_calls(monkeypatch, queries) -> int:

@@ -410,6 +410,33 @@ class TestThaddeusPoincare:
             assert fixed.poly.diagonal() == poincare_pairs_fixed_det_thaddeus(g, d, tau)
 
 
+class TestThaddeusAnchors:
+    """Pair spaces that Thaddeus identifies geometrically; no formula of the package produces these values.
+
+    M. Thaddeus, "Stable pairs, linear systems and the Verlinde formula",
+    Invent. Math. 117 (1994).
+    """
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_top_chamber_is_projective_space(self, g):
+        """In the last chamber below d, M_tau(2, Lambda) = P(H^1(Lambda^(-1))) = P^(d+g-2)."""
+        for d in range(1, 30):
+            tau = pair_chamber_representatives(d)[-1]
+            fixed = hodge_pairs(g, d, tau, fixed_det=True)
+            assert (fixed.poly, fixed.complex_dim) == (proj_space(d + g - 1), d + g - 2), d
+            assert hodge_pairs(g, d, tau).poly == jacobian(g) * proj_space(d + g - 1), d
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_bottom_chamber_is_projective_bundle(self, g):
+        """For odd d >= 4g - 3 and tau = d/2+, M_tau(2, Lambda) = P(H^0(E)), a P^(d+1-2g) bundle over M(2, Lambda)."""
+        for d in range(4 * g - 3, 30, 2):
+            tau = pair_chamber_representatives(d)[0]
+            pair = hodge_pairs(g, d, tau, fixed_det=True)
+            bundles = hodge_bundles_odd(g, d, fixed_det=True)
+            assert pair.poly == bundles.poly * proj_space(d + 2 - 2 * g), d
+            assert pair.complex_dim == bundles.complex_dim + d + 1 - 2 * g, d
+
+
 class TestBundles:
     def test_fixed_determinant_genus2(self):
         res = hodge_bundles_odd(2, 1, fixed_det=True)
