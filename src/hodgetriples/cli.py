@@ -115,18 +115,18 @@ class _Family:
     ranked: bool  # takes --rank
     degrees: tuple[str, ...]  # integers for compute, ranges for table
     stability: Optional[str]  # the stability option; table enumerates one value per chamber
-    chambers: Callable[[str, int, dict], Iterator[tuple[str, dict]]]
-    """(cache key, params with the stability value) for each chamber of one degree choice."""
+    chambers: Callable[[str, int, dict], Iterator[tuple[str, dict, Optional[int]]]]
+    """(cache key, params with the stability value, chamber index d0) for each chamber of one degree choice."""
     evaluate: Callable[[str, int, dict], _Evaluation]
     """(result, chamber index d0) of one request."""
 
 
-def _triple_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict]]:
+def _triple_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict, Optional[int]]]:
     spec = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
     for sigma in triples.chamber_representatives(spec):
         d0 = triples.chamber_d0(spec, sigma)
         key = f"{target}:{spec.rank_pair[0]}{spec.rank_pair[1]}:g={g}:d1={spec.d1}:d2={spec.d2}:d0={d0}"
-        yield key, {**params, "sigma": sigma}
+        yield key, {**params, "sigma": sigma}, d0
 
 
 def _triple_evaluate(target: str, g: int, params: dict) -> _Evaluation:
@@ -135,10 +135,11 @@ def _triple_evaluate(target: str, g: int, params: dict) -> _Evaluation:
     return result, None if result.is_empty else triples.chamber_d0(spec, sigma)
 
 
-def _pair_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict]]:
+def _pair_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict, Optional[int]]]:
     d = params["degree"]
     for tau in triples.pair_chamber_representatives(d):
-        yield f"{target}:g={g}:d={d}:d0={triples.pair_chamber(d, tau) + 1}", {**params, "tau": tau}
+        d0 = triples.pair_chamber(d, tau) + 1
+        yield f"{target}:g={g}:d={d}:d0={d0}", {**params, "tau": tau}, d0
 
 
 def _pair_evaluate(target: str, g: int, params: dict) -> _Evaluation:
@@ -147,9 +148,9 @@ def _pair_evaluate(target: str, g: int, params: dict) -> _Evaluation:
     return triples.hodge_pairs(g, d, tau, fixed_det=target == "pair-fixed"), None if fl is None else fl + 1
 
 
-def _bundle_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict]]:
+def _bundle_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict, Optional[int]]]:
     if params["degree"] % 2:  # the closed forms cover odd degree only
-        yield f"{target}:g={g}:d={params['degree']}", params
+        yield f"{target}:g={g}:d={params['degree']}", params, None
 
 
 def _bundle_evaluate(target: str, g: int, params: dict) -> _Evaluation:
@@ -197,8 +198,18 @@ def _compute_record(target: str, g: int, params: dict) -> str:
     coefficients as decimal strings, ``null`` for the d0 and dim of an empty
     space.  Only the request echo and dim go through ``_dump_json``.
     """
+    result, d0 = _FAMILY_OF[target].evaluate(target, g, params)
+    terms = ",".join(f'{{"u":{a},"v":{b},"c":"{c}"}}' for (a, b), c in result.poly.terms())
+    diagonal_terms = ",".join(f'{{"t":{k},"c":"{c}"}}' for k, c in result.poly.diagonal().terms())
+    return (
+        f'{_request_echo(target, g, params, d0)}"dim":{_dump_json(result.complex_dim)},'
+        f'"terms":[{terms}],"poincare":[{diagonal_terms}]}}'
+    )
+
+
+def _request_echo(target: str, g: int, params: dict, d0: Optional[int]) -> str:
+    """The text ``{"request":{...},`` that opens the record of one request; the one writer of echoes."""
     family = _FAMILY_OF[target]
-    result, d0 = family.evaluate(target, g, params)
     request = {"target": target, "genus": g}
     if family.ranked:
         request["rank"] = f"{params['rank'][0]},{params['rank'][1]}"
@@ -206,12 +217,7 @@ def _compute_record(target: str, g: int, params: dict) -> str:
     if family.stability:
         request[family.stability] = str(params[family.stability])
         request["d0"] = d0
-    terms = ",".join(f'{{"u":{a},"v":{b},"c":"{c}"}}' for (a, b), c in result.poly.terms())
-    diagonal_terms = ",".join(f'{{"t":{k},"c":"{c}"}}' for k, c in result.poly.diagonal().terms())
-    return (
-        f'{{"request":{_dump_json(request)},"dim":{_dump_json(result.complex_dim)},'
-        f'"terms":[{terms}],"poincare":[{diagonal_terms}]}}'
-    )
+    return f'{{"request":{_dump_json(request)},'
 
 
 def _dump_json(obj) -> str:
@@ -281,8 +287,8 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
 # -- table -----------------------------------------------------------------
 
 
-def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
-    """(cache key, genus, params) for every (parameter, chamber) pair, in canonical order."""
+def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict, Optional[int]]]:
+    """(cache key, genus, params, chamber index d0) for every (parameter, chamber) pair, in canonical order."""
     family = _FAMILY_OF[args.target]
     genera = _parse_range(args.genus)
     _require(args, family, ranges=True)
@@ -294,7 +300,7 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict]]:
     for g in genera:
         for degrees in grid:
             params = {**fixed, **dict(zip(family.degrees, degrees))}
-            rows.extend((key, g, chamber) for key, chamber in family.chambers(args.target, g, params))
+            rows.extend((key, g, chamber, d0) for key, chamber, d0 in family.chambers(args.target, g, params))
     return rows
 
 
@@ -391,21 +397,19 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
                 else:
                     cache[read[1]] = read[2]
     except OSError as exc:
-        print(f"warning: cache file {path} is unreadable: {exc}; recomputing and overwriting", file=sys.stderr)
+        _warn(path, f"is unreadable: {exc}; recomputing and overwriting")
         return {}, True
     if dropped:
-        print(
-            f"warning: cache file {path} is corrupt: dropped {dropped} bad line(s), kept {len(cache)} record(s); "
-            "recomputing the dropped ones and rewriting the file",
-            file=sys.stderr,
-        )
+        _warn(path, f"is corrupt: dropped {dropped} bad line(s), kept {len(cache)} record(s); "
+              "recomputing the dropped ones and rewriting the file")
     if stale:
-        print(
-            f"warning: cache file {path} has {stale} record(s) of another formula revision; "
-            f"recomputing them with revision {FORMULA_REVISION} and rewriting the file",
-            file=sys.stderr,
-        )
+        _warn(path, f"has {stale} record(s) of another formula revision; "
+              f"recomputing them with revision {FORMULA_REVISION} and rewriting the file")
     return cache, bool(dropped or stale)
+
+
+def _warn(path: str, problem: str) -> None:
+    print(f"warning: cache file {path} {problem}", file=sys.stderr)
 
 
 def _save_cache(path: str, cache: dict[str, str]) -> None:
@@ -449,11 +453,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
     cache_path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV, "")
     cache, stale = _load_cache(cache_path)
     texts: list[str] = []
-    for key, g, params in _table_rows(args):
-        if key not in cache:
+    misfiled = 0
+    for key, g, params, d0 in _table_rows(args):
+        if key not in cache or not cache[key].startswith(_request_echo(args.target, g, params, d0)):
+            misfiled += key in cache
             cache[key] = _compute_record(args.target, g, params)
             stale = True
         texts.append(cache[key])
+    if misfiled:
+        _warn(cache_path, f"holds {misfiled} record(s) under another request's key; recomputing them and rewriting it")
     if cache_path and stale:
         _save_cache(cache_path, cache)
 

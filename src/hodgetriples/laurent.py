@@ -9,7 +9,8 @@ floating point.  The value types are:
 * ``TruncatedSeries``: power series in an auxiliary variable x with
   ``LaurentPoly`` coefficients and an explicit truncation order.  Its
   ``rational`` constructor, which expands prod (1 + b x)^m / prod (1 - r x),
-  is the one engine behind every coefficient-of-x^k extraction.
+  is the one expansion of every series route; the closed chamber formulas
+  are finite binomial sums and need none.
 * ``UniPoly``: integer polynomial in a single variable t, the target of the
   diagonal (Poincare) specialization u = v = t.
 
@@ -31,8 +32,8 @@ measured on the package's own products; operands too sparse to pack into
 a box of at most one slot per term pair stay on the dict loop.
 
 Exact division takes one of three routes.  A divisor that is 1 - u^p v^q
-up to a monomial factor, such as the 1 - uv of every closed chamber
-formula, divides by running sums along the chains e, e + (p, q),
+up to a monomial factor, such as the 1 - uv of the wall terms' raw
+extraction, divides by running sums along the chains e, e + (p, q),
 e + 2 (p, q), ... of the numerator.  Every other divisor, from
 ``PACKED_MIN_PAIRS`` numerator-divisor term pairs on, divides by Kronecker
 substitution: one ``divmod`` of the packed integers, the quotient read

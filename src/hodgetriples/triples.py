@@ -17,9 +17,8 @@ This module exposes:
   coefficient-extraction formula and the telescoped sum of wall
   contributions (the central cross-check of the package).  The sums are
   built once per family, from the top wall down, one flip per wall, and
-  held for at most two families.  The closed formula's two series tails
-  are held per (g, n) for the life of the process, and the square of the
-  Jacobian factor per genus;
+  held for at most two families.  The closed formula is a finite binomial
+  sum; the square of the Jacobian factor is held per genus;
 * pair moduli (rank 2, with or without fixed determinant), their Poincare
   polynomials via an independent one-variable extraction, and the moduli of
   rank-2 odd-degree bundles through two more routes.
@@ -31,14 +30,16 @@ N_sigma(1,2,d1,d2) = N_sigma(2,1,-d2,-d1).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
 
 from .blocks import TypeVector, _require_genus, chi_triples, jacobian, moduli_11, proj_space
-from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, monomial
+from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, _wrap, monomial
 
 
 class OnWall(ValueError):
@@ -301,38 +302,34 @@ def _check_flip_args(spec: TripleSpec, d_M: int) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _closed_tails(g: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """The tails (A, B) of ``_closed_core``, each one series expanded to order n."""
-    a = TruncatedSeries.rational(n, [(U, g), (V, g)], [ONE, UV, monomial(1, -1, -1)]).coeff(n)
-    b = TruncatedSeries.rational(n, [(U, g), (V, g)], [ONE, UV, monomial(1, 2, 2)]).coeff(n)
-    return a, b
-
-
-@functools.lru_cache(maxsize=None)
 def _jacobian_squared(g: int) -> LaurentPoly:
     """e(Jac X)^2, the prefactor of the closed triple formula and of each flip."""
     return jacobian(g) ** 2
 
 
 def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
-    """Common coefficient extraction behind the closed chamber formulas.
+    """((uv)^n A - (uv)^e2 B) / (1 - uv), the extraction behind every closed chamber formula.
 
-    Computes ((uv)^n A - (uv)^e2 B) / (1 - uv), where A and B are the x^n
-    coefficients of (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)(1-rx)) with tail
-    ratios r = (uv)^(-1) and r = (uv)^2.  The two geometric tails are the
-    telescoped sums of the wall contributions above the chamber, so the
-    quotient is always an honest polynomial.
-
-    A and B depend on (g, n) alone, not on the degrees or on e2, and
-    tensoring a triple by a line bundle leaves n fixed, so a sweep meets few
-    distinct n.  The pair is therefore held per (g, n) for the life of the
-    process (``_closed_tails``).  The truncation order does not change
-    coefficient n: any expansion to order n or beyond gives the same A and B,
-    so a held pair equals a fresh one.
+    A and B are the x^n coefficients of (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)(1-rx))
+    with tail ratios r = (uv)^(-1) and (uv)^2.  As h_k(1, w, w^2) = [k+2 choose 2]_w
+    (Macdonald, Symmetric Functions, I.2 ex. 3), with w = uv and E_s the x^s
+    coefficient of (1+ux)^g (1+vx)^g, this is the finite sum over s <= min(2g, n)
+    of E_s [n-s+2 choose 2]_w (w^s - w^e2) / (1 - w).  With k = n - s, the w^j
+    coefficient of [k+2 choose 2]_w is min(j, 2k-j)//2 + 1 and the quotient is
+    a run +-(w^lo + ... + w^(hi-1)), so entry m of ``window``, the w^(lo+m)
+    coefficient of their product, is a difference of prefix sums.
     """
-    a, b = _closed_tails(g, n)
-    numerator = monomial(1, n, n) * a - monomial(1, e2, e2) * b
-    return numerator / (ONE - UV)
+    terms: dict[tuple[int, int], int] = {}
+    for s in set(range(min(2 * g, n) + 1)) - {e2}:  # at s = e2 the run is empty
+        k, (lo, hi, sign) = n - s, ((s, e2, 1) if s < e2 else (e2, s, -1))
+        prefix = list(itertools.accumulate((min(j, 2 * k - j) // 2 + 1 for j in range(2 * k + 1)), initial=0))
+        window = list(map(operator.sub, prefix[1:] + prefix[-1:] * (hi - lo - 1), [0] * (hi - lo - 1) + prefix[:-1]))
+        for i in range(max(0, s - g), min(g, s) + 1):
+            b = sign * math.comb(g, i) * math.comb(g, s - i)
+            for m, c in enumerate(window, lo):
+                key = (i + m, s - i + m)
+                terms[key] = terms.get(key, 0) + b * c
+    return _wrap({key: c for key, c in terms.items() if c})
 
 
 def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult:
@@ -348,15 +345,12 @@ def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult
     Outside (sigma_m, sigma_M), or past the last wall, the space is empty.
     Rank (1,2) is evaluated on the dual rank-(2,1) family.
     """
-    spec21 = _spec21(spec)
-    d0 = _chamber_or_empty(spec21, sigma)
+    s = _spec21(spec)
+    d0 = _chamber_or_empty(s, sigma)
     if d0 is None:
         return _EMPTY
-    g = spec21.g
-    n = spec21.d1 - spec21.d2 - d0
-    e2 = -spec21.d1 + g - 1 + 2 * d0
-    poly = _jacobian_squared(g) * _closed_core(g, n, e2)
-    return HodgeResult(poly, spec.complex_dim)
+    core = _closed_core(s.g, n=s.d1 - s.d2 - d0, e2=s.g - 1 - s.d1 + 2 * d0)
+    return HodgeResult(_jacobian_squared(s.g) * core, spec.complex_dim)
 
 
 @functools.lru_cache(maxsize=2)
@@ -451,13 +445,10 @@ def hodge_pairs(g: int, d: int, tau: StabilityValue, fixed_det: bool = False) ->
     fl = pair_chamber(d, tau)
     if fl is None:
         return _EMPTY
-    n = d - 1 - fl
-    e2 = g + 1 - d + 2 * fl
-    poly = _closed_core(g, n, e2)
-    if not fixed_det:
-        poly = jacobian(g) * poly
-    dim = (g - 2 + d) if fixed_det else (2 * g - 2 + d)
-    return HodgeResult(poly, dim)
+    poly = _closed_core(g, n=d - 1 - fl, e2=g + 1 - d + 2 * fl)
+    if fixed_det:
+        return HodgeResult(poly, g - 2 + d)
+    return HodgeResult(jacobian(g) * poly, 2 * g - 2 + d)
 
 
 def pair_chamber_representatives(d: int) -> list[StabilityValue]:

@@ -467,7 +467,44 @@ class TestTable:
         assert "has 1 record(s) of another formula revision" in err
         assert "corrupt: dropped 1 bad line(s), kept 1 record(s)" in err
         assert cache.read_text(encoding="utf-8") == written
-        assert run(capsys, *argv) == first and len(computed) == 2
+
+    def test_record_under_another_key_recomputed(self, capsys, tmp_path, monkeypatch):
+        """A genus-3 record re-keyed as genus 2 is not served for genus 2: recomputed, with a warning."""
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "bundle-fixed", "--degree", "1", "--format", "json-lines"]
+        cold = run(capsys, *argv, "--genus", "2")
+        assert '"dim":3,' in cold[1]
+        run(capsys, *argv, "--genus", "2", "--cache", str(cache))
+        written = cache.read_text(encoding="utf-8")
+        run(capsys, *argv, "--genus", "3", "--cache", str(cache))
+        genus3 = cache.read_text(encoding="utf-8").splitlines()[1]
+        assert '"key":"bundle-fixed:g=3:d=1"' in genus3 and '"dim":6,' in genus3
+        cache.write_text(genus3.replace(":g=3:", ":g=2:") + "\n", encoding="utf-8")
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv, "--genus", "2", "--cache", str(cache))
+        assert (code, out) == (0, cold[1]) and len(computed) == 1
+        assert "holds 1 record(s) under another request's key" in err
+        assert cache.read_text(encoding="utf-8") == written
+
+    def test_swapped_chamber_records_recomputed(self, capsys, tmp_path, monkeypatch):
+        """Two chambers' records held under each other's key are both recomputed, and the file rewritten."""
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "pair-fixed", "--genus", "2", "--degree", "3", "--cache", str(cache)]
+        cold = run(capsys, *argv)
+        written = cache.read_text(encoding="utf-8")
+        keys = re.findall(r'"key":"([^"]*)"', written)
+        assert keys == ["pair-fixed:g=2:d=3:d0=2", "pair-fixed:g=2:d=3:d0=3"]
+        cache.write_text(written.replace(keys[0], "swap").replace(keys[1], keys[0]).replace("swap", keys[1]))
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and len(computed) == 2
+        assert "holds 2 record(s) under another request's key" in err
+        assert cache.read_text(encoding="utf-8") == written
+        assert run(capsys, *argv) == cold and len(computed) == 2
 
     def test_oversized_range_refused(self, capsys):
         code, out, err = run(capsys, "table", "--target", "bundle", "--genus", "2", "--degree", "1..1000000000")

@@ -1,4 +1,4 @@
-"""Deterministic cost pins: polynomial multiplies, term pairs and term-order keys of fixed workloads.
+"""Deterministic cost pins: series expansions, divisions, multiplies, term pairs and term-order keys.
 
 The counts are machine-independent, so a change that makes an evaluator do
 more polynomial arithmetic fails here without any timing noise.  Each bound
@@ -27,80 +27,79 @@ def _clear_block_caches() -> None:
                 cached.cache_clear()
 
 
-def _multiply_cost(monkeypatch, work) -> tuple[int, int]:
-    """(multiplies, term pairs) of ``work()``, from cold caches."""
+def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int]:
+    """(series expansions, divisions, multiplies, term pairs) of ``work()``, from cold caches."""
     _clear_block_caches()
-    tally = [0, 0]
-    mul = LaurentPoly.__mul__
+    tally = [0, 0, 0, 0]
+    rational, div, mul = TruncatedSeries.rational.__func__, LaurentPoly.__truediv__, LaurentPoly.__mul__
 
-    def counted(self, other):
+    def counted_rational(cls, *args, **kwargs):
         tally[0] += 1
-        tally[1] += len(self) * (len(other) if isinstance(other, LaurentPoly) else 1)
+        return rational(cls, *args, **kwargs)
+
+    def counted_div(self, other):
+        tally[1] += 1
+        return div(self, other)
+
+    def counted_mul(self, other):
+        tally[2] += 1
+        tally[3] += len(self) * (len(other) if isinstance(other, LaurentPoly) else 1)
         return mul(self, other)
 
+    monkeypatch.setattr(TruncatedSeries, "rational", classmethod(counted_rational))
+    monkeypatch.setattr(LaurentPoly, "__truediv__", counted_div)
     # __rmul__ is an alias of __mul__, so 3 * p is counted as well
-    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted_mul)
     work()
     monkeypatch.undo()
-    return tally[0], tally[1]
+    return tuple(tally)
 
 
 @pytest.mark.parametrize(
-    "evaluate, max_multiplies, max_term_pairs",
+    "evaluate, pins",
     [
-        (triples.hodge_triples_closed, 137, 5535),
-        (triples.hodge_triples_sum, 71, 3973),
+        (triples.hodge_triples_closed, (0, 0, 13, 5245)),
+        (triples.hodge_triples_sum, (4, 0, 71, 3973)),
     ],
     ids=["closed", "sum"],
 )
-def test_sweep_cost_pinned(monkeypatch, evaluate, max_multiplies, max_term_pairs):
-    """Every chamber of SPEC, evaluated once."""
+def test_sweep_cost_pinned(monkeypatch, evaluate, pins):
+    """Every chamber of SPEC, evaluated once: (expansions, divisions, multiplies, term pairs) at most ``pins``.
+
+    The closed route expands no series and divides nothing: each chamber
+    is one finite sum, times the Jacobian square.
+    """
 
     def sweep():
         for sigma in triples.chamber_representatives(SPEC):
             evaluate(SPEC, sigma)
 
-    multiplies, term_pairs = _multiply_cost(monkeypatch, sweep)
-    assert multiplies <= max_multiplies
-    assert term_pairs <= max_term_pairs
+    cost = _arithmetic_cost(monkeypatch, sweep)
+    assert all(count <= pin for count, pin in zip(cost, pins)), cost
 
 
 def test_cold_table_cost_pinned(monkeypatch):
-    """A cold in-process table of 140 triple records expands two series per distinct (g, n), 24 in all.
+    """A cold in-process table of 140 triple records expands no series and divides nothing.
 
-    Evaluating each record's tails afresh took 280 expansions and 4,560
-    multiplies (166,627 term pairs); each record now costs one product by
-    the per-genus Jacobian square and the two monomial shifts of its tails.
-    Every record's division by 1 - uv is a running sum: none reaches the
-    heap walk.
+    Each record is one finite binomial sum times the per-genus Jacobian
+    square.  Evaluating each record's two series tails afresh took 280
+    expansions and 4,560 multiplies (166,627 term pairs); holding them per
+    (g, n) took 24 expansions, 928 multiplies (131,064 term pairs) and one
+    division by 1 - uv per record.
     """
     argv = ["table", "--target", "triple", "--genus", "2..3", "--d1", "1..10", "--d2=-1..0"]
-    expansions, heap_walks = [0], [0]
-    rational = TruncatedSeries.rational.__func__
-    heap_quotient = laurent._heap_quotient
-
-    def counted(cls, *args, **kwargs):
-        expansions[0] += 1
-        return rational(cls, *args, **kwargs)
-
-    def counted_walk(rem, div):
-        heap_walks[0] += 1
-        return heap_quotient(rem, div)
 
     def table():
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-        monkeypatch.setattr(TruncatedSeries, "rational", classmethod(counted))
-        monkeypatch.setattr(laurent, "_heap_quotient", counted_walk)
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(argv) == 0
         assert out.getvalue().count("\n") == 140
 
-    multiplies, term_pairs = _multiply_cost(monkeypatch, table)
-    assert expansions[0] <= 24
-    assert heap_walks[0] == 0
-    assert multiplies <= 928
-    assert term_pairs <= 131064
+    expansions, divisions, multiplies, term_pairs = _arithmetic_cost(monkeypatch, table)
+    assert (expansions, divisions) == (0, 0)
+    assert multiplies <= 156
+    assert term_pairs <= 126132
 
 
 @pytest.mark.parametrize("fmt, decodes_per_record", [("json-lines", 0), ("csv", 1), ("latex", 1)])

@@ -311,16 +311,38 @@ def _memo_agrees(evaluate, points) -> None:
         assert evaluate(*points[i]) == reference[i], points[i]
 
 
-class TestClosedMemo:
-    """The closed tails are held per (g, n) and the Jacobian square per genus; holding them changes no value."""
+def _series_core(g, n, e2):
+    """The closed core as two series tails over 1 - uv, the route the finite sum replaced; kept as its oracle."""
+    a = TruncatedSeries.rational(n, [(U, g), (V, g)], [ONE, UV, monomial(1, -1, -1)]).coeff(n)
+    b = TruncatedSeries.rational(n, [(U, g), (V, g)], [ONE, UV, monomial(1, 2, 2)]).coeff(n)
+    return (monomial(1, n, n) * a - monomial(1, e2, e2) * b) / (ONE - UV)
+
+
+class TestClosedCore:
+    """The finite binomial sum of ``_closed_core`` equals the series-tail extraction it replaced."""
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
-    def test_tails_equal_fresh_expansion(self, g):
+    def test_series_oracle_grid(self, g):
         for n in range(13):
-            for tail, ratio in zip(triples._closed_tails(g, n), (monomial(1, -1, -1), monomial(1, 2, 2))):
-                for order in (n, n + 3):  # the truncation order does not change coefficient n
-                    fresh = TruncatedSeries.rational(order, [(U, g), (V, g)], [ONE, UV, ratio]).coeff(n)
-                    assert tail == fresh, (g, n, order)
+            for e2 in range(-3, 2 * n + 4):
+                assert triples._closed_core(g, n, e2) == _series_core(g, n, e2), (g, n, e2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 30), st.integers(-5, 45))
+    def test_series_oracle_property(self, g, n, e2):
+        assert triples._closed_core(g, n, e2) == _series_core(g, n, e2)
+
+    @pytest.mark.parametrize(
+        "g, n, e2",
+        [(3, 8, 2), (2, 9, 4), (3, 8, 1), (4, 12, 0), (4, 3, 5), (5, 2, 1), (2, 6, -3), (3, 0, -5)],
+        ids=["e2-is-s", "e2-is-top-s", "e2-below-s", "e2-zero", "n-below-2g", "n-below-2g-e2-inside", "e2-negative", "n-zero"],
+    )
+    def test_series_oracle_examples(self, g, n, e2):
+        assert triples._closed_core(g, n, e2) == _series_core(g, n, e2)
+
+
+class TestClosedMemo:
+    """The Jacobian square is held per genus and the wall sums per family; holding them changes no value."""
 
     def test_closed_triples_warm_equals_cold(self):
         points = []
