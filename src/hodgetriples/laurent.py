@@ -9,8 +9,7 @@ floating point.  The value types are:
 * ``TruncatedSeries``: power series in an auxiliary variable x with
   ``LaurentPoly`` coefficients and an explicit truncation order.  Its
   ``rational`` constructor, which expands prod (1 + b x)^m / prod (1 - r x),
-  is the one expansion of every series route; the closed chamber formulas
-  are finite binomial sums and need none.
+  is the one expansion behind every series route.
 * ``UniPoly``: integer polynomial in a single variable t, the target of the
   diagonal (Poincare) specialization u = v = t.
 

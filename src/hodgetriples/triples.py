@@ -32,14 +32,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
 
 from .blocks import TypeVector, _require_genus, chi_triples, jacobian, moduli_11, proj_space
-from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, _wrap, monomial
+from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, monomial
 
 
 class OnWall(ValueError):
@@ -308,28 +307,28 @@ def _jacobian_squared(g: int) -> LaurentPoly:
 
 
 def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
-    """((uv)^n A - (uv)^e2 B) / (1 - uv), the extraction behind every closed chamber formula.
+    """The [x^0] extraction behind every closed chamber formula, as a finite sum.
 
-    A and B are the x^n coefficients of (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)(1-rx))
-    with tail ratios r = (uv)^(-1) and (uv)^2.  As h_k(1, w, w^2) = [k+2 choose 2]_w
-    (Macdonald, Symmetric Functions, I.2 ex. 3), with w = uv and E_s the x^s
-    coefficient of (1+ux)^g (1+vx)^g, this is the finite sum over s <= min(2g, n)
-    of E_s [n-s+2 choose 2]_w (w^s - w^e2) / (1 - w).  With k = n - s, the w^j
+    With w = uv and E_s the x^s coefficient of (1+ux)^g (1+vx)^g, it is the sum
+    over s <= min(2g, n) of E_s [n-s+2 choose 2]_w (w^s - w^e2) / (1 - w), since
+    h_k(1, w, w^2) = [k+2 choose 2]_w (Macdonald, Symmetric Functions, I.2 ex. 3)
+    expands the tails of ``hodge_triples_closed``.  With k = n - s, the w^j
     coefficient of [k+2 choose 2]_w is min(j, 2k-j)//2 + 1 and the quotient is
     a run +-(w^lo + ... + w^(hi-1)), so entry m of ``window``, the w^(lo+m)
     coefficient of their product, is a difference of prefix sums.
     """
     terms: dict[tuple[int, int], int] = {}
     for s in set(range(min(2 * g, n) + 1)) - {e2}:  # at s = e2 the run is empty
-        k, (lo, hi, sign) = n - s, ((s, e2, 1) if s < e2 else (e2, s, -1))
+        k = n - s
+        lo, hi, sign = (s, e2, 1) if s < e2 else (e2, s, -1)
         prefix = list(itertools.accumulate((min(j, 2 * k - j) // 2 + 1 for j in range(2 * k + 1)), initial=0))
-        window = list(map(operator.sub, prefix[1:] + prefix[-1:] * (hi - lo - 1), [0] * (hi - lo - 1) + prefix[:-1]))
+        window = [prefix[min(m + 1, 2 * k + 1)] - prefix[max(m - (hi - lo) + 1, 0)] for m in range(2 * k + hi - lo)]
         for i in range(max(0, s - g), min(g, s) + 1):
             b = sign * math.comb(g, i) * math.comb(g, s - i)
             for m, c in enumerate(window, lo):
                 key = (i + m, s - i + m)
                 terms[key] = terms.get(key, 0) + b * c
-    return _wrap({key: c for key, c in terms.items() if c})
+    return LaurentPoly(terms)
 
 
 def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult:
@@ -345,12 +344,15 @@ def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult
     Outside (sigma_m, sigma_M), or past the last wall, the space is empty.
     Rank (1,2) is evaluated on the dual rank-(2,1) family.
     """
-    s = _spec21(spec)
-    d0 = _chamber_or_empty(s, sigma)
+    spec21 = _spec21(spec)
+    d0 = _chamber_or_empty(spec21, sigma)
     if d0 is None:
         return _EMPTY
-    core = _closed_core(s.g, n=s.d1 - s.d2 - d0, e2=s.g - 1 - s.d1 + 2 * d0)
-    return HodgeResult(_jacobian_squared(s.g) * core, spec.complex_dim)
+    g = spec21.g
+    n = spec21.d1 - spec21.d2 - d0
+    e2 = -spec21.d1 + g - 1 + 2 * d0
+    poly = _jacobian_squared(g) * _closed_core(g, n, e2)
+    return HodgeResult(poly, spec.complex_dim)
 
 
 @functools.lru_cache(maxsize=2)
@@ -445,10 +447,13 @@ def hodge_pairs(g: int, d: int, tau: StabilityValue, fixed_det: bool = False) ->
     fl = pair_chamber(d, tau)
     if fl is None:
         return _EMPTY
-    poly = _closed_core(g, n=d - 1 - fl, e2=g + 1 - d + 2 * fl)
-    if fixed_det:
-        return HodgeResult(poly, g - 2 + d)
-    return HodgeResult(jacobian(g) * poly, 2 * g - 2 + d)
+    n = d - 1 - fl
+    e2 = g + 1 - d + 2 * fl
+    poly = _closed_core(g, n, e2)
+    if not fixed_det:
+        poly = jacobian(g) * poly
+    dim = (g - 2 + d) if fixed_det else (2 * g - 2 + d)
+    return HodgeResult(poly, dim)
 
 
 def pair_chamber_representatives(d: int) -> list[StabilityValue]:

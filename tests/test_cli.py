@@ -467,6 +467,7 @@ class TestTable:
         assert "has 1 record(s) of another formula revision" in err
         assert "corrupt: dropped 1 bad line(s), kept 1 record(s)" in err
         assert cache.read_text(encoding="utf-8") == written
+        assert run(capsys, *argv) == first and len(computed) == 2
 
     def test_record_under_another_key_recomputed(self, capsys, tmp_path, monkeypatch):
         """A genus-3 record re-keyed as genus 2 is not served for genus 2: recomputed, with a warning."""
