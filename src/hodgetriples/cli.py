@@ -27,11 +27,12 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import triples, verify
 from .laurent import NotDivisible, _format_terms, _mono, _t_mono
@@ -187,24 +188,78 @@ def _require(args: argparse.Namespace, family: _Family, ranges: bool) -> None:
     raise UserError(f"{args.target} target needs {listed}")
 
 
-def _compute_record(target: str, g: int, params: dict) -> str:
+class _CanonicalBox:
+    """The keys of [0, D]^2 in canonical order, with their record text, for the largest dim D it was fitted to.
+
+    Canonical order is total degree, then u-exponent.  ``keys`` lists the
+    (D + 1)^2 exponents of the box, ``prefixes`` the text ``{"u":a,"v":b,"c":"``
+    opening each key's term, ``starts[t]`` the offset of the first key of
+    total degree t (``starts[2D + 1]`` closes the last), and
+    ``degree_prefixes[t]`` the text ``{"t":t,"c":"`` of each diagonal entry.
+    The order on [0, d]^2 is the restriction of the order on [0, D]^2, so
+    every dim d <= D reads the first ``starts[2d + 1]`` keys of the same
+    box; only a larger dim rebuilds it.  A table holds one box while it
+    runs, and nothing holds it after.
+    """
+
+    def __init__(self) -> None:
+        self.dim = -1
+        self.keys: list[tuple[int, int]] = []
+        self.prefixes: list[str] = []
+        self.starts = [0]
+        self.degree_prefixes: list[str] = []
+
+    def fit(self, dim: int) -> "_CanonicalBox":
+        if dim > self.dim:
+            degrees = range(2 * dim + 1)
+            self.dim = dim
+            self.keys = [(a, t - a) for t in degrees for a in range(max(0, t - dim), min(t, dim) + 1)]
+            self.prefixes = [f'{{"u":{a},"v":{b},"c":"' for a, b in self.keys]
+            self.starts = list(itertools.accumulate((min(t, 2 * dim - t) + 1 for t in degrees), initial=0))
+            self.degree_prefixes = [f'{{"t":{t},"c":"' for t in degrees]
+        return self
+
+
+def _entries(prefixes: Iterable[str], coeffs: list) -> str:
+    """The JSON list entries ``prefix + c"}`` of each nonzero c in ``coeffs`` (None counts as zero), comma-joined."""
+    text = '"},'.join(map(operator.add, itertools.compress(prefixes, coeffs), map(str, filter(None, coeffs))))
+    return f'{text}"}}' if text else text
+
+
+def _compute_record(target: str, g: int, params: dict, box: _CanonicalBox) -> str:
     """Evaluate one target; its record, with the request echo, as compact JSON text.
 
-    The text is built directly from the result's terms in canonical order
-    and from their diagonal, the ``poincare`` list of every target, never
-    through a dict.  It must stay byte for byte what ``_dump_json`` gives for
-    the record {"request": ..., "dim": ..., "terms": [{"u", "v", "c"}, ...],
-    "poincare": [{"t", "c"}, ...]}: no whitespace, keys in that order,
-    coefficients as decimal strings, ``null`` for the d0 and dim of an empty
-    space.  Only the request echo and dim go through ``_dump_json``.
+    The record is {"request": ..., "dim": ..., "terms": [{"u", "v", "c"}, ...],
+    "poincare": [{"t", "c"}, ...]}, byte for byte what ``_dump_json`` would
+    give: no whitespace, keys in that order, coefficients as decimal
+    strings, ``null`` for the d0 and dim of an empty space.  The request
+    echo comes from ``_request_echo``, the rest from ``_result_text``,
+    which reads the terms off ``box`` in canonical order without sorting.
     """
     result, d0 = _FAMILY_OF[target].evaluate(target, g, params)
-    terms = ",".join(f'{{"u":{a},"v":{b},"c":"{c}"}}' for (a, b), c in result.poly.terms())
-    diagonal_terms = ",".join(f'{{"t":{k},"c":"{c}"}}' for k, c in result.poly.diagonal().terms())
-    return (
-        f'{_request_echo(target, g, params, d0)}"dim":{_dump_json(result.complex_dim)},'
-        f'"terms":[{terms}],"poincare":[{diagonal_terms}]}}'
-    )
+    return _request_echo(target, g, params, d0) + _result_text(result, box)
+
+
+def _result_text(result: triples.HodgeResult, box: _CanonicalBox) -> str:
+    """The text ``"dim":...,"terms":[...],"poincare":[...]}`` that closes the record of ``result``.
+
+    Nothing is sorted.  ``HodgeResult`` bounds the support to [0, dim]^2,
+    so the coefficients come out in canonical order (total degree, then
+    u-exponent) by gathering them at the keys of ``box``, fitted to dim, up
+    to total degree 2 dim, None where there is no term.  Each term is its
+    key's held prefix plus the coefficient, and the ``poincare`` list, the
+    diagonal of every target, is the sum of each total degree's run of
+    that list, zero sums dropped; both are joined in C.
+    """
+    dim = result.complex_dim
+    terms = diagonal = ""
+    if dim is not None:
+        starts = box.fit(dim).starts
+        coeffs = result.poly.gather(itertools.islice(box.keys, starts[2 * dim + 1]))
+        terms = _entries(box.prefixes, coeffs)
+        sums = [sum(filter(None, coeffs[starts[t] : starts[t + 1]])) for t in range(2 * dim + 1)]
+        diagonal = _entries(box.degree_prefixes, sums)
+    return f'"dim":{_dump_json(dim)},"terms":[{terms}],"poincare":[{diagonal}]}}'
 
 
 def _request_echo(target: str, g: int, params: dict, d0: Optional[int]) -> str:
@@ -250,7 +305,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     params.update((name, getattr(args, name)) for name in family.degrees)
     if family.stability:
         params[family.stability] = triples.StabilityValue.parse(getattr(args, family.stability))
-    text = _compute_record(args.target, args.genus, params)
+    text = _compute_record(args.target, args.genus, params, _CanonicalBox())
     if args.format == "json":
         print(_json_record(text, args.poincare))
     else:
@@ -451,13 +506,17 @@ def _latex_row(rec: dict) -> str:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     cache_path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV, "")
+    # opening a FIFO would block, and the save would rename over a device or directory
+    if cache_path and os.path.exists(cache_path) and not os.path.isfile(cache_path):
+        raise UserError(f"cache path {cache_path} exists and is not a regular file")
     cache, stale = _load_cache(cache_path)
     texts: list[str] = []
     misfiled = 0
+    box = _CanonicalBox()
     for key, g, params, d0 in _table_rows(args):
         if key not in cache or not cache[key].startswith(_request_echo(args.target, g, params, d0)):
             misfiled += key in cache
-            cache[key] = _compute_record(args.target, g, params)
+            cache[key] = _compute_record(args.target, g, params, box)
             stale = True
         texts.append(cache[key])
     if misfiled:

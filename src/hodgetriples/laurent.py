@@ -105,6 +105,10 @@ class LaurentPoly:
     def coeff(self, a: int, b: int) -> int:
         return self._terms.get((a, b), 0)
 
+    def gather(self, keys: Iterable[Exponent]) -> list[Optional[int]]:
+        """The coefficient at each exponent of ``keys``, None where the polynomial has no term."""
+        return list(map(self._terms.get, keys))
+
     def is_zero(self) -> bool:
         return not self._terms
 

@@ -148,7 +148,8 @@ class TripleSpec:
 
     @property
     def is_empty_family(self) -> bool:
-        return self.mu1 < self.mu2
+        """mu1 < mu2, that is d1 n2 < d2 n1."""
+        return self.d1 * self.rank_pair[1] < self.d2 * self.rank_pair[0]
 
     def dual(self) -> "TripleSpec":
         """The isomorphic family of the transposed rank pair, (d1,d2) -> (-d2,-d1)."""
@@ -207,17 +208,6 @@ def critical_values(spec: TripleSpec) -> list[tuple[Fraction, int]]:
     return [(Fraction(3 * m - s.d1 - s.d2), m) for m in range(lo, hi + 1)]
 
 
-def _is_critical(spec: TripleSpec, value: Fraction) -> bool:
-    s = _spec21(spec)
-    if s.is_empty_family:
-        return False
-    triple = value + s.d1 + s.d2
-    if triple.denominator != 1 or triple.numerator % 3:
-        return False
-    m = triple.numerator // 3
-    return s.mu1 <= m <= s.d1 - s.d2
-
-
 def _floor_side(q: Fraction, side: Side) -> int:
     """floor(q + epsilon) for side plus, floor(q - epsilon) for minus."""
     f = math.floor(q)
@@ -233,22 +223,34 @@ def chamber_d0(spec: TripleSpec, sigma: StabilityValue) -> int:
 
     Rank (1,2) uses d0 = floor((sigma - d1 - d2)/3) + 1, which is the same
     number computed on the dual family.  Side tags resolve wall values to
-    the open chamber immediately above or below.
+    the open chamber immediately above or below.  In integers, with
+    sigma = p/q and x = p + (d1 + d2) q, d0 = x // 3q + 1; the side tag
+    matters only when 3q divides x, which needs q = 1, and then sigma is
+    the wall of d_M = x/3 if mu1 <= d_M <= d1 - d2.
     """
-    if sigma.side == "exact" and _is_critical(spec, sigma.value):
-        raise OnWall(f"sigma={sigma.value} is a critical value; use {sigma.value}+ or {sigma.value}-")
     s = _spec21(spec)
-    q = (sigma.value + s.d1 + s.d2) / 3
-    return _floor_side(q, sigma.side) + 1
+    p, q = sigma.value.numerator, sigma.value.denominator
+    m, r = divmod(p + (s.d1 + s.d2) * q, 3 * q)
+    if r or sigma.side == "plus":
+        return m + 1
+    if sigma.side == "minus":
+        return m
+    if s.d1 <= 2 * m <= 2 * (s.d1 - s.d2):
+        raise OnWall(f"sigma={sigma.value} is a critical value; use {sigma.value}+ or {sigma.value}-")
+    return m + 1
 
 
 def _chamber_or_empty(spec21: TripleSpec, sigma: StabilityValue) -> Optional[int]:
-    """Resolve sigma to a chamber index, or None when the space is empty."""
+    """Resolve sigma to a chamber index, or None when the space is empty.
+
+    sigma = p/q lies above sigma_m = d1/2 - d2 when 2p > (d1 - 2 d2) q, or
+    on it with the side tag plus.
+    """
     if spec21.is_empty_family:
         return None
     d0 = chamber_d0(spec21, sigma)
-    above = sigma.value > spec21.sigma_m or (sigma.value == spec21.sigma_m and sigma.side == "plus")
-    if not above or d0 > spec21.d1 - spec21.d2:
+    t = 2 * sigma.value.numerator - (spec21.d1 - 2 * spec21.d2) * sigma.value.denominator
+    if t < 0 or (t == 0 and sigma.side != "plus") or d0 > spec21.d1 - spec21.d2:
         return None
     return d0
 
@@ -391,13 +393,15 @@ def chamber_representatives(spec: TripleSpec, include_beyond: bool = False) -> l
 
     Midpoints of consecutive wall values (with sigma_m as the left
     boundary); ``include_beyond`` appends a representative above sigma_M to
-    exercise emptiness.
+    exercise emptiness.  The bounds are taken doubled, as integers:
+    2 sigma_m = d1 - 2 d2 and 2 sigma_c = 6 d_M - 2 (d1 + d2) for the walls
+    above sigma_m, d_M > d1/2; the midpoint of lo/2 and hi/2 is (lo + hi)/4.
     """
     s = _spec21(spec)
     if s.is_empty_family:
         return []
-    bounds = chamber_bounds(s)
-    reps = [StabilityValue((lo + hi) / 2) for lo, hi in zip(bounds, bounds[1:])]
+    twice = [s.d1 - 2 * s.d2, *(6 * m - 2 * (s.d1 + s.d2) for m in range(s.d1 // 2 + 1, s.d1 - s.d2 + 1))]
+    reps = [StabilityValue(Fraction(lo + hi, 4)) for lo, hi in zip(twice, twice[1:])]
     if include_beyond:
         reps.append(StabilityValue(s.sigma_M + 1))
     return reps

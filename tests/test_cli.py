@@ -8,10 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgetriples import cli, triples
 from hodgetriples.cli import main
-from hodgetriples.laurent import ONE
+from hodgetriples.laurent import ONE, LaurentPoly
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -601,6 +603,26 @@ class TestTable:
         assert (code, out) == (2, "")
         assert message in err
 
+    def test_fifo_cache_path_refused(self, tmp_path):
+        """A cache path that is a FIFO exits 2 before any open, which would block; run in a subprocess with a timeout."""
+        fifo = tmp_path / "records.fifo"
+        os.mkfifo(fifo)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        env.pop(cli.CACHE_ENV, None)
+        argv = [sys.executable, "-m", "hodgetriples", "table", *TRIPLE_21, "--cache", str(fifo)]
+        done = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == f"error: cache path {fifo} exists and is not a regular file\n".encode()
+        assert fifo.is_fifo()
+
+    def test_directory_cache_path_refused(self, capsys, tmp_path, monkeypatch):
+        """A directory named by --cache or the environment is refused, not renamed over or written beside."""
+        code, out, err = run(capsys, "table", *TRIPLE_21, "--cache", str(tmp_path))
+        assert (code, out, err) == (2, "", f"error: cache path {tmp_path} exists and is not a regular file\n")
+        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+        assert run(capsys, "table", *TRIPLE_21)[0] == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_closed_pipe_exits_quietly(self):
         """Two processes: the cli writing a 180 kB table into a pipe, and this test reading 150 bytes of it, then closing.
 
@@ -617,6 +639,69 @@ class TestTable:
         writer.stderr.close()
         assert (writer.wait(timeout=120), err) == (141, b"")
         assert head.startswith(b'{"request":{"target":"triple","genus":2,')
+
+
+def _sorted_result_text(result: triples.HodgeResult) -> str:
+    """The oracle of ``cli._result_text``: the terms sorted by ``terms()``, spelled by f-strings, and ``diagonal()``."""
+    terms = ",".join(f'{{"u":{a},"v":{b},"c":"{c}"}}' for (a, b), c in result.poly.terms())
+    diagonal = ",".join(f'{{"t":{k},"c":"{c}"}}' for k, c in result.poly.diagonal().terms())
+    return f'"dim":{json.dumps(result.complex_dim)},"terms":[{terms}],"poincare":[{diagonal}]}}'
+
+
+@st.composite
+def _hodge_results(draw) -> triples.HodgeResult:
+    """An empty result, or one of dim 0..40 with random coefficients (small ones, so diagonals cancel) inside its box."""
+    dim = draw(st.none() | st.integers(0, 40))
+    if dim is None:
+        return triples.HodgeResult(LaurentPoly(), None)
+    keys = st.tuples(st.integers(0, dim), st.integers(0, dim))
+    coeffs = (st.integers(-2, 2) | st.integers()).filter(bool)
+    return triples.HodgeResult(LaurentPoly(draw(st.dictionaries(keys, coeffs, max_size=60))), dim)
+
+
+class TestRecordText:
+    """``cli._result_text`` against the sorted oracle; the box grows only to the largest dim formatted."""
+
+    @staticmethod
+    def _check(results) -> cli._CanonicalBox:
+        """Format ``results`` in order with one fresh box; each text must equal the oracle's.  Returns the box."""
+        box = cli._CanonicalBox()
+        for result in results:
+            assert cli._result_text(result, box) == _sorted_result_text(result)
+        return box
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_hodge_results(), max_size=8))
+    def test_matches_sorted_oracle(self, results):
+        """Results by ascending dim grow the box; the same results again, descending, reuse it for smaller dims."""
+        dims = [r.complex_dim for r in results if not r.is_empty]
+        ascending = sorted(results, key=lambda r: -1 if r.is_empty else r.complex_dim)
+        box = self._check(ascending + ascending[::-1])
+        top = max(dims, default=-1)
+        assert box.dim == top
+        assert len(box.keys) == len(box.prefixes) == (top + 1) ** 2
+        assert box.starts[-1] == len(box.keys) and len(box.degree_prefixes) == max(2 * top + 1, 0)
+
+    @pytest.mark.parametrize("terms, dim, text", [
+        ({(0, 0): 5}, 0, '"dim":0,"terms":[{"u":0,"v":0,"c":"5"}],"poincare":[{"t":0,"c":"5"}]}'),
+        ({}, None, '"dim":null,"terms":[],"poincare":[]}'),
+        ({}, 3, '"dim":3,"terms":[],"poincare":[]}'),
+        ({(1, 0): 2, (0, 1): -2}, 1, '"dim":1,"terms":[{"u":0,"v":1,"c":"-2"},{"u":1,"v":0,"c":"2"}],"poincare":[]}'),
+    ], ids=["dim-0", "empty", "no-terms", "diagonal-cancels"])  # fmt: skip
+    def test_edge_results(self, terms, dim, text):
+        """Dim 0, the empty result, a nonempty result with no terms (``"terms":[]``, no dangling ``"}``), a zero diagonal."""
+        result = triples.HodgeResult(LaurentPoly(terms), dim)
+        assert _sorted_result_text(result) == text
+        self._check([result])
+        self._check([triples.HodgeResult(LaurentPoly(), 9), result])  # read from a larger box
+
+    def test_box_built_for_largest_dim_only(self):
+        """Smaller dims after a larger one leave the box as it was; only a larger dim rebuilds it."""
+        box = self._check([triples.HodgeResult(LaurentPoly({(2, 3): 1}), 4)])
+        keys = box.keys
+        assert keys[:6] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+        assert box.fit(2) is box and box.keys is keys
+        assert box.fit(5).keys is not keys and box.dim == 5
 
 
 class TestVerifyCommand:

@@ -55,7 +55,7 @@ def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
     def counted_kernel(poly, m):
         tally[4] += 1
         if poly and m:
-            a, b = zip(*(key for key, _ in poly.terms()))
+            a, b = zip(*poly._terms)
             tally[5] += (max(a) - min(a) + m + 1) * (max(b) - min(b) + m + 1)
         return kernel(poly, m)
 
@@ -98,27 +98,54 @@ def test_sweep_cost_pinned(monkeypatch, evaluate, pins):
 
 
 def test_cold_table_cost_pinned(monkeypatch):
-    """A cold in-process table of 140 triple records expands no series, divides and multiplies nothing.
+    """A cold in-process table of 140 triple records expands no series, divides and multiplies nothing, and sorts nothing.
 
     Each record is one finite binomial sum and one kernel call for its
     factor e(Jac X)^2.  Multiplying by a per-genus Jacobian square took 156
     multiplies (126,132 term pairs).  Evaluating each record's two series
     tails afresh took 280 expansions and 4,560 multiplies (166,627 term
     pairs); holding them per (g, n) took 24 expansions, 928 multiplies
-    (131,064 term pairs) and one division by 1 - uv per record.
+    (131,064 term pairs) and one division by 1 - uv per record.  The record
+    text is read off one canonical box per table, so no record sorts its
+    terms by ``LaurentPoly.terms`` or sums its diagonal by
+    ``LaurentPoly.diagonal`` (one call of each per record before), and the
+    box holds (D + 1)^2 keys for the largest dim D of the table.
     """
     argv = ["table", "--target", "triple", "--genus", "2..3", "--d1", "1..10", "--d2=-1..0"]
+    boxes, calls, dims = [], {"terms": 0, "diagonal": 0}, []
+
+    class Box(cli._CanonicalBox):
+        def __init__(self):
+            super().__init__()
+            boxes.append(self)
+
+    def counted(name):
+        method = getattr(LaurentPoly, name)
+
+        def count(self):
+            calls[name] += 1
+            return method(self)
+
+        return count
 
     def table():
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        monkeypatch.setattr(cli, "_CanonicalBox", Box)
+        for name in calls:
+            monkeypatch.setattr(LaurentPoly, name, counted(name))
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(argv) == 0
-        assert out.getvalue().count("\n") == 140
+        dims.extend(json.loads(line)["dim"] for line in out.getvalue().splitlines())
 
     expansions, divisions, multiplies, term_pairs, kernels, slots = _arithmetic_cost(monkeypatch, table)
     assert (expansions, divisions, multiplies, term_pairs) == (0, 0, 0, 0)
     assert kernels <= 140
     assert slots <= 29950
+    assert len(dims) == 140
+    assert calls == {"terms": 0, "diagonal": 0}
+    assert len(boxes) == 1
+    assert boxes[0].dim == max(dims) == 19
+    assert len(boxes[0].keys) == len(boxes[0].prefixes) == 20**2
 
 
 @pytest.mark.parametrize("fmt, decodes_per_record", [("json-lines", 0), ("csv", 1), ("latex", 1)])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -147,6 +148,73 @@ class TestChamberD0:
         sigma = SV("7/2")
         assert chamber_d0(spec, sigma) == 0
         assert chamber_d0(spec, sigma) == chamber_d0(spec.dual(), sigma)
+
+
+def _oracle_chamber_d0(spec, sigma):
+    """``chamber_d0`` in ``Fraction`` arithmetic: the wall test on (sigma + d1 + d2)/3, then its floor by side."""
+    s = spec if spec.rank_pair == (2, 1) else spec.dual()
+    triple = sigma.value + s.d1 + s.d2
+    if sigma.side == "exact" and not s.is_empty_family and triple.denominator == 1 and triple.numerator % 3 == 0:
+        if s.mu1 <= triple.numerator // 3 <= s.d1 - s.d2:
+            raise OnWall(str(sigma))
+    q = triple / 3
+    floor = math.floor(q)
+    return (floor - 1 if sigma.side == "minus" and q == floor else floor) + 1
+
+
+def _oracle_chamber_or_empty(spec21, sigma):
+    """``_chamber_or_empty`` in ``Fraction`` arithmetic."""
+    if spec21.is_empty_family:
+        return None
+    d0 = _oracle_chamber_d0(spec21, sigma)
+    above = sigma.value > spec21.sigma_m or (sigma.value == spec21.sigma_m and sigma.side == "plus")
+    return d0 if above and d0 <= spec21.d1 - spec21.d2 else None
+
+
+class TestChamberOracle:
+    """The integer chamber arithmetic against the ``Fraction`` formulas it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.sampled_from([(2, 1), (1, 2)]),
+        st.integers(-12, 12),
+        st.integers(-12, 12),
+        st.integers(-80, 80),
+        st.sampled_from([1, 1, 1, 2, 3, 4, 6, 7]),
+        st.sampled_from(["exact", "plus", "minus"]),
+    )
+    def test_integer_chambers_match_fractions(self, g, rank, d1, d2, p, q, side):
+        """``chamber_d0`` matches or both raise ``OnWall``; ``_chamber_or_empty`` and the representatives match."""
+        spec = TripleSpec(g, rank, d1, d2)
+        spec21 = spec if rank == (2, 1) else spec.dual()
+        sigma = StabilityValue(Fraction(p, q), side)
+        try:
+            expected = _oracle_chamber_d0(spec, sigma)
+        except OnWall:
+            with pytest.raises(OnWall):
+                chamber_d0(spec, sigma)
+            with pytest.raises(OnWall):
+                triples._chamber_or_empty(spec21, sigma)
+        else:
+            assert chamber_d0(spec, sigma) == expected
+            assert triples._chamber_or_empty(spec21, sigma) == _oracle_chamber_or_empty(spec21, sigma)
+        assert spec.is_empty_family == (spec.mu1 < spec.mu2)
+        if spec.is_empty_family:
+            assert chamber_representatives(spec) == []
+        else:
+            bounds = triples.chamber_bounds(spec21)
+            midpoints = [StabilityValue((lo + hi) / 2) for lo, hi in zip(bounds, bounds[1:])]
+            assert chamber_representatives(spec) == midpoints
+
+    def test_every_wall_and_side(self):
+        """Each wall of a family, sigma_m included when it is one, raises exact and resolves plus and minus."""
+        for spec in (TripleSpec(2, (2, 1), 6, 0), TripleSpec(3, (1, 2), 1, -4)):
+            for sigma_c, d_m in critical_values(spec):
+                with pytest.raises(OnWall):
+                    chamber_d0(spec, StabilityValue(sigma_c))
+                assert chamber_d0(spec, StabilityValue(sigma_c, "plus")) == d_m + 1
+                assert chamber_d0(spec, StabilityValue(sigma_c, "minus")) == d_m
 
 
 class TestFlipDifference:
