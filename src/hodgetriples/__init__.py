@@ -9,7 +9,7 @@ least two independent pipelines that are cross-checked for exact agreement
 (see :mod:`hodgetriples.verify`).
 """
 
-from .blocks import GenusOutOfRange, TypeVector, chi_triples, jacobian, moduli_11, proj_space, sym_power
+from .blocks import GenusOutOfRange, TypeVector, chi_triples, jacobian, proj_space, sym_power
 from .laurent import (
     ONE,
     UV,
@@ -87,7 +87,6 @@ __all__ = [
     "hodge_triples_closed",
     "hodge_triples_sum",
     "jacobian",
-    "moduli_11",
     "monomial",
     "pair_chamber_representatives",
     "poincare_pairs_fixed_det_thaddeus",

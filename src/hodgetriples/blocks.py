@@ -5,7 +5,6 @@ For a smooth projective curve X of genus g >= 2:
 * projective space:   e_n := e(P^(n-1)) = 1 + uv + ... + (uv)^(n-1),
 * Jacobian:           e(Jac^d X) = (1+u)^g (1+v)^g, independent of d,
 * symmetric product:  e(Sym^k X) = [x^k] (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)),
-* rank-(1,1) triple moduli, built from the two previous blocks,
 
 together with the Euler characteristic chi(T'', T') of the extension complex
 between two holomorphic triples.  -chi is the fibre-bundle rank that enters
@@ -14,10 +13,11 @@ every wall-crossing contribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, V, times_binomials
+from .laurent import ONE, LaurentPoly, U, V
 
 
 class GenusOutOfRange(ValueError):
@@ -50,28 +50,25 @@ def jacobian(g: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def sym_power(g: int, k: int) -> LaurentPoly:
-    """e(Sym^k X) = [x^k] (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)).
+    """e(Sym^k X) = [x^k] (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)), as a finite sum.
 
-    The series factors are expanded exactly to order k, so the truncation
-    budget always matches the coefficient being extracted.
+    With w = uv, 1/((1-x)(1-wx)) has x^j coefficient h_j(1, w) = 1 + w + ... + w^j
+    (Macdonald, Symmetric Functions, I.2), so the value is the sum over
+    s <= min(2g, k) of E_s (1 + w + ... + w^(k-s)), with
+    E_s = sum_i C(g,i) C(g,s-i) u^i v^(s-i) the x^s coefficient of
+    (1+ux)^g (1+vx)^g, the E_s of ``triples._closed_core``.
     """
     _require_genus(g)
     if k < 0:
         raise ValueError(f"symmetric power must be >= 0, got {k}")
-    return TruncatedSeries.rational(k, [(U, g), (V, g)], [ONE, UV]).coeff(k)
-
-
-def moduli_11(g: int, d1: int, d2: int) -> LaurentPoly:
-    """Hodge polynomial of the moduli of rank-(1,1) triples L2 -> L1 above sigma_m.
-
-    Empty when d1 < d2.  Otherwise the space is Jac^(d2) X x Sym^(d1-d2) X
-    for any stability parameter above sigma_m = d1 - d2; the factor
-    e(Jac X) is multiplied in by ``times_binomials``.
-    """
-    _require_genus(g)
-    if d1 < d2:
-        return LaurentPoly()
-    return times_binomials(sym_power(g, d1 - d2), g)
+    terms: dict[tuple[int, int], int] = {}
+    for s in range(min(2 * g, k) + 1):
+        for i in range(max(0, s - g), min(g, s) + 1):
+            c = math.comb(g, i) * math.comb(g, s - i)
+            for j in range(k - s + 1):
+                key = (i + j, s - i + j)
+                terms[key] = terms.get(key, 0) + c
+    return LaurentPoly(terms)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ the two contributions is a closed polynomial in the building blocks.
 This module exposes:
 
 * the wall enumeration and chamber index for rank (2,1) and (1,2);
-* ``flip_difference``: the wall-crossing contribution, via blocks and via a
-  raw series extraction (two independent pipelines);
+* ``flip_difference``: the wall-crossing contribution, via the blocks as
+  finite sums and via a raw series extraction (two independent pipelines);
 * ``hodge_triples_closed`` / ``hodge_triples_sum``: the closed
   coefficient-extraction formula and the telescoped sum of wall
   contributions (the central cross-check of the package).  The sums are
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
 
-from .blocks import TypeVector, _require_genus, chi_triples, jacobian, moduli_11, proj_space
+from .blocks import TypeVector, _require_genus, chi_triples, jacobian, sym_power
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, monomial, times_binomials
 
 
@@ -260,22 +260,24 @@ def flip_difference(spec: TripleSpec, d_M: int) -> LaurentPoly:
 
     Crossing the wall downwards replaces a projectivized extension bundle
     over Jac x N_(1,1)(d1 - d_M, d2) = Jac x (Jac x Sym) by another.  Their
-    ranks are -chi of the wall's types T' = (1, 0, d_M, 0) and
-    T'' = (1, 1, d1 - d_M, d2), quotient first, so the change is
+    ranks are a = -chi(T', T'') and b = -chi(T'', T') for the wall's types
+    T' = (1, 0, d_M, 0) and T'' = (1, 1, d1 - d_M, d2), so the change is
 
-        (e_(-chi(T', T'')) - e_(-chi(T'', T'))) * e(N_(1,1)) * e(Jac X)
-        = (e_(2 d_M - d1 + g - 1) - e_(d1 - d2 - d_M)) * e(Jac X)^2 * e(Sym^(d1 - d2 - d_M) X).
+        (e_a - e_b) * e(Jac X)^2 * e(Sym^b X)
+        = e(Sym^b X) ((uv)^b - (uv)^a) / (1 - uv) * (1+u)^2g (1+v)^2g,
 
-    The factor e(Jac X) of N_(1,1), and the one here, are each multiplied in
-    by ``times_binomials``.  Only walls strictly above sigma_m (d_M > mu1)
-    are covered.
+    with a = 2 d_M - d1 + g - 1 and b = d1 - d2 - d_M.  The rank difference is
+    a run on the diagonal: e(Sym^b X) is multiplied by the two-term
+    numerator, divided by 1 - uv as a running sum, and e(Jac X)^2 goes last,
+    in one ``times_binomials`` call.  Only walls strictly above sigma_m
+    (d_M > mu1) are covered.
     """
     _check_flip_args(spec, d_M)
     g = spec.g
     t1, t2 = TypeVector(1, 0, d_M, 0), TypeVector(1, 1, spec.d1 - d_M, spec.d2)
-    ranks = proj_space(-chi_triples(t1, t2, g)) - proj_space(-chi_triples(t2, t1, g))
-    # the rank difference goes last: it cancels down to |a - b| diagonal terms
-    return times_binomials(moduli_11(g, spec.d1 - d_M, spec.d2), g) * ranks
+    a, b = -chi_triples(t1, t2, g), -chi_triples(t2, t1, g)
+    run = sym_power(g, b) * (monomial(1, b, b) - monomial(1, a, a)) / (ONE - UV)
+    return times_binomials(run, 2 * g)
 
 
 def flip_difference_series(spec: TripleSpec, d_M: int) -> LaurentPoly:

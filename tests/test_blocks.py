@@ -1,17 +1,11 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hodgetriples.blocks import (
-    GenusOutOfRange,
-    TypeVector,
-    chi_triples,
-    jacobian,
-    moduli_11,
-    proj_space,
-    sym_power,
-)
-from hodgetriples.laurent import ONE, UV, LaurentPoly, U, UniPoly, V
+from hodgetriples.blocks import GenusOutOfRange, TypeVector, chi_triples, jacobian, proj_space, sym_power
+from hodgetriples.laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V
 from hodgetriples.verify import sym_power_oracle
 
 
@@ -64,6 +58,11 @@ class TestJacobian:
             jacobian(1)
 
 
+def _series_sym_power(g, k):
+    """e(Sym^k X) as the series expansion of its generating function to order k, the route the finite sum replaced."""
+    return TruncatedSeries.rational(k, [(U, g), (V, g)], [ONE, UV]).coeff(k)
+
+
 class TestSymPower:
     def test_point(self):
         assert sym_power(2, 0) == ONE
@@ -81,6 +80,14 @@ class TestSymPower:
     def test_matches_convolution_oracle(self, g, k):
         assert sym_power(g, k) == sym_power_oracle(g, k)
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 40))
+    @example(2, 0)
+    @example(3, 6)
+    @example(7, 40)
+    def test_series_oracle_property(self, g, k):
+        assert sym_power(g, k) == _series_sym_power(g, k)
+
     @pytest.mark.parametrize("g", [2, 3])
     def test_structure(self, g):
         for k in range(1, 2 * g - 1):
@@ -93,17 +100,6 @@ class TestSymPower:
     def test_genus_guard(self):
         with pytest.raises(GenusOutOfRange):
             sym_power(1, 2)
-
-
-class TestModuli11:
-    def test_empty_when_d1_below_d2(self):
-        assert moduli_11(2, 3, 5) == 0
-
-    def test_equal_degrees(self):
-        assert moduli_11(2, 4, 4) == (ONE + U) ** 2 * (ONE + V) ** 2
-
-    def test_generic(self):
-        assert moduli_11(2, 4, 3) == jacobian(2) * (ONE + 2 * U + 2 * V + UV)
 
 
 class TestChiTriples:

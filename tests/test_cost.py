@@ -64,8 +64,7 @@ def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
     # __rmul__ is an alias of __mul__, so 3 * p is counted as well
     monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", counted_mul)
-    for module in (blocks, triples):  # the kernel's callers bind it by name
-        monkeypatch.setattr(module, "times_binomials", counted_kernel)
+    monkeypatch.setattr(triples, "times_binomials", counted_kernel)  # its one caller binds it by name
     work()
     monkeypatch.undo()
     return tuple(tally)
@@ -75,7 +74,7 @@ def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
     "evaluate, pins",
     [
         (triples.hodge_triples_closed, (0, 0, 0, 0, 4, 1024)),
-        (triples.hodge_triples_sum, (4, 0, 56, 1437, 8, 420)),
+        (triples.hodge_triples_sum, (0, 4, 4, 60, 4, 696)),
     ],
     ids=["closed", "sum"],
 )
@@ -84,9 +83,14 @@ def test_sweep_cost_pinned(monkeypatch, evaluate, pins):
 
     The closed route expands no series, divides and multiplies nothing: each
     chamber is one finite sum and one kernel call for e(Jac X)^2.  Each wall
-    term of the sum takes two kernel calls, one per e(Jac X).  With e(Jac X)^2
-    multiplied in by ``*``, the closed route took 13 multiplies (5,245 term
-    pairs) and the sum 71 (3,973).
+    term of the sum is e(Sym^b X), a finite sum, times the two-term numerator
+    (uv)^b - (uv)^a, one division by 1 - uv as a running sum, and one kernel
+    call for e(Jac X)^2, whose box is the run, |a - b| - 1 longer on the
+    diagonal than e(Sym^b X).  With e(Jac X)^2 multiplied in by ``*``, the
+    closed route took 13 multiplies (5,245 term pairs) and the sum 71 (3,973);
+    with e(Sym^b X) a series expansion, one kernel call per e(Jac X) and the
+    rank difference multiplied in last, the sum took 4 expansions, 56
+    multiplies (1,437 term pairs) and 8 kernel calls (420 slots).
     """
 
     def sweep():
@@ -95,6 +99,24 @@ def test_sweep_cost_pinned(monkeypatch, evaluate, pins):
 
     cost = _arithmetic_cost(monkeypatch, sweep)
     assert all(count <= pin for count, pin in zip(cost, pins)), cost
+
+
+def test_wall_sum_packs_nothing(monkeypatch):
+    """Each wall term multiplies only by its two-term numerator, on the dict loop: the wall sum packs no product."""
+    _clear_block_caches()
+    packed = [0]
+    product = laurent._packed_product
+
+    def counted(p, q):
+        packed[0] += 1
+        return product(p, q)
+
+    monkeypatch.setattr(laurent, "_packed_product", counted)
+    spec = triples.TripleSpec(6, (2, 1), 40, 0)
+    for sigma in triples.chamber_representatives(spec):
+        triples.hodge_triples_sum(spec, sigma)
+    monkeypatch.undo()
+    assert packed[0] == 0
 
 
 def test_cold_table_cost_pinned(monkeypatch):

@@ -4,8 +4,8 @@ An oracle outside the package: sympy's power series ring over the field
 Q(u, v) (``sympy.polys.ring_series``) expands each formula in x, and its
 rational arithmetic checks that the result is a polynomial, with none of
 ``laurent``'s arithmetic.  It gives the Hodge polynomials of triple and pair
-moduli at small genus, degree and chamber, and of odd-degree rank-2 bundle
-moduli at small genus.  The package itself stays free
+moduli at small genus, degree and chamber, of odd-degree rank-2 bundle
+moduli at small genus, and of the symmetric powers of the curve.  The package itself stays free
 of dependencies; without sympy these tests are skipped.
 """
 
@@ -18,6 +18,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.ring_series import rs_mul, rs_series_inversion  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
+from hodgetriples.blocks import sym_power  # noqa: E402
 from hodgetriples.triples import (  # noqa: E402
     TripleSpec,
     chamber_representatives,
@@ -79,3 +80,14 @@ def test_bundles_odd_closed_forms(g, d, fixed_det):
     assert value.denom == 1, "the closed form must give a polynomial"
     expected = {key: int(c) for key, c in value.numer.terms()}
     assert dict(hodge_bundles_odd(g, d, fixed_det=fixed_det).poly.terms()) == expected
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_sym_power_generating_function(g):
+    """e(Sym^k X) = [x^k] (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)) for k = 0..8."""
+    prec = 9
+    series = rs_mul((1 + U * X) ** g * (1 + V * X) ** g, rs_series_inversion((1 - X) * (1 - W * X), X, prec), X, prec)
+    for k in range(prec):
+        value = series.coeff(X**k)
+        assert value.denom == 1
+        assert dict(sym_power(g, k).terms()) == {key: int(c) for key, c in value.numer.terms()}, (g, k)

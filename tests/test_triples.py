@@ -3,12 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodgetriples import blocks, triples
-from hodgetriples.blocks import GenusOutOfRange, jacobian, moduli_11, proj_space
-from hodgetriples.laurent import ONE, UV, TruncatedSeries, U, V, monomial
+from hodgetriples.blocks import GenusOutOfRange, jacobian, proj_space
+from hodgetriples.laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, V, monomial, times_binomials
 from hodgetriples.triples import (
     EmptyFamily,
     EvenDegree,
@@ -217,6 +217,31 @@ class TestChamberOracle:
                 assert chamber_d0(spec, StabilityValue(sigma_c, "minus")) == d_m
 
 
+def _moduli_11(g, d1, d2):
+    """e(N_(1,1)) of rank-(1,1) triples L2 -> L1 above sigma_m: e(Jac^(d2) X x Sym^(d1-d2) X), empty when d1 < d2."""
+    if d1 < d2:
+        return LaurentPoly()
+    return times_binomials(blocks.sym_power(g, d1 - d2), g)
+
+
+def _flip_oracle(spec, d_M):
+    """The wall term as a product of blocks, (e_a - e_b) e(Jac X) e(N_(1,1)(d1 - d_M, d2)), the route the run replaced."""
+    g = spec.g
+    ranks = proj_space(2 * d_M - spec.d1 + g - 1) - proj_space(spec.d1 - spec.d2 - d_M)
+    return times_binomials(_moduli_11(g, spec.d1 - d_M, spec.d2), g) * ranks
+
+
+class TestModuli11:
+    def test_empty_when_d1_below_d2(self):
+        assert _moduli_11(2, 3, 5) == 0
+
+    def test_equal_degrees(self):
+        assert _moduli_11(2, 4, 4) == (ONE + U) ** 2 * (ONE + V) ** 2
+
+    def test_generic(self):
+        assert _moduli_11(2, 4, 3) == jacobian(2) * (ONE + 2 * U + 2 * V + UV)
+
+
 class TestFlipDifference:
     def test_top_wall_d1_5(self):
         spec = TripleSpec(2, (2, 1), 5, 0)
@@ -252,6 +277,17 @@ class TestFlipDifference:
             if d_m <= spec.mu1:
                 continue
             assert flip_difference(spec, d_m) == flip_difference_series(spec, d_m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(-2, 0), st.integers(0, 30))
+    @example(2, 0, 5)
+    @example(6, -2, 30)
+    def test_block_oracle_property(self, g, d2, d1):
+        """Every wall above sigma_m of the family equals the product of blocks."""
+        spec = TripleSpec(g, (2, 1), d1, d2)
+        for _, d_m in critical_values(spec):
+            if d_m > spec.mu1:
+                assert flip_difference(spec, d_m) == _flip_oracle(spec, d_m), d_m
 
 
 class TestHodgeTriplesClosed:
@@ -672,6 +708,6 @@ class TestFlipBlockDecomposition:
         for _, d_m in critical_values(spec):
             if d_m <= spec.mu1:
                 continue
-            base = jacobian(3) * moduli_11(3, spec.d1 - d_m, spec.d2)
+            base = jacobian(3) * _moduli_11(3, spec.d1 - d_m, spec.d2)
             ranks = proj_space(2 * d_m - spec.d1 + spec.g - 1) - proj_space(spec.d1 - spec.d2 - d_m)
             assert flip_difference(spec, d_m) == ranks * base

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from hodgetriples import blocks, triples, verify
-from hodgetriples.laurent import ONE, LaurentPoly, UniPoly, monomial
+from hodgetriples.laurent import ONE, LaurentPoly, TruncatedSeries, UniPoly, monomial
 from hodgetriples.verify import CheckReport, VerifyGrid, run_suite, summarize, sym_power_oracle
 
 SMALL = VerifyGrid(g_values=(2,), d2_values=(0,), d1_values=(1, 2, 3, 4, 5))
@@ -275,6 +275,22 @@ class TestFaultInjection:
         reports = run_suite(grid)
         assert any(r.status == "fail" for r in reports)
         assert "flip-two-path" in summarize(reports) or "failed" in summarize(reports)
+
+    def test_broken_series_expansion_is_detected(self, monkeypatch):
+        """A fault in ``TruncatedSeries.rational`` reaches only the series side of flip-two-path, so the check sees it."""
+        rational = TruncatedSeries.rational
+
+        class OffByOne:
+            def __init__(self, series):
+                self.series = series
+
+            def coeff(self, k):
+                return self.series.coeff(k) + 1
+
+        monkeypatch.setattr(TruncatedSeries, "rational", lambda *args, **kwargs: OffByOne(rational(*args, **kwargs)))
+        grid = VerifyGrid(g_values=(2,), d2_values=(0,), d1_values=(5,), checks=("flip-two-path",))
+        reports = run_suite(grid)
+        assert [r.status for r in reports] == ["fail"]
 
     def test_broken_sym_power_is_detected(self, monkeypatch):
         real = blocks.sym_power.__wrapped__
