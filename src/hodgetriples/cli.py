@@ -27,7 +27,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -192,38 +191,37 @@ class _CanonicalBox:
     """The keys of [0, D]^2 in canonical order, with their record text, for the largest dim D it was fitted to.
 
     Canonical order is total degree, then u-exponent.  ``keys`` lists the
-    (D + 1)^2 exponents of the box, ``prefixes`` the text ``{"u":a,"v":b,"c":"``
-    opening each key's term, ``starts[t]`` the offset of the first key of
-    total degree t (``starts[2D + 1]`` closes the last), and
-    ``degree_prefixes[t]`` the text ``{"t":t,"c":"`` of each diagonal entry.
-    The order on [0, d]^2 is the restriction of the order on [0, D]^2, so
-    every dim d <= D reads the first ``starts[2d + 1]`` keys of the same
-    box; only a larger dim rebuilds it.  A table holds one box while it
-    runs, and nothing holds it after.
+    (D + 1)^2 exponents of the box, ``templates`` the ``%`` format
+    ``{"u":a,"v":b,"c":"%d"}`` of each key's term, ``starts[t]`` the offset
+    of the first key of total degree t (``starts[2D + 1]`` closes the last),
+    and ``degree_templates[t]`` the format ``{"t":t,"c":"%d"}`` of each
+    diagonal entry.  The order on [0, d]^2 is the restriction of the order
+    on [0, D]^2, so every dim d <= D reads the first ``starts[2d + 1]`` keys
+    of the same box; only a larger dim rebuilds it.  A table holds one box
+    while it runs, and nothing holds it after.
     """
 
     def __init__(self) -> None:
         self.dim = -1
         self.keys: list[tuple[int, int]] = []
-        self.prefixes: list[str] = []
+        self.templates: list[str] = []
         self.starts = [0]
-        self.degree_prefixes: list[str] = []
+        self.degree_templates: list[str] = []
 
     def fit(self, dim: int) -> "_CanonicalBox":
         if dim > self.dim:
             degrees = range(2 * dim + 1)
             self.dim = dim
             self.keys = [(a, t - a) for t in degrees for a in range(max(0, t - dim), min(t, dim) + 1)]
-            self.prefixes = [f'{{"u":{a},"v":{b},"c":"' for a, b in self.keys]
+            self.templates = [f'{{"u":{a},"v":{b},"c":"%d"}}' for a, b in self.keys]
             self.starts = list(itertools.accumulate((min(t, 2 * dim - t) + 1 for t in degrees), initial=0))
-            self.degree_prefixes = [f'{{"t":{t},"c":"' for t in degrees]
+            self.degree_templates = [f'{{"t":{t},"c":"%d"}}' for t in degrees]
         return self
 
 
-def _entries(prefixes: Iterable[str], coeffs: list) -> str:
-    """The JSON list entries ``prefix + c"}`` of each nonzero c in ``coeffs`` (None counts as zero), comma-joined."""
-    text = '"},'.join(map(operator.add, itertools.compress(prefixes, coeffs), map(str, filter(None, coeffs))))
-    return f'{text}"}}' if text else text
+def _entries(templates: Iterable[str], coeffs: list) -> str:
+    """The comma-joined ``templates`` of the nonzero c in ``coeffs`` (None counts as zero), each formatted with its c."""
+    return ",".join(itertools.compress(templates, coeffs)) % tuple(filter(None, coeffs))
 
 
 def _compute_record(target: str, g: int, params: dict, box: _CanonicalBox) -> str:
@@ -246,19 +244,20 @@ def _result_text(result: triples.HodgeResult, box: _CanonicalBox) -> str:
     Nothing is sorted.  ``HodgeResult`` bounds the support to [0, dim]^2,
     so the coefficients come out in canonical order (total degree, then
     u-exponent) by gathering them at the keys of ``box``, fitted to dim, up
-    to total degree 2 dim, None where there is no term.  Each term is its
-    key's held prefix plus the coefficient, and the ``poincare`` list, the
-    diagonal of every target, is the sum of each total degree's run of
-    that list, zero sums dropped; both are joined in C.
+    to total degree 2 dim, None where there is no term.  Each list is
+    spelled by one ``%`` format, the joined templates of its nonzero
+    entries: the terms from the keys' templates, and the ``poincare`` list,
+    the diagonal of every target, from the sums of each total degree's run
+    of coefficients, zero sums dropped.
     """
     dim = result.complex_dim
     terms = diagonal = ""
     if dim is not None:
         starts = box.fit(dim).starts
         coeffs = result.poly.gather(itertools.islice(box.keys, starts[2 * dim + 1]))
-        terms = _entries(box.prefixes, coeffs)
+        terms = _entries(box.templates, coeffs)
         sums = [sum(filter(None, coeffs[starts[t] : starts[t + 1]])) for t in range(2 * dim + 1)]
-        diagonal = _entries(box.degree_prefixes, sums)
+        diagonal = _entries(box.degree_templates, sums)
     return f'"dim":{_dump_json(dim)},"terms":[{terms}],"poincare":[{diagonal}]}}'
 
 
@@ -275,8 +274,8 @@ def _request_echo(target: str, g: int, params: dict, d0: Optional[int]) -> str:
     return f'{{"request":{_dump_json(request)},'
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# compact JSON; ``json.dumps`` with separators would build a new encoder per call
+_dump_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _json_record(text: str, poincare: bool) -> str:
@@ -391,12 +390,14 @@ def _list_grammar(item: str) -> str:
 _REQUEST = "|".join(map(_request_grammar, _FAMILIES))
 _TERMS = _list_grammar(rf'\{{"u":{_NAT},"v":{_NAT},"c":{_COEFF}\}}')
 _DIAGONAL = _list_grammar(rf'\{{"t":{_NAT},"c":{_COEFF}\}}')
+_KEY_OPEN, _RECORD_OPEN = b',"key":"', b'","record":'
 # No possessive quantifier or atomic group (Python 3.11 and up): every choice
 # is settled within a few characters, so a match takes time linear in the line.
+# No group captures: ``_cache_line`` cuts the fields out at fixed delimiters.
 _CACHE_LINE = re.compile(
     (
-        re.escape(_CACHE_HEAD) + rf'({_NAT}),"key":"({_KEY})","record":'
-        rf'(\{{"request":\{{(?:{_REQUEST})\}},"dim":(?:{_NAT}|null),"terms":{_TERMS},"poincare":{_DIAGONAL}\}})'
+        re.escape(_CACHE_HEAD) + rf'(?:{_NAT}),"key":"(?:{_KEY})","record":'
+        rf'(?:\{{"request":\{{(?:{_REQUEST})\}},"dim":(?:{_NAT}|null),"terms":{_TERMS},"poincare":{_DIAGONAL}\}})'
         r"\}\n?"
     ).encode("ascii")
 )
@@ -415,14 +416,21 @@ def _cache_line(line: bytes) -> Optional[tuple[int, str, str]]:
     entry ``{"t":k,"c":"k"}``, with k a nonzero decimal.  So a line holding
     whitespace, an escape, a float, "-0", a reordered or extra key, a value
     of another shape or a byte outside ASCII is refused, and ``_POINCARE``
-    occurs once.  Nothing is decoded as JSON: the record text is the slice
-    of the line its group matched.
+    occurs once.  Nothing is decoded as JSON.  On a match the fields are
+    slices at fixed delimiters, which neither the revision nor the key can
+    hold: the revision runs from the head to the first comma, the key from
+    ``,"key":"`` to the first ``","record":``, and the record from there to
+    the line's last ``}``, which closes the line.
     """
-    match = _CACHE_LINE.fullmatch(line)
-    if match is None:
+    if _CACHE_LINE.fullmatch(line) is None:
         return None
-    revision, key, record = match.groups()
-    return int(revision), key.decode("ascii"), record.decode("ascii")
+    comma = line.index(b",", len(_CACHE_HEAD))
+    record = line.index(_RECORD_OPEN, comma)
+    return (
+        int(line[len(_CACHE_HEAD) : comma]),
+        line[comma + len(_KEY_OPEN) : record].decode("ascii"),
+        line[record + len(_RECORD_OPEN) : line.rindex(b"}")].decode("ascii"),
+    )
 
 
 def _load_cache(path: str) -> tuple[dict[str, str], bool]:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Literal, Optional
 
 from .blocks import TypeVector, _require_genus, chi_triples, jacobian, sym_power
-from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, monomial, times_binomials
+from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, _wrap, monomial, times_binomials
 
 
 class OnWall(ValueError):
@@ -317,7 +317,9 @@ def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
     expands the tails of ``hodge_triples_closed``.  With k = n - s, the w^j
     coefficient of [k+2 choose 2]_w is min(j, 2k-j)//2 + 1 and the quotient is
     a run +-(w^lo + ... + w^(hi-1)), so entry m of ``window``, the w^(lo+m)
-    coefficient of their product, is a difference of prefix sums.
+    coefficient of their product, is a difference of prefix sums.  The sums
+    are exact ints, so the result wraps them as they are, with the zero sums
+    dropped (``hodge_pairs`` with fixed determinant returns it as it is).
     """
     terms: dict[tuple[int, int], int] = {}
     for s in set(range(min(2 * g, n) + 1)) - {e2}:  # at s = e2 the run is empty
@@ -330,7 +332,7 @@ def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
             for m, c in enumerate(window, lo):
                 key = (i + m, s - i + m)
                 terms[key] = terms.get(key, 0) + b * c
-    return LaurentPoly(terms)
+    return _wrap({key: c for key, c in terms.items() if c})
 
 
 def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult:

@@ -13,7 +13,9 @@ from hodgetriples import blocks, triples
 from hodgetriples.cli import main
 from hodgetriples.laurent import ONE, UV, U, V
 from hodgetriples.triples import StabilityValue, TripleSpec
-from hodgetriples.verify import VerifyGrid, residue_extract_check, run_suite, sym_power_oracle
+from hodgetriples.verify import VerifyGrid, residue_extract_check, run_suite
+
+from test_blocks import sym_power_oracle
 
 SV = StabilityValue.parse
 

@@ -6,7 +6,24 @@ from hypothesis import strategies as st
 
 from hodgetriples.blocks import GenusOutOfRange, TypeVector, chi_triples, jacobian, proj_space, sym_power
 from hodgetriples.laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V
-from hodgetriples.verify import sym_power_oracle
+
+
+def sym_power_oracle(g: int, k: int) -> LaurentPoly:
+    """e(Sym^k X) by direct convolution of the four factor sequences.
+
+    Sums C(g,j1) C(g,j2) u^(j1+j4) v^(j2+j4) over j1+j2+j3+j4 = k, which
+    expands (1+ux)^g (1+vx)^g * 1/(1-x) * 1/(1-uvx) without any series
+    machinery.
+    """
+    acc: dict[tuple[int, int], int] = {}
+    for j1 in range(min(g, k) + 1):
+        c1 = math.comb(g, j1)
+        for j2 in range(min(g, k - j1) + 1):
+            c2 = math.comb(g, j2)
+            for j4 in range(k - j1 - j2 + 1):
+                key = (j1 + j4, j2 + j4)
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return LaurentPoly(acc)
 
 
 class TestProjSpace:

@@ -1,10 +1,14 @@
 import builtins
+import contextlib
 import errno
+import functools
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,15 @@ TRIPLE_21 = ("--target", "triple", "--genus", "2", "--d1", "3..5", "--d2", "0", 
 TRIPLE_12 = ("--target", "triple", "--rank", "1,2", "--genus", "2", "--d1", "0", "--d2=-5..-3", "--format", "json-lines")
 PAIR_FIXED = ("--target", "pair-fixed", "--genus", "2..3", "--degree", "1..4", "--format", "json-lines")
 BUNDLE = ("--target", "bundle", "--genus", "2..3", "--degree", "1..5", "--format", "json-lines")
+# one small table per target, and whether its cache lines hold a negative chamber index d0
+TABLES = {
+    "triple": (("--target", "triple", "--genus", "2", "--d1=-3..8", "--d2=-2..0"), True),
+    "triple12": (("--target", "triple", "--rank", "1,2", "--genus", "2", "--d1=-3..8", "--d2=-2..0"), False),
+    "pair": (("--target", "pair", "--genus", "2..3", "--degree", "1..6"), False),
+    "pair-fixed": (("--target", "pair-fixed", "--genus", "2..3", "--degree", "1..6"), False),
+    "bundle": (("--target", "bundle", "--genus", "2..3", "--degree", "1..7"), False),
+    "bundle-fixed": (("--target", "bundle-fixed", "--genus", "2..3", "--degree", "1..7"), False),
+}
 # every table output format, run cold and warm against one cache
 FORMATS = {
     "json-lines": ("--format", "json-lines"),
@@ -309,14 +322,7 @@ class TestTable:
         assert "corrupt: dropped 6 bad line(s), kept 0 record(s)" in err
         assert cache.read_text(encoding="utf-8") == written
 
-    @pytest.mark.parametrize("options, negative_d0", [
-        (("--target", "triple", "--genus", "2", "--d1=-3..8", "--d2=-2..0"), True),
-        (("--target", "triple", "--rank", "1,2", "--genus", "2", "--d1=-3..8", "--d2=-2..0"), False),
-        (("--target", "pair", "--genus", "2..3", "--degree", "1..6"), False),
-        (("--target", "pair-fixed", "--genus", "2..3", "--degree", "1..6"), False),
-        (("--target", "bundle", "--genus", "2..3", "--degree", "1..7"), False),
-        (("--target", "bundle-fixed", "--genus", "2..3", "--degree", "1..7"), False),
-    ], ids=["triple", "triple12", "pair", "pair-fixed", "bundle", "bundle-fixed"])  # fmt: skip
+    @pytest.mark.parametrize("options, negative_d0", list(TABLES.values()), ids=list(TABLES))
     def test_every_written_line_reads_back(self, capsys, tmp_path, options, negative_d0):
         """Each line ``_save_cache`` writes is read back, with no warning, and warm output equals cold in every format."""
         cache = tmp_path / "records.jsonl"
@@ -679,8 +685,8 @@ class TestRecordText:
         box = self._check(ascending + ascending[::-1])
         top = max(dims, default=-1)
         assert box.dim == top
-        assert len(box.keys) == len(box.prefixes) == (top + 1) ** 2
-        assert box.starts[-1] == len(box.keys) and len(box.degree_prefixes) == max(2 * top + 1, 0)
+        assert len(box.keys) == len(box.templates) == (top + 1) ** 2
+        assert box.starts[-1] == len(box.keys) and len(box.degree_templates) == max(2 * top + 1, 0)
 
     @pytest.mark.parametrize("terms, dim, text", [
         ({(0, 0): 5}, 0, '"dim":0,"terms":[{"u":0,"v":0,"c":"5"}],"poincare":[{"t":0,"c":"5"}]}'),
@@ -702,6 +708,68 @@ class TestRecordText:
         assert keys[:6] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
         assert box.fit(2) is box and box.keys is keys
         assert box.fit(5).keys is not keys and box.dim == 5
+
+
+# ``cli._CACHE_LINE`` as it was when its groups captured the revision, key and
+# record: the same language, and the oracle of the fields ``_cache_line`` cuts.
+_CAPTURING_CACHE_LINE = re.compile(
+    (
+        re.escape(cli._CACHE_HEAD) + rf'({cli._NAT}),"key":"({cli._KEY})","record":'
+        rf'(\{{"request":\{{(?:{cli._REQUEST})\}},"dim":(?:{cli._NAT}|null),"terms":{cli._TERMS},"poincare":{cli._DIAGONAL}\}})'
+        r"\}\n?"
+    ).encode("ascii")
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _written_lines() -> tuple[bytes, ...]:
+    """The lines ``_save_cache`` writes for the table of each target in ``TABLES``, without their newlines."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for target, (options, _) in TABLES.items():
+            path = os.path.join(tmp, f"{target}.jsonl")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["table", *options, "--cache", path]) == 0
+            lines.extend(Path(path).read_bytes().splitlines())
+    return tuple(lines)
+
+
+@st.composite
+def _cache_lines(draw) -> bytes:
+    """A written line, its revision stamp redrawn, with or without its newline, then as it is or with one byte
+    substituted, inserted or deleted, or cut short."""
+    head, line = cli._CACHE_HEAD.encode("ascii"), draw(st.sampled_from(_written_lines()))
+    revision = b"%d" % draw(st.sampled_from((cli.FORMULA_REVISION,)) | st.integers(0, 10**4))
+    line = head + revision + line[line.index(b",", len(head)) :] + draw(st.sampled_from((b"", b"\n")))
+    edit = draw(st.sampled_from(("none", "substitute", "insert", "delete", "truncate")))
+    last = len(line) - (edit in ("substitute", "delete"))
+    at = draw(st.integers(0, last) | st.integers(0, min(last, 100)))  # often in the head, key and request
+    byte = bytes([draw(st.sampled_from(b'0123456789-,:"{}[]\n') | st.integers(0, 255))])
+    return {
+        "none": line,
+        "substitute": line[:at] + byte + line[at + 1 :],
+        "insert": line[:at] + byte + line[at:],
+        "delete": line[:at] + line[at + 1 :],
+        "truncate": line[:at],
+    }[edit]
+
+
+class TestCacheLineGrammar:
+    """``cli._cache_line`` reads the fields by slices; the capturing grammar it replaced is the oracle."""
+
+    def test_pattern_is_the_capturing_one_without_captures(self):
+        assert (_CAPTURING_CACHE_LINE.groups, cli._CACHE_LINE.groups) == (3, 0)
+        assert re.sub(rb"(?<!\\)\((?!\?)", b"(?:", _CAPTURING_CACHE_LINE.pattern) == cli._CACHE_LINE.pattern
+
+    @settings(max_examples=600, deadline=None)
+    @given(_cache_lines())
+    def test_matches_capturing_oracle(self, line):
+        match = _CAPTURING_CACHE_LINE.fullmatch(line)
+        if match is None:
+            assert cli._cache_line(line) is None
+        else:
+            revision, key, record = match.groups()
+            assert cli._cache_line(line) == (int(revision), key.decode("ascii"), record.decode("ascii"))
 
 
 class TestVerifyCommand:

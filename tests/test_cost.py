@@ -167,7 +167,7 @@ def test_cold_table_cost_pinned(monkeypatch):
     assert calls == {"terms": 0, "diagonal": 0}
     assert len(boxes) == 1
     assert boxes[0].dim == max(dims) == 19
-    assert len(boxes[0].keys) == len(boxes[0].prefixes) == 20**2
+    assert len(boxes[0].keys) == len(boxes[0].templates) == 20**2
 
 
 @pytest.mark.parametrize("fmt, decodes_per_record", [("json-lines", 0), ("csv", 1), ("latex", 1)])

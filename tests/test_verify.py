@@ -4,7 +4,9 @@ import pytest
 
 from hodgetriples import blocks, triples, verify
 from hodgetriples.laurent import ONE, LaurentPoly, TruncatedSeries, UniPoly, monomial
-from hodgetriples.verify import CheckReport, VerifyGrid, run_suite, summarize, sym_power_oracle
+from hodgetriples.verify import CheckReport, VerifyGrid, run_suite, summarize
+
+from test_blocks import sym_power_oracle
 
 SMALL = VerifyGrid(g_values=(2,), d2_values=(0,), d1_values=(1, 2, 3, 4, 5))
 
@@ -291,6 +293,25 @@ class TestFaultInjection:
         grid = VerifyGrid(g_values=(2,), d2_values=(0,), d1_values=(5,), checks=("flip-two-path",))
         reports = run_suite(grid)
         assert [r.status for r in reports] == ["fail"]
+
+    def test_broken_series_expansion_fails_sym_oracle(self, monkeypatch):
+        """sym-oracle holds ``sym_power`` to the series expansion of its generating function, so an off-by-one series fails it."""
+        rational = TruncatedSeries.rational
+
+        class OffByOne:
+            def __init__(self, series):
+                self.series = series
+
+            def coeff(self, k):
+                return self.series.coeff(k) + 1
+
+        grid = VerifyGrid(g_values=(2, 3), d2_values=(0,), d1_values=(1,), checks=("sym-oracle",))
+        assert [r.line() for r in run_suite(grid)] == ["PASS sym-oracle [g=2 k=0..8]", "PASS sym-oracle [g=3 k=0..8]"]
+        monkeypatch.setattr(TruncatedSeries, "rational", lambda *args, **kwargs: OffByOne(rational(*args, **kwargs)))
+        assert [r.line() for r in run_suite(grid)] == [
+            "FAIL sym-oracle [g=2 k=0..8]: mismatch at k=[0, 1, 2]",
+            "FAIL sym-oracle [g=3 k=0..8]: mismatch at k=[0, 1, 2]",
+        ]
 
     def test_broken_sym_power_is_detected(self, monkeypatch):
         real = blocks.sym_power.__wrapped__
