@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import ONE, LaurentPoly, U, V
+from .laurent import ONE, LaurentPoly, U, V, _wrap
 
 
 class GenusOutOfRange(ValueError):
@@ -68,7 +68,7 @@ def sym_power(g: int, k: int) -> LaurentPoly:
             for j in range(k - s + 1):
                 key = (i + j, s - i + j)
                 terms[key] = terms.get(key, 0) + c
-    return LaurentPoly(terms)
+    return _wrap(terms)  # exact positive sums: no zero to drop, nothing to convert
 
 
 @dataclass(frozen=True)

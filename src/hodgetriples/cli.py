@@ -37,7 +37,7 @@ from . import triples, verify
 from .laurent import NotDivisible, _format_terms, _mono, _t_mono
 
 CACHE_ENV = "HODGETRIPLES_CACHE"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # Stamped on every cache line; a line of another revision is recomputed.  Bump
 # it with any change that could alter the bytes of a record for some input.
 FORMULA_REVISION = 1
@@ -108,25 +108,24 @@ class _Family:
     """What the cli knows about one family of targets.
 
     ``params`` maps option names (``rank``, the degree options and the
-    stability option) to parsed values.
+    stability option) to parsed values.  A table row is identified by the
+    request echo ``_request_echo`` writes from these, and by nothing else.
     """
 
     targets: tuple[str, ...]
     ranked: bool  # takes --rank
     degrees: tuple[str, ...]  # integers for compute, ranges for table
     stability: Optional[str]  # the stability option; table enumerates one value per chamber
-    chambers: Callable[[str, int, dict], Iterator[tuple[str, dict, Optional[int]]]]
-    """(cache key, params with the stability value, chamber index d0) for each chamber of one degree choice."""
+    chambers: Callable[[int, dict], Iterator[tuple[dict, Optional[int]]]]
+    """(params with the stability value, chamber index d0) for each chamber of one degree choice."""
     evaluate: Callable[[str, int, dict], _Evaluation]
     """(result, chamber index d0) of one request."""
 
 
-def _triple_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict, Optional[int]]]:
+def _triple_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
     spec = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
     for sigma in triples.chamber_representatives(spec):
-        d0 = triples.chamber_d0(spec, sigma)
-        key = f"{target}:{spec.rank_pair[0]}{spec.rank_pair[1]}:g={g}:d1={spec.d1}:d2={spec.d2}:d0={d0}"
-        yield key, {**params, "sigma": sigma}, d0
+        yield {**params, "sigma": sigma}, triples.chamber_d0(spec, sigma)
 
 
 def _triple_evaluate(target: str, g: int, params: dict) -> _Evaluation:
@@ -135,11 +134,10 @@ def _triple_evaluate(target: str, g: int, params: dict) -> _Evaluation:
     return result, None if result.is_empty else triples.chamber_d0(spec, sigma)
 
 
-def _pair_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict, Optional[int]]]:
+def _pair_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
     d = params["degree"]
     for tau in triples.pair_chamber_representatives(d):
-        d0 = triples.pair_chamber(d, tau) + 1
-        yield f"{target}:g={g}:d={d}:d0={d0}", {**params, "tau": tau}, d0
+        yield {**params, "tau": tau}, triples.pair_chamber(d, tau) + 1
 
 
 def _pair_evaluate(target: str, g: int, params: dict) -> _Evaluation:
@@ -148,9 +146,9 @@ def _pair_evaluate(target: str, g: int, params: dict) -> _Evaluation:
     return triples.hodge_pairs(g, d, tau, fixed_det=target == "pair-fixed"), None if fl is None else fl + 1
 
 
-def _bundle_chambers(target: str, g: int, params: dict) -> Iterator[tuple[str, dict, Optional[int]]]:
+def _bundle_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
     if params["degree"] % 2:  # the closed forms cover odd degree only
-        yield f"{target}:g={g}:d={params['degree']}", params, None
+        yield params, None
 
 
 def _bundle_evaluate(target: str, g: int, params: dict) -> _Evaluation:
@@ -341,8 +339,8 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
 # -- table -----------------------------------------------------------------
 
 
-def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict, Optional[int]]]:
-    """(cache key, genus, params, chamber index d0) for every (parameter, chamber) pair, in canonical order."""
+def _table_rows(args: argparse.Namespace) -> list[tuple[int, dict, Optional[int]]]:
+    """(genus, params, chamber index d0) for every (parameter, chamber) pair, in canonical order."""
     family = _FAMILY_OF[args.target]
     genera = _parse_range(args.genus)
     _require(args, family, ranges=True)
@@ -354,7 +352,7 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[str, int, dict, Optional
     for g in genera:
         for degrees in grid:
             params = {**fixed, **dict(zip(family.degrees, degrees))}
-            rows.extend((key, g, chamber, d0) for key, chamber, d0 in family.chambers(args.target, g, params))
+            rows.extend((g, chamber, d0) for chamber, d0 in family.chambers(g, params))
     return rows
 
 
@@ -368,12 +366,10 @@ _NAT = "(?!0[0-9])[0-9]+"  # the lookahead runs faster in ``re`` than the altern
 _INT = "(?:0|-?[1-9][0-9]*)"
 _RATIONAL = f"{_INT}(?:/[1-9][0-9]*)?[+-]?"  # a stability value as ``StabilityValue.__str__`` spells it
 _COEFF = '"-?[1-9][0-9]*"'  # a nonzero coefficient, as a decimal string
-# a target, then its rank (21 or 12) and its name=integer fields, colon-separated
-_KEY = f"[a-z-]+(?::(?:21|12|[a-z][a-z0-9]*={_INT}))*"
 
 
 def _request_grammar(family: _Family) -> str:
-    """The request echo ``_compute_record`` writes for the family's targets, braces excluded."""
+    """The request echo ``_compute_record`` writes for the family's targets, braces excluded; it holds no ``}``."""
     grammar = f'"target":"(?:{"|".join(family.targets)})","genus":{_NAT}'
     if family.ranked:
         grammar += ',"rank":"(?:2,1|1,2)"'
@@ -390,59 +386,56 @@ def _list_grammar(item: str) -> str:
 _REQUEST = "|".join(map(_request_grammar, _FAMILIES))
 _TERMS = _list_grammar(rf'\{{"u":{_NAT},"v":{_NAT},"c":{_COEFF}\}}')
 _DIAGONAL = _list_grammar(rf'\{{"t":{_NAT},"c":{_COEFF}\}}')
-_KEY_OPEN, _RECORD_OPEN = b',"key":"', b'","record":'
+_RECORD_OPEN = b',"record":'
 # No possessive quantifier or atomic group (Python 3.11 and up): every choice
 # is settled within a few characters, so a match takes time linear in the line.
 # No group captures: ``_cache_line`` cuts the fields out at fixed delimiters.
 _CACHE_LINE = re.compile(
     (
-        re.escape(_CACHE_HEAD) + rf'(?:{_NAT}),"key":"(?:{_KEY})","record":'
-        rf'(?:\{{"request":\{{(?:{_REQUEST})\}},"dim":(?:{_NAT}|null),"terms":{_TERMS},"poincare":{_DIAGONAL}\}})'
+        re.escape(_CACHE_HEAD) + rf'(?:{_NAT}),"record":'
+        rf'(?:(?:\{{"request":\{{(?:{_REQUEST})\}},)"dim":(?:{_NAT}|null),"terms":{_TERMS},"poincare":{_DIAGONAL}\}})'
         r"\}\n?"
     ).encode("ascii")
 )
 
 
 def _cache_line(line: bytes) -> Optional[tuple[int, str, str]]:
-    """(formula revision, key, record text) of a line spelled as ``_save_cache`` writes it, else None.
+    """(formula revision, request echo, record text) of a line spelled as ``_save_cache`` writes it, else None.
 
     The line must match ``_CACHE_LINE`` whole: the head
-    ``{"schema_version":1,"formula_revision":N,"key":"...","record":`` and a
-    record with the keys ``request``, ``dim``, ``terms`` and ``poincare`` in
-    that order, closing the line.  The request echoes the target, genus,
-    rank (triples only), degrees, and the stability value with its chamber
-    index d0 (an integer or ``null``); ``dim`` is a natural number or
-    ``null``; each term is ``{"u":a,"v":b,"c":"k"}`` and each ``poincare``
-    entry ``{"t":k,"c":"k"}``, with k a nonzero decimal.  So a line holding
+    ``{"schema_version":2,"formula_revision":N,"record":`` and a record with
+    the keys ``request``, ``dim``, ``terms`` and ``poincare`` in that order,
+    closing the line.  The request echoes the target, genus, rank (triples
+    only), degrees, and the stability value with its chamber index d0 (an
+    integer or ``null``); ``dim`` is a natural number or ``null``; each term
+    is ``{"u":a,"v":b,"c":"k"}`` and each ``poincare`` entry
+    ``{"t":k,"c":"k"}``, with k a nonzero decimal.  So a line holding
     whitespace, an escape, a float, "-0", a reordered or extra key, a value
     of another shape or a byte outside ASCII is refused, and ``_POINCARE``
     occurs once.  Nothing is decoded as JSON.  On a match the fields are
-    slices at fixed delimiters, which neither the revision nor the key can
-    hold: the revision runs from the head to the first comma, the key from
-    ``,"key":"`` to the first ``","record":``, and the record from there to
-    the line's last ``}``, which closes the line.
+    slices at fixed delimiters: the revision runs from the head to the first
+    comma, the record from ``,"record":`` to the line's last ``}``, which
+    closes the line, and the echo ``{"request":{...},`` from the record's
+    start to its first ``},``, since the request holds no ``}``.
     """
     if _CACHE_LINE.fullmatch(line) is None:
         return None
     comma = line.index(b",", len(_CACHE_HEAD))
-    record = line.index(_RECORD_OPEN, comma)
-    return (
-        int(line[len(_CACHE_HEAD) : comma]),
-        line[comma + len(_KEY_OPEN) : record].decode("ascii"),
-        line[record + len(_RECORD_OPEN) : line.rindex(b"}")].decode("ascii"),
-    )
+    record = line[comma + len(_RECORD_OPEN) : line.rindex(b"}")].decode("ascii")
+    return int(line[len(_CACHE_HEAD) : comma]), record[: record.index("},") + 2], record
 
 
 def _load_cache(path: str) -> tuple[dict[str, str], bool]:
-    """(JSON text of each record by key, whether the file needs rewriting).
+    """(JSON text of each record by its request echo, whether the file needs rewriting).
 
     Each line is matched on its own against the grammar of ``_cache_line``,
-    so a bad line (truncated, another schema, a record of another shape, or
-    any spelling other than the one ``_save_cache`` writes, as a line without
-    a revision stamp has) is dropped and counted, the rest kept.  A line of
-    another formula revision is dropped too, so its record is recomputed by
-    the current code.  Records are held as their JSON text, never decoded
-    here, so a large table holds a few bytes per term.
+    so a bad line (truncated, another schema, as schema 1 with its keys is, a
+    record of another shape, or any spelling other than the one
+    ``_save_cache`` writes, as a line without a revision stamp has) is
+    dropped and counted, the rest kept.  A line of another formula revision
+    is dropped too, so its record is recomputed by the current code.
+    Records are held as their JSON text, never decoded here, so a large
+    table holds a few bytes per term.
     """
     cache: dict[str, str] = {}
     if not path or not os.path.exists(path):
@@ -478,16 +471,17 @@ def _warn(path: str, problem: str) -> None:
 def _save_cache(path: str, cache: dict[str, str]) -> None:
     """Write the cache beside ``path`` and rename it over the old file, so a failed write loses nothing.
 
-    Each line is the compact JSON of {schema_version, formula_revision, key,
-    record}, spliced from the record's JSON text.  The new file is flushed
-    and synced to disk before the rename, so a crash cannot leave the rename
-    pointing at unwritten data.
+    ``cache`` maps each request echo to the record text it opens.  Each line
+    is the compact JSON of {schema_version, formula_revision, record},
+    spliced from the record's JSON text, in the order of the echoes.  The
+    new file is flushed and synced to disk before the rename, so a crash
+    cannot leave the rename pointing at unwritten data.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            for key in sorted(cache):
-                handle.write(f'{_CACHE_HEAD}{FORMULA_REVISION},"key":{_dump_json(key)},"record":{cache[key]}}}\n')
+            for echo in sorted(cache):
+                handle.write(f'{_CACHE_HEAD}{FORMULA_REVISION},"record":{cache[echo]}}}\n')
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -513,22 +507,20 @@ def _latex_row(rec: dict) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    """Print one record per table row: the cached record under the row's request echo, else a computed one."""
     cache_path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV, "")
     # opening a FIFO would block, and the save would rename over a device or directory
     if cache_path and os.path.exists(cache_path) and not os.path.isfile(cache_path):
         raise UserError(f"cache path {cache_path} exists and is not a regular file")
     cache, stale = _load_cache(cache_path)
     texts: list[str] = []
-    misfiled = 0
     box = _CanonicalBox()
-    for key, g, params, d0 in _table_rows(args):
-        if key not in cache or not cache[key].startswith(_request_echo(args.target, g, params, d0)):
-            misfiled += key in cache
-            cache[key] = _compute_record(args.target, g, params, box)
+    for g, params, d0 in _table_rows(args):
+        echo = _request_echo(args.target, g, params, d0)
+        if echo not in cache:
+            cache[echo] = _compute_record(args.target, g, params, box)
             stale = True
-        texts.append(cache[key])
-    if misfiled:
-        _warn(cache_path, f"holds {misfiled} record(s) under another request's key; recomputing them and rewriting it")
+        texts.append(cache[echo])
     if cache_path and stale:
         _save_cache(cache_path, cache)
 

@@ -333,7 +333,7 @@ class TestTable:
         assert None not in map(cli._cache_line, lines)
         records, stale = cli._load_cache(str(cache))
         assert (len(records), stale) == (len(lines), False)
-        assert any(b":d0=-1" in line and b'"d0":-1}' in line for line in lines) == negative_d0
+        assert any(b'"d0":-1},' in line for line in lines) == negative_d0
         for name, fmt in FORMATS.items():
             assert run(capsys, "table", *options, *fmt, "--cache", str(cache)) == colds[name] and colds[name][2] == ""
 
@@ -341,10 +341,55 @@ class TestTable:
         """A record of an empty space, null d0 and dim and no terms, which ``compute`` writes, is read back whole."""
         cache = tmp_path / "records.jsonl"
         text = (GOLDEN / "compute_triple_empty_json_poincare.txt").read_text(encoding="utf-8").rstrip("\n")
-        assert '"d0":null},"dim":null,"terms":[],"poincare":[]}' in text
-        cli._save_cache(str(cache), {"triple:21:g=2:d1=5:d2=0:d0=12": text})
+        echo = '{"request":{"target":"triple","genus":2,"rank":"2,1","d1":5,"d2":0,"sigma":"21","d0":null},'
+        assert text == echo + '"dim":null,"terms":[],"poincare":[]}'
+        cli._save_cache(str(cache), {echo: text})
         assert capsys.readouterr() == ("", "")
-        assert cli._load_cache(str(cache)) == ({"triple:21:g=2:d1=5:d2=0:d0=12": text}, False)
+        assert cli._load_cache(str(cache)) == ({echo: text}, False)
+
+    @pytest.mark.parametrize("options", [options for options, _ in TABLES.values()], ids=list(TABLES))
+    def test_rows_served_under_their_echo(self, capsys, tmp_path, monkeypatch, options):
+        """Each row's request echo opens the record written for it, so a warm run evaluates nothing and rewrites nothing."""
+        cache = tmp_path / "records.jsonl"
+        cold = run(capsys, "table", *options, "--cache", str(cache))
+        rows = cli._table_rows(cli.build_parser().parse_args(["table", *options]))
+        echoes = [cli._request_echo(options[1], g, params, d0) for g, params, d0 in rows]
+        assert [line[: len(echo)] for line, echo in zip(cold[1].splitlines(), echoes, strict=True)] == echoes
+        assert sorted(cli._load_cache(str(cache))[0]) == sorted(echoes)
+        written, inode = cache.read_bytes(), cache.stat().st_ino
+        computed = []
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a))
+        assert run(capsys, "table", *options, "--cache", str(cache)) == cold and computed == []
+        assert (cache.read_bytes(), cache.stat().st_ino) == (written, inode)
+
+    def test_schema_1_cache_rewritten_once(self, capsys, tmp_path, monkeypatch):
+        """A cache file as the schema-1 cli wrote it, with a key before each record: its lines are dropped with one
+        warning, every record is recomputed with the same output and rewritten in schema 2, and the next run is quiet."""
+        cache = tmp_path / "records.jsonl"
+        schema_1 = (
+            b'{"schema_version":1,"formula_revision":1,"key":"pair-fixed:g=2:d=3:d0=2","record":{"request":{"target":"pair-fixed",'
+            b'"genus":2,"degree":3,"tau":"7/4","d0":2},"dim":3,"terms":[{"u":0,"v":0,"c":"1"},{"u":1,"v":1,"c":"2"},'
+            b'{"u":1,"v":2,"c":"2"},{"u":2,"v":1,"c":"2"},{"u":2,"v":2,"c":"2"},{"u":3,"v":3,"c":"1"}],"poincare":[{"t":0,"c":"1"},'
+            b'{"t":2,"c":"2"},{"t":3,"c":"4"},{"t":4,"c":"2"},{"t":6,"c":"1"}]}}\n'
+            b'{"schema_version":1,"formula_revision":1,"key":"pair-fixed:g=2:d=3:d0=3","record":{"request":{"target":"pair-fixed",'
+            b'"genus":2,"degree":3,"tau":"5/2","d0":3},"dim":3,"terms":[{"u":0,"v":0,"c":"1"},{"u":1,"v":1,"c":"1"},'
+            b'{"u":2,"v":2,"c":"1"},{"u":3,"v":3,"c":"1"}],"poincare":[{"t":0,"c":"1"},{"t":2,"c":"1"},{"t":4,"c":"1"},'
+            b'{"t":6,"c":"1"}]}}\n'
+        )
+        cache.write_bytes(schema_1)
+        argv = ["table", "--target", "pair-fixed", "--genus", "2", "--degree", "3"]
+        cold = run(capsys, *argv)
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out, len(computed)) == (0, cold[1], 2)
+        assert err == (f"warning: cache file {cache} is corrupt: dropped 2 bad line(s), kept 0 record(s); "
+                       "recomputing the dropped ones and rewriting the file\n")
+        head = b'{"schema_version":2,"formula_revision":%d,"record":' % cli.FORMULA_REVISION
+        records = [line[line.index(b'"record":') + len(b'"record":') :] for line in schema_1.splitlines()]
+        assert cache.read_bytes().splitlines() == sorted(head + record for record in records)  # in the order of the echoes
+        assert run(capsys, *argv, "--cache", str(cache)) == (0, cold[1], "") and len(computed) == 2
 
     def test_cache_lines_are_compact_json(self, capsys, tmp_path):
         cache = tmp_path / "records.jsonl"
@@ -354,7 +399,7 @@ class TestTable:
         lines = cache.read_text(encoding="utf-8").splitlines()
         entries = [json.loads(line) for line in lines]
         assert lines == [cli._dump_json(entry) for entry in entries]
-        assert list(entries[0]) == ["schema_version", "formula_revision", "key", "record"]
+        assert list(entries[0]) == ["schema_version", "formula_revision", "record"]
         assert sorted(cli._dump_json(entry["record"]) for entry in entries) == sorted(out.splitlines())
 
     def test_respelled_cache_lines_served_as_cold(self, capsys, tmp_path, monkeypatch):
@@ -476,44 +521,6 @@ class TestTable:
         assert "corrupt: dropped 1 bad line(s), kept 1 record(s)" in err
         assert cache.read_text(encoding="utf-8") == written
         assert run(capsys, *argv) == first and len(computed) == 2
-
-    def test_record_under_another_key_recomputed(self, capsys, tmp_path, monkeypatch):
-        """A genus-3 record re-keyed as genus 2 is not served for genus 2: recomputed, with a warning."""
-        cache = tmp_path / "records.jsonl"
-        argv = ["table", "--target", "bundle-fixed", "--degree", "1", "--format", "json-lines"]
-        cold = run(capsys, *argv, "--genus", "2")
-        assert '"dim":3,' in cold[1]
-        run(capsys, *argv, "--genus", "2", "--cache", str(cache))
-        written = cache.read_text(encoding="utf-8")
-        run(capsys, *argv, "--genus", "3", "--cache", str(cache))
-        genus3 = cache.read_text(encoding="utf-8").splitlines()[1]
-        assert '"key":"bundle-fixed:g=3:d=1"' in genus3 and '"dim":6,' in genus3
-        cache.write_text(genus3.replace(":g=3:", ":g=2:") + "\n", encoding="utf-8")
-        computed = []
-        compute = cli._compute_record
-        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
-        code, out, err = run(capsys, *argv, "--genus", "2", "--cache", str(cache))
-        assert (code, out) == (0, cold[1]) and len(computed) == 1
-        assert "holds 1 record(s) under another request's key" in err
-        assert cache.read_text(encoding="utf-8") == written
-
-    def test_swapped_chamber_records_recomputed(self, capsys, tmp_path, monkeypatch):
-        """Two chambers' records held under each other's key are both recomputed, and the file rewritten."""
-        cache = tmp_path / "records.jsonl"
-        argv = ["table", "--target", "pair-fixed", "--genus", "2", "--degree", "3", "--cache", str(cache)]
-        cold = run(capsys, *argv)
-        written = cache.read_text(encoding="utf-8")
-        keys = re.findall(r'"key":"([^"]*)"', written)
-        assert keys == ["pair-fixed:g=2:d=3:d0=2", "pair-fixed:g=2:d=3:d0=3"]
-        cache.write_text(written.replace(keys[0], "swap").replace(keys[1], keys[0]).replace("swap", keys[1]))
-        computed = []
-        compute = cli._compute_record
-        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
-        code, out, err = run(capsys, *argv, "--format", "csv")
-        assert code == 0 and len(computed) == 2
-        assert "holds 2 record(s) under another request's key" in err
-        assert cache.read_text(encoding="utf-8") == written
-        assert run(capsys, *argv) == cold and len(computed) == 2
 
     def test_oversized_range_refused(self, capsys):
         code, out, err = run(capsys, "table", "--target", "bundle", "--genus", "2", "--degree", "1..1000000000")
@@ -710,12 +717,13 @@ class TestRecordText:
         assert box.fit(5).keys is not keys and box.dim == 5
 
 
-# ``cli._CACHE_LINE`` as it was when its groups captured the revision, key and
-# record: the same language, and the oracle of the fields ``_cache_line`` cuts.
+# ``cli._CACHE_LINE`` with groups that capture the revision, the record and the
+# request echo that opens it: the same language, and the oracle of the fields
+# ``_cache_line`` cuts.
 _CAPTURING_CACHE_LINE = re.compile(
     (
-        re.escape(cli._CACHE_HEAD) + rf'({cli._NAT}),"key":"({cli._KEY})","record":'
-        rf'(\{{"request":\{{(?:{cli._REQUEST})\}},"dim":(?:{cli._NAT}|null),"terms":{cli._TERMS},"poincare":{cli._DIAGONAL}\}})'
+        re.escape(cli._CACHE_HEAD) + rf'({cli._NAT}),"record":'
+        rf'((\{{"request":\{{(?:{cli._REQUEST})\}},)"dim":(?:{cli._NAT}|null),"terms":{cli._TERMS},"poincare":{cli._DIAGONAL}\}})'
         r"\}\n?"
     ).encode("ascii")
 )
@@ -743,7 +751,7 @@ def _cache_lines(draw) -> bytes:
     line = head + revision + line[line.index(b",", len(head)) :] + draw(st.sampled_from((b"", b"\n")))
     edit = draw(st.sampled_from(("none", "substitute", "insert", "delete", "truncate")))
     last = len(line) - (edit in ("substitute", "delete"))
-    at = draw(st.integers(0, last) | st.integers(0, min(last, 100)))  # often in the head, key and request
+    at = draw(st.integers(0, last) | st.integers(0, min(last, 100)))  # often in the head and request
     byte = bytes([draw(st.sampled_from(b'0123456789-,:"{}[]\n') | st.integers(0, 255))])
     return {
         "none": line,
@@ -768,8 +776,8 @@ class TestCacheLineGrammar:
         if match is None:
             assert cli._cache_line(line) is None
         else:
-            revision, key, record = match.groups()
-            assert cli._cache_line(line) == (int(revision), key.decode("ascii"), record.decode("ascii"))
+            revision, record, echo = match.groups()
+            assert cli._cache_line(line) == (int(revision), echo.decode("ascii"), record.decode("ascii"))
 
 
 class TestVerifyCommand:
