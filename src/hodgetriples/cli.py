@@ -100,7 +100,7 @@ def _parse_range(text: str) -> list[int]:
 
 # -- target families ----------------------------------------------------------
 
-_Evaluation = tuple[triples.HodgeResult, Optional[int]]
+_Evaluation = tuple[Optional[int], Optional[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class _Family:
     chambers: Callable[[int, dict], Iterator[tuple[dict, Optional[int]]]]
     """(params with the stability value, chamber index d0) for each chamber of one degree choice."""
     evaluate: Callable[[str, int, dict], _Evaluation]
-    """(result, chamber index d0) of one request."""
+    """(chamber index d0, dim, square) of one request, the square as ``triples.hodge_triples_square`` gives it."""
 
 
 def _triple_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
@@ -129,9 +129,8 @@ def _triple_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]
 
 
 def _triple_evaluate(target: str, g: int, params: dict) -> _Evaluation:
-    spec, sigma = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"]), params["sigma"]
-    result = triples.hodge_triples_closed(spec, sigma)
-    return result, None if result.is_empty else triples.chamber_d0(spec, sigma)
+    spec = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
+    return triples.hodge_triples_square(spec, params["sigma"])
 
 
 def _pair_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
@@ -142,8 +141,8 @@ def _pair_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]
 
 def _pair_evaluate(target: str, g: int, params: dict) -> _Evaluation:
     d, tau = params["degree"], params["tau"]
-    fl = triples.pair_chamber(d, tau)
-    return triples.hodge_pairs(g, d, tau, fixed_det=target == "pair-fixed"), None if fl is None else fl + 1
+    result = triples.hodge_pairs(g, d, tau, fixed_det=target == "pair-fixed")
+    return (None if result.is_empty else triples.pair_chamber(d, tau) + 1, *_square(result))
 
 
 def _bundle_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
@@ -152,7 +151,15 @@ def _bundle_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]
 
 
 def _bundle_evaluate(target: str, g: int, params: dict) -> _Evaluation:
-    return triples.hodge_bundles_odd(g, params["degree"], fixed_det=target == "bundle-fixed"), None
+    return (None, *_square(triples.hodge_bundles_odd(g, params["degree"], fixed_det=target == "bundle-fixed")))
+
+
+def _square(result: triples.HodgeResult) -> tuple[Optional[int], list[int]]:
+    """(dim, square) of a checked result: its terms in [0, dim]^2, row-major as ``hodge_triples_square`` gives them."""
+    dim, square = result.complex_dim, [0] * ((result.complex_dim or 0) + 1) ** 2  # an empty result has no terms
+    for (a, b), c in result.poly._terms.items():
+        square[a * (dim + 1) + b] = c
+    return dim, square
 
 
 _FAMILIES = (
@@ -186,7 +193,7 @@ def _require(args: argparse.Namespace, family: _Family, ranges: bool) -> None:
 
 
 class _CanonicalBox:
-    """The keys of [0, D]^2 in canonical order, with their record text, for the largest dim D it was fitted to.
+    """The keys of [0, D]^2 in canonical order, with their record text, for the largest dim D it has indexed.
 
     Canonical order is total degree, then u-exponent.  ``keys`` lists the
     (D + 1)^2 exponents of the box, ``templates`` the ``%`` format
@@ -195,8 +202,10 @@ class _CanonicalBox:
     and ``degree_templates[t]`` the format ``{"t":t,"c":"%d"}`` of each
     diagonal entry.  The order on [0, d]^2 is the restriction of the order
     on [0, D]^2, so every dim d <= D reads the first ``starts[2d + 1]`` keys
-    of the same box; only a larger dim rebuilds it.  A table holds one box
-    while it runs, and nothing holds it after.
+    of the same box; only a larger dim rebuilds it.  ``index(d)`` maps those
+    keys to a (d + 1) + b in the row-major square of [0, d]^2, or to (d + 1)^2
+    outside it, all indexes sharing the ints of ``positions`` (ints of their
+    own took another 1 MiB arena).  A table holds one box while it runs.
     """
 
     def __init__(self) -> None:
@@ -205,8 +214,10 @@ class _CanonicalBox:
         self.templates: list[str] = []
         self.starts = [0]
         self.degree_templates: list[str] = []
+        self.indexes: dict[int, list[int]] = {}
+        self.positions: list[int] = []
 
-    def fit(self, dim: int) -> "_CanonicalBox":
+    def index(self, dim: int) -> list[int]:
         if dim > self.dim:
             degrees = range(2 * dim + 1)
             self.dim = dim
@@ -214,11 +225,15 @@ class _CanonicalBox:
             self.templates = [f'{{"u":{a},"v":{b},"c":"%d"}}' for a, b in self.keys]
             self.starts = list(itertools.accumulate((min(t, 2 * dim - t) + 1 for t in degrees), initial=0))
             self.degree_templates = [f'{{"t":{t},"c":"%d"}}' for t in degrees]
-        return self
+            self.indexes, self.positions = {}, list(range((dim + 1) ** 2 + 1))
+        if dim not in self.indexes:
+            side, keys = dim + 1, itertools.islice(self.keys, self.starts[2 * dim + 1])
+            self.indexes[dim] = [self.positions[a * side + b if a < side > b else side * side] for a, b in keys]
+        return self.indexes[dim]
 
 
-def _entries(templates: Iterable[str], coeffs: list) -> str:
-    """The comma-joined ``templates`` of the nonzero c in ``coeffs`` (None counts as zero), each formatted with its c."""
+def _entries(templates: Iterable[str], coeffs: list[int]) -> str:
+    """The comma-joined ``templates`` of the nonzero c in ``coeffs``, each formatted with its c."""
     return ",".join(itertools.compress(templates, coeffs)) % tuple(filter(None, coeffs))
 
 
@@ -232,29 +247,28 @@ def _compute_record(target: str, g: int, params: dict, box: _CanonicalBox) -> st
     echo comes from ``_request_echo``, the rest from ``_result_text``,
     which reads the terms off ``box`` in canonical order without sorting.
     """
-    result, d0 = _FAMILY_OF[target].evaluate(target, g, params)
-    return _request_echo(target, g, params, d0) + _result_text(result, box)
+    d0, dim, square = _FAMILY_OF[target].evaluate(target, g, params)
+    return _request_echo(target, g, params, d0) + _result_text(dim, square, box)
 
 
-def _result_text(result: triples.HodgeResult, box: _CanonicalBox) -> str:
-    """The text ``"dim":...,"terms":[...],"poincare":[...]}`` that closes the record of ``result``.
+def _result_text(dim: Optional[int], square: list[int], box: _CanonicalBox) -> str:
+    """The text ``"dim":...,"terms":[...],"poincare":[...]}`` that closes the record of a result.
 
-    Nothing is sorted.  ``HodgeResult`` bounds the support to [0, dim]^2,
-    so the coefficients come out in canonical order (total degree, then
-    u-exponent) by gathering them at the keys of ``box``, fitted to dim, up
-    to total degree 2 dim, None where there is no term.  Each list is
+    ``square`` holds the coefficients of [0, dim]^2 row-major and gains a
+    trailing 0.  Nothing is sorted: read at ``box.index(dim)``, it gives the
+    coefficients of the keys of ``box`` up to total degree 2 dim in canonical
+    order (total degree, then u-exponent), 0 outside the square.  Each list is
     spelled by one ``%`` format, the joined templates of its nonzero
     entries: the terms from the keys' templates, and the ``poincare`` list,
     the diagonal of every target, from the sums of each total degree's run
     of coefficients, zero sums dropped.
     """
-    dim = result.complex_dim
     terms = diagonal = ""
     if dim is not None:
-        starts = box.fit(dim).starts
-        coeffs = result.poly.gather(itertools.islice(box.keys, starts[2 * dim + 1]))
+        square.append(0)
+        coeffs, starts = list(map(square.__getitem__, box.index(dim))), box.starts
         terms = _entries(box.templates, coeffs)
-        sums = [sum(filter(None, coeffs[starts[t] : starts[t + 1]])) for t in range(2 * dim + 1)]
+        sums = [sum(coeffs[starts[t] : starts[t + 1]]) for t in range(2 * dim + 1)]
         diagonal = _entries(box.degree_templates, sums)
     return f'"dim":{_dump_json(dim)},"terms":[{terms}],"poincare":[{diagonal}]}}'
 
@@ -387,6 +401,7 @@ _REQUEST = "|".join(map(_request_grammar, _FAMILIES))
 _TERMS = _list_grammar(rf'\{{"u":{_NAT},"v":{_NAT},"c":{_COEFF}\}}')
 _DIAGONAL = _list_grammar(rf'\{{"t":{_NAT},"c":{_COEFF}\}}')
 _RECORD_OPEN = b',"record":'
+_OTHER_SCHEMA = re.compile(rb'\{"schema_version":(?!%d,)[0-9]+,' % SCHEMA_VERSION)
 # No possessive quantifier or atomic group (Python 3.11 and up): every choice
 # is settled within a few characters, so a match takes time linear in the line.
 # No group captures: ``_cache_line`` cuts the fields out at fixed delimiters.
@@ -429,24 +444,26 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
     """(JSON text of each record by its request echo, whether the file needs rewriting).
 
     Each line is matched on its own against the grammar of ``_cache_line``,
-    so a bad line (truncated, another schema, as schema 1 with its keys is, a
-    record of another shape, or any spelling other than the one
-    ``_save_cache`` writes, as a line without a revision stamp has) is
-    dropped and counted, the rest kept.  A line of another formula revision
-    is dropped too, so its record is recomputed by the current code.
+    so a bad line (truncated, a record of another shape, or any spelling
+    other than the one ``_save_cache`` writes, as a line without a revision
+    stamp has) is dropped and counted, the rest kept.  Lines of another
+    ``schema_version``, as schema 1, or of another formula revision are
+    dropped and counted apart, so their records are recomputed.
     Records are held as their JSON text, never decoded here, so a large
     table holds a few bytes per term.
     """
     cache: dict[str, str] = {}
     if not path or not os.path.exists(path):
         return cache, False
-    dropped = stale = 0
+    dropped = outdated = stale = 0
     try:
         # a buffer past the ~10 kB lines of a large table, which an 8 kB default splits
         with open(path, "rb", buffering=1 << 20) as handle:
             for line in handle:
                 read = _cache_line(line)
-                if read is None:
+                if read is None and _OTHER_SCHEMA.match(line):
+                    outdated += 1
+                elif read is None:
                     dropped += 1
                 elif read[0] != FORMULA_REVISION:
                     stale += 1
@@ -458,10 +475,12 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
     if dropped:
         _warn(path, f"is corrupt: dropped {dropped} bad line(s), kept {len(cache)} record(s); "
               "recomputing the dropped ones and rewriting the file")
+    if outdated:
+        _warn(path, f"has {outdated} line(s) of another cache schema; recomputing them and rewriting the file")
     if stale:
         _warn(path, f"has {stale} record(s) of another formula revision; "
               f"recomputing them with revision {FORMULA_REVISION} and rewriting the file")
-    return cache, bool(dropped or stale)
+    return cache, bool(dropped or outdated or stale)
 
 
 def _warn(path: str, problem: str) -> None:

@@ -32,10 +32,11 @@ operands too sparse to pack into a box of at most one slot per term pair
 stay on the dict loop.
 
 The factor e(Jac X)^k = (1+u)^(kg) (1+v)^(kg) of every chamber formula has
-its own kernel, ``times_binomials``: the other operand is packed once, in
+its own kernel, ``_binomial_square``: the other operand is packed once, in
 slots of the same kind, and each factor 1 + u or 1 + v is one shift and one
 add of that integer, with no second operand and no big-integer multiply.
-It was faster than the packed product at every size measured.
+It was faster than the packed product at every size measured; its digits
+are read into a dict by ``times_binomials`` or kept as a record's square.
 
 Exact division takes one of three routes.  A divisor that is 1 - u^p v^q
 up to a monomial factor, such as the 1 - uv of the wall terms' raw
@@ -104,10 +105,6 @@ class LaurentPoly:
 
     def coeff(self, a: int, b: int) -> int:
         return self._terms.get((a, b), 0)
-
-    def gather(self, keys: Iterable[Exponent]) -> list[Optional[int]]:
-        """The coefficient at each exponent of ``keys``, None where the polynomial has no term."""
-        return list(map(self._terms.get, keys))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -370,31 +367,29 @@ def _packed_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> Optional[
     n = _slot_bytes(bound.bit_length())
     packed = _pack(p, pa0, pb0, (width, 1), n, p_height * width + p_width + 1)
     packed *= _pack(q, qa0, qb0, (width, 1), n, q_height * width + q_width + 1)
-    digits = _balanced_digits(packed, n, slots)
-    a0, b0 = pa0 + qa0, pb0 + qb0
-    keys = itertools.product(range(a0, a0 + height), range(b0, b0 + width))
-    return dict(itertools.compress(zip(keys, digits), digits))
+    return _box_terms(pa0 + qa0, pb0 + qb0, height, width, _balanced_digits(packed, n, slots))
 
 
 def times_binomials(poly: LaurentPoly, m: int) -> LaurentPoly:
-    """poly (1+u)^m (1+v)^m, as 2m shift-adds on one packed integer.
-
-    This is the product by e(Jac X)^k, m = kg.  ``poly`` is packed once by
-    ``_pack`` into the box of the product, v the minor axis of width W, with
-    u^a v^b at slot a W + b.  Multiplying by 1 + v is then x += x << 8n and
-    by 1 + u is x += x << 8nW, for slots of n bytes, so there is no second
-    operand to pack and no big-integer multiply.  A product coefficient is at
-    most max|c| 4^m, where 4^m sums the factor's coefficients, so slots of
-    ``_slot_bytes`` of its bits hold every digit, read back by
-    ``_balanced_digits``.  The box spans the product's whole extent, which
-    suits the dense polynomials of the chamber formulas; unlike ``__mul__``,
-    nothing here falls back to the dict loop for a sparse one.
-    """
+    """poly (1+u)^m (1+v)^m: the digits of ``_binomial_square``, read into a dict."""
     if m < 0:
         raise ValueError("binomial exponent must be nonnegative")
-    terms = poly._terms
-    if not terms or not m:
-        return poly
+    return _wrap(_box_terms(*_binomial_square(poly._terms, m))) if poly and m else poly
+
+
+def _binomial_square(terms: dict[Exponent, int], m: int) -> tuple[int, int, int, int, list[int]]:
+    """(a0, b0, height, width, digits) of nonempty ``terms`` times (1+u)^m (1+v)^m, m > 0, as 2m shift-adds.
+
+    This is the product by e(Jac X)^k, m = kg.  ``terms`` are packed once by
+    ``_pack`` into the box of the product, [a0, a0 + height) x [b0, b0 + W)
+    for W = ``width``, with u^a v^b at slot (a - a0) W + b - b0.  Multiplying
+    by 1 + v is then x += x << 8n and by 1 + u is x += x << 8nW, for slots of
+    n bytes: no second operand, no big-integer multiply.  A coefficient is at
+    most max|c| 4^m, so slots of ``_slot_bytes`` of its bits hold every digit,
+    read back by ``_balanced_digits``.  The box is the product's extent, a
+    nonzero digit on each edge, which suits the dense chamber formulas;
+    nothing here falls back to the dict loop for a sparse polynomial.
+    """
     pa, pb = zip(*terms)
     a0, b0 = min(pa), min(pb)
     height, width = max(pa) - a0 + m + 1, max(pb) - b0 + m + 1
@@ -402,9 +397,13 @@ def times_binomials(poly: LaurentPoly, m: int) -> LaurentPoly:
     packed = _pack(terms, a0, b0, (width, 1), n, height * width)
     for shift in [8 * n] * m + [8 * n * width] * m:
         packed += packed << shift
-    digits = _balanced_digits(packed, n, height * width)
+    return a0, b0, height, width, _balanced_digits(packed, n, height * width)
+
+
+def _box_terms(a0: int, b0: int, height: int, width: int, digits: list[int]) -> dict[Exponent, int]:
+    """The nonzero terms of row-major ``digits`` over the box [a0, a0 + height) x [b0, b0 + width)."""
     keys = itertools.product(range(a0, a0 + height), range(b0, b0 + width))
-    return _wrap(dict(itertools.compress(zip(keys, digits), digits)))
+    return dict(itertools.compress(zip(keys, digits), digits))
 
 
 def _slot_bytes(bits: int) -> int:

@@ -19,7 +19,7 @@ This module exposes:
   built once per family, from the top wall down, one flip per wall, and
   held for at most two families.  The closed formula is a finite binomial
   sum, multiplied by e(Jac X)^2 = (1+u)^2g (1+v)^2g as shift-adds
-  (``laurent.times_binomials``);
+  (``laurent._binomial_square``) and kept as that kernel's square;
 * pair moduli (rank 2, with or without fixed determinant), their Poincare
   polynomials via an independent one-variable extraction, and the moduli of
   rank-2 odd-degree bundles through two more routes.
@@ -40,6 +40,7 @@ from typing import Literal, Optional
 
 from .blocks import TypeVector, _require_genus, chi_triples, jacobian, sym_power
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, _wrap, monomial, times_binomials
+from .laurent import _binomial_square, _box_terms
 
 
 class OnWall(ValueError):
@@ -162,8 +163,8 @@ class HodgeResult:
     """A Hodge polynomial with the complex dimension of its moduli space.
 
     ``complex_dim`` is ``None`` exactly when the space is empty, in which
-    case the polynomial is zero.  Nonempty results must be honest
-    polynomials supported in the square [0, complex_dim]^2.
+    case the polynomial is zero.  Nonempty results lie in [0, complex_dim]^2,
+    checked here term by term (``hodge_triples_square`` checks a kernel box).
     """
 
     poly: LaurentPoly
@@ -308,7 +309,7 @@ def _check_flip_args(spec: TripleSpec, d_M: int) -> None:
         raise ValueError(f"d_M = {d_M} > d1 - d2 = {spec.d1 - spec.d2}: no such wall")
 
 
-def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
+def _closed_core(g: int, n: int, e2: int) -> dict[tuple[int, int], int]:
     """The [x^0] extraction behind every closed chamber formula, as a finite sum.
 
     With w = uv and E_s the x^s coefficient of (1+ux)^g (1+vx)^g, it is the sum
@@ -318,8 +319,8 @@ def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
     coefficient of [k+2 choose 2]_w is min(j, 2k-j)//2 + 1 and the quotient is
     a run +-(w^lo + ... + w^(hi-1)), so entry m of ``window``, the w^(lo+m)
     coefficient of their product, is a difference of prefix sums.  The sums
-    are exact ints, so the result wraps them as they are, with the zero sums
-    dropped (``hodge_pairs`` with fixed determinant returns it as it is).
+    are exact ints, returned as they are with the zero sums dropped, for
+    ``hodge_pairs`` to wrap and ``hodge_triples_square`` to pack.
     """
     terms: dict[tuple[int, int], int] = {}
     for s in set(range(min(2 * g, n) + 1)) - {e2}:  # at s = e2 the run is empty
@@ -332,11 +333,17 @@ def _closed_core(g: int, n: int, e2: int) -> LaurentPoly:
             for m, c in enumerate(window, lo):
                 key = (i + m, s - i + m)
                 terms[key] = terms.get(key, 0) + b * c
-    return _wrap({key: c for key, c in terms.items() if c})
+    return {key: c for key, c in terms.items() if c}
 
 
 def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult:
-    """Hodge polynomial of N_sigma by the closed chamber formula.
+    """Hodge polynomial of N_sigma by the closed chamber formula: the terms of ``hodge_triples_square``."""
+    _, dim, square = hodge_triples_square(spec, sigma)
+    return _EMPTY if dim is None else HodgeResult(_wrap(_box_terms(0, 0, dim + 1, dim + 1, square)), dim)
+
+
+def hodge_triples_square(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optional[int], Optional[int], list[int]]:
+    """(d0, dim, square) of N_sigma by the closed chamber formula; (None, None, []) for an empty space.
 
     For rank (2,1), non-critical sigma > sigma_m and d0 the chamber index,
 
@@ -346,17 +353,22 @@ def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult
                          - (uv)^(g-1-d1+2 d0) / (1 - (uv)^2 x) ).
 
     Outside (sigma_m, sigma_M), or past the last wall, the space is empty.
-    Rank (1,2) is evaluated on the dual rank-(2,1) family.
+    Rank (1,2) is evaluated on the dual rank-(2,1) family.  ``square`` is
+    the row-major digits, u^a v^b at a (dim + 1) + b, of the kernel call for
+    e(Jac X)^2, whose box is the product's extent.  As h^{0,0} = h^{dim,dim}
+    = 1, that box must be [0, dim]^2: four integers bound every term at once,
+    and any other box raises ``AssertionError``.
     """
     spec21 = _spec21(spec)
     d0 = _chamber_or_empty(spec21, sigma)
     if d0 is None:
-        return _EMPTY
-    g = spec21.g
-    n = spec21.d1 - spec21.d2 - d0
-    e2 = -spec21.d1 + g - 1 + 2 * d0
-    poly = times_binomials(_closed_core(g, n, e2), 2 * g)
-    return HodgeResult(poly, spec.complex_dim)
+        return None, None, []
+    g, dim = spec21.g, spec.complex_dim
+    core = _closed_core(g, spec21.d1 - spec21.d2 - d0, -spec21.d1 + g - 1 + 2 * d0)
+    box = _binomial_square(core, 2 * g) if core else (0, 0, 0, 0, [])
+    if box[:4] != (0, 0, dim + 1, dim + 1):
+        raise AssertionError(f"kernel box {box[:4]} is not (0, 0, {dim + 1}, {dim + 1}): internal inconsistency")
+    return d0, dim, box[4]
 
 
 @functools.lru_cache(maxsize=2)
@@ -455,7 +467,7 @@ def hodge_pairs(g: int, d: int, tau: StabilityValue, fixed_det: bool = False) ->
         return _EMPTY
     n = d - 1 - fl
     e2 = g + 1 - d + 2 * fl
-    poly = _closed_core(g, n, e2)
+    poly = _wrap(_closed_core(g, n, e2))
     if not fixed_det:
         poly = times_binomials(poly, g)
     dim = (g - 2 + d) if fixed_det else (2 * g - 2 + d)

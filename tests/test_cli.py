@@ -2,6 +2,7 @@ import builtins
 import contextlib
 import errno
 import functools
+import gc
 import io
 import json
 import os
@@ -9,13 +10,14 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgetriples import cli, triples
+from hodgetriples import cli, laurent, triples
 from hodgetriples.cli import main
 from hodgetriples.laurent import ONE, LaurentPoly
 
@@ -364,7 +366,8 @@ class TestTable:
 
     def test_schema_1_cache_rewritten_once(self, capsys, tmp_path, monkeypatch):
         """A cache file as the schema-1 cli wrote it, with a key before each record: its lines are dropped with one
-        warning, every record is recomputed with the same output and rewritten in schema 2, and the next run is quiet."""
+        out-of-date warning (not "corrupt"), every record is recomputed with the same output and rewritten in schema 2,
+        and the next run is quiet."""
         cache = tmp_path / "records.jsonl"
         schema_1 = (
             b'{"schema_version":1,"formula_revision":1,"key":"pair-fixed:g=2:d=3:d0=2","record":{"request":{"target":"pair-fixed",'
@@ -384,12 +387,32 @@ class TestTable:
         monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
         code, out, err = run(capsys, *argv, "--cache", str(cache))
         assert (code, out, len(computed)) == (0, cold[1], 2)
-        assert err == (f"warning: cache file {cache} is corrupt: dropped 2 bad line(s), kept 0 record(s); "
-                       "recomputing the dropped ones and rewriting the file\n")
+        assert err == f"warning: cache file {cache} has 2 line(s) of another cache schema; recomputing them and rewriting the file\n"
         head = b'{"schema_version":2,"formula_revision":%d,"record":' % cli.FORMULA_REVISION
         records = [line[line.index(b'"record":') + len(b'"record":') :] for line in schema_1.splitlines()]
         assert cache.read_bytes().splitlines() == sorted(head + record for record in records)  # in the order of the echoes
         assert run(capsys, *argv, "--cache", str(cache)) == (0, cold[1], "") and len(computed) == 2
+
+    def test_other_schemas_counted_apart_from_damage(self, capsys, tmp_path):
+        """Lines of schemas 1 and 3 draw one out-of-date warning, apart from the "corrupt" one of a damaged line."""
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "bundle", "--genus", "2", "--degree", "1..5", "--cache", str(cache)]
+        cold = run(capsys, *argv)
+        lines = cache.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 3
+        head = b'{"schema_version":%d,' % cli.SCHEMA_VERSION
+        lines[0] = lines[0].replace(head, b'{"schema_version":1,"key":"x",')
+        lines[1] = lines[1].replace(head, b'{"schema_version":3,')
+        lines[2] = lines[2][:-9] + b"\n"
+        cache.write_bytes(b"".join(lines))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (0, cold[1])
+        assert err == (
+            f"warning: cache file {cache} is corrupt: dropped 1 bad line(s), kept 0 record(s); "
+            "recomputing the dropped ones and rewriting the file\n"
+            f"warning: cache file {cache} has 2 line(s) of another cache schema; recomputing them and rewriting the file\n"
+        )
+        assert run(capsys, *argv) == cold
 
     def test_cache_lines_are_compact_json(self, capsys, tmp_path):
         cache = tmp_path / "records.jsonl"
@@ -677,10 +700,11 @@ class TestRecordText:
 
     @staticmethod
     def _check(results) -> cli._CanonicalBox:
-        """Format ``results`` in order with one fresh box; each text must equal the oracle's.  Returns the box."""
+        """Format ``results`` in order with one fresh box, each packed into its square; each text must equal the
+        oracle's.  Returns the box."""
         box = cli._CanonicalBox()
         for result in results:
-            assert cli._result_text(result, box) == _sorted_result_text(result)
+            assert cli._result_text(*cli._square(result), box) == _sorted_result_text(result)
         return box
 
     @settings(max_examples=150, deadline=None)
@@ -713,8 +737,88 @@ class TestRecordText:
         box = self._check([triples.HodgeResult(LaurentPoly({(2, 3): 1}), 4)])
         keys = box.keys
         assert keys[:6] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-        assert box.fit(2) is box and box.keys is keys
-        assert box.fit(5).keys is not keys and box.dim == 5
+        assert box.index(2) == [0, 1, 3, 2, 4, 6, 9, 5, 7, 9, 9, 9, 8, 9, 9]  # 9 = 3^2 past the square
+        assert box.keys is keys and box.dim == 4
+        assert box.index(5) and box.keys is not keys and box.dim == 5
+
+
+def _library_result(target: str, g: int, params: dict) -> triples.HodgeResult:
+    """The library's result for one table row, by the public evaluator of its target."""
+    if target == "triple":
+        return triples.hodge_triples_closed(triples.TripleSpec(g, params["rank"], params["d1"], params["d2"]), params["sigma"])
+    if target.startswith("pair"):
+        return triples.hodge_pairs(g, params["degree"], params["tau"], fixed_det=target == "pair-fixed")
+    return triples.hodge_bundles_odd(g, params["degree"], fixed_det=target == "bundle-fixed")
+
+
+class TestSquareReader:
+    """Records read off the kernel's square (triples) or a packed dict (pairs, bundles), against independent oracles."""
+
+    @pytest.mark.parametrize("options", [options for options, _ in TABLES.values()], ids=list(TABLES))
+    def test_table_rows_match_sorted_library_text(self, options):
+        """Every row of each ``TABLES`` target: its record is its echo and the sorted oracle's text of the library result."""
+        rows = cli._table_rows(cli.build_parser().parse_args(["table", *options]))
+        box = cli._CanonicalBox()
+        for g, params, d0 in rows:
+            oracle = _sorted_result_text(_library_result(options[1], g, params))
+            assert cli._compute_record(options[1], g, params, box) == cli._request_echo(options[1], g, params, d0) + oracle
+
+    def test_wide_slots_match_wall_sum(self, monkeypatch):
+        """The lowest and a middle chamber of g=12, d1=100, d2=0, whose kernel slots are wider than a machine word, so
+        their digits are read by ``int.from_bytes``: the record equals the sorted text of the wall sum."""
+        spec = triples.TripleSpec(12, (2, 1), 100, 0)
+        sigmas = triples.chamber_representatives(spec)
+        widths, slot_bytes = [], laurent._slot_bytes
+        monkeypatch.setattr(laurent, "_slot_bytes", lambda bits: widths.append(slot_bytes(bits)) or widths[-1])
+        box = cli._CanonicalBox()
+        rows = [{"rank": (2, 1), "d1": 100, "d2": 0, "sigma": sigma} for sigma in (sigmas[0], sigmas[len(sigmas) // 2])]
+        texts = [cli._compute_record("triple", 12, params, box) for params in rows]
+        monkeypatch.undo()
+        assert widths == [10, 10]
+        for params, text in zip(rows, texts):
+            oracle = _sorted_result_text(triples.hodge_triples_sum(spec, params["sigma"]))
+            assert text == cli._request_echo("triple", 12, params, triples.chamber_d0(spec, params["sigma"])) + oracle
+
+    @pytest.mark.parametrize("fault", ["row-past-square", "row-inside-square"])
+    def test_box_not_square_is_internal_inconsistency(self, capsys, tmp_path, monkeypatch, fault):
+        """A core whose product leaves [0, dim]^2 by one row, or ends one row inside it: ``table`` and ``compute`` exit
+        1 with "internal inconsistency", and no cache line is written."""
+        core = triples._closed_core
+
+        def faulty(g, n, e2):
+            terms = core(g, n, e2)
+            if fault == "row-past-square":
+                return {**terms, (max(a for a, _ in terms) + 1, 0): 1}
+            return {(a, b): c for (a, b), c in terms.items() if a}
+
+        monkeypatch.setattr(triples, "_closed_core", faulty)
+        cache = tmp_path / "records.jsonl"
+        code, out, err = run(capsys, "table", *TRIPLE_21, "--cache", str(cache))
+        assert (code, out) == (1, "") and err.startswith("internal inconsistency: kernel box")
+        assert not cache.exists() and os.listdir(tmp_path) == []
+        code, out, err = run(capsys, "compute", "triple", "--genus", "2", "--d1", "5", "--d2", "0", "--sigma", "19/2")
+        assert (code, out) == (1, "") and err.startswith("internal inconsistency: kernel box")
+
+    def test_table_run_retains_nothing(self, monkeypatch):
+        """After a cold table returns, less than 16 kB it allocated is still held: no box or index outlives its run."""
+        argv = ["table", "--target", "triple", "--genus", "2..3", "--d1", "1..10", "--d2=-1..0", "--poincare"]
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+
+        def table():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+
+        table()  # the first run imports what the cli imports lazily
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            table()
+            gc.collect()  # argparse leaves reference cycles
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 16_000, retained
 
 
 # ``cli._CACHE_LINE`` with groups that capture the revision, the record and the

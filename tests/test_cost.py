@@ -30,14 +30,16 @@ def _clear_block_caches() -> None:
 def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
     """(series expansions, divisions, multiplies, term pairs, kernel calls, kernel slots) of ``work()``, from cold caches.
 
-    A kernel call is one product by ``laurent.times_binomials``, and its slots
-    are those of its packed box, the extents of the polynomial plus m + 1 on
-    each axis; a zero polynomial or m = 0 packs nothing.
+    A kernel call is one pack and shift-add by ``laurent._binomial_square``,
+    which ``times_binomials`` and ``triples.hodge_triples_square`` both call,
+    and its slots are those of its packed box, height times width: the
+    extents of the polynomial plus m + 1 on each axis.  A zero polynomial or
+    m = 0 packs nothing.
     """
     _clear_block_caches()
     tally = [0, 0, 0, 0, 0, 0]
     rational, div, mul = TruncatedSeries.rational.__func__, LaurentPoly.__truediv__, LaurentPoly.__mul__
-    kernel = laurent.times_binomials
+    kernel = laurent._binomial_square
 
     def counted_rational(cls, *args, **kwargs):
         tally[0] += 1
@@ -52,19 +54,19 @@ def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
         tally[3] += len(self) * (len(other) if isinstance(other, LaurentPoly) else 1)
         return mul(self, other)
 
-    def counted_kernel(poly, m):
+    def counted_kernel(terms, m):
+        box = kernel(terms, m)
         tally[4] += 1
-        if poly and m:
-            a, b = zip(*poly._terms)
-            tally[5] += (max(a) - min(a) + m + 1) * (max(b) - min(b) + m + 1)
-        return kernel(poly, m)
+        tally[5] += box[2] * box[3]
+        return box
 
     monkeypatch.setattr(TruncatedSeries, "rational", classmethod(counted_rational))
     monkeypatch.setattr(LaurentPoly, "__truediv__", counted_div)
     # __rmul__ is an alias of __mul__, so 3 * p is counted as well
     monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", counted_mul)
-    monkeypatch.setattr(triples, "times_binomials", counted_kernel)  # its one caller binds it by name
+    monkeypatch.setattr(laurent, "_binomial_square", counted_kernel)
+    monkeypatch.setattr(triples, "_binomial_square", counted_kernel)  # bound by name there
     work()
     monkeypatch.undo()
     return tuple(tally)
@@ -168,6 +170,44 @@ def test_cold_table_cost_pinned(monkeypatch):
     assert len(boxes) == 1
     assert boxes[0].dim == max(dims) == 19
     assert len(boxes[0].keys) == len(boxes[0].templates) == 20**2
+
+
+def test_cold_table_reads_records_off_the_kernel(monkeypatch):
+    """A cold table over SPEC's family makes one kernel call per nonempty triple row and constructs no ``LaurentPoly``.
+
+    Each record reads the kernel's row-major square at the canonical box's
+    index.  Before, each row read the digits into a dict of its terms, wrapped
+    it in a ``LaurentPoly`` that ``HodgeResult`` checked term by term, and
+    gathered it back at the box's keys.  Every ``LaurentPoly`` is made by
+    ``LaurentPoly(...)`` or by ``laurent._wrap``, which ``blocks`` and
+    ``triples`` bind by name.
+    """
+    argv = ["table", "--target", "triple", "--genus", str(SPEC.g), "--d1", str(SPEC.d1), "--d2", str(SPEC.d2)]
+    made, lines = [0], []
+    init, wrap = LaurentPoly.__init__, laurent._wrap
+
+    def counted_init(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    def counted_wrap(terms):
+        made[0] += 1
+        return wrap(terms)
+
+    def table():
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        monkeypatch.setattr(LaurentPoly, "__init__", counted_init)
+        for module in (laurent, blocks, triples):
+            monkeypatch.setattr(module, "_wrap", counted_wrap)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        lines.extend(out.getvalue().splitlines())
+
+    cost = _arithmetic_cost(monkeypatch, table)
+    assert len(lines) == len(triples.chamber_representatives(SPEC)) == 4
+    assert all(json.loads(line)["dim"] == SPEC.complex_dim for line in lines)
+    assert cost == (0, 0, 0, 0, 4, 1024)  # as the closed sweep of SPEC, one call per row
+    assert made[0] == 0
 
 
 @pytest.mark.parametrize("fmt, decodes_per_record", [("json-lines", 0), ("csv", 1), ("latex", 1)])
