@@ -56,7 +56,7 @@ def sym_power(g: int, k: int) -> LaurentPoly:
     (Macdonald, Symmetric Functions, I.2), so the value is the sum over
     s <= min(2g, k) of E_s (1 + w + ... + w^(k-s)), with
     E_s = sum_i C(g,i) C(g,s-i) u^i v^(s-i) the x^s coefficient of
-    (1+ux)^g (1+vx)^g, the E_s of ``triples._closed_core``.
+    (1+ux)^g (1+vx)^g, the E_s of ``triples._closed_diagonals``.
     """
     _require_genus(g)
     if k < 0:

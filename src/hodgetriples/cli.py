@@ -140,9 +140,7 @@ def _pair_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]
 
 
 def _pair_evaluate(target: str, g: int, params: dict) -> _Evaluation:
-    d, tau = params["degree"], params["tau"]
-    result = triples.hodge_pairs(g, d, tau, fixed_det=target == "pair-fixed")
-    return (None if result.is_empty else triples.pair_chamber(d, tau) + 1, *_square(result))
+    return triples._pair_square(g, params["degree"], params["tau"], target == "pair-fixed")
 
 
 def _bundle_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:

@@ -32,11 +32,11 @@ operands too sparse to pack into a box of at most one slot per term pair
 stay on the dict loop.
 
 The factor e(Jac X)^k = (1+u)^(kg) (1+v)^(kg) of every chamber formula has
-its own kernel, ``_binomial_square``: the other operand is packed once, in
-slots of the same kind, and each factor 1 + u or 1 + v is one shift and one
-add of that integer, with no second operand and no big-integer multiply.
-It was faster than the packed product at every size measured; its digits
-are read into a dict by ``times_binomials`` or kept as a record's square.
+its own kernel, ``_shift_adds``: the other operand, packed once from a dict
+(``_binomial_square``) or from the closed formulas' diagonals, one strided
+slice each (``_diagonal_square``), is shifted and added once per factor
+1 + u or 1 + v, with no big-integer multiply.  It was faster than the
+packed product at every size measured.
 
 Exact division takes one of three routes.  A divisor that is 1 - u^p v^q
 up to a monomial factor, such as the 1 - uv of the wall terms' raw
@@ -380,24 +380,56 @@ def times_binomials(poly: LaurentPoly, m: int) -> LaurentPoly:
 def _binomial_square(terms: dict[Exponent, int], m: int) -> tuple[int, int, int, int, list[int]]:
     """(a0, b0, height, width, digits) of nonempty ``terms`` times (1+u)^m (1+v)^m, m > 0, as 2m shift-adds.
 
-    This is the product by e(Jac X)^k, m = kg.  ``terms`` are packed once by
+    This is the product by e(Jac X)^k, m = kg: ``terms`` packed once by
     ``_pack`` into the box of the product, [a0, a0 + height) x [b0, b0 + W)
-    for W = ``width``, with u^a v^b at slot (a - a0) W + b - b0.  Multiplying
-    by 1 + v is then x += x << 8n and by 1 + u is x += x << 8nW, for slots of
-    n bytes: no second operand, no big-integer multiply.  A coefficient is at
-    most max|c| 4^m, so slots of ``_slot_bytes`` of its bits hold every digit,
-    read back by ``_balanced_digits``.  The box is the product's extent, a
-    nonzero digit on each edge, which suits the dense chamber formulas;
-    nothing here falls back to the dict loop for a sparse polynomial.
+    for W = ``width``, in slots wide enough for max|c| 4^m, for ``_shift_adds``.
+    Nothing here falls back to the dict loop for a sparse polynomial.
     """
     pa, pb = zip(*terms)
     a0, b0 = min(pa), min(pb)
     height, width = max(pa) - a0 + m + 1, max(pb) - b0 + m + 1
     n = _slot_bytes(max(map(abs, terms.values())).bit_length() + 2 * m)
-    packed = _pack(terms, a0, b0, (width, 1), n, height * width)
+    return a0, b0, height, width, _shift_adds(_pack(terms, a0, b0, (width, 1), n, height * width), n, m, height, width)
+
+
+def _diagonal_square(runs: list[tuple[int, int, list[int]]], m: int, width: int) -> list[int]:
+    """Row-major digits over [0, width)^2 of (1+u)^m (1+v)^m times the sum of c_j u^(a+j) v^(b+j) over ``runs``.
+
+    The runs (a, b, coeffs) must end in nonzero terms spanning exactly
+    [0, width - 1 - m]^2, the product's extent, or ``AssertionError`` is
+    raised.  A run fills every (width + 1)-th signed n-byte slot from
+    a width + b: one ``memoryview`` slice assignment of words on a little-
+    endian host, packed by a ``struct.Struct`` of its own (``struct.pack``'s
+    format cache would outlive the run), else ``to_bytes`` into a list.
+    """
+    ends = [(a, b, a + len(c) - 1, b + len(c) - 1) for a, b, c in runs if c and c[0] and c[-1]]
+    extent, side = [f(x) for f, x in zip((min, min, max, max), zip(*ends))], width - 1 - m
+    if len(ends) < len(runs) or extent != [0, 0, side, side]:
+        raise AssertionError(f"diagonal extent {extent} is not [0, 0, {side}, {side}]: internal inconsistency")
+    n = _slot_bytes(max(max(map(abs, coeffs)) for _, _, coeffs in runs).bit_length() + 2 * m)
+    slots, word = width * width, _WORD_FORMATS.get(n, "").lower()
+    if word:
+        view = memoryview(raw := bytearray(slots * n)).cast(word)
+        for a, b, coeffs in runs:
+            cells = memoryview(struct.Struct(f"{len(coeffs)}{word}").pack(*coeffs)).cast(word)
+            view[a * width + b :: width + 1][: len(coeffs)] = cells
+    else:
+        cells = [bytes(n)] * slots
+        for a, b, coeffs in runs:
+            start, digits = a * width + b, [c.to_bytes(n, "little", signed=True) for c in coeffs]
+            cells[start : start + len(coeffs) * (width + 1) : width + 1] = digits
+        raw = b"".join(cells)
+    return _shift_adds(_signed(raw, n, slots), n, m, width, width)
+
+
+def _shift_adds(packed: int, n: int, m: int, height: int, width: int) -> list[int]:
+    """Row-major digits of ``packed``, a height x width box of n-byte slots, times (1+u)^m (1+v)^m.
+
+    The one shift-add loop: x += x << 8n per 1 + v, x += x << 8nW per 1 + u, and no big-integer multiply.
+    """
     for shift in [8 * n] * m + [8 * n * width] * m:
         packed += packed << shift
-    return a0, b0, height, width, _balanced_digits(packed, n, height * width)
+    return _balanced_digits(packed, n, height * width)
 
 
 def _box_terms(a0: int, b0: int, height: int, width: int, digits: list[int]) -> dict[Exponent, int]:
@@ -422,31 +454,26 @@ def _pack(terms: dict[Exponent, int], a0: int, b0: int, strides: Exponent, n: in
     """The signed integer sum c B^slot over ``terms``, B = 2^(8n), one n-byte little-endian slot per digit.
 
     u^a v^b goes to slot (a - a0) s_a + (b - b0) s_b for ``strides`` (s_a, s_b),
-    so either axis can be the minor one.  Positive and negated negative
-    coefficients are packed apart and subtracted.  A word-width slot is
-    written in place through ``memoryview.cast``; a wider one (or any slot on
-    a big-endian host) is one ``to_bytes`` per coefficient, joined.
+    so either axis can be the minor one.  Each coefficient is written signed,
+    in place through ``memoryview.cast`` for a word-width slot, or by one
+    ``to_bytes`` for a wider one (or any slot on a big-endian host), and
+    ``_signed`` reads the slots as one integer.
     """
     stride_a, stride_b = strides
-    word = _WORD_FORMATS.get(n)
-    if word:
-        pos, neg = bytearray(slots * n), bytearray(slots * n)
-        pos_slots, neg_slots = memoryview(pos).cast(word), memoryview(neg).cast(word)
-        for (a, b), c in terms.items():
-            if c > 0:
-                pos_slots[(a - a0) * stride_a + (b - b0) * stride_b] = c
-            else:
-                neg_slots[(a - a0) * stride_a + (b - b0) * stride_b] = -c
-    else:
-        zero = bytes(n)
-        pos_slots, neg_slots = [zero] * slots, [zero] * slots
-        for (a, b), c in terms.items():
-            if c > 0:
-                pos_slots[(a - a0) * stride_a + (b - b0) * stride_b] = c.to_bytes(n, "little")
-            else:
-                neg_slots[(a - a0) * stride_a + (b - b0) * stride_b] = (-c).to_bytes(n, "little")
-        pos, neg = b"".join(pos_slots), b"".join(neg_slots)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    word = _WORD_FORMATS.get(n, "").lower()
+    cells = memoryview(raw := bytearray(slots * n)).cast(word) if word else [bytes(n)] * slots
+    for (a, b), c in terms.items():
+        cells[(a - a0) * stride_a + (b - b0) * stride_b] = c if word else c.to_bytes(n, "little", signed=True)
+    return _signed(raw if word else b"".join(cells), n, slots)
+
+
+def _signed(raw: bytes, n: int, slots: int) -> int:
+    """The signed integer whose base-2^(8n) digits are the two's-complement little-endian n-byte ``slots`` of ``raw``.
+
+    Read unsigned they are T, and (T ^ H) - H, H = sum (B/2) B^i, undoes the XOR of ``_balanced_digits``.
+    """
+    half = int.from_bytes((bytes(n - 1) + b"\x80") * slots, "little")
+    return (int.from_bytes(raw, "little") ^ half) - half
 
 
 def _balanced_digits(value: int, n: int, slots: int) -> Optional[list[int]]:

@@ -18,8 +18,8 @@ This module exposes:
   contributions (the central cross-check of the package).  The sums are
   built once per family, from the top wall down, one flip per wall, and
   held for at most two families.  The closed formula is a finite binomial
-  sum, multiplied by e(Jac X)^2 = (1+u)^2g (1+v)^2g as shift-adds
-  (``laurent._binomial_square``) and kept as that kernel's square;
+  sum, built densely on its diagonals a - b and shift-added by e(Jac X)^2
+  straight from them (``laurent._diagonal_square``), a checked square;
 * pair moduli (rank 2, with or without fixed determinant), their Poincare
   polynomials via an independent one-variable extraction, and the moduli of
   rank-2 odd-degree bundles through two more routes.
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +41,7 @@ from typing import Literal, Optional
 
 from .blocks import TypeVector, _require_genus, chi_triples, jacobian, sym_power
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, _wrap, monomial, times_binomials
-from .laurent import _binomial_square, _box_terms
+from .laurent import _box_terms, _diagonal_square
 
 
 class OnWall(ValueError):
@@ -164,7 +165,7 @@ class HodgeResult:
 
     ``complex_dim`` is ``None`` exactly when the space is empty, in which
     case the polynomial is zero.  Nonempty results lie in [0, complex_dim]^2,
-    checked here term by term (``hodge_triples_square`` checks a kernel box).
+    checked here term by term, or once on the closed core's diagonals.
     """
 
     poly: LaurentPoly
@@ -309,37 +310,49 @@ def _check_flip_args(spec: TripleSpec, d_M: int) -> None:
         raise ValueError(f"d_M = {d_M} > d1 - d2 = {spec.d1 - spec.d2}: no such wall")
 
 
-def _closed_core(g: int, n: int, e2: int) -> dict[tuple[int, int], int]:
-    """The [x^0] extraction behind every closed chamber formula, as a finite sum.
+def _closed_diagonals(g: int, n: int, e2: int) -> list[tuple[int, int, list[int]]]:
+    """The [x^0] extraction behind every closed chamber formula, as a finite sum on the diagonals a - b = -g..g.
 
     With w = uv and E_s the x^s coefficient of (1+ux)^g (1+vx)^g, it is the sum
     over s <= min(2g, n) of E_s [n-s+2 choose 2]_w (w^s - w^e2) / (1 - w), since
     h_k(1, w, w^2) = [k+2 choose 2]_w (Macdonald, Symmetric Functions, I.2 ex. 3)
     expands the tails of ``hodge_triples_closed``.  With k = n - s, the w^j
-    coefficient of [k+2 choose 2]_w is min(j, 2k-j)//2 + 1 and the quotient is
-    a run +-(w^lo + ... + w^(hi-1)), so entry m of ``window``, the w^(lo+m)
-    coefficient of their product, is a difference of prefix sums.  The sums
-    are exact ints, returned as they are with the zero sums dropped, for
-    ``hodge_pairs`` to wrap and ``hodge_triples_square`` to pack.
+    coefficient of [k+2 choose 2]_w rises as (j+2)//2 up to j = k and falls
+    back; times the run +-(w^lo + ... + w^(hi-1)) it is ``window``, shifted
+    prefix sums less each other, which term C(g,i) C(g,s-i) u^i v^(s-i) of
+    E_s adds to diagonal 2i - s from offset lo + min(i, s-i) in one slice.
+    Terms i and s - i mirror each other, so the diagonals a >= b, cut to their
+    nonzero spans, also serve as the rest.  Returns (a, b, coeffs) per
+    nonzero diagonal, c_j u^(a+j) v^(b+j).
     """
-    terms: dict[tuple[int, int], int] = {}
+    t0 = min(e2, 0)  # the lowest offset; a diagonal ends by 2n + max(e2, 0)
+    diagonals = [[0] * (2 * n + max(e2, 0) - t0) for _ in range(g + 1)]
+    rise = list(map(operator.floordiv, range(2, n + 3), itertools.repeat(2)))
+    binomials = list(map(math.comb, itertools.repeat(g), range(g + 1)))
     for s in set(range(min(2 * g, n) + 1)) - {e2}:  # at s = e2 the run is empty
-        k = n - s
-        lo, hi, sign = (s, e2, 1) if s < e2 else (e2, s, -1)
-        prefix = list(itertools.accumulate((min(j, 2 * k - j) // 2 + 1 for j in range(2 * k + 1)), initial=0))
-        window = [prefix[min(m + 1, 2 * k + 1)] - prefix[max(m - (hi - lo) + 1, 0)] for m in range(2 * k + hi - lo)]
-        for i in range(max(0, s - g), min(g, s) + 1):
-            b = sign * math.comb(g, i) * math.comb(g, s - i)
-            for m, c in enumerate(window, lo):
-                key = (i + m, s - i + m)
-                terms[key] = terms.get(key, 0) + b * c
-    return {key: c for key, c in terms.items() if c}
+        k, lo, r, sign = n - s, min(s, e2) - t0, abs(e2 - s), 1 if s < e2 else -1
+        prefix = list(itertools.accumulate(rise[:k] + rise[k::-1] + [0] * (r - 1)))
+        window, w = list(map(operator.sub, prefix, [0] * r + prefix)), 2 * k + r
+        for i in range(max((s + 1) // 2, s - g), min(g, s) + 1):
+            d, o, b = diagonals[2 * i - s], lo + s - i, sign * binomials[i] * binomials[s - i]
+            d[o : o + w] = map(operator.add, d[o : o + w], map(operator.mul, window, itertools.repeat(b)))
+    spans = [(delta, d, list(itertools.compress(range(len(d)), d))) for delta, d in enumerate(diagonals)]
+    runs = [(t0 + delta + j[0], t0 + j[0], d[j[0] : j[-1] + 1]) for delta, d, j in spans if j]
+    return [(b, a, c) for a, b, c in reversed(runs) if a > b] + runs
+
+
+def _square_result(dim: Optional[int], square: list[int]) -> HodgeResult:
+    """The ``HodgeResult`` of a square that ``_diagonal_square`` checked, without ``HodgeResult``'s per-term loop."""
+    if dim is None:
+        return _EMPTY
+    result = object.__new__(HodgeResult)
+    result.__dict__.update(poly=_wrap(_box_terms(0, 0, dim + 1, dim + 1, square)), complex_dim=dim)
+    return result
 
 
 def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult:
     """Hodge polynomial of N_sigma by the closed chamber formula: the terms of ``hodge_triples_square``."""
-    _, dim, square = hodge_triples_square(spec, sigma)
-    return _EMPTY if dim is None else HodgeResult(_wrap(_box_terms(0, 0, dim + 1, dim + 1, square)), dim)
+    return _square_result(*hodge_triples_square(spec, sigma)[1:])
 
 
 def hodge_triples_square(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optional[int], Optional[int], list[int]]:
@@ -354,21 +367,18 @@ def hodge_triples_square(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optio
 
     Outside (sigma_m, sigma_M), or past the last wall, the space is empty.
     Rank (1,2) is evaluated on the dual rank-(2,1) family.  ``square`` is
-    the row-major digits, u^a v^b at a (dim + 1) + b, of the kernel call for
-    e(Jac X)^2, whose box is the product's extent.  As h^{0,0} = h^{dim,dim}
-    = 1, that box must be [0, dim]^2: four integers bound every term at once,
-    and any other box raises ``AssertionError``.
+    the row-major digits, u^a v^b at a (dim + 1) + b, of the core times
+    e(Jac X)^2 by ``_diagonal_square``.  As h^{0,0} = h^{dim,dim} = 1, the
+    core must span exactly [0, dim - 2g]^2, which bounds every term at once;
+    any other extent raises ``AssertionError``.
     """
     spec21 = _spec21(spec)
     d0 = _chamber_or_empty(spec21, sigma)
     if d0 is None:
         return None, None, []
     g, dim = spec21.g, spec.complex_dim
-    core = _closed_core(g, spec21.d1 - spec21.d2 - d0, -spec21.d1 + g - 1 + 2 * d0)
-    box = _binomial_square(core, 2 * g) if core else (0, 0, 0, 0, [])
-    if box[:4] != (0, 0, dim + 1, dim + 1):
-        raise AssertionError(f"kernel box {box[:4]} is not (0, 0, {dim + 1}, {dim + 1}): internal inconsistency")
-    return d0, dim, box[4]
+    core = _closed_diagonals(g, spec21.d1 - spec21.d2 - d0, -spec21.d1 + g - 1 + 2 * d0)
+    return d0, dim, _diagonal_square(core, 2 * g, dim + 1)
 
 
 @functools.lru_cache(maxsize=2)
@@ -459,19 +469,23 @@ def hodge_pairs(g: int, d: int, tau: StabilityValue, fixed_det: bool = False) ->
 
     with fixed determinant the Jacobian prefactor (1+u)^g (1+v)^g is
     dropped.  Critical values are the integers in J = [d/2, d]; outside the
-    open interval the moduli space is empty.
+    open interval the moduli space is empty.  The terms are ``_pair_square``'s.
+    """
+    return _square_result(*_pair_square(g, d, tau, fixed_det)[1:])
+
+
+def _pair_square(g: int, d: int, tau: StabilityValue, fixed: bool) -> tuple[Optional[int], Optional[int], list[int]]:
+    """(d0, dim, square) of ``hodge_pairs``, as ``hodge_triples_square`` gives a triple's.
+
+    The closed core times (1+u)^m (1+v)^m by ``_diagonal_square``: m = g, or 0 with fixed determinant.
     """
     _require_genus(g)
     fl = pair_chamber(d, tau)
     if fl is None:
-        return _EMPTY
-    n = d - 1 - fl
-    e2 = g + 1 - d + 2 * fl
-    poly = _wrap(_closed_core(g, n, e2))
-    if not fixed_det:
-        poly = times_binomials(poly, g)
-    dim = (g - 2 + d) if fixed_det else (2 * g - 2 + d)
-    return HodgeResult(poly, dim)
+        return None, None, []
+    dim = (g - 2 + d) if fixed else (2 * g - 2 + d)
+    core = _closed_diagonals(g, d - 1 - fl, g + 1 - d + 2 * fl)
+    return fl + 1, dim, _diagonal_square(core, 0 if fixed else g, dim + 1)
 
 
 def pair_chamber_representatives(d: int) -> list[StabilityValue]:

@@ -97,13 +97,17 @@ def _rand_poly(rng: random.Random, max_terms: int = 8, emax: int = 5, cmax: int 
 def _check(name: str, points: Callable[..., Iterable[tuple]], failures: Callable[..., Iterator[str]]):
     """One report per point that ``points`` yields, carrying the first failure ``failures`` yields for it.
 
-    ``points(grid, rng)`` yields (report parameters, arguments of ``failures``).
+    ``points(grid, rng)`` yields (report parameters, arguments of ``failures``);
+    an exception from ``failures`` is that point's failure, and the run goes on.
     """
 
     def check(grid: VerifyGrid, rng: random.Random) -> list[CheckReport]:
         reports = []
         for params, args in points(grid, rng):
-            bad = next(failures(*args), "")
+            try:
+                bad = next(failures(*args), "")
+            except Exception as exc:
+                bad = f"unexpected {type(exc).__name__}: {exc}"
             reports.append(CheckReport(name, params, "fail" if bad else "pass", bad))
         return reports
 
@@ -329,11 +333,8 @@ def _bundle_degrees(grid: VerifyGrid, rng: random.Random) -> Iterator[tuple]:
 
 
 def _bundles_two_routes_failures(g: int, d: int) -> Iterator[str]:
-    try:
-        if triples.hodge_bundles_via_triples(g, d) != triples.hodge_bundles_odd(g, d).poly:
-            yield "triple route differs from closed form"
-    except Exception as exc:
-        yield f"unexpected {type(exc).__name__}: {exc}"
+    if triples.hodge_bundles_via_triples(g, d) != triples.hodge_bundles_odd(g, d).poly:
+        yield "triple route differs from closed form"
 
 
 # -- residue-theorem check ------------------------------------------------

@@ -768,8 +768,8 @@ class TestSquareReader:
         their digits are read by ``int.from_bytes``: the record equals the sorted text of the wall sum."""
         spec = triples.TripleSpec(12, (2, 1), 100, 0)
         sigmas = triples.chamber_representatives(spec)
-        widths, slot_bytes = [], laurent._slot_bytes
-        monkeypatch.setattr(laurent, "_slot_bytes", lambda bits: widths.append(slot_bytes(bits)) or widths[-1])
+        widths, shift_adds = [], laurent._shift_adds
+        monkeypatch.setattr(laurent, "_shift_adds", lambda packed, n, *box: widths.append(n) or shift_adds(packed, n, *box))
         box = cli._CanonicalBox()
         rows = [{"rank": (2, 1), "d1": 100, "d2": 0, "sigma": sigma} for sigma in (sigmas[0], sigmas[len(sigmas) // 2])]
         texts = [cli._compute_record("triple", 12, params, box) for params in rows]
@@ -779,25 +779,39 @@ class TestSquareReader:
             oracle = _sorted_result_text(triples.hodge_triples_sum(spec, params["sigma"]))
             assert text == cli._request_echo("triple", 12, params, triples.chamber_d0(spec, params["sigma"])) + oracle
 
-    @pytest.mark.parametrize("fault", ["row-past-square", "row-inside-square"])
+    @pytest.mark.parametrize("fault", ["row-past-square", "row-inside-square", "ends-zeroed"])
     def test_box_not_square_is_internal_inconsistency(self, capsys, tmp_path, monkeypatch, fault):
-        """A core whose product leaves [0, dim]^2 by one row, or ends one row inside it: ``table`` and ``compute`` exit
-        1 with "internal inconsistency", and no cache line is written."""
-        core = triples._closed_core
+        """A closed core with one row past [0, dim - m]^2, whose lowest row is cut off, or whose diagonals end in a
+        zero where their last terms were: ``table`` and ``compute`` exit 1 with "internal inconsistency" and write
+        no cache file, ``hodge_triples_closed`` and both ``hodge_pairs`` variants raise ``AssertionError``, and
+        ``verify`` reports each chamber it reaches as a FAIL and exits 1."""
+        core = triples._closed_diagonals
 
         def faulty(g, n, e2):
-            terms = core(g, n, e2)
+            runs = core(g, n, e2)
             if fault == "row-past-square":
-                return {**terms, (max(a for a, _ in terms) + 1, 0): 1}
-            return {(a, b): c for (a, b), c in terms.items() if a}
+                return [*runs, (max(a + len(coeffs) for a, _, coeffs in runs), 0, [1])]
+            if fault == "ends-zeroed":
+                return [(a, b, [*coeffs[:-1], 0]) for a, b, coeffs in runs]
+            return [(a + 1, b + 1, coeffs[1:]) if a == 0 else (a, b, coeffs) for a, b, coeffs in runs]
 
-        monkeypatch.setattr(triples, "_closed_core", faulty)
+        monkeypatch.setattr(triples, "_closed_diagonals", faulty)
         cache = tmp_path / "records.jsonl"
         code, out, err = run(capsys, "table", *TRIPLE_21, "--cache", str(cache))
-        assert (code, out) == (1, "") and err.startswith("internal inconsistency: kernel box")
+        assert (code, out) == (1, "") and err.startswith("internal inconsistency: diagonal extent")
         assert not cache.exists() and os.listdir(tmp_path) == []
         code, out, err = run(capsys, "compute", "triple", "--genus", "2", "--d1", "5", "--d2", "0", "--sigma", "19/2")
-        assert (code, out) == (1, "") and err.startswith("internal inconsistency: kernel box")
+        assert (code, out) == (1, "") and err.startswith("internal inconsistency: diagonal extent")
+        with pytest.raises(AssertionError, match="internal inconsistency"):
+            triples.hodge_triples_closed(triples.TripleSpec(2, (2, 1), 5, 0), triples.StabilityValue.parse("19/2"))
+        for fixed_det in (False, True):
+            with pytest.raises(AssertionError, match="internal inconsistency"):
+                triples.hodge_pairs(3, 5, triples.StabilityValue.parse("7/2"), fixed_det=fixed_det)
+        code, out, err = run(capsys, "verify", "--g", "2", "--d2", "0", "--checks", "cross-pipeline,thaddeus")
+        lines = out.splitlines()
+        assert code == 1 and err == "" and len(lines) == 17
+        assert all(line.startswith("FAIL ") and "unexpected AssertionError: diagonal extent" in line for line in lines[:-1])
+        assert lines[-1] == "16 checks: 0 passed, 16 failed"
 
     def test_table_run_retains_nothing(self, monkeypatch):
         """After a cold table returns, less than 16 kB it allocated is still held: no box or index outlives its run."""

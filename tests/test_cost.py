@@ -30,16 +30,17 @@ def _clear_block_caches() -> None:
 def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
     """(series expansions, divisions, multiplies, term pairs, kernel calls, kernel slots) of ``work()``, from cold caches.
 
-    A kernel call is one pack and shift-add by ``laurent._binomial_square``,
-    which ``times_binomials`` and ``triples.hodge_triples_square`` both call,
-    and its slots are those of its packed box, height times width: the
-    extents of the polynomial plus m + 1 on each axis.  A zero polynomial or
-    m = 0 packs nothing.
+    A kernel call is one run of ``laurent._shift_adds``, the one shift-add
+    loop, which ``times_binomials`` and the closed formulas' squares both
+    reach, and its slots are those of its packed box, height times width:
+    the extents of the polynomial plus m + 1 on each axis.  ``times_binomials``
+    of a zero polynomial or with m = 0 packs nothing; a closed square with
+    m = 0 (pairs of fixed determinant) is one call that only reads digits.
     """
     _clear_block_caches()
     tally = [0, 0, 0, 0, 0, 0]
     rational, div, mul = TruncatedSeries.rational.__func__, LaurentPoly.__truediv__, LaurentPoly.__mul__
-    kernel = laurent._binomial_square
+    kernel = laurent._shift_adds
 
     def counted_rational(cls, *args, **kwargs):
         tally[0] += 1
@@ -54,19 +55,17 @@ def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
         tally[3] += len(self) * (len(other) if isinstance(other, LaurentPoly) else 1)
         return mul(self, other)
 
-    def counted_kernel(terms, m):
-        box = kernel(terms, m)
+    def counted_kernel(packed, n, m, height, width):
         tally[4] += 1
-        tally[5] += box[2] * box[3]
-        return box
+        tally[5] += height * width
+        return kernel(packed, n, m, height, width)
 
     monkeypatch.setattr(TruncatedSeries, "rational", classmethod(counted_rational))
     monkeypatch.setattr(LaurentPoly, "__truediv__", counted_div)
     # __rmul__ is an alias of __mul__, so 3 * p is counted as well
     monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
     monkeypatch.setattr(LaurentPoly, "__rmul__", counted_mul)
-    monkeypatch.setattr(laurent, "_binomial_square", counted_kernel)
-    monkeypatch.setattr(triples, "_binomial_square", counted_kernel)  # bound by name there
+    monkeypatch.setattr(laurent, "_shift_adds", counted_kernel)
     work()
     monkeypatch.undo()
     return tuple(tally)
@@ -81,7 +80,7 @@ def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
     ids=["closed", "sum"],
 )
 def test_sweep_cost_pinned(monkeypatch, evaluate, pins):
-    """Every chamber of SPEC, evaluated once: each count of ``_arithmetic_cost`` at most ``pins``.
+    """Every chamber of SPEC, evaluated once: the counts of ``_arithmetic_cost`` are exactly ``pins``.
 
     The closed route expands no series, divides and multiplies nothing: each
     chamber is one finite sum and one kernel call for e(Jac X)^2.  Each wall
@@ -99,8 +98,30 @@ def test_sweep_cost_pinned(monkeypatch, evaluate, pins):
         for sigma in triples.chamber_representatives(SPEC):
             evaluate(SPEC, sigma)
 
+    assert _arithmetic_cost(monkeypatch, sweep) == pins
+
+
+@pytest.mark.parametrize("fixed_det", [False, True], ids=["unfixed", "fixed"])
+def test_pair_sweep_cost_pinned(monkeypatch, fixed_det):
+    """Every pair chamber of g = 2..4, d = 1..9: one kernel call each, into a square of (dim + 1)^2 slots, and no
+    ``times_binomials`` call.  ``hodge_pairs`` multiplied a wrapped core dict by e(Jac X) in ``times_binomials``."""
+    chambers = [(g, d, tau) for g in (2, 3, 4) for d in range(1, 10) for tau in triples.pair_chamber_representatives(d)]
+    dims = [(g - 2 + d if fixed_det else 2 * g - 2 + d) for g, d, _ in chambers]
+    calls, times_binomials = [0], laurent.times_binomials
+
+    def counted(poly, m):
+        calls[0] += 1
+        return times_binomials(poly, m)
+
+    def sweep():
+        for module in (laurent, triples):
+            monkeypatch.setattr(module, "times_binomials", counted)
+        for g, d, tau in chambers:
+            assert triples.hodge_pairs(g, d, tau, fixed_det=fixed_det).complex_dim is not None
+
     cost = _arithmetic_cost(monkeypatch, sweep)
-    assert all(count <= pin for count, pin in zip(cost, pins)), cost
+    assert len(chambers) == 75 and calls[0] == 0
+    assert cost == (0, 0, 0, 0, 75, sum((dim + 1) ** 2 for dim in dims))
 
 
 def test_wall_sum_packs_nothing(monkeypatch):

@@ -241,6 +241,45 @@ class TestTimesBinomials:
         with pytest.raises(ValueError):
             times_binomials(ONE, -1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 5), st.data(), st.booleans())
+    def test_diagonal_square_matches_dict_loop(self, side, m, data, words):
+        """``laurent._diagonal_square`` of random diagonal runs spanning [0, side]^2, signed and up to 2^70, on the word
+        path and on the bytes path: the row-major square of the dict loop's product by (1+u)^m (1+v)^m."""
+        keys = st.tuples(st.integers(0, side), st.integers(0, side))
+        terms = data.draw(st.dictionaries(keys, coefficients, max_size=12))
+        terms |= {(0, 0): data.draw(coefficients), (side, side): data.draw(coefficients)}
+        runs = []
+        for delta in range(-side, side + 1):
+            on = sorted((min(a, b), c) for (a, b), c in terms.items() if a - b == delta)
+            if on:
+                t = on[0][0]
+                coeffs = [terms.get((i + max(delta, 0), i - min(delta, 0)), 0) for i in range(t, on[-1][0] + 1)]
+                runs.append((t + max(delta, 0), t - min(delta, 0), coeffs))
+        width = side + m + 1
+        square = [0] * width * width
+        for (a, b), c in _dict_product(terms, _binomials(m)).items():
+            square[a * width + b] = c
+        with mock.patch.object(laurent, "_WORD_FORMATS", laurent._WORD_FORMATS if words else {}):
+            assert laurent._diagonal_square(runs, m, width) == square
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [],
+            [(0, 0, [1])],
+            [(0, 0, [1, 1]), (1, 0, [0])],
+            [(0, 0, [1, 0]), (0, 1, [1]), (1, 0, [1])],
+            [(0, 0, [1, 1]), (2, 0, [1])],
+            [(0, 0, [1, 1]), (-1, 0, [1])],
+        ],
+        ids=["empty", "inside", "zero-run", "zero-end", "past-the-square", "negative-exponent"],
+    )
+    def test_diagonal_square_extent_checked(self, runs):
+        """Runs that do not end in nonzero terms spanning exactly [0, width - 1 - m]^2 raise ``AssertionError``."""
+        with pytest.raises(AssertionError, match="internal inconsistency"):
+            laurent._diagonal_square(runs, 0, 2)
+
 
 def _spy(monkeypatch, name: str) -> list:
     """Record the result of every call of the route ``laurent.<name>``."""

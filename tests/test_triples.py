@@ -1,12 +1,15 @@
+import gc
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hodgetriples import blocks, triples
+from hodgetriples import blocks, laurent, triples
 from hodgetriples.blocks import GenusOutOfRange, jacobian, proj_space
 from hodgetriples.laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, V, monomial, times_binomials
 from hodgetriples.triples import (
@@ -422,19 +425,58 @@ def _series_core(g, n, e2):
     return (monomial(1, n, n) * a - monomial(1, e2, e2) * b) / (ONE - UV)
 
 
+def _closed_core(g, n, e2):
+    """The closed core by one dict update per term and exponent: the route ``triples._closed_diagonals`` replaced,
+    kept as its oracle.  Window entry m, the w^(lo+m) coefficient of [n-s+2 choose 2]_w times the run, is a
+    difference of prefix sums; the nonzero sums are returned."""
+    terms = {}
+    for s in set(range(min(2 * g, n) + 1)) - {e2}:  # at s = e2 the run is empty
+        k = n - s
+        lo, hi, sign = (s, e2, 1) if s < e2 else (e2, s, -1)
+        prefix = list(itertools.accumulate((min(j, 2 * k - j) // 2 + 1 for j in range(2 * k + 1)), initial=0))
+        window = [prefix[min(m + 1, 2 * k + 1)] - prefix[max(m - (hi - lo) + 1, 0)] for m in range(2 * k + hi - lo)]
+        for i in range(max(0, s - g), min(g, s) + 1):
+            b = sign * math.comb(g, i) * math.comb(g, s - i)
+            for m, c in enumerate(window, lo):
+                key = (i + m, s - i + m)
+                terms[key] = terms.get(key, 0) + b * c
+    return {key: c for key, c in terms.items() if c}
+
+
+def _diagonal_poly(g, n, e2):
+    """The terms of ``triples._closed_diagonals``, each diagonal run (a, b, coeffs) read as c_j u^(a+j) v^(b+j).
+
+    The runs lie on distinct diagonals a - b in [-g, g], in ascending order, and each ends in nonzero terms."""
+    runs = triples._closed_diagonals(g, n, e2)
+    diagonals = [a - b for a, b, _ in runs]
+    assert diagonals == sorted(set(diagonals)) and set(diagonals) <= set(range(-g, g + 1))
+    assert all(coeffs[0] and coeffs[-1] for _, _, coeffs in runs)
+    return LaurentPoly({(a + j, b + j): c for a, b, coeffs in runs for j, c in enumerate(coeffs)})
+
+
+def _oracle_square(g, n, e2, m, dim):
+    """The row-major square of [0, dim]^2 of the oracle core times (1+u)^m (1+v)^m, by ``times_binomials``."""
+    square = [0] * (dim + 1) ** 2
+    for (a, b), c in times_binomials(LaurentPoly(_closed_core(g, n, e2)), m)._terms.items():
+        square[a * (dim + 1) + b] = c
+    return square
+
+
 class TestClosedCore:
-    """The finite binomial sum of ``_closed_core`` equals the series-tail extraction it replaced."""
+    """The dense diagonals of ``_closed_diagonals`` equal the series-tail extraction and the dict oracle it replaced,
+    and every chamber's checked square equals the oracle times e(Jac X)^k by ``times_binomials``."""
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_series_oracle_grid(self, g):
         for n in range(13):
             for e2 in range(-3, 2 * n + 4):
-                assert LaurentPoly(triples._closed_core(g, n, e2)) == _series_core(g, n, e2), (g, n, e2)
+                core = _diagonal_poly(g, n, e2)
+                assert core == _series_core(g, n, e2) == LaurentPoly(_closed_core(g, n, e2)), (g, n, e2)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 7), st.integers(0, 30), st.integers(-5, 45))
     def test_series_oracle_property(self, g, n, e2):
-        assert LaurentPoly(triples._closed_core(g, n, e2)) == _series_core(g, n, e2)
+        assert _diagonal_poly(g, n, e2) == _series_core(g, n, e2) == LaurentPoly(_closed_core(g, n, e2))
 
     @pytest.mark.parametrize(
         "g, n, e2",
@@ -442,7 +484,86 @@ class TestClosedCore:
         ids=["e2-is-s", "e2-is-top-s", "e2-below-s", "e2-zero", "n-below-2g", "n-below-2g-e2-inside", "e2-negative", "n-zero"],
     )
     def test_series_oracle_examples(self, g, n, e2):
-        assert LaurentPoly(triples._closed_core(g, n, e2)) == _series_core(g, n, e2)
+        assert _diagonal_poly(g, n, e2) == _series_core(g, n, e2) == LaurentPoly(_closed_core(g, n, e2))
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    def test_triple_squares_match_oracle(self, g):
+        """Every chamber of g, d1 = 1..30, d2 = -2..0: the square of ``hodge_triples_square`` is the oracle's."""
+        chambers = 0
+        for d2 in (-2, -1, 0):
+            for d1 in range(1, 31):
+                spec = TripleSpec(g, (2, 1), d1, d2)
+                for sigma in chamber_representatives(spec):
+                    d0, dim, square = triples.hodge_triples_square(spec, sigma)
+                    assert square == _oracle_square(g, d1 - d2 - d0, -d1 + g - 1 + 2 * d0, 2 * g, dim), (spec, sigma)
+                    chambers += 1
+        assert chambers == sum(d1 - d1 // 2 - d2 for d2 in (-2, -1, 0) for d1 in range(1, 31))
+
+    @pytest.mark.parametrize("fixed_det", [False, True], ids=["unfixed", "fixed"])
+    def test_pair_squares_match_oracle(self, fixed_det):
+        """Every pair chamber of g = 2..6, d = 1..24: the square of ``_pair_square`` is the oracle's, m = g or 0."""
+        chambers = 0
+        for g in range(2, 7):
+            for d in range(1, 25):
+                for tau in pair_chamber_representatives(d):
+                    d0, dim, square = triples._pair_square(g, d, tau, fixed_det)
+                    fl = d0 - 1
+                    assert square == _oracle_square(g, d - 1 - fl, g + 1 - d + 2 * fl, 0 if fixed_det else g, dim)
+                    chambers += 1
+        assert chambers == 780
+
+    def test_wide_slot_squares_match_oracle(self, monkeypatch):
+        """The lowest and a middle chamber of g = 12, d1 = 100, d2 = 0, whose slots are 10 bytes wide."""
+        spec = TripleSpec(12, (2, 1), 100, 0)
+        sigmas = chamber_representatives(spec)
+        widths, shift_adds = [], laurent._shift_adds
+        monkeypatch.setattr(laurent, "_shift_adds", lambda packed, n, *box: widths.append(n) or shift_adds(packed, n, *box))
+        for sigma in (sigmas[0], sigmas[len(sigmas) // 2]):
+            d0, dim, square = triples.hodge_triples_square(spec, sigma)
+            assert square == _oracle_square(12, 100 - d0, -100 + 11 + 2 * d0, 24, dim)
+        assert widths[:2] == [10, 10]
+
+    def test_bytes_path_squares_match_word_path(self, monkeypatch):
+        """With no word formats, as on a big-endian host, slots of any byte count are packed by ``to_bytes`` into a
+        strided list: every square of g = 2..4, d1 in {1, 2, 7, 13, 20}, d2 = -2..0, and of the pairs of g = 2..4,
+        d = 1..6, equals the word path's."""
+        chambers = [
+            (TripleSpec(g, (2, 1), d1, d2), sigma)
+            for g in (2, 3, 4)
+            for d1 in (1, 2, 7, 13, 20)
+            for d2 in (-2, -1, 0)
+            for sigma in chamber_representatives(TripleSpec(g, (2, 1), d1, d2))
+        ]
+        pairs = [(g, d, tau, f) for g in (2, 3, 4) for d in range(1, 7) for tau in pair_chamber_representatives(d) for f in (0, 1)]
+
+        def squares():
+            return [triples.hodge_triples_square(*c) for c in chambers] + [triples._pair_square(*p) for p in pairs]
+
+        words = squares()
+        widths, shift_adds = set(), laurent._shift_adds
+        monkeypatch.setattr(laurent, "_WORD_FORMATS", {})
+        monkeypatch.setattr(laurent, "_shift_adds", lambda packed, n, *box: widths.add(n) or shift_adds(packed, n, *box))
+        assert squares() == words
+        assert len(chambers) == 252 and {1, 2, 3} <= widths
+
+    def test_squares_retain_nothing(self):
+        """Closed squares over 110 chambers, with diagonals of many lengths, leave nothing allocated: no format cache
+        or memo outlives a call.  Packing each run by ``struct.pack`` kept about 11 kB of compiled formats here."""
+        spec = TripleSpec(2, (2, 1), 1, 0)
+        triples.hodge_triples_square(spec, chamber_representatives(spec)[0])  # the first call's own set-up
+        specs = [TripleSpec(3, (2, 1), d1, 0) for d1 in range(1, 21)]
+        points = [(spec, sigma) for spec in specs for sigma in chamber_representatives(spec)]
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for point in points:
+                triples.hodge_triples_square(*point)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 110 and retained < 1000, retained
 
 
 class TestClosedMemo:
