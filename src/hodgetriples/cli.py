@@ -31,7 +31,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from . import triples, verify
 from .laurent import NotDivisible, _format_terms, _mono, _t_mono
@@ -100,7 +100,7 @@ def _parse_range(text: str) -> list[int]:
 
 # -- target families ----------------------------------------------------------
 
-_Evaluation = tuple[Optional[int], Optional[int], list[int]]
+_Resolved = tuple[Optional[int], Optional[Hashable]]  # (chamber index d0, key); an empty space has no key
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,9 @@ class _Family:
     ``params`` maps option names (``rank``, the degree options and the
     stability option) to parsed values.  A table row is identified by the
     request echo ``_request_echo`` writes from these, and by nothing else.
+    A request resolves to a key, the inputs its result is read through, and
+    ``evaluate`` turns a key into that result, so rows of one key have one
+    result: ``table`` evaluates each key once per run.
     """
 
     targets: tuple[str, ...]
@@ -118,8 +121,10 @@ class _Family:
     stability: Optional[str]  # the stability option; table enumerates one value per chamber
     chambers: Callable[[int, dict], Iterator[tuple[dict, Optional[int]]]]
     """(params with the stability value, chamber index d0) for each chamber of one degree choice."""
-    evaluate: Callable[[str, int, dict], _Evaluation]
-    """(chamber index d0, dim, square) of one request, the square as ``triples.hodge_triples_square`` gives it."""
+    resolve: Callable[[str, int, dict], _Resolved]
+    """(chamber index d0, key) of one request, as ``triples._triple_key`` gives a triple's."""
+    evaluate: Callable[[Hashable], tuple[int, list[int]]]
+    """(dim, square) of a key, the square as ``triples._closed_square`` gives it."""
 
 
 def _triple_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
@@ -128,9 +133,8 @@ def _triple_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]
         yield {**params, "sigma": sigma}, triples.chamber_d0(spec, sigma)
 
 
-def _triple_evaluate(target: str, g: int, params: dict) -> _Evaluation:
-    spec = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
-    return triples.hodge_triples_square(spec, params["sigma"])
+def _triple_resolve(target: str, g: int, params: dict) -> _Resolved:
+    return triples._triple_key(triples.TripleSpec(g, params["rank"], params["d1"], params["d2"]), params["sigma"])
 
 
 def _pair_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
@@ -139,8 +143,12 @@ def _pair_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]
         yield {**params, "tau": tau}, triples.pair_chamber(d, tau) + 1
 
 
-def _pair_evaluate(target: str, g: int, params: dict) -> _Evaluation:
-    return triples._pair_square(g, params["degree"], params["tau"], target == "pair-fixed")
+def _pair_resolve(target: str, g: int, params: dict) -> _Resolved:
+    return triples._pair_key(g, params["degree"], params["tau"], target == "pair-fixed")
+
+
+def _closed_evaluate(key: Hashable) -> tuple[int, list[int]]:
+    return key[-1], triples._closed_square(key)
 
 
 def _bundle_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
@@ -148,8 +156,13 @@ def _bundle_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]
         yield params, None
 
 
-def _bundle_evaluate(target: str, g: int, params: dict) -> _Evaluation:
-    return (None, *_square(triples.hodge_bundles_odd(g, params["degree"], fixed_det=target == "bundle-fixed")))
+def _bundle_resolve(target: str, g: int, params: dict) -> _Resolved:
+    return None, (g, params["degree"], target == "bundle-fixed")  # all that ``hodge_bundles_odd`` reads
+
+
+def _bundle_evaluate(key: Hashable) -> tuple[int, list[int]]:
+    g, degree, fixed = key
+    return _square(triples.hodge_bundles_odd(g, degree, fixed_det=fixed))
 
 
 def _square(result: triples.HodgeResult) -> tuple[Optional[int], list[int]]:
@@ -161,9 +174,9 @@ def _square(result: triples.HodgeResult) -> tuple[Optional[int], list[int]]:
 
 
 _FAMILIES = (
-    _Family(("triple",), True, ("d1", "d2"), "sigma", _triple_chambers, _triple_evaluate),
-    _Family(("pair", "pair-fixed"), False, ("degree",), "tau", _pair_chambers, _pair_evaluate),
-    _Family(("bundle", "bundle-fixed"), False, ("degree",), None, _bundle_chambers, _bundle_evaluate),
+    _Family(("triple",), True, ("d1", "d2"), "sigma", _triple_chambers, _triple_resolve, _closed_evaluate),
+    _Family(("pair", "pair-fixed"), False, ("degree",), "tau", _pair_chambers, _pair_resolve, _closed_evaluate),
+    _Family(("bundle", "bundle-fixed"), False, ("degree",), None, _bundle_chambers, _bundle_resolve, _bundle_evaluate),
 )
 _FAMILY_OF = {target: family for family in _FAMILIES for target in family.targets}
 TARGETS = tuple(_FAMILY_OF)
@@ -235,18 +248,18 @@ def _entries(templates: Iterable[str], coeffs: list[int]) -> str:
     return ",".join(itertools.compress(templates, coeffs)) % tuple(filter(None, coeffs))
 
 
-def _compute_record(target: str, g: int, params: dict, box: _CanonicalBox) -> str:
-    """Evaluate one target; its record, with the request echo, as compact JSON text.
+def _compute_record(target: str, key: Optional[Hashable], echo: str, box: _CanonicalBox) -> str:
+    """Evaluate one key of a target; its record, opened by the request ``echo``, as compact JSON text.
 
     The record is {"request": ..., "dim": ..., "terms": [{"u", "v", "c"}, ...],
     "poincare": [{"t", "c"}, ...]}, byte for byte what ``_dump_json`` would
     give: no whitespace, keys in that order, coefficients as decimal
-    strings, ``null`` for the d0 and dim of an empty space.  The request
-    echo comes from ``_request_echo``, the rest from ``_result_text``,
+    strings, ``null`` for the d0 and dim of an empty space, which has no key.
+    The echo comes from ``_request_echo``, the rest from ``_result_text``,
     which reads the terms off ``box`` in canonical order without sorting.
     """
-    d0, dim, square = _FAMILY_OF[target].evaluate(target, g, params)
-    return _request_echo(target, g, params, d0) + _result_text(dim, square, box)
+    dim, square = (None, []) if key is None else _FAMILY_OF[target].evaluate(key)
+    return echo + _result_text(dim, square, box)
 
 
 def _result_text(dim: Optional[int], square: list[int], box: _CanonicalBox) -> str:
@@ -314,7 +327,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     params.update((name, getattr(args, name)) for name in family.degrees)
     if family.stability:
         params[family.stability] = triples.StabilityValue.parse(getattr(args, family.stability))
-    text = _compute_record(args.target, args.genus, params, _CanonicalBox())
+    d0, key = family.resolve(args.target, args.genus, params)
+    text = _compute_record(args.target, key, _request_echo(args.target, args.genus, params, d0), _CanonicalBox())
     if args.format == "json":
         print(_json_record(text, args.poincare))
     else:
@@ -524,18 +538,32 @@ def _latex_row(rec: dict) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    """Print one record per table row: the cached record under the row's request echo, else a computed one."""
+    """Print one record per table row: the cached record under the row's request echo, else a record of its key.
+
+    A row whose key an earlier row of this run evaluated takes that row's
+    record text after its echo; only a new key is evaluated.  ``computed``
+    maps each key to the first record this run computed for it and the
+    length of its echo: texts the run holds anyway, never a copy, and never
+    a cached line, so a damaged line is served for its own row only.  It
+    dies with the run, as the box does.
+    """
     cache_path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV, "")
     # opening a FIFO would block, and the save would rename over a device or directory
     if cache_path and os.path.exists(cache_path) and not os.path.isfile(cache_path):
         raise UserError(f"cache path {cache_path} exists and is not a regular file")
     cache, stale = _load_cache(cache_path)
-    texts: list[str] = []
-    box = _CanonicalBox()
+    family, texts, box = _FAMILY_OF[args.target], [], _CanonicalBox()
+    computed: dict[Hashable, tuple[str, int]] = {}
     for g, params, d0 in _table_rows(args):
         echo = _request_echo(args.target, g, params, d0)
         if echo not in cache:
-            cache[echo] = _compute_record(args.target, g, params, box)
+            key = family.resolve(args.target, g, params)[1]
+            if key in computed:
+                text, start = computed[key]
+                cache[echo] = echo + text[start:]
+            else:
+                cache[echo] = _compute_record(args.target, key, echo, box)
+                computed[key] = cache[echo], len(echo)
             stale = True
         texts.append(cache[echo])
     if cache_path and stale:

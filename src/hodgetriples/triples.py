@@ -19,7 +19,11 @@ This module exposes:
   built once per family, from the top wall down, one flip per wall, and
   held for at most two families.  The closed formula is a finite binomial
   sum, built densely on its diagonals a - b and shift-added by e(Jac X)^2
-  straight from them (``laurent._diagonal_square``), a checked square;
+  straight from them (``laurent._diagonal_square``), a checked square.
+  A triple or pair request is resolved to its chamber index and a key, the
+  formula's inputs (g, n, e2, m, dim) and nothing else (``_triple_key``,
+  ``_pair_key``), and a key is evaluated by ``_closed_square``; rows twisted
+  by a line bundle share a key, so a cli table evaluates each key once;
 * pair moduli (rank 2, with or without fixed determinant), their Poincare
   polynomials via an independent one-variable extraction, and the moduli of
   rank-2 odd-degree bundles through two more routes.
@@ -341,6 +345,28 @@ def _closed_diagonals(g: int, n: int, e2: int) -> list[tuple[int, int, list[int]
     return [(b, a, c) for a, b, c in reversed(runs) if a > b] + runs
 
 
+_Key = tuple[int, int, int, int, int]
+"""(g, n, e2, m, dim): all that the closed chamber formula reads of a triple or pair."""
+
+
+def _closed_square(key: _Key) -> list[int]:
+    """The row-major square of [0, dim]^2, u^a v^b at a (dim + 1) + b, of the closed core times (1+u)^m (1+v)^m.
+
+    ``_diagonal_square`` checks the core's extent: as h^{0,0} = h^{dim,dim} = 1,
+    it must span exactly [0, dim - m]^2, which bounds every term at once; any
+    other extent raises ``AssertionError``.  dim = m - 1 + 2n + e2 always.
+    """
+    g, n, e2, m, dim = key
+    return _diagonal_square(_closed_diagonals(g, n, e2), m, dim + 1)
+
+
+def _keyed_square(d0: Optional[int], key: Optional[_Key]) -> tuple[Optional[int], Optional[int], list[int]]:
+    """(d0, dim, square) of a resolved request; (None, None, []) when it has no key, an empty space."""
+    if key is None:
+        return None, None, []
+    return d0, key[-1], _closed_square(key)
+
+
 def _square_result(dim: Optional[int], square: list[int]) -> HodgeResult:
     """The ``HodgeResult`` of a square that ``_diagonal_square`` checked, without ``HodgeResult``'s per-term loop."""
     if dim is None:
@@ -366,19 +392,27 @@ def hodge_triples_square(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optio
                          - (uv)^(g-1-d1+2 d0) / (1 - (uv)^2 x) ).
 
     Outside (sigma_m, sigma_M), or past the last wall, the space is empty.
-    Rank (1,2) is evaluated on the dual rank-(2,1) family.  ``square`` is
-    the row-major digits, u^a v^b at a (dim + 1) + b, of the core times
-    e(Jac X)^2 by ``_diagonal_square``.  As h^{0,0} = h^{dim,dim} = 1, the
-    core must span exactly [0, dim - 2g]^2, which bounds every term at once;
-    any other extent raises ``AssertionError``.
+    Rank (1,2) is evaluated on the dual rank-(2,1) family.  The request is
+    resolved to its key by ``_triple_key`` and the key evaluated by
+    ``_closed_square``, the row-major digits of the core times e(Jac X)^2.
+    """
+    return _keyed_square(*_triple_key(spec, sigma))
+
+
+def _triple_key(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optional[int], Optional[_Key]]:
+    """(d0, key) of N_sigma: its chamber index and the ``_closed_square`` key; (None, None) for an empty space.
+
+    On the rank-(2,1) family, n = d1 - d2 - d0, e2 = g - 1 - d1 + 2 d0 and
+    m = 2g.  Tensoring by a line bundle of degree 1, (d1, d2) -> (d1 + 2,
+    d2 + 1), keeps each chamber representative sigma, raises d0 by one and
+    keeps the key, so twisted rows share one Hodge polynomial.
     """
     spec21 = _spec21(spec)
     d0 = _chamber_or_empty(spec21, sigma)
     if d0 is None:
-        return None, None, []
-    g, dim = spec21.g, spec.complex_dim
-    core = _closed_diagonals(g, spec21.d1 - spec21.d2 - d0, -spec21.d1 + g - 1 + 2 * d0)
-    return d0, dim, _diagonal_square(core, 2 * g, dim + 1)
+        return None, None
+    g = spec21.g
+    return d0, (g, spec21.d1 - spec21.d2 - d0, g - 1 - spec21.d1 + 2 * d0, 2 * g, spec.complex_dim)
 
 
 @functools.lru_cache(maxsize=2)
@@ -475,17 +509,21 @@ def hodge_pairs(g: int, d: int, tau: StabilityValue, fixed_det: bool = False) ->
 
 
 def _pair_square(g: int, d: int, tau: StabilityValue, fixed: bool) -> tuple[Optional[int], Optional[int], list[int]]:
-    """(d0, dim, square) of ``hodge_pairs``, as ``hodge_triples_square`` gives a triple's.
+    """(d0, dim, square) of ``hodge_pairs``, as ``hodge_triples_square`` gives a triple's."""
+    return _keyed_square(*_pair_key(g, d, tau, fixed))
 
-    The closed core times (1+u)^m (1+v)^m by ``_diagonal_square``: m = g, or 0 with fixed determinant.
+
+def _pair_key(g: int, d: int, tau: StabilityValue, fixed: bool) -> tuple[Optional[int], Optional[_Key]]:
+    """(d0, key) of ``hodge_pairs``, as ``_triple_key`` gives a triple's.
+
+    n = d - 1 - [tau], e2 = g + 1 - d + 2 [tau], and m = g, or 0 with fixed determinant.
     """
     _require_genus(g)
     fl = pair_chamber(d, tau)
     if fl is None:
-        return None, None, []
+        return None, None
     dim = (g - 2 + d) if fixed else (2 * g - 2 + d)
-    core = _closed_diagonals(g, d - 1 - fl, g + 1 - d + 2 * fl)
-    return fl + 1, dim, _diagonal_square(core, 0 if fixed else g, dim + 1)
+    return fl + 1, (g, d - 1 - fl, g + 1 - d + 2 * fl, 0 if fixed else g, dim)
 
 
 def pair_chamber_representatives(d: int) -> list[StabilityValue]:

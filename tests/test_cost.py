@@ -145,12 +145,14 @@ def test_wall_sum_packs_nothing(monkeypatch):
 def test_cold_table_cost_pinned(monkeypatch):
     """A cold in-process table of 140 triple records expands no series, divides and multiplies nothing, and sorts nothing.
 
-    Each record is one finite binomial sum and one kernel call for its
-    factor e(Jac X)^2.  Multiplying by a per-genus Jacobian square took 156
-    multiplies (126,132 term pairs).  Evaluating each record's two series
-    tails afresh took 280 expansions and 4,560 multiplies (166,627 term
-    pairs); holding them per (g, n) took 24 expansions, 928 multiplies
-    (131,064 term pairs) and one division by 1 - uv per record.  The record
+    Each of its 84 distinct cores is one finite binomial sum and one kernel
+    call for its factor e(Jac X)^2; the 56 rows twisted from an earlier one
+    by a line bundle take that row's record text.  Multiplying by a
+    per-genus Jacobian square took 156 multiplies (126,132 term pairs).
+    Evaluating each record's two series tails afresh took 280 expansions
+    and 4,560 multiplies (166,627 term pairs); holding them per (g, n) took
+    24 expansions, 928 multiplies (131,064 term pairs) and one division by
+    1 - uv per record.  The record
     text is read off one canonical box per table, so no record sorts its
     terms by ``LaurentPoly.terms`` or sums its diagonal by
     ``LaurentPoly.diagonal`` (one call of each per record before), and the
@@ -184,8 +186,7 @@ def test_cold_table_cost_pinned(monkeypatch):
 
     expansions, divisions, multiplies, term_pairs, kernels, slots = _arithmetic_cost(monkeypatch, table)
     assert (expansions, divisions, multiplies, term_pairs) == (0, 0, 0, 0)
-    assert kernels <= 140
-    assert slots <= 29950
+    assert (kernels, slots) == (84, 19026)  # one call per distinct core; one per row took 140 calls, 29,950 slots
     assert len(dims) == 140
     assert calls == {"terms": 0, "diagonal": 0}
     assert len(boxes) == 1

@@ -566,6 +566,45 @@ class TestClosedCore:
         assert len(points) == 110 and retained < 1000, retained
 
 
+class TestResolvedKeys:
+    """A triple or pair request resolves to its chamber index d0 and the key (g, n, e2, m, dim) of the closed formula's
+    inputs, with dim = m - 1 + 2n + e2; rows twisted by a line bundle share a key, and an empty space has none."""
+
+    @pytest.mark.parametrize("rank", [(2, 1), (1, 2)], ids=["rank21", "rank12"])
+    def test_triple_keys(self, rank):
+        """Every chamber of g = 2..4, d1 = -3..12, d2 = -2..0 on rank (2,1), or the dual chamber on rank (1,2): the key
+        is (g, d1 - d2 - d0, g - 1 - d1 + 2 d0, 2g, dim) on the rank-(2,1) family.  The twist (d1, d2) -> (d1 + 2,
+        d2 + 1) has the same chamber representatives, keeps each key and raises d0 by one."""
+        keys = 0
+        for g, d1, d2 in itertools.product((2, 3, 4), range(-3, 13), (-2, -1, 0)):
+            spec, twisted = TripleSpec(g, (2, 1), d1, d2), TripleSpec(g, (2, 1), d1 + 2, d2 + 1)
+            if rank == (1, 2):
+                spec, twisted = spec.dual(), twisted.dual()
+            sigmas = chamber_representatives(spec)
+            assert chamber_representatives(twisted)[: len(sigmas)] == sigmas
+            for sigma in sigmas:
+                d0, key = triples._triple_key(spec, sigma)
+                assert key == (g, d1 - d2 - d0, g - 1 - d1 + 2 * d0, 2 * g, spec.complex_dim), (spec, sigma)
+                assert key[4] == key[3] - 1 + 2 * key[1] + key[2]
+                assert triples._triple_key(twisted, sigma) == (d0 + 1, key)
+                keys += 1
+            if not spec.is_empty_family:
+                assert triples._triple_key(spec, StabilityValue(spec.sigma_M + 1)) == (None, None)
+        assert keys == 510
+
+    @pytest.mark.parametrize("fixed_det", [False, True], ids=["unfixed", "fixed"])
+    def test_pair_keys(self, fixed_det):
+        """Every pair chamber of g = 2..4, d = 1..12: the key is (g, d - 1 - [tau], g + 1 - d + 2 [tau], m, dim), with
+        m = g and dim = 2g - 2 + d, or m = 0 and dim = g - 2 + d with fixed determinant."""
+        for g, d in itertools.product((2, 3, 4), range(1, 13)):
+            m, dim = (0, g - 2 + d) if fixed_det else (g, 2 * g - 2 + d)
+            for tau in pair_chamber_representatives(d):
+                fl = math.floor(tau.value)
+                assert triples._pair_key(g, d, tau, fixed_det) == (fl + 1, (g, d - 1 - fl, g + 1 - d + 2 * fl, m, dim))
+                assert dim == m - 1 + 2 * (d - 1 - fl) + g + 1 - d + 2 * fl
+            assert triples._pair_key(g, d, StabilityValue(Fraction(d + 1)), fixed_det) == (None, None)
+
+
 class TestClosedMemo:
     """The Jacobian square is held per genus and the wall sums per family; holding them changes no value."""
 
