@@ -157,7 +157,10 @@ def _bundle_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]
 
 
 def _bundle_resolve(target: str, g: int, params: dict) -> _Resolved:
-    return None, (g, params["degree"], target == "bundle-fixed")  # all that ``hodge_bundles_odd`` reads
+    # ``hodge_bundles_odd`` reads an odd degree only for its parity, so every odd degree keys as 1; an even degree
+    # stays in its key, whose evaluation refuses it
+    degree = params["degree"]
+    return None, (g, 1 if degree % 2 else degree, target == "bundle-fixed")
 
 
 def _bundle_evaluate(key: Hashable) -> tuple[int, list[int]]:
@@ -248,18 +251,20 @@ def _entries(templates: Iterable[str], coeffs: list[int]) -> str:
     return ",".join(itertools.compress(templates, coeffs)) % tuple(filter(None, coeffs))
 
 
-def _compute_record(target: str, key: Optional[Hashable], echo: str, box: _CanonicalBox) -> str:
-    """Evaluate one key of a target; its record, opened by the request ``echo``, as compact JSON text.
+def _compute_record(target: str, key: Optional[Hashable], box: _CanonicalBox) -> str:
+    """Evaluate one key of a target; the body of its record, the compact JSON text after the request echo.
 
-    The record is {"request": ..., "dim": ..., "terms": [{"u", "v", "c"}, ...],
+    A record is {"request": ..., "dim": ..., "terms": [{"u", "v", "c"}, ...],
     "poincare": [{"t", "c"}, ...]}, byte for byte what ``_dump_json`` would
     give: no whitespace, keys in that order, coefficients as decimal
     strings, ``null`` for the d0 and dim of an empty space, which has no key.
-    The echo comes from ``_request_echo``, the rest from ``_result_text``,
-    which reads the terms off ``box`` in canonical order without sorting.
+    Its text is the echo ``_request_echo`` writes, then the body, which
+    ``_result_text`` reads off ``box`` in canonical order without sorting.
+    The body does not depend on the echo, so the rows of one key share one
+    body, and each writer splices ``echo + body`` where it writes.
     """
     dim, square = (None, []) if key is None else _FAMILY_OF[target].evaluate(key)
-    return echo + _result_text(dim, square, box)
+    return _result_text(dim, square, box)
 
 
 def _result_text(dim: Optional[int], square: list[int], box: _CanonicalBox) -> str:
@@ -302,7 +307,7 @@ _dump_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _json_record(text: str, poincare: bool) -> str:
-    """A held record text as JSON output: whole, or cut at its last key, ``poincare``, and closed again."""
+    """A record's text, or its body, as JSON output: whole, or cut at its last key, ``poincare``, and closed again."""
     return text if poincare else text[: text.rindex(_POINCARE)] + "}"
 
 
@@ -328,7 +333,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if family.stability:
         params[family.stability] = triples.StabilityValue.parse(getattr(args, family.stability))
     d0, key = family.resolve(args.target, args.genus, params)
-    text = _compute_record(args.target, key, _request_echo(args.target, args.genus, params, d0), _CanonicalBox())
+    text = _request_echo(args.target, args.genus, params, d0) + _compute_record(args.target, key, _CanonicalBox())
     if args.format == "json":
         print(_json_record(text, args.poincare))
     else:
@@ -386,8 +391,8 @@ _CACHE_HEAD = f'{{"schema_version":{SCHEMA_VERSION},"formula_revision":'
 _POINCARE = ',"poincare":'  # the text opening a record's last key, where ``_json_record`` cuts
 
 # The grammar of a cache line: exactly what ``_save_cache`` writes around the
-# record text of ``_compute_record``.  Integers are spelled as ``str`` spells
-# an int: no leading zero, no "-0", no "+".
+# echo of ``_request_echo`` and the body of ``_compute_record``.  Integers are
+# spelled as ``str`` spells an int: no leading zero, no "-0", no "+".
 _NAT = "(?!0[0-9])[0-9]+"  # the lookahead runs faster in ``re`` than the alternation of ``_INT``
 _INT = "(?:0|-?[1-9][0-9]*)"
 _RATIONAL = f"{_INT}(?:/[1-9][0-9]*)?[+-]?"  # a stability value as ``StabilityValue.__str__`` spells it
@@ -395,7 +400,7 @@ _COEFF = '"-?[1-9][0-9]*"'  # a nonzero coefficient, as a decimal string
 
 
 def _request_grammar(family: _Family) -> str:
-    """The request echo ``_compute_record`` writes for the family's targets, braces excluded; it holds no ``}``."""
+    """The request echo ``_request_echo`` writes for the family's targets, braces excluded; it holds no ``}``."""
     grammar = f'"target":"(?:{"|".join(family.targets)})","genus":{_NAT}'
     if family.ranked:
         grammar += ',"rank":"(?:2,1|1,2)"'
@@ -414,22 +419,28 @@ _TERMS = _list_grammar(rf'\{{"u":{_NAT},"v":{_NAT},"c":{_COEFF}\}}')
 _DIAGONAL = _list_grammar(rf'\{{"t":{_NAT},"c":{_COEFF}\}}')
 _RECORD_OPEN = b',"record":'
 _OTHER_SCHEMA = re.compile(rb'\{"schema_version":(?!%d,)[0-9]+,' % SCHEMA_VERSION)
-# No possessive quantifier or atomic group (Python 3.11 and up): every choice
-# is settled within a few characters, so a match takes time linear in the line.
-# No group captures: ``_cache_line`` cuts the fields out at fixed delimiters.
-_CACHE_LINE = re.compile(
-    (
-        re.escape(_CACHE_HEAD) + rf'(?:{_NAT}),"record":'
-        rf'(?:(?:\{{"request":\{{(?:{_REQUEST})\}},)"dim":(?:{_NAT}|null),"terms":{_TERMS},"poincare":{_DIAGONAL}\}})'
-        r"\}\n?"
-    ).encode("ascii")
+# The grammar of a cache line, split where the request echo closes: the head,
+# up to the echo's ``},``, and the body, the rest of the record and the line's
+# closing ``}``.  A request holds no ``}``, so every line of the language has
+# its first ``}`` where the echo closes, and a line is in the language exactly
+# when its text up to 2 bytes past its first ``}`` matches ``_CACHE_LINE_HEAD``
+# and the rest ``_CACHE_LINE_BODY``.  No possessive quantifier or atomic group
+# (Python 3.11 and up): every choice is settled within a few characters, so a
+# match takes time linear in the line.  No group captures: ``_cache_line``
+# cuts the fields out at fixed delimiters.
+_CACHE_LINE_HEAD = re.compile(
+    (re.escape(_CACHE_HEAD) + rf'{_NAT},"record":\{{"request":\{{(?:{_REQUEST})\}},').encode("ascii")
+)
+_CACHE_LINE_BODY = re.compile(
+    rf'"dim":(?:{_NAT}|null),"terms":{_TERMS},"poincare":{_DIAGONAL}\}}\}}\n?'.encode("ascii")
 )
 
 
-def _cache_line(line: bytes) -> Optional[tuple[int, str, str]]:
-    """(formula revision, request echo, record text) of a line spelled as ``_save_cache`` writes it, else None.
+def _cache_line(line: bytes, bodies: dict[str, str]) -> Optional[tuple[int, str, str]]:
+    """(formula revision, request echo, record body) of a line spelled as ``_save_cache`` writes it, else None.
 
-    The line must match ``_CACHE_LINE`` whole: the head
+    The line must be in the language of ``_CACHE_LINE_HEAD`` then
+    ``_CACHE_LINE_BODY``: the head
     ``{"schema_version":2,"formula_revision":N,"record":`` and a record with
     the keys ``request``, ``dim``, ``terms`` and ``poincare`` in that order,
     closing the line.  The request echoes the target, genus, rank (triples
@@ -439,40 +450,56 @@ def _cache_line(line: bytes) -> Optional[tuple[int, str, str]]:
     ``{"t":k,"c":"k"}``, with k a nonzero decimal.  So a line holding
     whitespace, an escape, a float, "-0", a reordered or extra key, a value
     of another shape or a byte outside ASCII is refused, and ``_POINCARE``
-    occurs once.  Nothing is decoded as JSON.  On a match the fields are
-    slices at fixed delimiters: the revision runs from the head to the first
-    comma, the record from ``,"record":`` to the line's last ``}``, which
-    closes the line, and the echo ``{"request":{...},`` from the record's
-    start to its first ``},``, since the request holds no ``}``.
+    occurs once.  Nothing is decoded as JSON.
+
+    The head, up to 2 bytes past the line's first ``}``, is matched on every
+    line.  The body, from there to the line's last ``}``, which closes the
+    line, is looked up by its text in ``bodies``, which maps each body that
+    has passed ``_CACHE_LINE_BODY`` to itself: only a body not found there is
+    matched, and it is added once it matches.  So each distinct body is
+    matched once per ``bodies``, and the lines that share a body share one
+    string.  The other fields are slices at fixed delimiters: the revision
+    runs from the head to the first comma, and the echo ``{"request":{...},``
+    from ``,"record":`` to the end of the head.
     """
-    if _CACHE_LINE.fullmatch(line) is None:
+    cut = line.find(b"}") + 2
+    end = len(line) - line.endswith(b"\n") - 1  # the line's closing brace
+    if not 2 <= cut <= end or line[end] != 0x7D or _CACHE_LINE_HEAD.fullmatch(line, 0, cut) is None:
         return None
+    text = line[cut:end].decode("latin-1")  # every byte decodes, and only ASCII passes the body grammar
+    body = bodies.get(text)
+    if body is None:
+        if _CACHE_LINE_BODY.fullmatch(line, cut) is None:
+            return None
+        body = bodies[text] = text
     comma = line.index(b",", len(_CACHE_HEAD))
-    record = line[comma + len(_RECORD_OPEN) : line.rindex(b"}")].decode("ascii")
-    return int(line[len(_CACHE_HEAD) : comma]), record[: record.index("},") + 2], record
+    return int(line[len(_CACHE_HEAD) : comma]), line[comma + len(_RECORD_OPEN) : cut].decode("ascii"), body
 
 
 def _load_cache(path: str) -> tuple[dict[str, str], bool]:
-    """(JSON text of each record by its request echo, whether the file needs rewriting).
+    """(body of each record by its request echo, whether the file needs rewriting).
 
-    Each line is matched on its own against the grammar of ``_cache_line``,
-    so a bad line (truncated, a record of another shape, or any spelling
-    other than the one ``_save_cache`` writes, as a line without a revision
-    stamp has) is dropped and counted, the rest kept.  Lines of another
+    Each line is read on its own by ``_cache_line``, so a bad line
+    (truncated, a record of another shape, or any spelling other than the
+    one ``_save_cache`` writes, as a line without a revision stamp has) is
+    dropped and counted, the rest kept.  Lines of another
     ``schema_version``, as schema 1, or of another formula revision are
-    dropped and counted apart, so their records are recomputed.
-    Records are held as their JSON text, never decoded here, so a large
-    table holds a few bytes per term.
+    dropped and counted apart, so their records are recomputed.  Records are
+    held as their JSON text, never decoded here, so a large table holds a
+    few bytes per term.  The memo of bodies that passed the grammar lives
+    for this one read: each distinct body is matched once per run, and the
+    records that share a body hold one string.
     """
     cache: dict[str, str] = {}
     if not path or not os.path.exists(path):
         return cache, False
+    bodies: dict[str, str] = {}
     dropped = outdated = stale = 0
     try:
         # a buffer past the ~10 kB lines of a large table, which an 8 kB default splits
         with open(path, "rb", buffering=1 << 20) as handle:
             for line in handle:
-                read = _cache_line(line)
+                read = _cache_line(line, bodies)
                 if read is None and _OTHER_SCHEMA.match(line):
                     outdated += 1
                 elif read is None:
@@ -502,9 +529,9 @@ def _warn(path: str, problem: str) -> None:
 def _save_cache(path: str, cache: dict[str, str]) -> None:
     """Write the cache beside ``path`` and rename it over the old file, so a failed write loses nothing.
 
-    ``cache`` maps each request echo to the record text it opens.  Each line
-    is the compact JSON of {schema_version, formula_revision, record},
-    spliced from the record's JSON text, in the order of the echoes.  The
+    ``cache`` maps each request echo to the body of its record.  Each line
+    is the compact JSON of {schema_version, formula_revision, record}, the
+    record spliced from its echo and body, in the order of the echoes.  The
     new file is flushed and synced to disk before the rename, so a crash
     cannot leave the rename pointing at unwritten data.
     """
@@ -512,7 +539,7 @@ def _save_cache(path: str, cache: dict[str, str]) -> None:
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             for echo in sorted(cache):
-                handle.write(f'{_CACHE_HEAD}{FORMULA_REVISION},"record":{cache[echo]}}}\n')
+                handle.write(f'{_CACHE_HEAD}{FORMULA_REVISION},"record":{echo}{cache[echo]}}}\n')
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -538,42 +565,40 @@ def _latex_row(rec: dict) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    """Print one record per table row: the cached record under the row's request echo, else a record of its key.
+    """Print one record per table row: the cached body under the row's request echo, else the body of its key.
 
     A row whose key an earlier row of this run evaluated takes that row's
-    record text after its echo; only a new key is evaluated.  ``computed``
-    maps each key to the first record this run computed for it and the
-    length of its echo: texts the run holds anyway, never a copy, and never
-    a cached line, so a damaged line is served for its own row only.  It
-    dies with the run, as the box does.
+    body; only a new key is evaluated.  ``computed`` maps each key to the
+    body this run computed for it: strings the cache holds anyway, never a
+    copy, and never a cached body, so a damaged line is served for its own
+    row only.  It dies with the run, as the box does.  Rows that share a
+    body share one string, in the cache and in ``computed``, and each
+    record is spliced from its echo and body only where it is written.
     """
     cache_path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV, "")
     # opening a FIFO would block, and the save would rename over a device or directory
     if cache_path and os.path.exists(cache_path) and not os.path.isfile(cache_path):
         raise UserError(f"cache path {cache_path} exists and is not a regular file")
     cache, stale = _load_cache(cache_path)
-    family, texts, box = _FAMILY_OF[args.target], [], _CanonicalBox()
-    computed: dict[Hashable, tuple[str, int]] = {}
+    family, echoes, box = _FAMILY_OF[args.target], [], _CanonicalBox()
+    computed: dict[Hashable, str] = {}
     for g, params, d0 in _table_rows(args):
         echo = _request_echo(args.target, g, params, d0)
         if echo not in cache:
             key = family.resolve(args.target, g, params)[1]
-            if key in computed:
-                text, start = computed[key]
-                cache[echo] = echo + text[start:]
-            else:
-                cache[echo] = _compute_record(args.target, key, echo, box)
-                computed[key] = cache[echo], len(echo)
+            if key not in computed:
+                computed[key] = _compute_record(args.target, key, box)
+            cache[echo] = computed[key]
             stale = True
-        texts.append(cache[echo])
+        echoes.append(echo)
     if cache_path and stale:
         _save_cache(cache_path, cache)
 
     # Records stay text until printed; formats other than JSON lines parse one at a time, never all.
-    records = map(json.loads, texts)
+    records = (json.loads(echo + cache[echo]) for echo in echoes)
     if args.format == "json-lines":
-        for text in texts:
-            print(_json_record(text, args.poincare))
+        for echo in echoes:  # written in pieces: joining them would copy every body once more
+            sys.stdout.writelines((echo, _json_record(cache[echo], args.poincare), "\n"))
     elif args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -12,7 +12,9 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -321,7 +323,7 @@ class TestTable:
         compute = cli._compute_record
         monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (0, cold[1]) and len(computed) == 6
+        assert (code, out) == (0, cold[1]) and len(computed) == 2  # one key per genus: odd degrees share a result
         assert "corrupt: dropped 6 bad line(s), kept 0 record(s)" in err
         assert cache.read_text(encoding="utf-8") == written
 
@@ -333,7 +335,8 @@ class TestTable:
         assert run(capsys, "table", *options, "--cache", str(cache)) == colds["json-lines"]
         lines = cache.read_bytes().splitlines(keepends=True)
         assert len(lines) == colds["json-lines"][1].count("\n") > 0
-        assert None not in map(cli._cache_line, lines)
+        bodies: dict = {}
+        assert None not in (cli._cache_line(line, bodies) for line in lines)
         records, stale = cli._load_cache(str(cache))
         assert (len(records), stale) == (len(lines), False)
         assert any(b'"d0":-1},' in line for line in lines) == negative_d0
@@ -345,10 +348,11 @@ class TestTable:
         cache = tmp_path / "records.jsonl"
         text = (GOLDEN / "compute_triple_empty_json_poincare.txt").read_text(encoding="utf-8").rstrip("\n")
         echo = '{"request":{"target":"triple","genus":2,"rank":"2,1","d1":5,"d2":0,"sigma":"21","d0":null},'
-        assert text == echo + '"dim":null,"terms":[],"poincare":[]}'
-        cli._save_cache(str(cache), {echo: text})
+        body = '"dim":null,"terms":[],"poincare":[]}'
+        assert text == echo + body
+        cli._save_cache(str(cache), {echo: body})
         assert capsys.readouterr() == ("", "")
-        assert cli._load_cache(str(cache)) == ({echo: text}, False)
+        assert cli._load_cache(str(cache)) == ({echo: body}, False)
 
     @pytest.mark.parametrize("options", [options for options, _ in TABLES.values()], ids=list(TABLES))
     def test_rows_served_under_their_echo(self, capsys, tmp_path, monkeypatch, options):
@@ -451,14 +455,14 @@ class TestTable:
         cold = run(capsys, *argv)
         written = cache.read_text(encoding="utf-8")
         lines = written.splitlines()
-        assert len(lines) == 4 and all(cli._cache_line(f"{line}\n".encode()) for line in lines)
+        assert len(lines) == 4 and all(cli._cache_line(f"{line}\n".encode(), {}) for line in lines)
         entries = [json.loads(line) for line in lines]
         head = lines[1][: lines[1].index('"record":') + len('"record":')]
         lines[0] = json.dumps(entries[0])  # spaces everywhere, the head included
         lines[1] = head + json.dumps(entries[1]["record"]) + "}"  # the head as written, spaces in the record
         lines[2] = lines[2].replace('"triple"', '"\\u0074riple"')  # a \u escape in the record
         lines[3] = lines[3][:-1] + ',"note":1}'  # a field after the record
-        assert [cli._cache_line(f"{line}\n".encode()) for line in lines] == [None] * 4
+        assert [cli._cache_line(f"{line}\n".encode(), {}) for line in lines] == [None] * 4
         cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
         computed = []
         compute = cli._compute_record
@@ -469,10 +473,12 @@ class TestTable:
         assert cache.read_text(encoding="utf-8") == written
 
     def test_cache_line_reads_only_the_written_spelling(self, capsys, tmp_path):
-        cache = tmp_path / "records.jsonl"
+        """Each respelling is refused, read with a memo that holds the written lines' bodies, so a respelled head
+        in front of a body that passed is refused too."""
+        cache, bodies = tmp_path / "records.jsonl", {}
         run(capsys, "table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1", "--cache", str(cache))
         line = cache.read_bytes()
-        assert cli._cache_line(line)[0] == cli.FORMULA_REVISION
+        assert cli._cache_line(line, bodies)[0] == cli.FORMULA_REVISION
         stamp = b'"formula_revision":%d,' % cli.FORMULA_REVISION
         dim = b'"dim":%d,' % json.loads(line)["record"]["dim"]
         respelled = [
@@ -491,10 +497,10 @@ class TestTable:
         triple_cache = tmp_path / "triple.jsonl"
         run(capsys, "table", "--target", "triple", "--genus", "2", "--d1", "1", "--d2", "0", "--cache", str(triple_cache))
         triple_line = triple_cache.read_bytes().splitlines(keepends=True)[0]
-        assert cli._cache_line(triple_line) is not None and b'"d2":0,' in triple_line
+        assert cli._cache_line(triple_line, bodies) is not None and b'"d2":0,' in triple_line and len(bodies) == 2
         respelled.append(triple_line.replace(b'"d2":0,', b'"d2":-0,'))  # decodes to 0, but would be served as -0
         assert line not in respelled
-        assert [cli._cache_line(other) for other in respelled] == [None] * len(respelled)
+        assert [cli._cache_line(other, bodies) for other in respelled] == [None] * len(respelled)
 
     def test_cache_via_environment(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-cache.jsonl"
@@ -518,7 +524,8 @@ class TestTable:
 
     def test_partly_corrupt_cache_salvaged(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "records.jsonl"
-        argv = ["table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1..7", "--format", "json-lines", "--cache", str(cache)]
+        # one degree, so each row has a key of its own and ``computed`` counts the rows recomputed
+        argv = ["table", "--target", "bundle-fixed", "--genus", "2..5", "--degree", "1", "--format", "json-lines", "--cache", str(cache)]
         first = run(capsys, *argv)
         lines = cache.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 4
@@ -546,7 +553,8 @@ class TestTable:
 
     def test_other_formula_revision_recomputed(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "records.jsonl"
-        argv = ["table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1..5", "--format", "json-lines", "--cache", str(cache)]
+        # one degree, so each row has a key of its own and ``computed`` counts the rows recomputed
+        argv = ["table", "--target", "bundle-fixed", "--genus", "2..4", "--degree", "1", "--format", "json-lines", "--cache", str(cache)]
         first = run(capsys, *argv)
         written = cache.read_text(encoding="utf-8")
         entries = [json.loads(line) for line in written.splitlines()]
@@ -777,12 +785,16 @@ class TestSquareReader:
     @pytest.mark.parametrize("options, repeats", [
         (TABLES["triple"][0], 50),
         (TABLES["triple12"][0], 36),
-        *((TABLES[name][0], 0) for name in ("pair", "pair-fixed", "bundle", "bundle-fixed")),
+        (TABLES["pair"][0], 0),
+        (TABLES["pair-fixed"][0], 0),
+        (TABLES["bundle"][0], 6),
+        (TABLES["bundle-fixed"][0], 6),
     ], ids=list(TABLES))  # fmt: skip
     def test_table_rows_match_sorted_library_text(self, capsys, monkeypatch, options, repeats):
         """Every line that ``table --poincare`` prints for each ``TABLES`` target is its row's echo and the sorted
-        oracle's text of the library result, the ``repeats`` rows that share an earlier row's core included: those
-        take the earlier record's text and are not evaluated again."""
+        oracle's text of the library result, the ``repeats`` rows that share an earlier row's key included: those
+        take the earlier record's body and are not evaluated again.  The oracle evaluates every row at its own
+        degree, so a bundle row, keyed by genus alone, shows the result at each odd degree."""
         rows = cli._table_rows(cli.build_parser().parse_args(["table", *options]))
         computed, compute = [], cli._compute_record
         monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
@@ -843,32 +855,40 @@ class TestSquareReader:
         assert all(line.startswith("FAIL ") and "unexpected AssertionError: diagonal extent" in line for line in lines[:-1])
         assert lines[-1] == "16 checks: 0 passed, 16 failed"
 
-    def test_table_run_retains_nothing(self, monkeypatch):
-        """After a cold table returns, less than 16 kB it allocated is still held: no box, index or record of a core
-        outlives its run.  A different, tiny table imports what the cli imports lazily first, so a cache that a run
-        fills shows in the first run of the measured table."""
+    def test_table_run_retains_nothing(self, monkeypatch, tmp_path):
+        """After a cold table returns, and after a warm one on a cache file a cold run wrote, less than 16 kB it
+        allocated is still held: no box, index, record of a core or memo of cache bodies outlives its run.  A
+        different, tiny table imports what the cli imports lazily first, so a cache that a run fills shows in the
+        first run of the measured table."""
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)
 
         def table(*options):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["table", "--target", "triple", *options, "--poincare"]) == 0
 
+        def retained(*options) -> int:
+            tracemalloc.start()
+            try:
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                table(*options)
+                gc.collect()  # argparse leaves reference cycles
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
         table("--genus", "2", "--d1", "1", "--d2", "0")
-        tracemalloc.start()
-        try:
-            gc.collect()
-            before = tracemalloc.get_traced_memory()[0]
-            table("--genus", "2..3", "--d1", "1..10", "--d2=-1..0")
-            gc.collect()  # argparse leaves reference cycles
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert retained < 16_000, retained
+        measured, cache = ("--genus", "2..3", "--d1", "1..10", "--d2=-1..0"), str(tmp_path / "records.jsonl")
+        cold = retained(*measured)
+        table(*measured, "--cache", cache)
+        warm = retained(*measured, "--cache", cache)
+        assert max(cold, warm) < 16_000, (cold, warm)
 
 
-# ``cli._CACHE_LINE`` with groups that capture the revision, the record and the
-# request echo that opens it: the same language, and the oracle of the fields
-# ``_cache_line`` cuts.
+# The whole-line grammar of a cache line, with groups that capture the revision,
+# the record and the request echo that opens it: the language of
+# ``cli._CACHE_LINE_HEAD`` then ``cli._CACHE_LINE_BODY``, and the oracle of the
+# fields ``_cache_line`` cuts.
 _CAPTURING_CACHE_LINE = re.compile(
     (
         re.escape(cli._CACHE_HEAD) + rf'({cli._NAT}),"record":'
@@ -876,6 +896,29 @@ _CAPTURING_CACHE_LINE = re.compile(
         r"\}\n?"
     ).encode("ascii")
 )
+
+
+def _without_captures(pattern: bytes) -> bytes:
+    """``pattern`` with each capturing group dissolved: its parentheses dropped, what they hold kept."""
+    kept, closes = [], []
+    for token in re.findall(rb"\\.|\(\??|\)|[^\\()]+", pattern):
+        if token == b"(":  # a capturing group opens
+            closes.append(b"")
+        elif token == b")":
+            kept.append(closes.pop())
+        else:
+            closes.extend([b")"] * (token == b"(?"))
+            kept.append(token)
+    return b"".join(kept)
+
+
+def _oracle_line(line: bytes) -> Optional[tuple[int, str, str]]:
+    """(revision, echo, body) of a line by the capturing grammar, else None."""
+    match = _CAPTURING_CACHE_LINE.fullmatch(line)
+    if match is None:
+        return None
+    revision, record, echo = (group.decode("ascii") for group in match.groups())
+    return int(revision), echo, record[len(echo) :]
 
 
 @functools.lru_cache(maxsize=None)
@@ -889,6 +932,18 @@ def _written_lines() -> tuple[bytes, ...]:
                 assert main(["table", *options, "--cache", path]) == 0
             lines.extend(Path(path).read_bytes().splitlines())
     return tuple(lines)
+
+
+@functools.lru_cache(maxsize=None)
+def _written_bodies() -> dict[str, str]:
+    """A memo as ``_load_cache`` leaves it after reading every written line: each body mapped to itself; copy it
+    before use, as ``_cache_line`` adds to its memo."""
+    return {body: body for body in (_oracle_line(line)[2] for line in _written_lines())}
+
+
+def _split(line: bytes) -> int:
+    """Where ``_cache_line`` cuts a line into head and body: 2 bytes past its first ``}``, else at its end."""
+    return line.find(b"}") + 2 if b"}" in line else len(line)
 
 
 @st.composite
@@ -911,22 +966,119 @@ def _cache_lines(draw) -> bytes:
     }[edit]
 
 
+@st.composite
+def _cache_files(draw) -> bytes:
+    """A cache file whose lines each join the head of one drawn line to the body of another, so bodies, damaged
+    or not, recur under other heads, damaged or not; each drawn line is as written or as ``_cache_lines`` draws
+    it."""
+    written = st.sampled_from(_written_lines()).map(lambda line: line + b"\n")
+    drawn = draw(st.lists(written | _cache_lines(), min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.sampled_from(drawn), st.sampled_from(drawn)), min_size=1, max_size=12))
+    return b"".join(head[: _split(head)] + body[_split(body) :] for head, body in picks)
+
+
 class TestCacheLineGrammar:
-    """``cli._cache_line`` reads the fields by slices; the capturing grammar it replaced is the oracle."""
+    """``cli._cache_line`` matches a head and a body, the body once per memo, and reads the fields by slices; the
+    capturing whole-line grammar it replaced is the oracle."""
 
     def test_pattern_is_the_capturing_one_without_captures(self):
-        assert (_CAPTURING_CACHE_LINE.groups, cli._CACHE_LINE.groups) == (3, 0)
-        assert re.sub(rb"(?<!\\)\((?!\?)", b"(?:", _CAPTURING_CACHE_LINE.pattern) == cli._CACHE_LINE.pattern
+        head, body = cli._CACHE_LINE_HEAD, cli._CACHE_LINE_BODY
+        assert (_CAPTURING_CACHE_LINE.groups, head.groups, body.groups) == (3, 0, 0)
+        assert head.pattern + body.pattern == _without_captures(_CAPTURING_CACHE_LINE.pattern)
+        assert head.pattern.count(b"}") == 1 and head.pattern.endswith(rb"\},")  # the head ends at its only "}"
 
     @settings(max_examples=600, deadline=None)
     @given(_cache_lines())
     def test_matches_capturing_oracle(self, line):
-        match = _CAPTURING_CACHE_LINE.fullmatch(line)
-        if match is None:
-            assert cli._cache_line(line) is None
-        else:
-            revision, record, echo = match.groups()
-            assert cli._cache_line(line) == (int(revision), echo.decode("ascii"), record.decode("ascii"))
+        """Read with an empty memo and with one that holds every written body, so a damaged head in front of a body
+        that passed is refused; a body found in the memo is served as the memo's string."""
+        for bodies in ({}, dict(_written_bodies())):
+            read = cli._cache_line(line, bodies)
+            assert read == _oracle_line(line)
+            assert read is None or read[2] is bodies[read[2]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cache_files())
+    def test_load_cache_matches_oracle_line_by_line(self, data):
+        """``_load_cache`` over a whole file keeps exactly the echoes and bodies the capturing grammar accepts line
+        by line (the last line of an echo wins), with the same counts in its warnings and one string per body."""
+        expected, counts = {}, {"dropped": 0, "outdated": 0, "stale": 0}
+        for line in io.BytesIO(data):
+            read = _oracle_line(line)
+            if read is None:
+                counts["outdated" if cli._OTHER_SCHEMA.match(line) else "dropped"] += 1
+            elif read[0] != cli.FORMULA_REVISION:
+                counts["stale"] += 1
+            else:
+                expected[read[1]] = read[2]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.jsonl")
+            Path(path).write_bytes(data)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                cache, stale = cli._load_cache(path)
+        assert (cache, stale) == (expected, any(counts.values()))
+        assert len(set(map(id, cache.values()))) == len(set(cache.values()))
+        warnings = err.getvalue().splitlines()
+        assert len(warnings) == sum(map(bool, counts.values()))
+        phrases = {
+            "dropped": f"is corrupt: dropped {counts['dropped']} bad line(s), kept {len(expected)} record(s);",
+            "outdated": f"has {counts['outdated']} line(s) of another cache schema;",
+            "stale": f"has {counts['stale']} record(s) of another formula revision;",
+        }
+        assert all(any(phrases[name] in warning for warning in warnings) for name, count in counts.items() if count)
+
+
+class TestCacheBodies:
+    """Each distinct record body of a cache file is matched once per run and held once."""
+
+    def test_each_distinct_body_matched_once_and_held_once(self, capsys, tmp_path, monkeypatch):
+        """A warm run of the ``TABLES`` triple table matches the body grammar once per distinct body in the cache
+        file, counted from the file itself, and its rows that share a body share one string; a cold run holds one
+        string per key (a few keys have equal bodies)."""
+        cache = tmp_path / "records.jsonl"
+        options = ("table", *TABLES["triple"][0], "--poincare", "--cache", str(cache))
+        rows = cli._table_rows(cli.build_parser().parse_args(options[:-2]))
+        keys = {cli._triple_resolve("triple", g, params)[1] for g, params, _ in rows}
+        saved, save = [], cli._save_cache
+        monkeypatch.setattr(cli, "_save_cache", lambda path, records: saved.append(records) or save(path, records))
+        cold = run(capsys, *options)
+        lines = cache.read_bytes().splitlines()
+        distinct = len({line[_split(line) :] for line in lines})
+        assert 1 < distinct <= len(keys) < len(lines) == len(rows) and len(saved) == 1
+        assert len(set(map(id, saved[0].values()))) == len(keys)
+        matched, grammar = [], cli._CACHE_LINE_BODY
+        spy = types.SimpleNamespace(fullmatch=lambda *args: matched.append(args) or grammar.fullmatch(*args))
+        monkeypatch.setattr(cli, "_CACHE_LINE_BODY", spy)
+        assert run(capsys, *options) == cold and len(saved) == 1
+        assert len(matched) == distinct
+        records, stale = cli._load_cache(str(cache))
+        assert (len(records), len(set(map(id, records.values()))), stale) == (len(lines), distinct, False)
+
+    def test_damage_dropped_on_every_line_it_reaches(self, capsys, tmp_path):
+        """In a cache of the ``TABLES`` triple table, a head respelled ("genus":02) in front of a body that an
+        earlier line passed, and one body respelled alike (a leading zero) on two lines: each of the three lines is
+        dropped, the other lines of those bodies are served, and the rewritten file is the cold one."""
+        cache = tmp_path / "records.jsonl"
+        options = ("table", *TABLES["triple"][0], "--poincare", "--cache", str(cache))
+        cold, written = run(capsys, *options), cache.read_bytes()
+        lines = written.splitlines(keepends=True)
+        by_body: dict = {}
+        for at, line in enumerate(lines):
+            by_body.setdefault(line[_split(line) :], []).append(at)
+        (_, head_respelled, *_), (zeroed, zeroed_too, *_) = [ats for ats in by_body.values() if len(ats) > 1][:2]
+        lines[head_respelled] = lines[head_respelled].replace(b'"genus":2,', b'"genus":02,', 1)
+        for at in (zeroed, zeroed_too):
+            cut = _split(lines[at])
+            lines[at] = lines[at][:cut] + lines[at][cut:].replace(b'"c":"', b'"c":"0', 1)
+        assert sum(a != b for a, b in zip(lines, written.splitlines(keepends=True))) == 3
+        cache.write_bytes(b"".join(lines))
+        code, out, err = run(capsys, *options)
+        assert (code, out) == (0, cold[1])
+        assert err == (
+            f"warning: cache file {cache} is corrupt: dropped 3 bad line(s), kept {len(lines) - 3} record(s); "
+            "recomputing the dropped ones and rewriting the file\n"
+        )
+        assert cache.read_bytes() == written
 
 
 class TestVerifyCommand:
