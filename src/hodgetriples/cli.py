@@ -30,8 +30,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from . import triples, verify
 from .laurent import NotDivisible, _format_terms, _mono, _t_mono
@@ -107,60 +107,96 @@ _Resolved = tuple[Optional[int], Optional[Hashable]]  # (chamber index d0, key);
 class _Family:
     """What the cli knows about one family of targets.
 
-    ``params`` maps option names (``rank``, the degree options and the
-    stability option) to parsed values.  A table row is identified by the
-    request echo ``_request_echo`` writes from these, and by nothing else.
-    A request resolves to a key, the inputs its result is read through, and
-    ``evaluate`` turns a key into that result, so rows of one key have one
-    result: ``table`` evaluates each key once per run.
+    ``params`` maps the option names ``rank`` (triples only) and the degree
+    options to parsed values.  A request is the target, the genus, the
+    params and, for a family with a stability option, that value, as
+    ``StabilityValue.__str__`` spells it, with its chamber index d0.  It is
+    identified by the request echo, and by nothing else: ``_request_echo``
+    fills the family's ``echo`` template, built from its other fields, with
+    those values.  A request resolves to a key, the inputs its result is
+    read through, and ``evaluate`` turns a key into that result, so rows of
+    one key have one result: ``table`` evaluates each key once per run.
+    ``compute`` parses the stability value and ``resolve`` finds its d0 and
+    key; ``table`` enumerates each chamber's value and d0 in integers by
+    ``chambers`` and takes a row's key from its d0 by ``key``, so it builds
+    no ``Fraction`` and no ``StabilityValue`` per row.
     """
 
     targets: tuple[str, ...]
     ranked: bool  # takes --rank
     degrees: tuple[str, ...]  # integers for compute, ranges for table
     stability: Optional[str]  # the stability option; table enumerates one value per chamber
-    chambers: Callable[[int, dict], Iterator[tuple[dict, Optional[int]]]]
-    """(params with the stability value, chamber index d0) for each chamber of one degree choice."""
-    resolve: Callable[[str, int, dict], _Resolved]
-    """(chamber index d0, key) of one request, as ``triples._triple_key`` gives a triple's."""
+    chambers: Callable[[int, dict], list[tuple[Optional[str], Optional[int]]]]
+    """(stability value as text, chamber index d0) of each chamber of one degree choice; (None, None) for one row
+    without a stability value, as an odd-degree bundle has."""
+    resolve: Callable[[str, int, dict, Optional[triples.StabilityValue]], _Resolved]
+    """(d0, key) of a request with its parsed stability value, as ``triples._triple_key`` gives a triple's."""
+    key: Callable[[str, int, dict, Optional[int]], Hashable]
+    """The key of a ``chambers`` row from its d0, as ``triples._triple_key_at`` gives a triple's."""
     evaluate: Callable[[Hashable], tuple[int, list[int]]]
     """(dim, square) of a key, the square as ``triples._closed_square`` gives it."""
+    echo: str = field(init=False)
+    """The ``%`` template ``{"request":{...},`` of ``_request_echo``, the JSON of the request dict without spaces."""
+
+    def __post_init__(self) -> None:
+        fields = '"target":"%s","genus":%d' + (',"rank":"%d,%d"' if self.ranked else "")
+        fields += "".join(f',"{name}":%d' for name in self.degrees)
+        if self.stability:
+            fields += f',"{self.stability}":"%s","d0":%s'
+        object.__setattr__(self, "echo", f'{{"request":{{{fields}}},')
 
 
-def _triple_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
-    spec = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
-    for sigma in triples.chamber_representatives(spec):
-        yield {**params, "sigma": sigma}, triples.chamber_d0(spec, sigma)
+def _quarter_text(q: int) -> str:
+    """q/4 in lowest terms, as ``StabilityValue.__str__`` spells an exact value: p, or p/2, or p/4."""
+    r = q % 4
+    return str(q // 4) if not r else f"{q // 2}/2" if r == 2 else f"{q}/4"
 
 
-def _triple_resolve(target: str, g: int, params: dict) -> _Resolved:
-    return triples._triple_key(triples.TripleSpec(g, params["rank"], params["d1"], params["d2"]), params["sigma"])
+def _triple_spec(g: int, params: dict) -> triples.TripleSpec:
+    return triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
 
 
-def _pair_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
-    d = params["degree"]
-    for tau in triples.pair_chamber_representatives(d):
-        yield {**params, "tau": tau}, triples.pair_chamber(d, tau) + 1
+def _triple_chambers(g: int, params: dict) -> list[tuple[Optional[str], Optional[int]]]:
+    return [(_quarter_text(q), d0) for q, d0 in triples._chamber_quarters(_triple_spec(g, params))]
 
 
-def _pair_resolve(target: str, g: int, params: dict) -> _Resolved:
-    return triples._pair_key(g, params["degree"], params["tau"], target == "pair-fixed")
+def _triple_resolve(target: str, g: int, params: dict, sigma: Optional[triples.StabilityValue]) -> _Resolved:
+    return triples._triple_key(_triple_spec(g, params), sigma)
+
+
+def _triple_row_key(target: str, g: int, params: dict, d0: Optional[int]) -> Hashable:
+    return triples._triple_key_at(_triple_spec(g, params), d0)
+
+
+def _pair_chambers(g: int, params: dict) -> list[tuple[Optional[str], Optional[int]]]:
+    return [(_quarter_text(q), d0) for q, d0 in triples._pair_chamber_quarters(params["degree"])]
+
+
+def _pair_resolve(target: str, g: int, params: dict, tau: Optional[triples.StabilityValue]) -> _Resolved:
+    return triples._pair_key(g, params["degree"], tau, target == "pair-fixed")
+
+
+def _pair_row_key(target: str, g: int, params: dict, d0: Optional[int]) -> Hashable:
+    return triples._pair_key_at(g, params["degree"], target == "pair-fixed", d0)
 
 
 def _closed_evaluate(key: Hashable) -> tuple[int, list[int]]:
     return key[-1], triples._closed_square(key)
 
 
-def _bundle_chambers(g: int, params: dict) -> Iterator[tuple[dict, Optional[int]]]:
-    if params["degree"] % 2:  # the closed forms cover odd degree only
-        yield params, None
+def _bundle_chambers(g: int, params: dict) -> list[tuple[Optional[str], Optional[int]]]:
+    return [(None, None)] if params["degree"] % 2 else []  # the closed forms cover odd degree only
 
 
-def _bundle_resolve(target: str, g: int, params: dict) -> _Resolved:
+def _bundle_resolve(target: str, g: int, params: dict, value: Optional[triples.StabilityValue]) -> _Resolved:
+    return None, _bundle_key(target, g, params, None)
+
+
+def _bundle_key(target: str, g: int, params: dict, d0: Optional[int]) -> Hashable:
     # ``hodge_bundles_odd`` reads an odd degree only for its parity, so every odd degree keys as 1; an even degree
     # stays in its key, whose evaluation refuses it
     degree = params["degree"]
-    return None, (g, 1 if degree % 2 else degree, target == "bundle-fixed")
+    return g, 1 if degree % 2 else degree, target == "bundle-fixed"
 
 
 def _bundle_evaluate(key: Hashable) -> tuple[int, list[int]]:
@@ -177,9 +213,12 @@ def _square(result: triples.HodgeResult) -> tuple[Optional[int], list[int]]:
 
 
 _FAMILIES = (
-    _Family(("triple",), True, ("d1", "d2"), "sigma", _triple_chambers, _triple_resolve, _closed_evaluate),
-    _Family(("pair", "pair-fixed"), False, ("degree",), "tau", _pair_chambers, _pair_resolve, _closed_evaluate),
-    _Family(("bundle", "bundle-fixed"), False, ("degree",), None, _bundle_chambers, _bundle_resolve, _bundle_evaluate),
+    _Family(("triple",), True, ("d1", "d2"), "sigma", _triple_chambers, _triple_resolve, _triple_row_key,
+            _closed_evaluate),
+    _Family(("pair", "pair-fixed"), False, ("degree",), "tau", _pair_chambers, _pair_resolve, _pair_row_key,
+            _closed_evaluate),
+    _Family(("bundle", "bundle-fixed"), False, ("degree",), None, _bundle_chambers, _bundle_resolve, _bundle_key,
+            _bundle_evaluate),
 )
 _FAMILY_OF = {target: family for family in _FAMILIES for target in family.targets}
 TARGETS = tuple(_FAMILY_OF)
@@ -289,17 +328,20 @@ def _result_text(dim: Optional[int], square: list[int], box: _CanonicalBox) -> s
     return f'"dim":{_dump_json(dim)},"terms":[{terms}],"poincare":[{diagonal}]}}'
 
 
-def _request_echo(target: str, g: int, params: dict, d0: Optional[int]) -> str:
-    """The text ``{"request":{...},`` that opens the record of one request; the one writer of echoes."""
+def _request_echo(target: str, g: int, params: dict, stability: Optional[str], d0: Optional[int]) -> str:
+    """The text ``{"request":{...},`` that opens the record of one request; the one writer of echoes.
+
+    It is the family's ``echo`` template filled with the target, genus,
+    rank, degrees and, for a family with a stability option, its value as
+    text and d0, ``null`` for an empty space: the compact JSON of the
+    request dict, as none of these values needs an escape.
+    """
     family = _FAMILY_OF[target]
-    request = {"target": target, "genus": g}
-    if family.ranked:
-        request["rank"] = f"{params['rank'][0]},{params['rank'][1]}"
-    request.update((name, params[name]) for name in family.degrees)
+    values = (target, g, *params["rank"]) if family.ranked else (target, g)
+    values += tuple(map(params.__getitem__, family.degrees))
     if family.stability:
-        request[family.stability] = str(params[family.stability])
-        request["d0"] = d0
-    return f'{{"request":{_dump_json(request)},'
+        values += (stability, "null" if d0 is None else d0)
+    return family.echo % values
 
 
 # compact JSON; ``json.dumps`` with separators would build a new encoder per call
@@ -330,10 +372,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     _require(args, family, ranges=False)
     params: dict = {"rank": _parse_rank(args.rank)} if family.ranked else {}
     params.update((name, getattr(args, name)) for name in family.degrees)
-    if family.stability:
-        params[family.stability] = triples.StabilityValue.parse(getattr(args, family.stability))
-    d0, key = family.resolve(args.target, args.genus, params)
-    text = _request_echo(args.target, args.genus, params, d0) + _compute_record(args.target, key, _CanonicalBox())
+    value = triples.StabilityValue.parse(getattr(args, family.stability)) if family.stability else None
+    d0, key = family.resolve(args.target, args.genus, params, value)
+    echo = _request_echo(args.target, args.genus, params, None if value is None else str(value), d0)
+    text = echo + _compute_record(args.target, key, _CanonicalBox())
     if args.format == "json":
         print(_json_record(text, args.poincare))
     else:
@@ -370,8 +412,11 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
 # -- table -----------------------------------------------------------------
 
 
-def _table_rows(args: argparse.Namespace) -> list[tuple[int, dict, Optional[int]]]:
-    """(genus, params, chamber index d0) for every (parameter, chamber) pair, in canonical order."""
+def _table_rows(args: argparse.Namespace) -> list[tuple[int, dict, Optional[str], Optional[int]]]:
+    """(genus, params, stability value as text, chamber index d0) for every (parameter, chamber) pair, in order.
+
+    The rows of one degree choice share its params.
+    """
     family = _FAMILY_OF[args.target]
     genera = _parse_range(args.genus)
     _require(args, family, ranges=True)
@@ -383,7 +428,7 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[int, dict, Optional[int]
     for g in genera:
         for degrees in grid:
             params = {**fixed, **dict(zip(family.degrees, degrees))}
-            rows.extend((g, chamber, d0) for chamber, d0 in family.chambers(g, params))
+            rows.extend((g, params, stability, d0) for stability, d0 in family.chambers(g, params))
     return rows
 
 
@@ -582,10 +627,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     cache, stale = _load_cache(cache_path)
     family, echoes, box = _FAMILY_OF[args.target], [], _CanonicalBox()
     computed: dict[Hashable, str] = {}
-    for g, params, d0 in _table_rows(args):
-        echo = _request_echo(args.target, g, params, d0)
+    for g, params, stability, d0 in _table_rows(args):
+        echo = _request_echo(args.target, g, params, stability, d0)
         if echo not in cache:
-            key = family.resolve(args.target, g, params)[1]
+            key = family.key(args.target, g, params, d0)
             if key not in computed:
                 computed[key] = _compute_record(args.target, key, box)
             cache[echo] = computed[key]

@@ -23,7 +23,10 @@ This module exposes:
   A triple or pair request is resolved to its chamber index and a key, the
   formula's inputs (g, n, e2, m, dim) and nothing else (``_triple_key``,
   ``_pair_key``), and a key is evaluated by ``_closed_square``; rows twisted
-  by a line bundle share a key, so a cli table evaluates each key once;
+  by a line bundle share a key, so a cli table evaluates each key once.
+  ``_triple_key_at`` (``_pair_key_at``) gives the key of a chamber index,
+  and ``_chamber_quarters`` (``_pair_chamber_quarters``) each chamber's
+  representative and index in integers, so a table row needs no ``Fraction``;
 * pair moduli (rank 2, with or without fixed determinant), their Poincare
   polynomials via an independent one-variable extraction, and the moduli of
   rank-2 odd-degree bundles through two more routes.
@@ -294,14 +297,17 @@ def flip_difference_series(spec: TripleSpec, d_M: int) -> LaurentPoly:
 
     with k = d1 - d2 - d_M.  Kept deliberately independent of the block
     decomposition used by ``flip_difference``, and of its product kernel:
-    e(Jac X)^2 is built and multiplied in by the generic ``*``.
+    e(Jac X)^2 = ``jacobian(2g)`` is built and multiplied in by the generic
+    ``*``.  The numerator is formed smallest factor first, the two-term
+    difference times the coefficient, then times e(Jac X)^2, and the whole
+    product is divided by 1 - uv last, so the running sum runs on it.
     """
     _check_flip_args(spec, d_M)
     g = spec.g
     k = spec.d1 - spec.d2 - d_M
     coeff = TruncatedSeries.rational(k, [(U, g), (V, g)], [ONE, UV]).coeff(k)
     e_top = 2 * d_M - spec.d1 + g - 1
-    numerator = (monomial(1, k, k) - monomial(1, e_top, e_top)) * jacobian(g) ** 2 * coeff
+    numerator = (monomial(1, k, k) - monomial(1, e_top, e_top)) * coeff * jacobian(2 * g)
     return numerator / (ONE - UV)
 
 
@@ -400,19 +406,24 @@ def hodge_triples_square(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optio
 
 
 def _triple_key(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optional[int], Optional[_Key]]:
-    """(d0, key) of N_sigma: its chamber index and the ``_closed_square`` key; (None, None) for an empty space.
+    """(d0, key) of N_sigma: its chamber index and the ``_closed_square`` key; (None, None) for an empty space."""
+    d0 = _chamber_or_empty(_spec21(spec), sigma)
+    return (None, None) if d0 is None else (d0, _triple_key_at(spec, d0))
+
+
+def _triple_key_at(spec: TripleSpec, d0: int) -> _Key:
+    """The ``_closed_square`` key (g, n, e2, m, dim) of the family's chamber d0, a nonempty one.
+
+    ``_triple_key`` calls it once it has resolved sigma, and a cli table
+    with the d0 of each row; n, e2, m and dim are computed nowhere else.
 
     On the rank-(2,1) family, n = d1 - d2 - d0, e2 = g - 1 - d1 + 2 d0 and
     m = 2g.  Tensoring by a line bundle of degree 1, (d1, d2) -> (d1 + 2,
     d2 + 1), keeps each chamber representative sigma, raises d0 by one and
     keeps the key, so twisted rows share one Hodge polynomial.
     """
-    spec21 = _spec21(spec)
-    d0 = _chamber_or_empty(spec21, sigma)
-    if d0 is None:
-        return None, None
-    g = spec21.g
-    return d0, (g, spec21.d1 - spec21.d2 - d0, g - 1 - spec21.d1 + 2 * d0, 2 * g, spec.complex_dim)
+    s = _spec21(spec)
+    return (s.g, s.d1 - s.d2 - d0, s.g - 1 - s.d1 + 2 * d0, 2 * s.g, s.complex_dim)
 
 
 @functools.lru_cache(maxsize=2)
@@ -449,22 +460,34 @@ def hodge_triples_sum(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult:
 
 
 def chamber_representatives(spec: TripleSpec, include_beyond: bool = False) -> list[StabilityValue]:
-    """One exact rational strictly inside each chamber of [sigma_m, sigma_M].
+    """One exact rational strictly inside each chamber of [sigma_m, sigma_M], the q/4 of ``_chamber_quarters``.
 
-    Midpoints of consecutive wall values (with sigma_m as the left
-    boundary); ``include_beyond`` appends a representative above sigma_M to
-    exercise emptiness.  The bounds are taken doubled, as integers:
-    2 sigma_m = d1 - 2 d2 and 2 sigma_c = 6 d_M - 2 (d1 + d2) for the walls
-    above sigma_m, d_M > d1/2; the midpoint of lo/2 and hi/2 is (lo + hi)/4.
+    ``include_beyond`` appends a representative above sigma_M to exercise
+    emptiness.
     """
     s = _spec21(spec)
     if s.is_empty_family:
         return []
-    twice = [s.d1 - 2 * s.d2, *(6 * m - 2 * (s.d1 + s.d2) for m in range(s.d1 // 2 + 1, s.d1 - s.d2 + 1))]
-    reps = [StabilityValue(Fraction(lo + hi, 4)) for lo, hi in zip(twice, twice[1:])]
+    reps = [StabilityValue(Fraction(q, 4)) for q, _ in _chamber_quarters(s)]
     if include_beyond:
         reps.append(StabilityValue(s.sigma_M + 1))
     return reps
+
+
+def _chamber_quarters(spec: TripleSpec) -> list[tuple[int, int]]:
+    """(q, d0) of each chamber of [sigma_m, sigma_M], in integers: q/4 its representative, d0 its chamber index.
+
+    The representatives are the midpoints of consecutive bounds, with
+    sigma_m as the left one.  The bounds are taken doubled, as integers:
+    2 sigma_m = d1 - 2 d2 and 2 sigma_c = 6 d_M - 2 (d1 + d2) for the walls
+    above sigma_m, d_M > d1/2; the midpoint of lo/2 and hi/2 is (lo + hi)/4,
+    and its d0, the smallest d_M strictly above it, is the d_M of its upper
+    wall.  An empty family has no wall above sigma_m.
+    """
+    s = _spec21(spec)
+    walls = range(s.d1 // 2 + 1, s.d1 - s.d2 + 1)
+    twice = [s.d1 - 2 * s.d2, *(6 * m - 2 * (s.d1 + s.d2) for m in walls)]
+    return list(zip(map(operator.add, twice, twice[1:]), walls))
 
 
 def chamber_bounds(spec: TripleSpec) -> list[Fraction]:
@@ -514,24 +537,35 @@ def _pair_square(g: int, d: int, tau: StabilityValue, fixed: bool) -> tuple[Opti
 
 
 def _pair_key(g: int, d: int, tau: StabilityValue, fixed: bool) -> tuple[Optional[int], Optional[_Key]]:
-    """(d0, key) of ``hodge_pairs``, as ``_triple_key`` gives a triple's.
-
-    n = d - 1 - [tau], e2 = g + 1 - d + 2 [tau], and m = g, or 0 with fixed determinant.
-    """
+    """(d0, key) of ``hodge_pairs``, as ``_triple_key`` gives a triple's."""
     _require_genus(g)
     fl = pair_chamber(d, tau)
-    if fl is None:
-        return None, None
-    dim = (g - 2 + d) if fixed else (2 * g - 2 + d)
-    return fl + 1, (g, d - 1 - fl, g + 1 - d + 2 * fl, 0 if fixed else g, dim)
+    return (None, None) if fl is None else (fl + 1, _pair_key_at(g, d, fixed, fl + 1))
+
+
+def _pair_key_at(g: int, d: int, fixed: bool, d0: int) -> _Key:
+    """The key of chamber d0 of ``hodge_pairs``, as ``_triple_key_at`` gives a triple's.
+
+    n = d - d0, e2 = g - 1 - d + 2 d0, and m = g, or 0 with fixed determinant.
+    """
+    _require_genus(g)
+    return g, d - d0, g - 1 - d + 2 * d0, 0 if fixed else g, (g - 2 + d) if fixed else (2 * g - 2 + d)
 
 
 def pair_chamber_representatives(d: int) -> list[StabilityValue]:
-    """One exact rational inside each chamber of J = [d/2, d]."""
-    if d <= 0:
-        return []
-    bounds = sorted({Fraction(d, 2)} | {Fraction(k) for k in range(math.ceil(Fraction(d, 2)), d + 1)})
-    return [StabilityValue((lo + hi) / 2) for lo, hi in zip(bounds, bounds[1:])]
+    """One exact rational inside each chamber of J = [d/2, d], the q/4 of ``_pair_chamber_quarters``."""
+    return [StabilityValue(Fraction(q, 4)) for q, _ in _pair_chamber_quarters(d)]
+
+
+def _pair_chamber_quarters(d: int) -> list[tuple[int, int]]:
+    """(q, d0) of each chamber of J = [d/2, d], as ``_chamber_quarters`` gives a triple family's.
+
+    The doubled bounds are d and 2k for the critical values k in (d/2, d];
+    the chamber below k has d0 = floor(tau) + 1 = k.  J is empty for d <= 0.
+    """
+    walls = range(d // 2 + 1, d + 1)
+    twice = [d, *(2 * k for k in walls)]
+    return list(zip(map(operator.add, twice, twice[1:]), walls))
 
 
 def poincare_pairs_fixed_det_thaddeus(g: int, d: int, tau: StabilityValue) -> UniPoly:

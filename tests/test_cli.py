@@ -4,6 +4,7 @@ import errno
 import functools
 import gc
 import io
+import itertools
 import json
 import operator
 import os
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -360,7 +362,7 @@ class TestTable:
         cache = tmp_path / "records.jsonl"
         cold = run(capsys, "table", *options, "--cache", str(cache))
         rows = cli._table_rows(cli.build_parser().parse_args(["table", *options]))
-        echoes = [cli._request_echo(options[1], g, params, d0) for g, params, d0 in rows]
+        echoes = [cli._request_echo(options[1], *row) for row in rows]
         assert [line[: len(echo)] for line, echo in zip(cold[1].splitlines(), echoes, strict=True)] == echoes
         assert sorted(cli._load_cache(str(cache))[0]) == sorted(echoes)
         written, inode = cache.read_bytes(), cache.stat().st_ino
@@ -376,7 +378,7 @@ class TestTable:
         options = (*TABLES["triple"][0], "--poincare", "--cache", str(cache))
         cold = run(capsys, "table", *options)[1].splitlines()
         rows = cli._table_rows(cli.build_parser().parse_args(["table", *options]))
-        keys = [cli._triple_resolve("triple", g, params)[1] for g, params, _ in rows]
+        keys = [cli._triple_row_key("triple", g, params, d0) for g, params, _, d0 in rows]
         first, later = next((keys.index(key), j) for j, key in enumerate(keys) if keys.index(key) < j)
         edited = cold[first].replace('{"u":0,"v":0,"c":"1"}', '{"u":0,"v":0,"c":"7"}', 1)
         head = f'{cli._CACHE_HEAD}{cli.FORMULA_REVISION},"record":'
@@ -770,12 +772,14 @@ class TestRecordText:
         assert box.index(5) and box.keys is not keys and box.dim == 5
 
 
-def _library_result(target: str, g: int, params: dict) -> triples.HodgeResult:
-    """The library's result for one table row, by the public evaluator of its target."""
+def _library_result(target: str, g: int, params: dict, stability: Optional[str]) -> triples.HodgeResult:
+    """The library's result for one table row, by the public evaluator of its target, its stability value parsed."""
     if target == "triple":
-        return triples.hodge_triples_closed(triples.TripleSpec(g, params["rank"], params["d1"], params["d2"]), params["sigma"])
+        spec = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
+        return triples.hodge_triples_closed(spec, triples.StabilityValue.parse(stability))
     if target.startswith("pair"):
-        return triples.hodge_pairs(g, params["degree"], params["tau"], fixed_det=target == "pair-fixed")
+        tau = triples.StabilityValue.parse(stability)
+        return triples.hodge_pairs(g, params["degree"], tau, fixed_det=target == "pair-fixed")
     return triples.hodge_bundles_odd(g, params["degree"], fixed_det=target == "bundle-fixed")
 
 
@@ -800,8 +804,8 @@ class TestSquareReader:
         monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
         code, out, err = run(capsys, "table", *options, "--poincare")
         assert (code, err) == (0, "") and len(rows) - len(computed) == repeats
-        oracle = (_sorted_result_text(_library_result(options[1], g, params)) for g, params, _ in rows)
-        echoes = (cli._request_echo(options[1], g, params, d0) for g, params, d0 in rows)
+        oracle = (_sorted_result_text(_library_result(options[1], *row[:3])) for row in rows)
+        echoes = (cli._request_echo(options[1], *row) for row in rows)
         assert out.splitlines() == list(map(operator.add, echoes, oracle))
 
     def test_wide_slots_match_wall_sum(self, capsys, monkeypatch):
@@ -818,7 +822,8 @@ class TestSquareReader:
         assert widths == [10, 10]
         for params, (code, text, err) in zip(rows, texts):
             oracle = _sorted_result_text(triples.hodge_triples_sum(spec, params["sigma"]))
-            echo = cli._request_echo("triple", 12, params, triples.chamber_d0(spec, params["sigma"]))
+            sigma = params["sigma"]
+            echo = cli._request_echo("triple", 12, params, str(sigma), triples.chamber_d0(spec, sigma))
             assert (code, text, err) == (0, echo + oracle + "\n", "")
 
     @pytest.mark.parametrize("fault", ["row-past-square", "row-inside-square", "ends-zeroed"])
@@ -883,6 +888,113 @@ class TestSquareReader:
         table(*measured, "--cache", cache)
         warm = retained(*measured, "--cache", cache)
         assert max(cold, warm) < 16_000, (cold, warm)
+
+
+# table-sweep's two grids, the cli-smoke triple grids in both ranks, and pair tables over degrees -2..12
+ROW_GRIDS = {
+    "table-sweep": ("--target", "triple", "--genus", "2..4", "--d1", "1..20", "--d2=-2..0"),
+    "table-sweep-12": ("--target", "triple", "--rank", "1,2", "--genus", "2..4", "--d1", "0..2", "--d2=-20..-1"),
+    "cli-smoke": ("--target", "triple", "--genus", "2..3", "--d1=-3..8", "--d2=-2..0"),
+    "cli-smoke-12": ("--target", "triple", "--rank", "1,2", "--genus", "2..3", "--d1=-3..8", "--d2=-2..0"),
+    "pair": ("--target", "pair", "--genus", "2..4", "--degree=-2..12"),
+    "pair-fixed": ("--target", "pair-fixed", "--genus", "2..4", "--degree=-2..12"),
+}
+
+
+def _midpoints(bounds: list[Fraction]) -> list[triples.StabilityValue]:
+    return [triples.StabilityValue((lo + hi) / 2) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _oracle_chambers(target: str, g: int, params: dict) -> list[tuple[str, int, tuple]]:
+    """(str(sigma), d0, (d0, key)) of each chamber of one degree choice, by the ``StabilityValue`` route.
+
+    The representatives are first held to the midpoints of the chamber bounds
+    in ``Fraction``: ``chamber_bounds`` for triples, d/2 and the integers of
+    [d/2, d] for pairs.
+    """
+    if target == "triple":
+        spec = triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
+        sigmas = triples.chamber_representatives(spec)
+        assert sigmas == ([] if spec.is_empty_family else _midpoints(triples.chamber_bounds(spec)))
+        return [(str(s), triples.chamber_d0(spec, s), triples._triple_key(spec, s)) for s in sigmas]
+    d, fixed = params["degree"], target == "pair-fixed"
+    taus = triples.pair_chamber_representatives(d)
+    assert taus == _midpoints(sorted({Fraction(d, 2), *map(Fraction, range((d + 1) // 2, d + 1))}) if d > 0 else [])
+    return [(str(t), triples.pair_chamber(d, t) + 1, triples._pair_key(g, d, t, fixed)) for t in taus]
+
+
+def _oracle_echo(target: str, g: int, params: dict, stability: Optional[str], d0: Optional[int]) -> str:
+    """The request echo as ``json.dumps`` writes the request dict: target, genus, rank, degrees, stability and d0."""
+    request: dict = {"target": target, "genus": g}
+    if target == "triple":
+        request.update(rank="%d,%d" % params["rank"], d1=params["d1"], d2=params["d2"], sigma=stability, d0=d0)
+    elif target.startswith("pair"):
+        request.update(degree=params["degree"], tau=stability, d0=d0)
+    else:
+        request.update(degree=params["degree"])
+    return '{"request":' + json.dumps(request, separators=(",", ":")) + ","
+
+
+class TestRowsAndEchoes:
+    """Table rows enumerated in integers and echoes written from one template, against the routes they replaced."""
+
+    @pytest.mark.parametrize("options", ROW_GRIDS.values(), ids=list(ROW_GRIDS))
+    def test_rows_match_stability_value_route(self, options):
+        """Every degree choice's rows are (str(sigma), chamber_d0) of its chamber representatives, (str(tau),
+        pair_chamber + 1) for pairs, and each row's key is the one ``_triple_key`` or ``_pair_key`` resolves."""
+        args = cli.build_parser().parse_args(["table", *options])
+        family = cli._FAMILY_OF[args.target]
+        fixed = {"rank": cli._parse_rank(args.rank)} if family.ranked else {}
+        expected, keys = [], []
+        for g in cli._parse_range(args.genus):
+            for degrees in itertools.product(*(cli._parse_range(getattr(args, name)) for name in family.degrees)):
+                params = {**fixed, **dict(zip(family.degrees, degrees))}
+                for stability, d0, resolved in _oracle_chambers(args.target, g, params):
+                    expected.append((g, params, stability, d0))
+                    keys.append(resolved)
+        rows = cli._table_rows(args)
+        assert rows == expected and rows
+        assert [(d0, family.key(args.target, g, params, d0)) for g, params, _, d0 in rows] == keys
+
+    @pytest.mark.parametrize("options", [options for options, _ in TABLES.values()], ids=list(TABLES))
+    def test_table_echoes_match_json_dumps(self, options):
+        """Each row's echo is the ``json.dumps`` of its request dict, for all six targets."""
+        rows = cli._table_rows(cli.build_parser().parse_args(["table", *options]))
+        assert rows and [cli._request_echo(options[1], *row) for row in rows] == [_oracle_echo(options[1], *row) for row in rows]
+
+    def test_compute_echoes_match_json_dumps(self, capsys):
+        """``compute --format json`` opens with the ``json.dumps`` of its request dict for stability values spelled
+        7, 19/2, 7+, 19/2-, negative, and past the last wall, in chambers and empty spaces (d0 null); on a wall it
+        exits 2."""
+        families = [
+            ("triple", ("--d1", "9", "--d2", "0"), {"rank": (2, 1), "d1": 9, "d2": 0}),
+            ("triple", ("--rank", "1,2", "--d1", "0", "--d2=-9"), {"rank": (1, 2), "d1": 0, "d2": -9}),
+            ("pair", ("--degree", "14"), {"degree": 14}),
+            ("pair-fixed", ("--degree", "15"), {"degree": 15}),
+        ]
+        d0s = []
+        for target, options, params in families:
+            option = "--sigma" if target == "triple" else "--tau"
+            for spelling in ("7", "19/2", "7+", "19/2-", "-3", "-7/2+", "21"):
+                code, out, err = run(capsys, "compute", target, "--genus", "2", *options, f"{option}={spelling}",
+                                     "--format", "json")
+                value = triples.StabilityValue.parse(spelling)
+                try:
+                    if target == "triple":
+                        spec = triples.TripleSpec(2, params["rank"], params["d1"], params["d2"])
+                        d0 = triples._triple_key(spec, value)[0]
+                    else:
+                        d0 = triples._pair_key(2, params["degree"], value, target == "pair-fixed")[0]
+                except triples.OnWall:
+                    assert (code, out) == (2, "") and "critical value" in err
+                    continue
+                assert (code, err) == (0, "")
+                assert out.startswith(_oracle_echo(target, 2, params, str(value), d0))
+                d0s.append(d0)
+        assert None in d0s and len(set(d0s)) > 3
+        for target in ("bundle", "bundle-fixed"):
+            code, out, err = run(capsys, "compute", target, "--genus", "3", "--degree", "5", "--format", "json")
+            assert (code, err) == (0, "") and out.startswith(_oracle_echo(target, 3, {"degree": 5}, None, None))
 
 
 # The whole-line grammar of a cache line, with groups that capture the revision,
@@ -1038,7 +1150,7 @@ class TestCacheBodies:
         cache = tmp_path / "records.jsonl"
         options = ("table", *TABLES["triple"][0], "--poincare", "--cache", str(cache))
         rows = cli._table_rows(cli.build_parser().parse_args(options[:-2]))
-        keys = {cli._triple_resolve("triple", g, params)[1] for g, params, _ in rows}
+        keys = {cli._triple_row_key("triple", g, params, d0) for g, params, _, d0 in rows}
         saved, save = [], cli._save_cache
         monkeypatch.setattr(cli, "_save_cache", lambda path, records: saved.append(records) or save(path, records))
         cold = run(capsys, *options)

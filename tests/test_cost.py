@@ -269,6 +269,67 @@ def test_warm_table_decodes_pinned(monkeypatch, tmp_path, fmt, decodes_per_recor
     assert decodes[0] == decodes_per_record * records
 
 
+@pytest.mark.parametrize("options", [
+    ("--target", "triple", "--genus", "2..3", "--d1=-3..8", "--d2=-2..0"),
+    ("--target", "triple", "--rank", "1,2", "--genus", "2..3", "--d1=-3..8", "--d2=-2..0"),
+    ("--target", "pair", "--genus", "2..3", "--degree=-2..12"),
+    ("--target", "pair-fixed", "--genus", "2..3", "--degree=-2..12"),
+], ids=["triple", "triple12", "pair", "pair-fixed"])  # fmt: skip
+def test_table_rows_build_no_stability_value(monkeypatch, tmp_path, options):
+    """A cold and a warm table enumerate their rows in integers and write each echo from a ``%`` template.
+
+    Neither run calls ``chamber_representatives``, ``chamber_d0`` or
+    ``pair_chamber``, or builds a ``StabilityValue``; the warm run calls no
+    JSON encoder (``cli._dump_json``) at all.  Each row took one
+    ``StabilityValue``, exact ``Fraction`` chamber arithmetic and one
+    ``JSONEncoder.encode`` of its request dict before.
+    """
+    argv = ["table", *options, "--poincare", "--cache", str(tmp_path / "records.jsonl")]
+    calls = dict.fromkeys(["chamber_representatives", "chamber_d0", "pair_chamber", "__init__", "_dump_json"], 0)
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, count)
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    for name in ("chamber_representatives", "chamber_d0", "pair_chamber"):
+        counted(triples, name)
+    counted(triples.StabilityValue, "__init__")
+    counted(cli, "_dump_json")
+    runs = []
+    for _ in ("cold", "warm"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        runs.append((out.getvalue(), dict(calls)))
+        calls.update(dict.fromkeys(calls, 0))
+    (cold, cold_calls), (warm, warm_calls) = runs
+    assert cold == warm and cold.count("\n") > 50
+    assert cold_calls == {**dict.fromkeys(calls, 0), "_dump_json": cold_calls["_dump_json"]}
+    assert warm_calls == dict.fromkeys(calls, 0)
+
+
+def test_flip_series_runs_no_kernel(monkeypatch):
+    """``flip_difference_series`` multiplies e(Jac X)^2 in by the generic ``*``, never by the shift-add kernel that
+    ``flip_difference`` and the closed formula reach, so the two sides of flip-two-path share no product kernel."""
+    _clear_block_caches()
+    calls, kernel = [0], laurent._shift_adds
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(laurent, "_shift_adds", counted)
+    walls = [d_M for _, d_M in triples.critical_values(SPEC) if d_M > SPEC.mu1]
+    series = [triples.flip_difference_series(SPEC, d_M) for d_M in walls]
+    assert len(walls) == 4 and calls[0] == 0
+    assert series == [triples.flip_difference(SPEC, d_M) for d_M in walls] and calls[0] == 4
+
+
 def _flip_calls(monkeypatch, queries) -> int:
     """flip_difference calls of hodge_triples_sum over (spec, sigma) ``queries``, from cold caches."""
     _clear_block_caches()

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hodgetriples import blocks, triples, verify
+from hodgetriples import blocks, laurent, triples, verify
 from hodgetriples.laurent import ONE, LaurentPoly, TruncatedSeries, UniPoly, monomial
 from hodgetriples.verify import CheckReport, VerifyGrid, run_suite, summarize
 
@@ -277,6 +277,37 @@ class TestFaultInjection:
         reports = run_suite(grid)
         assert any(r.status == "fail" for r in reports)
         assert "flip-two-path" in summarize(reports) or "failed" in summarize(reports)
+
+    @pytest.mark.parametrize("fault, failed", [("running-sum", 45), ("series", 48)])
+    def test_flip_two_path_reach_on_default_grid(self, monkeypatch, fault, failed):
+        """flip-two-path fails on the default grid (48 families) under a fault that only the series side reaches:
+        a running-sum quotient of more than 40 terms with its top coefficient raised by 1, which only the series
+        side's division of its whole product by 1 - uv makes, or an off-by-one ``TruncatedSeries.rational``.  A
+        series side that divides before it multiplies by e(Jac X)^2 takes its quotients short of 40 terms."""
+        grid = VerifyGrid(checks=("flip-two-path",))
+        if fault == "running-sum":
+            quotient = laurent._running_sum_quotient
+
+            def raised(terms, step, shift):
+                quot = quotient(terms, step, shift)
+                if quot is not None and len(quot) > 40:
+                    quot[max(quot, key=lambda e: (e[0] + e[1], e[0]))] += 1
+                return quot
+
+            monkeypatch.setattr(laurent, "_running_sum_quotient", raised)
+        else:
+            rational = TruncatedSeries.rational
+
+            class OffByOne:
+                def __init__(self, series):
+                    self.series = series
+
+                def coeff(self, k):
+                    return self.series.coeff(k) + 1
+
+            monkeypatch.setattr(TruncatedSeries, "rational", lambda *args, **kwargs: OffByOne(rational(*args, **kwargs)))
+        reports = run_suite(grid)
+        assert len(reports) == 48 and sum(r.status == "fail" for r in reports) == failed
 
     def test_broken_series_expansion_is_detected(self, monkeypatch):
         """A fault in ``TruncatedSeries.rational`` reaches only the series side of flip-two-path, so the check sees it."""
