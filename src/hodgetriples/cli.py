@@ -153,7 +153,8 @@ def _quarter_text(q: int) -> str:
 
 
 def _triple_spec(g: int, params: dict) -> triples.TripleSpec:
-    return triples.TripleSpec(g, params["rank"], params["d1"], params["d2"])
+    """The rank-(2,1) family that the library evaluates a triple degree choice of either rank on: one spec, no dual."""
+    return triples.TripleSpec(g, (2, 1), *triples._degrees21(params["rank"], params["d1"], params["d2"]))
 
 
 def _triple_chambers(g: int, params: dict) -> list[tuple[Optional[str], Optional[int]]]:
@@ -165,7 +166,7 @@ def _triple_resolve(target: str, g: int, params: dict, sigma: Optional[triples.S
 
 
 def _triple_row_key(target: str, g: int, params: dict, d0: Optional[int]) -> Hashable:
-    return triples._triple_key_at(_triple_spec(g, params), d0)
+    return triples._triple_key_at(g, *triples._degrees21(params["rank"], params["d1"], params["d2"]), d0)
 
 
 def _pair_chambers(g: int, params: dict) -> list[tuple[Optional[str], Optional[int]]]:
@@ -200,8 +201,12 @@ def _bundle_key(target: str, g: int, params: dict, d0: Optional[int]) -> Hashabl
 
 
 def _bundle_evaluate(key: Hashable) -> tuple[int, list[int]]:
+    """(dim, square) of ``hodge_bundles_odd``: a palindrome, as ``_result_text`` reads it, else ``AssertionError``."""
     g, degree, fixed = key
-    return _square(triples.hodge_bundles_odd(g, degree, fixed_det=fixed))
+    dim, square = _square(triples.hodge_bundles_odd(g, degree, fixed_det=fixed))
+    if square != square[::-1]:
+        raise AssertionError(f"the square of the genus-{g} bundle moduli is not a palindrome: internal inconsistency")
+    return dim, square
 
 
 def _square(result: triples.HodgeResult) -> tuple[Optional[int], list[int]]:
@@ -246,42 +251,49 @@ def _require(args: argparse.Namespace, family: _Family, ranges: bool) -> None:
 
 
 class _CanonicalBox:
-    """The keys of [0, D]^2 in canonical order, with their record text, for the largest dim D it has indexed.
+    """The record text of the keys of [0, d]^2 in canonical order, read off half of a palindromic square, per dim d.
 
-    Canonical order is total degree, then u-exponent.  ``keys`` lists the
-    (D + 1)^2 exponents of the box, ``templates`` the ``%`` format
-    ``{"u":a,"v":b,"c":"%d"}`` of each key's term, ``starts[t]`` the offset
-    of the first key of total degree t (``starts[2D + 1]`` closes the last),
-    and ``degree_templates[t]`` the format ``{"t":t,"c":"%d"}`` of each
-    diagonal entry.  The order on [0, d]^2 is the restriction of the order
-    on [0, D]^2, so every dim d <= D reads the first ``starts[2d + 1]`` keys
-    of the same box; only a larger dim rebuilds it.  ``index(d)`` maps those
-    keys to a (d + 1) + b in the row-major square of [0, d]^2, or to (d + 1)^2
-    outside it, all indexes sharing the ints of ``positions`` (ints of their
-    own took another 1 MiB arena).  A table holds one box while it runs.
+    Canonical order is total degree, then u-exponent.  Every result is the
+    Hodge polynomial of a smooth projective variety of dimension d, so
+    h^{a,b} = h^{d-a,d-b}: its keys of total degree 2d - t are those of
+    total degree t mirrored, in reverse order, and so are their coefficients.
+    ``index(d)`` gives, once per run and dim, the offsets a (d + 1) + b in
+    the row-major square of [0, d]^2 of the keys of total degree at most d,
+    which a record reads, and the ``%`` formats ``{"u":a,"v":b,"c":"%d"}``
+    of all (d + 1)^2 keys, which it spells; the key of degree 2d - t is
+    read at the offset of its mirror.  Those of total degree below d number
+    ``starts[d]``: ``starts[t]`` is the offset of the first key of total
+    degree t, the same on every box.  ``degree_templates[t]`` is the format
+    ``{"t":t,"c":"%d"}`` of a diagonal entry.  The box holds one string per
+    key of [0, D]^2, ``rows[a][b]``, for the largest dim D it has indexed,
+    and grows it in place, so the per-dim lists hold only references; the
+    offsets share the ints of ``positions`` (ints of their own took another
+    1 MiB arena).  A table holds one box while it runs.
     """
 
     def __init__(self) -> None:
         self.dim = -1
-        self.keys: list[tuple[int, int]] = []
-        self.templates: list[str] = []
+        self.rows: list[list[str]] = []
         self.starts = [0]
         self.degree_templates: list[str] = []
-        self.indexes: dict[int, list[int]] = {}
+        self.indexes: dict[int, tuple[list[int], list[str]]] = {}
         self.positions: list[int] = []
 
-    def index(self, dim: int) -> list[int]:
+    def index(self, dim: int) -> tuple[list[int], list[str]]:
         if dim > self.dim:
-            degrees = range(2 * dim + 1)
+            term, degree = '{"u":%d,"v":%d,"c":"%%d"}', '{"t":%d,"c":"%%d"}'
+            for a, row in enumerate(self.rows):
+                row.extend(term % (a, b) for b in range(len(row), dim + 1))
+            self.rows.extend([term % (a, b) for b in range(dim + 1)] for a in range(len(self.rows), dim + 1))
+            self.starts = list(itertools.accumulate(range(1, dim + 2), initial=0))
+            self.degree_templates.extend(degree % t for t in range(len(self.degree_templates), 2 * dim + 1))
+            self.positions.extend(range(len(self.positions), (dim + 1) ** 2))
             self.dim = dim
-            self.keys = [(a, t - a) for t in degrees for a in range(max(0, t - dim), min(t, dim) + 1)]
-            self.templates = [f'{{"u":{a},"v":{b},"c":"%d"}}' for a, b in self.keys]
-            self.starts = list(itertools.accumulate((min(t, 2 * dim - t) + 1 for t in degrees), initial=0))
-            self.degree_templates = [f'{{"t":{t},"c":"%d"}}' for t in degrees]
-            self.indexes, self.positions = {}, list(range((dim + 1) ** 2 + 1))
         if dim not in self.indexes:
-            side, keys = dim + 1, itertools.islice(self.keys, self.starts[2 * dim + 1])
-            self.indexes[dim] = [self.positions[a * side + b if a < side > b else side * side] for a, b in keys]
+            keys = [(a, t - a) for t in range(dim + 1) for a in range(t + 1)]
+            mirrored = [self.rows[dim - a][dim - b] for a, b in reversed(keys[: self.starts[dim]])]
+            offsets = [self.positions[a * (dim + 1) + b] for a, b in keys]
+            self.indexes[dim] = offsets, [self.rows[a][b] for a, b in keys] + mirrored
         return self.indexes[dim]
 
 
@@ -309,22 +321,23 @@ def _compute_record(target: str, key: Optional[Hashable], box: _CanonicalBox) ->
 def _result_text(dim: Optional[int], square: list[int], box: _CanonicalBox) -> str:
     """The text ``"dim":...,"terms":[...],"poincare":[...]}`` that closes the record of a result.
 
-    ``square`` holds the coefficients of [0, dim]^2 row-major and gains a
-    trailing 0.  Nothing is sorted: read at ``box.index(dim)``, it gives the
-    coefficients of the keys of ``box`` up to total degree 2 dim in canonical
-    order (total degree, then u-exponent), 0 outside the square.  Each list is
+    ``square`` holds the coefficients of [0, dim]^2 row-major, a palindrome
+    as the kernel checks it (and ``_bundle_evaluate`` a bundle's).  Nothing
+    is sorted: read at ``box.index(dim)``, it gives the coefficients of the
+    keys of total degree at most dim in canonical order (total degree, then
+    u-exponent), and those below dim reversed give the rest.  Each list is
     spelled by one ``%`` format, the joined templates of its nonzero
     entries: the terms from the keys' templates, and the ``poincare`` list,
     the diagonal of every target, from the sums of each total degree's run
-    of coefficients, zero sums dropped.
+    of coefficients up to dim, mirrored, zero sums dropped.
     """
     terms = diagonal = ""
     if dim is not None:
-        square.append(0)
-        coeffs, starts = list(map(square.__getitem__, box.index(dim))), box.starts
-        terms = _entries(box.templates, coeffs)
-        sums = [sum(coeffs[starts[t] : starts[t + 1]]) for t in range(2 * dim + 1)]
-        diagonal = _entries(box.degree_templates, sums)
+        offsets, templates = box.index(dim)
+        low, starts = list(map(square.__getitem__, offsets)), box.starts
+        terms = _entries(templates, low + low[: starts[dim]][::-1])
+        sums = [sum(low[starts[t] : starts[t + 1]]) for t in range(dim + 1)]
+        diagonal = _entries(box.degree_templates, sums + sums[:dim][::-1])
     return f'"dim":{_dump_json(dim)},"terms":[{terms}],"poincare":[{diagonal}]}}'
 
 

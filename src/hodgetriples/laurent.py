@@ -36,7 +36,12 @@ its own kernel, ``_shift_adds``: the other operand, packed once from a dict
 (``_binomial_square``) or from the closed formulas' diagonals, one strided
 slice each (``_diagonal_square``), is shifted and added once per factor
 1 + u or 1 + v, with no big-integer multiply.  It was faster than the
-packed product at every size measured.
+packed product at every size measured.  A closed result is the Hodge
+polynomial of a smooth projective variety, so h^{a,b} = h^{D-a,D-b} and its
+row-major square is a palindrome: ``_diagonal_square`` packs and shift-adds
+only the rows up to the middle one and the one past it, which must mirror
+the row below the middle, and returns the rest as the mirror.  Flips are no
+palindromes, so ``times_binomials`` shift-adds the whole box.
 
 Exact division takes one of three routes.  A divisor that is 1 - u^p v^q
 up to a monomial factor, such as the 1 - uv of the wall terms' raw
@@ -395,47 +400,66 @@ def _binomial_square(terms: dict[Exponent, int], m: int) -> tuple[int, int, int,
 def _diagonal_square(runs: list[tuple[int, int, list[int]]], m: int, width: int) -> list[int]:
     """Row-major digits over [0, width)^2 of (1+u)^m (1+v)^m times the sum of c_j u^(a+j) v^(b+j) over ``runs``.
 
-    The runs (a, b, coeffs) must end in nonzero terms spanning exactly
-    [0, width - 1 - m]^2, the product's extent, or ``AssertionError`` is
-    raised.  A run fills every (width + 1)-th signed n-byte slot from
-    a width + b: one ``memoryview`` slice assignment of words on a little-
-    endian host, packed by a ``struct.Struct`` of its own (``struct.pack``'s
-    format cache would outlive the run), else ``to_bytes`` into a list.
+    The product must be a palindrome, h^{a,b} = h^{D-a,D-b} for D = width - 1, as the Hodge polynomial of a
+    smooth projective variety of dimension D is; its row-major square then reads the same backwards.  So only
+    rows a <= H + 1, H = D // 2, are packed and shift-added, and the square is rows 0..H followed by rows
+    0..D-H-1 reversed.  Multiplying by (1+u)^m (1+v)^m only raises exponents, so those rows of the product
+    depend on those rows of the runs alone.  Two checks raise ``AssertionError``:
+
+    * the runs, uncut, must end in nonzero terms spanning exactly [0, width - 1 - m]^2, the product's extent;
+    * row H + 1, computed but not returned, must equal row D - H - 1 reversed, as the mirror gives it.
+
+    A run fills every (width + 1)-th signed n-byte slot from a width + b, up to its k cells in those rows: one
+    ``memoryview`` slice assignment of words on a little-endian host, packed by a ``struct.Struct`` of its own
+    (``struct.pack``'s format cache would outlive the run), else ``to_bytes`` into a list.
     """
     ends = [(a, b, a + len(c) - 1, b + len(c) - 1) for a, b, c in runs if c and c[0] and c[-1]]
     extent, side = [f(x) for f, x in zip((min, min, max, max), zip(*ends))], width - 1 - m
     if len(ends) < len(runs) or extent != [0, 0, side, side]:
         raise AssertionError(f"diagonal extent {extent} is not [0, 0, {side}, {side}]: internal inconsistency")
     n = _slot_bytes(max(max(map(abs, coeffs)) for _, _, coeffs in runs).bit_length() + 2 * m)
-    slots, word = width * width, _WORD_FORMATS.get(n, "").lower()
+    height = min(width, (width + 3) // 2)  # rows 0..H + 1; a 1 x 1 square has no row to check
+    low, slots, word = (width + 1) // 2 * width, height * width, _WORD_FORMATS.get(n, "").lower()
     if word:
         view = memoryview(raw := bytearray(slots * n)).cast(word)
         for a, b, coeffs in runs:
-            cells = memoryview(struct.Struct(f"{len(coeffs)}{word}").pack(*coeffs)).cast(word)
-            view[a * width + b :: width + 1][: len(coeffs)] = cells
+            if a < height:
+                k = min(len(coeffs), height - a)
+                cells = memoryview(struct.Struct(f"{len(coeffs)}{word}").pack(*coeffs)).cast(word)
+                view[a * width + b :: width + 1][:k] = cells[:k]
     else:
         cells = [bytes(n)] * slots
         for a, b, coeffs in runs:
-            start, digits = a * width + b, [c.to_bytes(n, "little", signed=True) for c in coeffs]
-            cells[start : start + len(coeffs) * (width + 1) : width + 1] = digits
+            if a < height:
+                k, start = min(len(coeffs), height - a), a * width + b
+                digits = [c.to_bytes(n, "little", signed=True) for c in coeffs[:k]]
+                cells[start : start + k * (width + 1) : width + 1] = digits
         raw = b"".join(cells)
-    return _shift_adds(_signed(raw, n, slots), n, m, width, width)
+    digits = _shift_adds(_signed(raw, n, slots), n, m, height, width)
+    top = width * width - low  # the mirror of the low rows: rows 0..D-H-1, reversed
+    if digits[low:] != digits[top - width : top][::-1]:
+        mirror = f"row {height - 1} is not row {width - height} reversed"
+        raise AssertionError(f"{mirror}: the square is not a palindrome: internal inconsistency")
+    del digits[low:]
+    return digits + digits[top - 1 :: -1] if top else digits
 
 
 def _shift_adds(packed: int, n: int, m: int, height: int, width: int) -> list[int]:
-    """Row-major digits of ``packed``, a height x width box of n-byte slots, times (1+u)^m (1+v)^m.
+    """Row-major digits of the low height x width box of ``packed``, in n-byte slots, times (1+u)^m (1+v)^m.
 
     The one shift-add loop: x += x << 8n per 1 + v, x += x << 8nW per 1 + u, and no big-integer multiply.
+    The digits are read modulo B^(height W), B = 2^(8n), so rows that the 1 + u steps carry past the box, as
+    they do from a box cut at its middle row, are dropped unread.
     """
     for shift in [8 * n] * m + [8 * n * width] * m:
         packed += packed << shift
-    return _balanced_digits(packed, n, height * width)
+    return _balanced_digits(packed, n, height * width, wrap=True)
 
 
 def _box_terms(a0: int, b0: int, height: int, width: int, digits: list[int]) -> dict[Exponent, int]:
     """The nonzero terms of row-major ``digits`` over the box [a0, a0 + height) x [b0, b0 + width)."""
     keys = itertools.product(range(a0, a0 + height), range(b0, b0 + width))
-    return dict(itertools.compress(zip(keys, digits), digits))
+    return dict(zip(itertools.compress(keys, digits), filter(None, digits)))
 
 
 def _slot_bytes(bits: int) -> int:
@@ -476,17 +500,22 @@ def _signed(raw: bytes, n: int, slots: int) -> int:
     return (int.from_bytes(raw, "little") ^ half) - half
 
 
-def _balanced_digits(value: int, n: int, slots: int) -> Optional[list[int]]:
+def _balanced_digits(value: int, n: int, slots: int, wrap: bool = False) -> Optional[list[int]]:
     """Digits d_i in [-B/2, B/2), i < slots, with sum d_i B^i = ``value``, B = 2^(8n); None when there are none.
 
     Adding h = sum (B/2) B^i makes every digit d_i + B/2 nonnegative, and
     XOR with h then leaves the two's-complement bytes of d_i in each slot, so
     a signed read of the slots gives the digits: by ``memoryview.cast`` for a
-    word-width slot, else by one ``int.from_bytes`` per slice.
+    word-width slot, else by one ``int.from_bytes`` per slice.  With ``wrap``,
+    value + h is taken modulo B^slots: the low ``slots`` digits of ``value``,
+    whatever lies above them, and never None.
     """
     half = int.from_bytes((bytes(n - 1) + b"\x80") * slots, "little")
+    value += half
+    if wrap:
+        value &= (1 << 8 * n * slots) - 1
     try:
-        raw = ((value + half) ^ half).to_bytes(slots * n, "little")
+        raw = (value ^ half).to_bytes(slots * n, "little")
     except OverflowError:  # value + h is negative, or wider than the slots
         return None
     word = _WORD_FORMATS.get(n)

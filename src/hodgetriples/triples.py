@@ -19,7 +19,9 @@ This module exposes:
   built once per family, from the top wall down, one flip per wall, and
   held for at most two families.  The closed formula is a finite binomial
   sum, built densely on its diagonals a - b and shift-added by e(Jac X)^2
-  straight from them (``laurent._diagonal_square``), a checked square.
+  straight from them (``laurent._diagonal_square``), a checked square of
+  which only the rows up to one past the middle are computed: the result
+  is a palindrome, h^{a,b} = h^{dim-a,dim-b}, and the rest is its mirror.
   A triple or pair request is resolved to its chamber index and a key, the
   formula's inputs (g, n, e2, m, dim) and nothing else (``_triple_key``,
   ``_pair_key``), and a key is evaluated by ``_closed_square``; rows twisted
@@ -201,6 +203,11 @@ def _spec21(spec: TripleSpec) -> TripleSpec:
     return spec if spec.rank_pair == (2, 1) else spec.dual()
 
 
+def _degrees21(rank_pair: tuple[int, int], d1: int, d2: int) -> tuple[int, int]:
+    """(d1, d2) of the rank-(2,1) family of a family's degrees: as they are, or as ``TripleSpec.dual`` maps (1,2)'s."""
+    return (d1, d2) if rank_pair == (2, 1) else (-d2, -d1)
+
+
 def critical_values(spec: TripleSpec) -> list[tuple[Fraction, int]]:
     """Ascending walls (sigma_c, d_M): sigma_c = 3 d_M - d1 - d2 on rank (2,1).
 
@@ -361,6 +368,11 @@ def _closed_square(key: _Key) -> list[int]:
     ``_diagonal_square`` checks the core's extent: as h^{0,0} = h^{dim,dim} = 1,
     it must span exactly [0, dim - m]^2, which bounds every term at once; any
     other extent raises ``AssertionError``.  dim = m - 1 + 2n + e2 always.
+    Every key is the Hodge polynomial of a smooth projective moduli space, so
+    h^{a,b} = h^{dim-a,dim-b}: the kernel computes rows 0..dim // 2 + 1 of the
+    square, raises ``AssertionError`` unless the last of them mirrors row
+    dim - dim // 2 - 1, and gives the rows past the middle as the mirror of
+    those below it.
     """
     g, n, e2, m, dim = key
     return _diagonal_square(_closed_diagonals(g, n, e2), m, dim + 1)
@@ -407,23 +419,25 @@ def hodge_triples_square(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optio
 
 def _triple_key(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optional[int], Optional[_Key]]:
     """(d0, key) of N_sigma: its chamber index and the ``_closed_square`` key; (None, None) for an empty space."""
-    d0 = _chamber_or_empty(_spec21(spec), sigma)
-    return (None, None) if d0 is None else (d0, _triple_key_at(spec, d0))
+    s = _spec21(spec)
+    d0 = _chamber_or_empty(s, sigma)
+    return (None, None) if d0 is None else (d0, _triple_key_at(s.g, s.d1, s.d2, d0))
 
 
-def _triple_key_at(spec: TripleSpec, d0: int) -> _Key:
-    """The ``_closed_square`` key (g, n, e2, m, dim) of the family's chamber d0, a nonempty one.
+def _triple_key_at(g: int, d1: int, d2: int, d0: int) -> _Key:
+    """The ``_closed_square`` key (g, n, e2, m, dim) of chamber d0 of the nonempty rank-(2,1) family (g, d1, d2).
 
     ``_triple_key`` calls it once it has resolved sigma, and a cli table
-    with the d0 of each row; n, e2, m and dim are computed nowhere else.
+    with the d0 of each row and the degrees of ``_degrees21``, so a row
+    builds no ``TripleSpec``; n, e2, m and dim are computed nowhere else.
 
-    On the rank-(2,1) family, n = d1 - d2 - d0, e2 = g - 1 - d1 + 2 d0 and
-    m = 2g.  Tensoring by a line bundle of degree 1, (d1, d2) -> (d1 + 2,
-    d2 + 1), keeps each chamber representative sigma, raises d0 by one and
-    keeps the key, so twisted rows share one Hodge polynomial.
+    n = d1 - d2 - d0, e2 = g - 1 - d1 + 2 d0, m = 2g and dim is the family's
+    ``complex_dim``, 3g - 2 + d1 - 2 d2.  Tensoring by a line bundle of
+    degree 1, (d1, d2) -> (d1 + 2, d2 + 1), keeps each chamber
+    representative sigma, raises d0 by one and keeps the key, so twisted
+    rows share one Hodge polynomial.
     """
-    s = _spec21(spec)
-    return (s.g, s.d1 - s.d2 - d0, s.g - 1 - s.d1 + 2 * d0, 2 * s.g, s.complex_dim)
+    return g, d1 - d2 - d0, g - 1 - d1 + 2 * d0, 2 * g, 3 * g - 2 + d1 - 2 * d2
 
 
 @functools.lru_cache(maxsize=2)

@@ -716,17 +716,22 @@ def _sorted_result_text(result: triples.HodgeResult) -> str:
 
 @st.composite
 def _hodge_results(draw) -> triples.HodgeResult:
-    """An empty result, or one of dim 0..40 with random coefficients (small ones, so diagonals cancel) inside its box."""
+    """An empty result, or one of dim 0..40 with random coefficients (small ones, so diagonals cancel) inside its box,
+    each at a key and at its mirror (dim - a, dim - b), so that the square is a palindrome as every result's is."""
     dim = draw(st.none() | st.integers(0, 40))
     if dim is None:
         return triples.HodgeResult(LaurentPoly(), None)
     keys = st.tuples(st.integers(0, dim), st.integers(0, dim))
     coeffs = (st.integers(-2, 2) | st.integers()).filter(bool)
-    return triples.HodgeResult(LaurentPoly(draw(st.dictionaries(keys, coeffs, max_size=60))), dim)
+    terms = {}
+    for (a, b), c in draw(st.dictionaries(keys, coeffs, max_size=60)).items():
+        terms[a, b] = terms[dim - a, dim - b] = c
+    return triples.HodgeResult(LaurentPoly(terms), dim)
 
 
 class TestRecordText:
-    """``cli._result_text`` against the sorted oracle; the box grows only to the largest dim formatted."""
+    """``cli._result_text`` against the sorted oracle on palindromic squares; the box grows only to the largest dim
+    formatted, and its per-dim lists refer to its one set of template strings."""
 
     @staticmethod
     def _check(results) -> cli._CanonicalBox:
@@ -745,31 +750,42 @@ class TestRecordText:
         ascending = sorted(results, key=lambda r: -1 if r.is_empty else r.complex_dim)
         box = self._check(ascending + ascending[::-1])
         top = max(dims, default=-1)
-        assert box.dim == top
-        assert len(box.keys) == len(box.templates) == (top + 1) ** 2
-        assert box.starts[-1] == len(box.keys) and len(box.degree_templates) == max(2 * top + 1, 0)
+        assert box.dim == top and len(box.rows) == top + 1 and all(len(row) == top + 1 for row in box.rows)
+        assert len(box.starts) == top + 2 and len(box.degree_templates) == max(2 * top + 1, 0)
+        strings = {id(template) for row in box.rows for template in row}
+        assert sorted(box.indexes) == sorted(set(dims))
+        for dim, (offsets, templates) in box.indexes.items():
+            assert len(offsets) == box.starts[dim + 1] == (dim + 1) * (dim + 2) // 2 and len(templates) == (dim + 1) ** 2
+            assert {id(template) for template in templates} <= strings
 
     @pytest.mark.parametrize("terms, dim, text", [
         ({(0, 0): 5}, 0, '"dim":0,"terms":[{"u":0,"v":0,"c":"5"}],"poincare":[{"t":0,"c":"5"}]}'),
         ({}, None, '"dim":null,"terms":[],"poincare":[]}'),
         ({}, 3, '"dim":3,"terms":[],"poincare":[]}'),
-        ({(1, 0): 2, (0, 1): -2}, 1, '"dim":1,"terms":[{"u":0,"v":1,"c":"-2"},{"u":1,"v":0,"c":"2"}],"poincare":[]}'),
+        ({(1, 0): 2, (0, 1): -2, (1, 2): 2, (2, 1): -2}, 2,
+         '"dim":2,"terms":[{"u":0,"v":1,"c":"-2"},{"u":1,"v":0,"c":"2"},{"u":1,"v":2,"c":"2"},{"u":2,"v":1,"c":"-2"}],'
+         '"poincare":[]}'),
     ], ids=["dim-0", "empty", "no-terms", "diagonal-cancels"])  # fmt: skip
     def test_edge_results(self, terms, dim, text):
-        """Dim 0, the empty result, a nonempty result with no terms (``"terms":[]``, no dangling ``"}``), a zero diagonal."""
+        """Dim 0, the empty result, a nonempty result with no terms (``"terms":[]``, no dangling ``"}``), a zero diagonal
+        in total degrees 1 and 3, one the mirror of the other."""
         result = triples.HodgeResult(LaurentPoly(terms), dim)
         assert _sorted_result_text(result) == text
         self._check([result])
         self._check([triples.HodgeResult(LaurentPoly(), 9), result])  # read from a larger box
 
     def test_box_built_for_largest_dim_only(self):
-        """Smaller dims after a larger one leave the box as it was; only a larger dim rebuilds it."""
-        box = self._check([triples.HodgeResult(LaurentPoly({(2, 3): 1}), 4)])
-        keys = box.keys
-        assert keys[:6] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-        assert box.index(2) == [0, 1, 3, 2, 4, 6, 9, 5, 7, 9, 9, 9, 8, 9, 9]  # 9 = 3^2 past the square
-        assert box.keys is keys and box.dim == 4
-        assert box.index(5) and box.keys is not keys and box.dim == 5
+        """Smaller dims after a larger one leave the box as it was; only a larger dim grows it, in place.  A dim reads
+        the offsets of its keys of total degree at most dim and spells all its keys in canonical order."""
+        box = self._check([triples.HodgeResult(LaurentPoly({(2, 3): 1, (2, 1): 1}), 4)])
+        rows, first = box.rows, box.rows[1][2]
+        offsets, templates = box.index(2)
+        assert offsets == [0, 1, 3, 2, 4, 6]  # (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0) at 3a + b
+        keys = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1), (2, 2)]
+        assert templates == ['{"u":%d,"v":%d,"c":"%%d"}' % key for key in keys]
+        assert box.rows is rows and box.dim == 4 and len(rows) == 5
+        assert box.index(5) and box.dim == 5 and box.rows is rows and len(rows) == len(rows[0]) == 6
+        assert rows[1][2] is first and box.index(2)[1][:6] == templates[:6]
 
 
 def _library_result(target: str, g: int, params: dict, stability: Optional[str]) -> triples.HodgeResult:
@@ -810,16 +826,22 @@ class TestSquareReader:
 
     def test_wide_slots_match_wall_sum(self, capsys, monkeypatch):
         """The lowest and a middle chamber of g=12, d1=100, d2=0, whose kernel slots are wider than a machine word, so
-        their digits are read by ``int.from_bytes``: the record equals the sorted text of the wall sum."""
+        their digits are read by ``int.from_bytes``, each shift-added on rows 0..68 of its 135 x 135 square, one past
+        the middle: the record, half read and mirrored, equals the sorted text of the wall sum."""
         spec = triples.TripleSpec(12, (2, 1), 100, 0)
         sigmas = triples.chamber_representatives(spec)
-        widths, shift_adds = [], laurent._shift_adds
-        monkeypatch.setattr(laurent, "_shift_adds", lambda packed, n, *box: widths.append(n) or shift_adds(packed, n, *box))
+        boxes, shift_adds = [], laurent._shift_adds
+
+        def spy(packed, n, m, height, width):
+            boxes.append((n, height, width))
+            return shift_adds(packed, n, m, height, width)
+
+        monkeypatch.setattr(laurent, "_shift_adds", spy)
         rows = [{"rank": (2, 1), "d1": 100, "d2": 0, "sigma": sigma} for sigma in (sigmas[0], sigmas[len(sigmas) // 2])]
         argv = ["compute", "triple", "--genus", "12", "--d1", "100", "--d2", "0", "--format", "json", "--poincare"]
         texts = [run(capsys, *argv, "--sigma", str(params["sigma"])) for params in rows]
         monkeypatch.undo()
-        assert widths == [10, 10]
+        assert spec.complex_dim == 134 and boxes == [(10, 69, 135)] * 2
         for params, (code, text, err) in zip(rows, texts):
             oracle = _sorted_result_text(triples.hodge_triples_sum(spec, params["sigma"]))
             sigma = params["sigma"]
@@ -859,6 +881,26 @@ class TestSquareReader:
         assert code == 1 and err == "" and len(lines) == 17
         assert all(line.startswith("FAIL ") and "unexpected AssertionError: diagonal extent" in line for line in lines[:-1])
         assert lines[-1] == "16 checks: 0 passed, 16 failed"
+
+    @pytest.mark.parametrize("target", ["bundle", "bundle-fixed"])
+    def test_bundle_not_palindrome_is_internal_inconsistency(self, capsys, tmp_path, monkeypatch, target):
+        """A bundle result that is no palindrome, here with u added, would be read half and mirrored by the record
+        text: ``table`` and ``compute`` exit 1 with "internal inconsistency" and write no cache file instead."""
+        bundles = triples.hodge_bundles_odd
+
+        def faulty(g, d, fixed_det=False):
+            result = bundles(g, d, fixed_det=fixed_det)
+            return triples.HodgeResult(result.poly + LaurentPoly({(1, 0): 1}), result.complex_dim)
+
+        monkeypatch.setattr(triples, "hodge_bundles_odd", faulty)
+        cache = tmp_path / "records.jsonl"
+        code, out, err = run(capsys, "table", "--target", target, "--genus", "2..3", "--degree", "1..5", "--cache", str(cache))
+        assert (code, out) == (1, "") and err.startswith("internal inconsistency: the square of the genus-2 bundle")
+        assert err.endswith("is not a palindrome: internal inconsistency\n") and os.listdir(tmp_path) == []
+        code, out, err = run(capsys, "compute", target, "--genus", "3", "--degree", "1")
+        assert (code, out) == (1, "") and "genus-3 bundle moduli is not a palindrome" in err
+        monkeypatch.undo()
+        assert run(capsys, "table", "--target", target, "--genus", "2..3", "--degree", "1..5")[0] == 0
 
     def test_table_run_retains_nothing(self, monkeypatch, tmp_path):
         """After a cold table returns, and after a warm one on a cache file a cold run wrote, less than 16 kB it

@@ -32,10 +32,13 @@ def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
 
     A kernel call is one run of ``laurent._shift_adds``, the one shift-add
     loop, which ``times_binomials`` and the closed formulas' squares both
-    reach, and its slots are those of its packed box, height times width:
-    the extents of the polynomial plus m + 1 on each axis.  ``times_binomials``
-    of a zero polynomial or with m = 0 packs nothing; a closed square with
-    m = 0 (pairs of fixed determinant) is one call that only reads digits.
+    reach, and its slots are those of its packed box, height times width.
+    For ``times_binomials`` that is the extents of the polynomial plus m + 1
+    on each axis; a zero polynomial or m = 0 packs nothing.  A closed square
+    of [0, dim]^2 packs its rows 0..H + 1, H = dim // 2, of dim + 1 slots
+    each: the rows it returns below the mirror and the row that checks it.
+    One with m = 0 (pairs of fixed determinant) is one call that only reads
+    digits.
     """
     _clear_block_caches()
     tally = [0, 0, 0, 0, 0, 0]
@@ -74,7 +77,7 @@ def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
 @pytest.mark.parametrize(
     "evaluate, pins",
     [
-        (triples.hodge_triples_closed, (0, 0, 0, 0, 4, 1024)),
+        (triples.hodge_triples_closed, (0, 0, 0, 0, 4, 576)),
         (triples.hodge_triples_sum, (0, 4, 4, 60, 4, 696)),
     ],
     ids=["closed", "sum"],
@@ -91,7 +94,9 @@ def test_sweep_cost_pinned(monkeypatch, evaluate, pins):
     closed route took 13 multiplies (5,245 term pairs) and the sum 71 (3,973);
     with e(Sym^b X) a series expansion, one kernel call per e(Jac X) and the
     rank difference multiplied in last, the sum took 4 expansions, 56
-    multiplies (1,437 term pairs) and 8 kernel calls (420 slots).
+    multiplies (1,437 term pairs) and 8 kernel calls (420 slots).  Each
+    closed call shift-added the whole 16 x 16 square, 1,024 slots in all,
+    before it packed only rows 0..8 of it.
     """
 
     def sweep():
@@ -103,8 +108,9 @@ def test_sweep_cost_pinned(monkeypatch, evaluate, pins):
 
 @pytest.mark.parametrize("fixed_det", [False, True], ids=["unfixed", "fixed"])
 def test_pair_sweep_cost_pinned(monkeypatch, fixed_det):
-    """Every pair chamber of g = 2..4, d = 1..9: one kernel call each, into a square of (dim + 1)^2 slots, and no
-    ``times_binomials`` call.  ``hodge_pairs`` multiplied a wrapped core dict by e(Jac X) in ``times_binomials``."""
+    """Every pair chamber of g = 2..4, d = 1..9: one kernel call each, into rows 0..dim // 2 + 1 of its square, of
+    dim + 1 slots each, and no ``times_binomials`` call.  ``hodge_pairs`` multiplied a wrapped core dict by e(Jac X)
+    in ``times_binomials``; shift-adding the whole square took 10,010 slots (5,495 with fixed determinant)."""
     chambers = [(g, d, tau) for g in (2, 3, 4) for d in range(1, 10) for tau in triples.pair_chamber_representatives(d)]
     dims = [(g - 2 + d if fixed_det else 2 * g - 2 + d) for g, d, _ in chambers]
     calls, times_binomials = [0], laurent.times_binomials
@@ -121,7 +127,8 @@ def test_pair_sweep_cost_pinned(monkeypatch, fixed_det):
 
     cost = _arithmetic_cost(monkeypatch, sweep)
     assert len(chambers) == 75 and calls[0] == 0
-    assert cost == (0, 0, 0, 0, 75, sum((dim + 1) ** 2 for dim in dims))
+    assert cost == (0, 0, 0, 0, 75, sum((dim // 2 + 2) * (dim + 1) for dim in dims))
+    assert cost[-1] == (6010 if not fixed_det else 3505)
 
 
 def test_wall_sum_packs_nothing(monkeypatch):
@@ -155,8 +162,11 @@ def test_cold_table_cost_pinned(monkeypatch):
     1 - uv per record.  The record
     text is read off one canonical box per table, so no record sorts its
     terms by ``LaurentPoly.terms`` or sums its diagonal by
-    ``LaurentPoly.diagonal`` (one call of each per record before), and the
-    box holds (D + 1)^2 keys for the largest dim D of the table.
+    ``LaurentPoly.diagonal`` (one call of each per record before).  The box
+    holds one template string per key of [0, D]^2 for the largest dim D of
+    the table, and per dim d the offsets of the (d + 1)(d + 2)/2 keys of
+    total degree at most d, which a record reads, half the square and its
+    middle diagonal (1,505 offsets for its 15 dims, against 2,815 keys).
     """
     argv = ["table", "--target", "triple", "--genus", "2..3", "--d1", "1..10", "--d2=-1..0"]
     boxes, calls, dims = [], {"terms": 0, "diagonal": 0}, []
@@ -186,12 +196,52 @@ def test_cold_table_cost_pinned(monkeypatch):
 
     expansions, divisions, multiplies, term_pairs, kernels, slots = _arithmetic_cost(monkeypatch, table)
     assert (expansions, divisions, multiplies, term_pairs) == (0, 0, 0, 0)
-    assert (kernels, slots) == (84, 19026)  # one call per distinct core; one per row took 140 calls, 29,950 slots
+    # one call per distinct core, on rows up to one past the middle; one per row took 140 calls, 29,950 slots, and one
+    # per core on the whole square 19,026 slots
+    assert (kernels, slots) == (84, 11053)
     assert len(dims) == 140
     assert calls == {"terms": 0, "diagonal": 0}
     assert len(boxes) == 1
     assert boxes[0].dim == max(dims) == 19
-    assert len(boxes[0].keys) == len(boxes[0].templates) == 20**2
+    assert len(boxes[0].rows) == 20 and {len(row) for row in boxes[0].rows} == {20}
+    assert sorted(boxes[0].indexes) == list(range(5, 20))
+    assert sum(len(offsets) for offsets, _ in boxes[0].indexes.values()) == 1505
+
+
+@pytest.mark.parametrize("rank, d1, d2", [("2,1", "1..20", "-2..0"), ("1,2", "0..2", "-20..-1")], ids=["21", "12"])
+def test_table_sweep_slots_pinned(monkeypatch, rank, d1, d2):
+    """A cold pass of the benchmark's table sweep (g = 2..4, 1,170 records in either rank) makes 468 kernel calls,
+    one per distinct closed core, and shift-adds 160,290 slots: each core's rows 0..dim // 2 + 1.  The whole squares
+    took 292,266 slots."""
+    argv = ["table", "--target", "triple", "--rank", rank, "--genus", "2..4", "--d1", d1, f"--d2={d2}", "--poincare"]
+
+    def table():
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert out.getvalue().count("\n") == 1170
+
+    assert _arithmetic_cost(monkeypatch, table) == (0, 0, 0, 0, 468, 160290)
+
+
+@pytest.mark.parametrize("rank, d1, d2", [("2,1", "1..20", "-2..0"), ("1,2", "0..2", "-20..-1")], ids=["21", "12"])
+def test_cold_table_builds_one_spec_per_degree_choice(monkeypatch, rank, d1, d2):
+    """A cold table builds one ``TripleSpec`` per degree choice, the rank-(2,1) family its chambers are enumerated on,
+    and none per row: a row's key comes from its integers.  Keying each row through a spec built 1,170 specs per
+    pass in rank (2,1), and 2,340 in rank (1,2), whose rows built their dual as well."""
+    argv = ["table", "--target", "triple", "--rank", rank, "--genus", "2..4", "--d1", d1, f"--d2={d2}"]
+    built, init = [], triples.TripleSpec.__post_init__
+
+    def counted(self):
+        built.append(self.rank_pair)
+        init(self)
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setattr(triples.TripleSpec, "__post_init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert out.getvalue().count("\n") == 1170
+    assert built == [(2, 1)] * 3 * 60  # g = 2..4, 60 degree choices each
 
 
 def test_cold_table_reads_records_off_the_kernel(monkeypatch):
@@ -228,7 +278,7 @@ def test_cold_table_reads_records_off_the_kernel(monkeypatch):
     cost = _arithmetic_cost(monkeypatch, table)
     assert len(lines) == len(triples.chamber_representatives(SPEC)) == 4
     assert all(json.loads(line)["dim"] == SPEC.complex_dim for line in lines)
-    assert cost == (0, 0, 0, 0, 4, 1024)  # as the closed sweep of SPEC, one call per row
+    assert cost == (0, 0, 0, 0, 4, 576)  # as the closed sweep of SPEC, one call per row
     assert made[0] == 0
 
 

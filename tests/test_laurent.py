@@ -1,11 +1,12 @@
 import math
+import struct
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hodgetriples import laurent
+from hodgetriples import laurent, triples
 from hodgetriples.laurent import (
     ONE,
     PACKED_MIN_PAIRS,
@@ -194,6 +195,30 @@ def _binomials(m: int) -> dict:
     return {(i, j): math.comb(m, i) * math.comb(m, j) for i in range(m + 1) for j in range(m + 1)}
 
 
+def _whole_square(runs: list, m: int, width: int) -> list:
+    """The oracle of ``laurent._diagonal_square``: the whole [0, width)^2 box packed from the runs, every row
+    shift-added and read, with the runs' extent checked and no mirror.  The package's kernel until it packed only
+    the rows up to the middle one and the one past it."""
+    ends = [(a, b, a + len(c) - 1, b + len(c) - 1) for a, b, c in runs if c and c[0] and c[-1]]
+    extent, side = [f(x) for f, x in zip((min, min, max, max), zip(*ends))], width - 1 - m
+    if len(ends) < len(runs) or extent != [0, 0, side, side]:
+        raise AssertionError(f"diagonal extent {extent} is not [0, 0, {side}, {side}]: internal inconsistency")
+    n = laurent._slot_bytes(max(max(map(abs, coeffs)) for _, _, coeffs in runs).bit_length() + 2 * m)
+    slots, word = width * width, laurent._WORD_FORMATS.get(n, "").lower()
+    if word:
+        view = memoryview(raw := bytearray(slots * n)).cast(word)
+        for a, b, coeffs in runs:
+            cells = memoryview(struct.Struct(f"{len(coeffs)}{word}").pack(*coeffs)).cast(word)
+            view[a * width + b :: width + 1][: len(coeffs)] = cells
+    else:
+        cells = [bytes(n)] * slots
+        for a, b, coeffs in runs:
+            start, digits = a * width + b, [c.to_bytes(n, "little", signed=True) for c in coeffs]
+            cells[start : start + len(coeffs) * (width + 1) : width + 1] = digits
+        raw = b"".join(cells)
+    return laurent._shift_adds(laurent._signed(raw, n, slots), n, m, width, width)
+
+
 class TestTimesBinomials:
     """The shift-add kernel ``times_binomials`` against the dict loop ``_dict_product`` by (1+u)^m (1+v)^m."""
 
@@ -244,8 +269,10 @@ class TestTimesBinomials:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 5), st.data(), st.booleans())
     def test_diagonal_square_matches_dict_loop(self, side, m, data, words):
-        """``laurent._diagonal_square`` of random diagonal runs spanning [0, side]^2, signed and up to 2^70, on the word
-        path and on the bytes path: the row-major square of the dict loop's product by (1+u)^m (1+v)^m."""
+        """The whole-box oracle ``_whole_square`` of random diagonal runs spanning [0, side]^2, signed and up to 2^70,
+        on the word path and on the bytes path: the row-major square of the dict loop's product by (1+u)^m (1+v)^m.
+        The runs are no palindrome, so ``laurent._diagonal_square``, which reads half the box, is held to the oracle
+        on closed cores below."""
         keys = st.tuples(st.integers(0, side), st.integers(0, side))
         terms = data.draw(st.dictionaries(keys, coefficients, max_size=12))
         terms |= {(0, 0): data.draw(coefficients), (side, side): data.draw(coefficients)}
@@ -261,7 +288,7 @@ class TestTimesBinomials:
         for (a, b), c in _dict_product(terms, _binomials(m)).items():
             square[a * width + b] = c
         with mock.patch.object(laurent, "_WORD_FORMATS", laurent._WORD_FORMATS if words else {}):
-            assert laurent._diagonal_square(runs, m, width) == square
+            assert _whole_square(runs, m, width) == square
 
     @pytest.mark.parametrize(
         "runs",
@@ -279,6 +306,48 @@ class TestTimesBinomials:
         """Runs that do not end in nonzero terms spanning exactly [0, width - 1 - m]^2 raise ``AssertionError``."""
         with pytest.raises(AssertionError, match="internal inconsistency"):
             laurent._diagonal_square(runs, 0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 29), st.integers(-3, 61), st.sampled_from((0, 1, 2)), st.booleans())
+    @example(2, 3, 1, 2, True)  # dim 10
+    @example(2, 3, 2, 2, False)  # dim 11
+    @example(3, 4, 0, 0, True)  # dim 7, no binomial factor
+    @example(6, 13, 13, 1, True)  # dim 44
+    def test_half_square_matches_whole_box(self, g, n, e2, k, words):
+        """On closed cores ``triples._closed_diagonals(g, n, e2)`` times (1+u)^m (1+v)^m, m = k g for k in 0..2, dims
+        of both parities, ``laurent._diagonal_square``, which packs and shift-adds the rows up to the middle one and
+        the one past it and mirrors the rest, gives the whole-box oracle's square, on the word path and on the bytes
+        path; a core whose extent the oracle refuses it refuses too."""
+        e2, m = min(e2, 2 * n + 3), k * g
+        runs, width = triples._closed_diagonals(g, n, e2), 2 * n + e2 + m  # dim + 1, dim = m - 1 + 2n + e2
+        with mock.patch.object(laurent, "_WORD_FORMATS", laurent._WORD_FORMATS if words else {}):
+            try:
+                whole = _whole_square(runs, m, width)
+            except AssertionError:
+                with pytest.raises(AssertionError, match="diagonal extent"):
+                    laurent._diagonal_square(runs, m, width)
+                return
+            assert laurent._diagonal_square(runs, m, width) == whole == whole[::-1]
+
+    @pytest.mark.parametrize(
+        "runs, m, width",
+        [
+            ([(0, 0, [1, 1]), (0, 1, [1])], 0, 2),  # 1 + uv + v: row 1 is (0, 1), row 0 reversed is (1, 1)
+            ([(0, 0, [1, 2, 1])], 0, 3),  # 1 + 2uv + (uv)^2 is one, and the mirror check passes it
+            ([(0, 0, [1, 0, 3])], 0, 3),  # row 2 is (0, 0, 3), row 0 reversed (0, 0, 1)
+            ([(0, 0, [1, 1]), (1, 0, [2])], 1, 3),  # (1 + uv + 2u) (1+u)(1+v)
+        ],
+        ids=["dim-1", "palindrome", "dim-2", "times-binomials"],
+    )
+    def test_runs_not_palindromic_raise(self, runs, m, width):
+        """Runs whose product is not a palindrome, though their extent is the square's, raise ``AssertionError``:
+        row H + 1, computed and not returned, is not row dim - H - 1 reversed.  A palindrome passes."""
+        whole = _whole_square(runs, m, width)
+        if whole == whole[::-1]:
+            assert laurent._diagonal_square(runs, m, width) == whole
+            return
+        with pytest.raises(AssertionError, match="not a palindrome: internal inconsistency"):
+            laurent._diagonal_square(runs, m, width)
 
 
 def _spy(monkeypatch, name: str) -> list:

@@ -526,7 +526,7 @@ class TestClosedCore:
     def test_bytes_path_squares_match_word_path(self, monkeypatch):
         """With no word formats, as on a big-endian host, slots of any byte count are packed by ``to_bytes`` into a
         strided list: every square of g = 2..4, d1 in {1, 2, 7, 13, 20}, d2 = -2..0, and of the pairs of g = 2..4,
-        d = 1..6, equals the word path's."""
+        d = 1..6, equals the word path's.  Each is shift-added on its rows 0..dim // 2 + 1 alone, on both paths."""
         chambers = [
             (TripleSpec(g, (2, 1), d1, d2), sigma)
             for g in (2, 3, 4)
@@ -539,12 +539,19 @@ class TestClosedCore:
         def squares():
             return [triples.hodge_triples_square(*c) for c in chambers] + [triples._pair_square(*p) for p in pairs]
 
+        boxes, shift_adds = [], laurent._shift_adds
+
+        def spy(packed, n, m, height, width):
+            boxes.append((n, height, width))
+            return shift_adds(packed, n, m, height, width)
+
+        monkeypatch.setattr(laurent, "_shift_adds", spy)
         words = squares()
-        widths, shift_adds = set(), laurent._shift_adds
         monkeypatch.setattr(laurent, "_WORD_FORMATS", {})
-        monkeypatch.setattr(laurent, "_shift_adds", lambda packed, n, *box: widths.add(n) or shift_adds(packed, n, *box))
         assert squares() == words
-        assert len(chambers) == 252 and {1, 2, 3} <= widths
+        calls = len(chambers) + len(pairs)
+        assert len(chambers) == 252 and len(boxes) == 2 * calls and {1, 2, 3} <= {n for n, _, _ in boxes[calls:]}
+        assert boxes[:calls] != boxes[calls:] and all(height == (width - 1) // 2 + 2 for _, height, width in boxes)
 
     def test_squares_retain_nothing(self):
         """Closed squares over 110 chambers, with diagonals of many lengths, leave nothing allocated: no format cache

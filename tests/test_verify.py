@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -308,6 +309,68 @@ class TestFaultInjection:
             monkeypatch.setattr(TruncatedSeries, "rational", lambda *args, **kwargs: OffByOne(rational(*args, **kwargs)))
         reports = run_suite(grid)
         assert len(reports) == 48 and sum(r.status == "fail" for r in reports) == failed
+
+    @pytest.mark.parametrize("fault, failed", [
+        ("core-uv", {
+            "bundles-two-routes": 2, "chamber-constancy": 12, "cross-pipeline": 12, "duality-rank12": 12,
+            "hodge-symmetry": 12, "nonnegativity": 12, "pairs-factorization": 12, "palindrome-duality": 12,
+            "thaddeus": 4, "top-monomial": 12,
+        }),
+        ("one-v-step-short", {
+            "bundles-two-routes": 4, "chamber-constancy": 48, "cross-pipeline": 48, "duality-rank12": 48,
+            "fixed-det-factorization": 16, "flip-two-path": 48, "hodge-symmetry": 48, "nonnegativity": 48,
+            "pairs-factorization": 48, "palindrome-duality": 48, "top-monomial": 48,
+        }),
+        ("uv-digit", {
+            "bundles-two-routes": 4, "cross-pipeline": 48, "fixed-det-factorization": 16, "flip-two-path": 48,
+            "pairs-factorization": 48, "thaddeus": 16,
+        }),
+    ], ids=["core-uv", "one-v-step-short", "uv-digit"])  # fmt: skip
+    def test_closed_route_reach_on_default_grid(self, monkeypatch, fault, failed):
+        """The checks that fail on the default grid (778 reports), and how often, under three faults of the closed
+        route: the closed core given 1 more at uv when n >= 3; a shift-add kernel one 1 + v step short; and a kernel
+        whose digit at uv reads 1 more.  The kernel shift-adds half of each closed square and mirrors it, and raises
+        when row H + 1 is not the mirror of row dim - H - 1, so the core fault fails every check that evaluates
+        such a core times e(Jac X)^k, k > 0, at the kernel's mirror check; thaddeus sees it on pairs of fixed
+        determinant (k = 0), where the mirror check's rows miss it, as a diagonal that differs from Thaddeus's
+        formula.  With the whole square read, only cross-pipeline 12, palindrome-duality 12, thaddeus 4 and
+        bundles-two-routes 2 failed.  A fault in the low rows alone is
+        mirrored into a palindrome: palindrome-duality, which failed 48 times under the uv-digit fault with the
+        whole square read, passes, and cross-pipeline fails 48 times, not 36."""
+        if fault == "core-uv":
+            core = triples._closed_diagonals
+
+            def faulty(g, n, e2):
+                runs = core(g, n, e2)
+                if n < 3:
+                    return runs
+                return [(a, b, [coeffs[0], coeffs[1] + 1, *coeffs[2:]]) if (a, b) == (0, 0) else (a, b, coeffs)
+                        for a, b, coeffs in runs]  # fmt: skip
+
+            monkeypatch.setattr(triples, "_closed_diagonals", faulty)
+        elif fault == "one-v-step-short":
+
+            def faulty(packed, n, m, height, width):
+                for shift in [8 * n] * max(m - 1, 0) + [8 * n * width] * m:
+                    packed += packed << shift
+                return laurent._balanced_digits(packed, n, height * width, wrap=True)
+
+            monkeypatch.setattr(laurent, "_shift_adds", faulty)
+        else:
+            kernel = laurent._shift_adds
+
+            def faulty(packed, n, m, height, width):
+                digits = kernel(packed, n, m, height, width)
+                digits[width + 1] += 1
+                return digits
+
+            monkeypatch.setattr(laurent, "_shift_adds", faulty)
+        reports = run_suite(VerifyGrid())
+        fails = [r for r in reports if r.status == "fail"]
+        assert len(reports) == 778 and dict(collections.Counter(r.check_name for r in fails)) == failed
+        if fault == "core-uv":
+            mirror = [r.detail.endswith("the square is not a palindrome: internal inconsistency") for r in fails]
+            assert mirror == [r.check_name != "thaddeus" for r in fails]
 
     def test_broken_series_expansion_is_detected(self, monkeypatch):
         """A fault in ``TruncatedSeries.rational`` reaches only the series side of flip-two-path, so the check sees it."""
