@@ -201,20 +201,8 @@ def _bundle_key(target: str, g: int, params: dict, d0: Optional[int]) -> Hashabl
 
 
 def _bundle_evaluate(key: Hashable) -> tuple[int, list[int]]:
-    """(dim, square) of ``hodge_bundles_odd``: a palindrome, as ``_result_text`` reads it, else ``AssertionError``."""
-    g, degree, fixed = key
-    dim, square = _square(triples.hodge_bundles_odd(g, degree, fixed_det=fixed))
-    if square != square[::-1]:
-        raise AssertionError(f"the square of the genus-{g} bundle moduli is not a palindrome: internal inconsistency")
-    return dim, square
-
-
-def _square(result: triples.HodgeResult) -> tuple[Optional[int], list[int]]:
-    """(dim, square) of a checked result: its terms in [0, dim]^2, row-major as ``hodge_triples_square`` gives them."""
-    dim, square = result.complex_dim, [0] * ((result.complex_dim or 0) + 1) ** 2  # an empty result has no terms
-    for (a, b), c in result.poly._terms.items():
-        square[a * (dim + 1) + b] = c
-    return dim, square
+    """(dim, square) of ``hodge_bundles_odd``, a palindrome that the kernel checked, as ``_closed_evaluate``'s are."""
+    return triples._bundle_square(*key)
 
 
 _FAMILIES = (
@@ -322,14 +310,14 @@ def _result_text(dim: Optional[int], square: list[int], box: _CanonicalBox) -> s
     """The text ``"dim":...,"terms":[...],"poincare":[...]}`` that closes the record of a result.
 
     ``square`` holds the coefficients of [0, dim]^2 row-major, a palindrome
-    as the kernel checks it (and ``_bundle_evaluate`` a bundle's).  Nothing
-    is sorted: read at ``box.index(dim)``, it gives the coefficients of the
-    keys of total degree at most dim in canonical order (total degree, then
-    u-exponent), and those below dim reversed give the rest.  Each list is
-    spelled by one ``%`` format, the joined templates of its nonzero
-    entries: the terms from the keys' templates, and the ``poincare`` list,
-    the diagonal of every target, from the sums of each total degree's run
-    of coefficients up to dim, mirrored, zero sums dropped.
+    as the kernel checks it.  Nothing is sorted: read at ``box.index(dim)``,
+    it gives the coefficients of the keys of total degree at most dim in
+    canonical order (total degree, then u-exponent), and those below dim
+    reversed give the rest.  Each list is spelled by one ``%`` format, the
+    joined templates of its nonzero entries: the terms from the keys'
+    templates, and the ``poincare`` list, the diagonal of every target, from
+    the sums of each total degree's run of coefficients up to dim, mirrored,
+    zero sums dropped.
     """
     terms = diagonal = ""
     if dim is not None:

@@ -435,7 +435,8 @@ def _diagonal_square(runs: list[tuple[int, int, list[int]]], m: int, width: int)
                 digits = [c.to_bytes(n, "little", signed=True) for c in coeffs[:k]]
                 cells[start : start + k * (width + 1) : width + 1] = digits
         raw = b"".join(cells)
-    digits = _shift_adds(_signed(raw, n, slots), n, m, height, width)
+    half = _offset(n, slots)  # of the packed rows and of the digits read off them alike
+    digits = _shift_adds(_signed(raw, half), n, m, height, width, half)
     top = width * width - low  # the mirror of the low rows: rows 0..D-H-1, reversed
     if digits[low:] != digits[top - width : top][::-1]:
         mirror = f"row {height - 1} is not row {width - height} reversed"
@@ -444,16 +445,17 @@ def _diagonal_square(runs: list[tuple[int, int, list[int]]], m: int, width: int)
     return digits + digits[top - 1 :: -1] if top else digits
 
 
-def _shift_adds(packed: int, n: int, m: int, height: int, width: int) -> list[int]:
+def _shift_adds(packed: int, n: int, m: int, height: int, width: int, half: Optional[int] = None) -> list[int]:
     """Row-major digits of the low height x width box of ``packed``, in n-byte slots, times (1+u)^m (1+v)^m.
 
     The one shift-add loop: x += x << 8n per 1 + v, x += x << 8nW per 1 + u, and no big-integer multiply.
     The digits are read modulo B^(height W), B = 2^(8n), so rows that the 1 + u steps carry past the box, as
-    they do from a box cut at its middle row, are dropped unread.
+    they do from a box cut at its middle row, are dropped unread.  ``half`` is the box's ``_offset``, if the
+    caller has built it.
     """
     for shift in [8 * n] * m + [8 * n * width] * m:
         packed += packed << shift
-    return _balanced_digits(packed, n, height * width, wrap=True)
+    return _balanced_digits(packed, n, height * width, wrap=True, half=half)
 
 
 def _box_terms(a0: int, b0: int, height: int, width: int, digits: list[int]) -> dict[Exponent, int]:
@@ -488,19 +490,26 @@ def _pack(terms: dict[Exponent, int], a0: int, b0: int, strides: Exponent, n: in
     cells = memoryview(raw := bytearray(slots * n)).cast(word) if word else [bytes(n)] * slots
     for (a, b), c in terms.items():
         cells[(a - a0) * stride_a + (b - b0) * stride_b] = c if word else c.to_bytes(n, "little", signed=True)
-    return _signed(raw if word else b"".join(cells), n, slots)
+    return _signed(raw if word else b"".join(cells), _offset(n, slots))
 
 
-def _signed(raw: bytes, n: int, slots: int) -> int:
-    """The signed integer whose base-2^(8n) digits are the two's-complement little-endian n-byte ``slots`` of ``raw``.
+def _offset(n: int, slots: int) -> int:
+    """H = sum (B/2) B^i over i < ``slots``, B = 2^(8n), by which ``_signed`` and ``_balanced_digits`` read."""
+    return int.from_bytes((bytes(n - 1) + b"\x80") * slots, "little")
 
-    Read unsigned they are T, and (T ^ H) - H, H = sum (B/2) B^i, undoes the XOR of ``_balanced_digits``.
+
+def _signed(raw: bytes, half: int) -> int:
+    """The signed integer whose base-2^(8n) digits are the two's-complement little-endian n-byte slots of ``raw``.
+
+    Read unsigned they are T, and (T ^ H) - H, H = ``half``, the slots' ``_offset``, undoes the XOR of
+    ``_balanced_digits``.
     """
-    half = int.from_bytes((bytes(n - 1) + b"\x80") * slots, "little")
     return (int.from_bytes(raw, "little") ^ half) - half
 
 
-def _balanced_digits(value: int, n: int, slots: int, wrap: bool = False) -> Optional[list[int]]:
+def _balanced_digits(
+    value: int, n: int, slots: int, wrap: bool = False, half: Optional[int] = None
+) -> Optional[list[int]]:
     """Digits d_i in [-B/2, B/2), i < slots, with sum d_i B^i = ``value``, B = 2^(8n); None when there are none.
 
     Adding h = sum (B/2) B^i makes every digit d_i + B/2 nonnegative, and
@@ -508,9 +517,11 @@ def _balanced_digits(value: int, n: int, slots: int, wrap: bool = False) -> Opti
     a signed read of the slots gives the digits: by ``memoryview.cast`` for a
     word-width slot, else by one ``int.from_bytes`` per slice.  With ``wrap``,
     value + h is taken modulo B^slots: the low ``slots`` digits of ``value``,
-    whatever lies above them, and never None.
+    whatever lies above them, and never None.  ``half`` is h, the slots'
+    ``_offset``, if the caller has built it.
     """
-    half = int.from_bytes((bytes(n - 1) + b"\x80") * slots, "little")
+    if half is None:
+        half = _offset(n, slots)
     value += half
     if wrap:
         value &= (1 << 8 * n * slots) - 1

@@ -31,7 +31,9 @@ This module exposes:
   representative and index in integers, so a table row needs no ``Fraction``;
 * pair moduli (rank 2, with or without fixed determinant), their Poincare
   polynomials via an independent one-variable extraction, and the moduli of
-  rank-2 odd-degree bundles through two more routes.
+  rank-2 odd-degree bundles through two more routes: their closed forms,
+  divided on their diagonals and squared by the same kernel, and the
+  small-sigma chamber of a triple family.
 
 Rank (1,2) is handled exclusively through the duality
 N_sigma(1,2,d1,d2) = N_sigma(2,1,-d2,-d1).
@@ -50,7 +52,7 @@ from typing import Literal, Optional
 
 from .blocks import TypeVector, _require_genus, chi_triples, jacobian, sym_power
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, _wrap, monomial, times_binomials
-from .laurent import _box_terms, _diagonal_square
+from .laurent import NotDivisible, _box_terms, _diagonal_square
 
 
 class OnWall(ValueError):
@@ -616,21 +618,69 @@ def hodge_bundles_odd(g: int, d: int, fixed_det: bool = False) -> HodgeResult:
     e(M(2,Lambda)) = ((1+u^2 v)^g (1+u v^2)^g
                       - (uv)^g (1+u)^g (1+v)^g) / ((1-uv)(1-(uv)^2)).
 
-    The divisions are exact; a failure signals an implementation bug.  The
-    denominator is divided out one binomial at a time, so that both steps
-    take the running-sum route of ``LaurentPoly.__truediv__``.  The first
-    numerator is e(Jac X) times the second, so only the second is divided:
-    e(M(2,d)) = e(Jac X) e(M(2,Lambda)).  Each e(Jac X) is multiplied in by
-    ``times_binomials``.
+    The first numerator is e(Jac X) times the second, so e(M(2,d)) =
+    e(Jac X) e(M(2,Lambda)).  The terms are ``_bundle_square``'s: the
+    quotient divided on its diagonals (``_bundle_diagonals``), where an
+    inexact division raises ``NotDivisible``, and e(Jac X) shift-added in
+    by the closed formulas' kernel, which checks extent and mirror.
+    """
+    return _square_result(*_bundle_square(g, d, fixed_det))
+
+
+def _bundle_square(g: int, d: int, fixed: bool) -> tuple[int, list[int]]:
+    """(dim, square) of ``hodge_bundles_odd``, the square as ``_closed_square`` gives a key's.
+
+    The runs of ``_bundle_diagonals`` span [0, 3g - 3]^2, e(M(2,Lambda)) of
+    dimension 3g - 3; times (1+u)^g (1+v)^g they give e(M(2,d)), of
+    dimension 4g - 3.  ``_diagonal_square`` checks that extent and that
+    the square is a palindrome, and raises ``AssertionError`` otherwise.
     """
     _require_genus(g)
     if d % 2 == 0:
         raise EvenDegree(f"degree must be odd, got {d}")
-    twisted = (ONE + monomial(1, 2, 1)) ** g * (ONE + monomial(1, 1, 2)) ** g
-    poly = (twisted - times_binomials(monomial(1, g, g), g)) / (ONE - UV) / (ONE - UV**2)
-    if fixed_det:
-        return HodgeResult(poly, 3 * g - 3)
-    return HodgeResult(times_binomials(poly, g), 4 * g - 3)
+    m, dim = (0, 3 * g - 3) if fixed else (g, 4 * g - 3)
+    return dim, _diagonal_square(_bundle_diagonals(g), m, dim + 1)
+
+
+def _bundle_numerator(g: int, delta: int) -> list[int]:
+    """Diagonal a - b = delta >= 0 of (1+u^2 v)^g (1+u v^2)^g - (uv)^g (1+u)^g (1+v)^g: its w^t coefficients, w = uv.
+
+    With j = 0..g - delta and i = j + delta, the term C(g,i) C(g,j) of the
+    first product lies at u^(2i+j) v^(i+2j) = u^delta w^(3j+delta), and that
+    of the second at u^(g+i) v^(g+j) = u^delta w^(g+j); the top is
+    w^(3g-2 delta).
+    """
+    binomials = list(map(math.comb, itertools.repeat(g), range(g + 1)))
+    pairs = list(map(operator.mul, binomials[delta:], binomials))
+    diagonal = [0] * (3 * g - 2 * delta + 1)
+    diagonal[delta::3] = pairs
+    diagonal[g : 2 * g - delta + 1] = map(operator.sub, diagonal[g : 2 * g - delta + 1], pairs)
+    return diagonal
+
+
+def _bundle_diagonals(g: int) -> list[tuple[int, int, list[int]]]:
+    """e(M(2,Lambda)) on its diagonals a - b = -g..g, as ``_closed_diagonals`` gives a core: runs c_j u^(a+j) v^(b+j).
+
+    The denominator (1 - w)(1 - w^2) is a polynomial in w = uv, so each
+    diagonal of the numerator (``_bundle_numerator``) is divided on its
+    own, as a list in w: by 1 - w as one running sum, and by 1 - w^2 as one
+    running sum per parity.  The quotient has degree at most three below
+    the numerator's, so the division is exact iff all three running sums
+    close at 0 by the numerator's top; any other diagonal raises
+    ``NotDivisible``.  The form is symmetric in u and v, so the diagonals
+    delta > 0, cut to their nonzero spans and mirrored, give the rest.
+    """
+    runs = []
+    for delta in range(g + 1):
+        q = list(itertools.accumulate(_bundle_numerator(g, delta)))  # / (1 - w)
+        q[::2], q[1::2] = itertools.accumulate(q[::2]), itertools.accumulate(q[1::2])  # / (1 - w^2), per parity
+        if any(q[-3:]):
+            message = f"diagonal {delta} of the genus-{g} bundle numerator does not divide by (1 - uv)(1 - (uv)^2)"
+            raise NotDivisible(message)
+        j = list(itertools.compress(range(len(q)), q))
+        if j:
+            runs.append((delta + j[0], j[0], q[j[0] : j[-1] + 1]))
+    return [(b, a, c) for a, b, c in reversed(runs) if a > b] + runs
 
 
 def hodge_bundles_via_triples(g: int, d: int) -> LaurentPoly:

@@ -3,6 +3,7 @@ import contextlib
 import errno
 import functools
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -72,6 +73,16 @@ class TestCompute:
         code, out, err = run(capsys, "compute", "bundle-fixed", "--genus", "2", "--degree", "1", "--poincare")
         assert code == 0
         assert out == "1 + t^2 + 4 t^3 + t^4 + t^6\n"
+
+    @pytest.mark.parametrize("target, digest", [
+        ("bundle", "41e7814fb28e5bb6fcc0b26c8966dfb153c906d487e4a19e0541e50d798dd149"),
+        ("bundle-fixed", "7820b1080f208826e30d42626d15b05068a11dd8efdf89b5cb865be4f33239ab"),
+    ])  # fmt: skip
+    def test_bundle_genus_24_pinned(self, capsys, target, digest):
+        """The genus-24 bundle records, whose full form packs slots wider than a machine word, by the sha256 of their
+        stdout as the dict route wrote it: two ``**g`` products, two running-sum divisions and ``times_binomials``."""
+        code, out, err = run(capsys, "compute", target, "--genus", "24", "--degree", "1", "--format", "json", "--poincare")
+        assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_pair_unfixed(self, capsys):
         code, out, err = run(capsys, "compute", "pair", "--genus", "2", "--degree", "1", "--tau", "3/4")
@@ -729,6 +740,14 @@ def _hodge_results(draw) -> triples.HodgeResult:
     return triples.HodgeResult(LaurentPoly(terms), dim)
 
 
+def _square(result: triples.HodgeResult) -> tuple[Optional[int], list[int]]:
+    """(dim, square) of a result: its terms in [0, dim]^2, row-major as ``hodge_triples_square`` gives them."""
+    dim, square = result.complex_dim, [0] * ((result.complex_dim or 0) + 1) ** 2  # an empty result has no terms
+    for (a, b), c in result.poly._terms.items():
+        square[a * (dim + 1) + b] = c
+    return dim, square
+
+
 class TestRecordText:
     """``cli._result_text`` against the sorted oracle on palindromic squares; the box grows only to the largest dim
     formatted, and its per-dim lists refer to its one set of template strings."""
@@ -739,7 +758,7 @@ class TestRecordText:
         oracle's.  Returns the box."""
         box = cli._CanonicalBox()
         for result in results:
-            assert cli._result_text(*cli._square(result), box) == _sorted_result_text(result)
+            assert cli._result_text(*_square(result), box) == _sorted_result_text(result)
         return box
 
     @settings(max_examples=150, deadline=None)
@@ -832,9 +851,9 @@ class TestSquareReader:
         sigmas = triples.chamber_representatives(spec)
         boxes, shift_adds = [], laurent._shift_adds
 
-        def spy(packed, n, m, height, width):
+        def spy(packed, n, m, height, width, half=None):
             boxes.append((n, height, width))
-            return shift_adds(packed, n, m, height, width)
+            return shift_adds(packed, n, m, height, width, half)
 
         monkeypatch.setattr(laurent, "_shift_adds", spy)
         rows = [{"rank": (2, 1), "d1": 100, "d2": 0, "sigma": sigma} for sigma in (sigmas[0], sigmas[len(sigmas) // 2])]
@@ -884,23 +903,38 @@ class TestSquareReader:
 
     @pytest.mark.parametrize("target", ["bundle", "bundle-fixed"])
     def test_bundle_not_palindrome_is_internal_inconsistency(self, capsys, tmp_path, monkeypatch, target):
-        """A bundle result that is no palindrome, here with u added, would be read half and mirrored by the record
-        text: ``table`` and ``compute`` exit 1 with "internal inconsistency" and write no cache file instead."""
-        bundles = triples.hodge_bundles_odd
-
-        def faulty(g, d, fixed_det=False):
-            result = bundles(g, d, fixed_det=fixed_det)
-            return triples.HodgeResult(result.poly + LaurentPoly({(1, 0): 1}), result.complex_dim)
-
-        monkeypatch.setattr(triples, "hodge_bundles_odd", faulty)
+        """Bundle diagonals without their run on a - b = -1, whose extent still spans the square: the result is no
+        palindrome, and would be read half and mirrored by the record text.  The kernel's mirror check raises, so
+        ``table`` and ``compute`` exit 1 with "internal inconsistency" and write no cache file instead."""
+        runs = triples._bundle_diagonals
+        monkeypatch.setattr(triples, "_bundle_diagonals", lambda g: [(a, b, c) for a, b, c in runs(g) if b - a != 1])
         cache = tmp_path / "records.jsonl"
         code, out, err = run(capsys, "table", "--target", target, "--genus", "2..3", "--degree", "1..5", "--cache", str(cache))
-        assert (code, out) == (1, "") and err.startswith("internal inconsistency: the square of the genus-2 bundle")
-        assert err.endswith("is not a palindrome: internal inconsistency\n") and os.listdir(tmp_path) == []
+        assert (code, out) == (1, "") and err.startswith("internal inconsistency: row ")
+        assert err.endswith("the square is not a palindrome: internal inconsistency\n") and os.listdir(tmp_path) == []
         code, out, err = run(capsys, "compute", target, "--genus", "3", "--degree", "1")
-        assert (code, out) == (1, "") and "genus-3 bundle moduli is not a palindrome" in err
+        assert (code, out) == (1, "") and "the square is not a palindrome" in err
         monkeypatch.undo()
         assert run(capsys, "table", "--target", target, "--genus", "2..3", "--degree", "1..5")[0] == 0
+
+    @pytest.mark.parametrize("target", ["bundle", "bundle-fixed"])
+    def test_bundle_not_divisible_is_internal_inconsistency(self, capsys, tmp_path, monkeypatch, target):
+        """A bundle numerator with 1 more on its diagonal a - b = 1 does not divide by (1 - uv)(1 - (uv)^2): ``table``
+        and ``compute`` exit 1 with "internal inconsistency" and write no cache file."""
+        numerator = triples._bundle_numerator
+
+        def faulty(g, delta):
+            diagonal = numerator(g, delta)
+            diagonal[0] += delta == 1
+            return diagonal
+
+        monkeypatch.setattr(triples, "_bundle_numerator", faulty)
+        cache = tmp_path / "records.jsonl"
+        code, out, err = run(capsys, "table", "--target", target, "--genus", "2..3", "--degree", "1..5", "--cache", str(cache))
+        expected = "internal inconsistency: diagonal 1 of the genus-2 bundle numerator does not divide"
+        assert (code, out) == (1, "") and err.startswith(expected) and os.listdir(tmp_path) == []
+        code, out, err = run(capsys, "compute", target, "--genus", "3", "--degree", "1")
+        assert (code, out) == (1, "") and err.startswith(expected.replace("genus-2", "genus-3"))
 
     def test_table_run_retains_nothing(self, monkeypatch, tmp_path):
         """After a cold table returns, and after a warm one on a cache file a cold run wrote, less than 16 kB it

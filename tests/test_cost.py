@@ -58,10 +58,10 @@ def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
         tally[3] += len(self) * (len(other) if isinstance(other, LaurentPoly) else 1)
         return mul(self, other)
 
-    def counted_kernel(packed, n, m, height, width):
+    def counted_kernel(packed, n, m, height, width, half=None):
         tally[4] += 1
         tally[5] += height * width
-        return kernel(packed, n, m, height, width)
+        return kernel(packed, n, m, height, width, half)
 
     monkeypatch.setattr(TruncatedSeries, "rational", classmethod(counted_rational))
     monkeypatch.setattr(LaurentPoly, "__truediv__", counted_div)
@@ -129,6 +129,32 @@ def test_pair_sweep_cost_pinned(monkeypatch, fixed_det):
     assert len(chambers) == 75 and calls[0] == 0
     assert cost == (0, 0, 0, 0, 75, sum((dim // 2 + 2) * (dim + 1) for dim in dims))
     assert cost[-1] == (6010 if not fixed_det else 3505)
+
+
+@pytest.mark.parametrize("fixed_det, slots", [(False, 48 * 94), (True, 36 * 70)], ids=["full", "fixed"])
+def test_bundles_odd_cost_pinned(monkeypatch, fixed_det, slots):
+    """``hodge_bundles_odd(24, d)``: one ``_diagonal_square`` call into rows 0..dim // 2 + 1 of its square, of
+    dim + 1 slots each (dim = 93 full, 69 fixed), and no ``times_binomials``, ``**``, ``*``, ``/`` or running-sum
+    quotient: each diagonal is divided as a list.  The dict route took 3 powers, 15 multiplies (1,189 term pairs),
+    2 divisions by running sums and ``times_binomials`` once per e(Jac X) factor, 9,461 kernel slots in the full
+    form, whose whole box alone was 8,836."""
+    calls = dict.fromkeys(["_diagonal_square", "times_binomials", "__pow__", "_running_sum_quotient"], 0)
+
+    def counted(name, real):
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return count
+
+    def work():
+        for owner, name in [(triples, "_diagonal_square"), (laurent, "times_binomials"), (triples, "times_binomials"),
+                            (LaurentPoly, "__pow__"), (laurent, "_running_sum_quotient")]:  # fmt: skip
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        assert triples.hodge_bundles_odd(24, 1, fixed_det=fixed_det).complex_dim == (69 if fixed_det else 93)
+
+    assert _arithmetic_cost(monkeypatch, work) == (0, 0, 0, 0, 1, slots)
+    assert calls == {"_diagonal_square": 1, "times_binomials": 0, "__pow__": 0, "_running_sum_quotient": 0}
 
 
 def test_wall_sum_packs_nothing(monkeypatch):
@@ -428,11 +454,11 @@ def test_division_cost_pinned(monkeypatch):
 
     A division that rescans its remainder for the top term at every step
     computes a key per remainder term per step, over a million here, and
-    the heap walk one per divisor term.  The closed forms divide by 1 - uv
-    and 1 - (uv)^2, and the via-triples route by 1 - (uv)^(2g-1), as running
-    sums, and the via-triples route by (1+u)^g and (1+v)^g on the packed
-    route: at genus 6 and 12 no division computes a key or takes the heap
-    walk.
+    the heap walk one per divisor term.  The closed forms divide each
+    diagonal as a list, with no ``LaurentPoly`` division; the via-triples
+    route divides by 1 - (uv)^(2g-1) as running sums and by (1+u)^g and
+    (1+v)^g on the packed route: at genus 6 and 12 no division computes a
+    key or takes the heap walk.
     """
     _clear_block_caches()
     calls, walks = [0], [0]

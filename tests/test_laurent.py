@@ -216,7 +216,7 @@ def _whole_square(runs: list, m: int, width: int) -> list:
             start, digits = a * width + b, [c.to_bytes(n, "little", signed=True) for c in coeffs]
             cells[start : start + len(coeffs) * (width + 1) : width + 1] = digits
         raw = b"".join(cells)
-    return laurent._shift_adds(laurent._signed(raw, n, slots), n, m, width, width)
+    return laurent._shift_adds(laurent._signed(raw, laurent._offset(n, slots)), n, m, width, width)
 
 
 class TestTimesBinomials:

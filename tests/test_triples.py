@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hodgetriples import blocks, laurent, triples
 from hodgetriples.blocks import GenusOutOfRange, jacobian, proj_space
-from hodgetriples.laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, V, monomial, times_binomials
+from hodgetriples.laurent import ONE, UV, LaurentPoly, NotDivisible, TruncatedSeries, U, V, monomial, times_binomials
 from hodgetriples.triples import (
     EmptyFamily,
     EvenDegree,
@@ -541,9 +541,9 @@ class TestClosedCore:
 
         boxes, shift_adds = [], laurent._shift_adds
 
-        def spy(packed, n, m, height, width):
+        def spy(packed, n, m, height, width, half=None):
             boxes.append((n, height, width))
-            return shift_adds(packed, n, m, height, width)
+            return shift_adds(packed, n, m, height, width, half)
 
         monkeypatch.setattr(laurent, "_shift_adds", spy)
         words = squares()
@@ -730,6 +730,14 @@ class TestThaddeusAnchors:
             assert pair.complex_dim == bundles.complex_dim + d + 1 - 2 * g, d
 
 
+def _bundle_oracle(g: int, fixed_det: bool) -> LaurentPoly:
+    """e(M(2,Lambda)), or e(M(2,d)), by dict arithmetic: the two ``**g`` products less (uv)^g e(Jac X), divided by
+    1 - uv and then 1 - (uv)^2 as running sums, and e(Jac X) multiplied in by ``times_binomials``."""
+    twisted = (ONE + monomial(1, 2, 1)) ** g * (ONE + monomial(1, 1, 2)) ** g
+    poly = (twisted - times_binomials(monomial(1, g, g), g)) / (ONE - UV) / (ONE - UV**2)
+    return poly if fixed_det else times_binomials(poly, g)
+
+
 class TestBundles:
     def test_fixed_determinant_genus2(self):
         res = hodge_bundles_odd(2, 1, fixed_det=True)
@@ -765,6 +773,43 @@ class TestBundles:
             res = hodge_bundles_odd(3, 1, fixed_det=fixed)
             assert res.poly.swap_uv() == res.poly
             assert res.poly.palindrome_dual(res.complex_dim) == res.poly
+
+    @pytest.mark.parametrize("fixed_det", [False, True], ids=["full", "fixed"])
+    def test_closed_forms_match_dict_oracle(self, monkeypatch, fixed_det):
+        """``hodge_bundles_odd`` and ``_bundle_square`` equal ``_bundle_oracle`` for g = 2..40.  The kernel's slots
+        are machine words up to g = 16 (full) and 33 (fixed) and wider from there on, so both pack paths are met."""
+        oracles = [_bundle_oracle(g, fixed_det) for g in range(2, 41)]
+        widths, shift_adds = [], laurent._shift_adds
+        monkeypatch.setattr(laurent, "_shift_adds", lambda packed, n, *box: widths.append(n) or shift_adds(packed, n, *box))
+        for g, oracle in enumerate(oracles, 2):
+            dim = 3 * g - 3 if fixed_det else 4 * g - 3
+            res = hodge_bundles_odd(g, 2 * g - 1, fixed_det=fixed_det)
+            assert (res.poly, res.complex_dim) == (oracle, dim), g
+            square = [oracle.coeff(a, b) for a in range(dim + 1) for b in range(dim + 1)]
+            assert triples._bundle_square(g, 1, fixed_det) == (dim, square), g
+        wide = 34 if fixed_det else 17
+        assert max(widths[: 2 * (wide - 2)]) == 8 and min(widths[2 * (wide - 2) :]) > 8
+
+    @pytest.mark.parametrize("fault", [{0: 1}, {-1: 1}, {-2: 1, -1: -1}, {-3: 1, -2: -1, -1: -1}],
+                             ids=["lowest", "top", "by-1-w-only", "one-chain-open"])  # fmt: skip
+    def test_inexact_diagonal_raises(self, monkeypatch, fault):
+        """A fault on any one numerator diagonal: 1 more at its lowest or top entry; (1 - w) w^(top - 1) added, which
+        1 - w divides and 1 - w^2 does not; or terms that leave the last two running sums at 0 and only the third
+        open.  Each time one of that diagonal's running sums does not close at 0, and both forms raise
+        ``NotDivisible`` before the kernel runs."""
+        numerator, g = triples._bundle_numerator, 4
+        for faulty_delta in range(g + 1):
+
+            def faulty(g, delta):
+                diagonal = numerator(g, delta)
+                for entry, c in fault.items():
+                    diagonal[entry] += c * (delta == faulty_delta)
+                return diagonal
+
+            monkeypatch.setattr(triples, "_bundle_numerator", faulty)
+            for fixed_det in (False, True):
+                with pytest.raises(NotDivisible, match=f"diagonal {faulty_delta} of the genus-4 bundle numerator"):
+                    hodge_bundles_odd(g, 1, fixed_det=fixed_det)
 
 
 class TestResidueExtract:
