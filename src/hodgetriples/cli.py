@@ -181,37 +181,25 @@ def _pair_row_key(target: str, g: int, params: dict, d0: Optional[int]) -> Hasha
     return triples._pair_key_at(g, params["degree"], target == "pair-fixed", d0)
 
 
-def _closed_evaluate(key: Hashable) -> tuple[int, list[int]]:
-    return key[-1], triples._closed_square(key)
-
-
 def _bundle_chambers(g: int, params: dict) -> list[tuple[Optional[str], Optional[int]]]:
     return [(None, None)] if params["degree"] % 2 else []  # the closed forms cover odd degree only
 
 
 def _bundle_resolve(target: str, g: int, params: dict, value: Optional[triples.StabilityValue]) -> _Resolved:
-    return None, _bundle_key(target, g, params, None)
+    return None, _bundle_row_key(target, g, params, None)
 
 
-def _bundle_key(target: str, g: int, params: dict, d0: Optional[int]) -> Hashable:
-    # ``hodge_bundles_odd`` reads an odd degree only for its parity, so every odd degree keys as 1; an even degree
-    # stays in its key, whose evaluation refuses it
-    degree = params["degree"]
-    return g, 1 if degree % 2 else degree, target == "bundle-fixed"
-
-
-def _bundle_evaluate(key: Hashable) -> tuple[int, list[int]]:
-    """(dim, square) of ``hodge_bundles_odd``, a palindrome that the kernel checked, as ``_closed_evaluate``'s are."""
-    return triples._bundle_square(*key)
+def _bundle_row_key(target: str, g: int, params: dict, d0: Optional[int]) -> Hashable:
+    return triples._bundle_key(g, params["degree"], target == "bundle-fixed")
 
 
 _FAMILIES = (
     _Family(("triple",), True, ("d1", "d2"), "sigma", _triple_chambers, _triple_resolve, _triple_row_key,
-            _closed_evaluate),
+            triples._closed_square),
     _Family(("pair", "pair-fixed"), False, ("degree",), "tau", _pair_chambers, _pair_resolve, _pair_row_key,
-            _closed_evaluate),
-    _Family(("bundle", "bundle-fixed"), False, ("degree",), None, _bundle_chambers, _bundle_resolve, _bundle_key,
-            _bundle_evaluate),
+            triples._closed_square),
+    _Family(("bundle", "bundle-fixed"), False, ("degree",), None, _bundle_chambers, _bundle_resolve,
+            _bundle_row_key, triples._bundle_square),
 )
 _FAMILY_OF = {target: family for family in _FAMILIES for target in family.targets}
 TARGETS = tuple(_FAMILY_OF)

@@ -33,7 +33,7 @@ stay on the dict loop.
 
 The factor e(Jac X)^k = (1+u)^(kg) (1+v)^(kg) of every chamber formula has
 its own kernel, ``_shift_adds``: the other operand, packed once from a dict
-(``_binomial_square``) or from the closed formulas' diagonals, one strided
+(``times_binomials``) or from the closed formulas' diagonals, one strided
 slice each (``_diagonal_square``), is shifted and added once per factor
 1 + u or 1 + v, with no big-integer multiply.  It was faster than the
 packed product at every size measured.  A closed result is the Hodge
@@ -42,6 +42,12 @@ row-major square is a palindrome: ``_diagonal_square`` packs and shift-adds
 only the rows up to the middle one and the one past it, which must mirror
 the row below the middle, and returns the rest as the mirror.  Flips are no
 palindromes, so ``times_binomials`` shift-adds the whole box.
+
+Each packed box builds its offset h = sum (B/2) B^i (``_offset``) once, and
+its caller passes it on: ``_signed`` reads the box's two's-complement slots
+into a signed integer by h, and ``_balanced_digits`` reads an integer's low
+digits in the box back by h, modulo B^slots.  No kernel function takes an
+optional argument.
 
 Exact division takes one of three routes.  A divisor that is 1 - u^p v^q
 up to a monomial factor, such as the 1 - uv of the wall terms' raw
@@ -370,31 +376,32 @@ def _packed_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> Optional[
         return None
     bound = max(map(abs, p.values())) * max(map(abs, q.values())) * min(len(p), len(q))
     n = _slot_bytes(bound.bit_length())
-    packed = _pack(p, pa0, pb0, (width, 1), n, p_height * width + p_width + 1)
-    packed *= _pack(q, qa0, qb0, (width, 1), n, q_height * width + q_width + 1)
-    return _box_terms(pa0 + qa0, pb0 + qb0, height, width, _balanced_digits(packed, n, slots))
+    p_slots, q_slots = p_height * width + p_width + 1, q_height * width + q_width + 1
+    packed = _signed(_pack(p, pa0, pb0, (width, 1), n, p_slots), _offset(n, p_slots))
+    packed *= _signed(_pack(q, qa0, qb0, (width, 1), n, q_slots), _offset(n, q_slots))
+    return _box_terms(pa0 + qa0, pb0 + qb0, height, width, _balanced_digits(packed, n, slots, _offset(n, slots)))
 
 
 def times_binomials(poly: LaurentPoly, m: int) -> LaurentPoly:
-    """poly (1+u)^m (1+v)^m: the digits of ``_binomial_square``, read into a dict."""
+    """poly (1+u)^m (1+v)^m by 2m shift-adds: the product by e(Jac X)^k, m = kg.
+
+    ``poly`` is packed once by ``_pack`` into the box of the product,
+    [a0, a0 + height) x [b0, b0 + width), in slots wide enough for
+    max|c| 4^m, and ``_shift_adds`` reads the box back; one offset serves
+    the packed box and its digits.  Nothing here falls back to the dict loop
+    for a sparse polynomial.
+    """
     if m < 0:
         raise ValueError("binomial exponent must be nonnegative")
-    return _wrap(_box_terms(*_binomial_square(poly._terms, m))) if poly and m else poly
-
-
-def _binomial_square(terms: dict[Exponent, int], m: int) -> tuple[int, int, int, int, list[int]]:
-    """(a0, b0, height, width, digits) of nonempty ``terms`` times (1+u)^m (1+v)^m, m > 0, as 2m shift-adds.
-
-    This is the product by e(Jac X)^k, m = kg: ``terms`` packed once by
-    ``_pack`` into the box of the product, [a0, a0 + height) x [b0, b0 + W)
-    for W = ``width``, in slots wide enough for max|c| 4^m, for ``_shift_adds``.
-    Nothing here falls back to the dict loop for a sparse polynomial.
-    """
-    pa, pb = zip(*terms)
+    if not poly or not m:
+        return poly
+    pa, pb = zip(*poly._terms)
     a0, b0 = min(pa), min(pb)
     height, width = max(pa) - a0 + m + 1, max(pb) - b0 + m + 1
-    n = _slot_bytes(max(map(abs, terms.values())).bit_length() + 2 * m)
-    return a0, b0, height, width, _shift_adds(_pack(terms, a0, b0, (width, 1), n, height * width), n, m, height, width)
+    n = _slot_bytes(max(map(abs, poly._terms.values())).bit_length() + 2 * m)
+    half = _offset(n, height * width)
+    packed = _signed(_pack(poly._terms, a0, b0, (width, 1), n, height * width), half)
+    return _wrap(_box_terms(a0, b0, height, width, _shift_adds(packed, n, m, height, width, half)))
 
 
 def _diagonal_square(runs: list[tuple[int, int, list[int]]], m: int, width: int) -> list[int]:
@@ -445,17 +452,17 @@ def _diagonal_square(runs: list[tuple[int, int, list[int]]], m: int, width: int)
     return digits + digits[top - 1 :: -1] if top else digits
 
 
-def _shift_adds(packed: int, n: int, m: int, height: int, width: int, half: Optional[int] = None) -> list[int]:
+def _shift_adds(packed: int, n: int, m: int, height: int, width: int, half: int) -> list[int]:
     """Row-major digits of the low height x width box of ``packed``, in n-byte slots, times (1+u)^m (1+v)^m.
 
     The one shift-add loop: x += x << 8n per 1 + v, x += x << 8nW per 1 + u, and no big-integer multiply.
     The digits are read modulo B^(height W), B = 2^(8n), so rows that the 1 + u steps carry past the box, as
-    they do from a box cut at its middle row, are dropped unread.  ``half`` is the box's ``_offset``, if the
-    caller has built it.
+    they do from a box cut at its middle row, are dropped unread.  ``half`` is the box's ``_offset``, which
+    the caller built to sign ``packed``.
     """
     for shift in [8 * n] * m + [8 * n * width] * m:
         packed += packed << shift
-    return _balanced_digits(packed, n, height * width, wrap=True, half=half)
+    return _balanced_digits(packed, n, height * width, half)
 
 
 def _box_terms(a0: int, b0: int, height: int, width: int, digits: list[int]) -> dict[Exponent, int]:
@@ -476,21 +483,20 @@ def _slot_bytes(bits: int) -> int:
     return n
 
 
-def _pack(terms: dict[Exponent, int], a0: int, b0: int, strides: Exponent, n: int, slots: int) -> int:
-    """The signed integer sum c B^slot over ``terms``, B = 2^(8n), one n-byte little-endian slot per digit.
+def _pack(terms: dict[Exponent, int], a0: int, b0: int, strides: Exponent, n: int, slots: int) -> bytes:
+    """The two's-complement little-endian n-byte slots of ``terms``, one per digit, for ``_signed`` to read.
 
     u^a v^b goes to slot (a - a0) s_a + (b - b0) s_b for ``strides`` (s_a, s_b),
     so either axis can be the minor one.  Each coefficient is written signed,
     in place through ``memoryview.cast`` for a word-width slot, or by one
-    ``to_bytes`` for a wider one (or any slot on a big-endian host), and
-    ``_signed`` reads the slots as one integer.
+    ``to_bytes`` for a wider one (or any slot on a big-endian host).
     """
     stride_a, stride_b = strides
     word = _WORD_FORMATS.get(n, "").lower()
     cells = memoryview(raw := bytearray(slots * n)).cast(word) if word else [bytes(n)] * slots
     for (a, b), c in terms.items():
         cells[(a - a0) * stride_a + (b - b0) * stride_b] = c if word else c.to_bytes(n, "little", signed=True)
-    return _signed(raw if word else b"".join(cells), _offset(n, slots))
+    return raw if word else b"".join(cells)
 
 
 def _offset(n: int, slots: int) -> int:
@@ -507,28 +513,17 @@ def _signed(raw: bytes, half: int) -> int:
     return (int.from_bytes(raw, "little") ^ half) - half
 
 
-def _balanced_digits(
-    value: int, n: int, slots: int, wrap: bool = False, half: Optional[int] = None
-) -> Optional[list[int]]:
-    """Digits d_i in [-B/2, B/2), i < slots, with sum d_i B^i = ``value``, B = 2^(8n); None when there are none.
+def _balanced_digits(value: int, n: int, slots: int, half: int) -> list[int]:
+    """Digits d_i in [-B/2, B/2), i < slots, with sum d_i B^i = ``value`` modulo B^slots, B = 2^(8n).
 
-    Adding h = sum (B/2) B^i makes every digit d_i + B/2 nonnegative, and
-    XOR with h then leaves the two's-complement bytes of d_i in each slot, so
-    a signed read of the slots gives the digits: by ``memoryview.cast`` for a
-    word-width slot, else by one ``int.from_bytes`` per slice.  With ``wrap``,
-    value + h is taken modulo B^slots: the low ``slots`` digits of ``value``,
-    whatever lies above them, and never None.  ``half`` is h, the slots'
-    ``_offset``, if the caller has built it.
+    Adding h = ``half``, the slots' ``_offset`` sum (B/2) B^i, makes every
+    digit d_i + B/2 nonnegative; value + h is taken modulo B^slots, so
+    whatever lies above the low ``slots`` digits is dropped, and XOR with h
+    then leaves the two's-complement bytes of d_i in each slot.  A signed
+    read of the slots gives the digits: by ``memoryview.cast`` for a
+    word-width slot, else by one ``int.from_bytes`` per slice.
     """
-    if half is None:
-        half = _offset(n, slots)
-    value += half
-    if wrap:
-        value &= (1 << 8 * n * slots) - 1
-    try:
-        raw = (value ^ half).to_bytes(slots * n, "little")
-    except OverflowError:  # value + h is negative, or wider than the slots
-        return None
+    raw = (((value + half) & ((1 << 8 * n * slots) - 1)) ^ half).to_bytes(slots * n, "little")
     word = _WORD_FORMATS.get(n)
     if word:
         return memoryview(raw).cast(word.lower()).tolist()
@@ -552,9 +547,10 @@ def _packed_quotient(
     ``divmod`` of the packed integers gives q, accepted only when the
     remainder is 0 and a certificate holds:
 
-    * q has balanced digits (``_balanced_digits``), none of them nonzero
-      outside the quotient's minor-axis extent, so q = Q'(B) for the
-      polynomial Q' they spell;
+    * 0 <= q + h < B^slots for h the ``_offset`` of the quotient's slots, so
+      q has balanced digits there (``_balanced_digits``);
+    * none of them is nonzero outside the quotient's minor-axis extent, so
+      q = Q'(B) for the polynomial Q' they spell;
     * max|Q'| sum|d| < B/2.
 
     Then Q' D has minor extent below W and coefficients below B/2, and packs
@@ -580,9 +576,13 @@ def _packed_quotient(
     if quot_slots * div_slots * n * n > PACKED_DIV_COST * len(rem) * len(div):
         return None
     strides = (1, width) if minor_u else (width, 1)
-    quot, r = divmod(_pack(rem, 0, 0, strides, n, slots), _pack(div, 0, 0, strides, n, div_slots))
-    digits = None if r else _balanced_digits(quot, n, quot_slots)
-    if digits is None or any(any(digits[i + cols : i + width]) for i in range(0, quot_slots, width)):
+    packed_rem = _signed(_pack(rem, 0, 0, strides, n, slots), _offset(n, slots))
+    quot, r = divmod(packed_rem, _signed(_pack(div, 0, 0, strides, n, div_slots), _offset(n, div_slots)))
+    half = _offset(n, quot_slots)
+    if r or not 0 <= quot + half < 1 << 8 * n * quot_slots:  # q has no balanced digits in the quotient's slots
+        return None
+    digits = _balanced_digits(quot, n, quot_slots, half)
+    if any(any(digits[i + cols : i + width]) for i in range(0, quot_slots, width)):
         return None
     coeffs = list(itertools.chain.from_iterable(digits[i : i + cols] for i in range(0, quot_slots, width)))
     if max(map(abs, coeffs)) * div_sum >= 1 << (8 * n - 1):

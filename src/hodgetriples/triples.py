@@ -340,9 +340,8 @@ def _closed_diagonals(g: int, n: int, e2: int) -> list[tuple[int, int, list[int]
     back; times the run +-(w^lo + ... + w^(hi-1)) it is ``window``, shifted
     prefix sums less each other, which term C(g,i) C(g,s-i) u^i v^(s-i) of
     E_s adds to diagonal 2i - s from offset lo + min(i, s-i) in one slice.
-    Terms i and s - i mirror each other, so the diagonals a >= b, cut to their
-    nonzero spans, also serve as the rest.  Returns (a, b, coeffs) per
-    nonzero diagonal, c_j u^(a+j) v^(b+j).
+    Terms i and s - i mirror each other, so the diagonals a >= b also serve
+    as the rest.  Returns the runs of ``_mirrored_runs``.
     """
     t0 = min(e2, 0)  # the lowest offset; a diagonal ends by 2n + max(e2, 0)
     diagonals = [[0] * (2 * n + max(e2, 0) - t0) for _ in range(g + 1)]
@@ -355,6 +354,15 @@ def _closed_diagonals(g: int, n: int, e2: int) -> list[tuple[int, int, list[int]
         for i in range(max((s + 1) // 2, s - g), min(g, s) + 1):
             d, o, b = diagonals[2 * i - s], lo + s - i, sign * binomials[i] * binomials[s - i]
             d[o : o + w] = map(operator.add, d[o : o + w], map(operator.mul, window, itertools.repeat(b)))
+    return _mirrored_runs(diagonals, t0)
+
+
+def _mirrored_runs(diagonals: list[list[int]], t0: int) -> list[tuple[int, int, list[int]]]:
+    """The runs (a, b, coeffs), c_j u^(a+j) v^(b+j), of a form symmetric in u and v, from its diagonals a >= b.
+
+    Entry t of ``diagonals[delta]`` is the coefficient of u^(t0+delta+t) v^(t0+t).  Each diagonal is cut to its
+    nonzero span, and those with delta > 0, mirrored, give the diagonals a < b.
+    """
     spans = [(delta, d, list(itertools.compress(range(len(d)), d))) for delta, d in enumerate(diagonals)]
     runs = [(t0 + delta + j[0], t0 + j[0], d[j[0] : j[-1] + 1]) for delta, d, j in spans if j]
     return [(b, a, c) for a, b, c in reversed(runs) if a > b] + runs
@@ -364,8 +372,9 @@ _Key = tuple[int, int, int, int, int]
 """(g, n, e2, m, dim): all that the closed chamber formula reads of a triple or pair."""
 
 
-def _closed_square(key: _Key) -> list[int]:
-    """The row-major square of [0, dim]^2, u^a v^b at a (dim + 1) + b, of the closed core times (1+u)^m (1+v)^m.
+def _closed_square(key: _Key) -> tuple[int, list[int]]:
+    """(dim, square) of a key: the row-major square of [0, dim]^2, u^a v^b at a (dim + 1) + b, of the closed core
+    times (1+u)^m (1+v)^m.
 
     ``_diagonal_square`` checks the core's extent: as h^{0,0} = h^{dim,dim} = 1,
     it must span exactly [0, dim - m]^2, which bounds every term at once; any
@@ -377,32 +386,18 @@ def _closed_square(key: _Key) -> list[int]:
     those below it.
     """
     g, n, e2, m, dim = key
-    return _diagonal_square(_closed_diagonals(g, n, e2), m, dim + 1)
+    return dim, _diagonal_square(_closed_diagonals(g, n, e2), m, dim + 1)
 
 
-def _keyed_square(d0: Optional[int], key: Optional[_Key]) -> tuple[Optional[int], Optional[int], list[int]]:
-    """(d0, dim, square) of a resolved request; (None, None, []) when it has no key, an empty space."""
-    if key is None:
-        return None, None, []
-    return d0, key[-1], _closed_square(key)
-
-
-def _square_result(dim: Optional[int], square: list[int]) -> HodgeResult:
+def _square_result(dim: int, square: list[int]) -> HodgeResult:
     """The ``HodgeResult`` of a square that ``_diagonal_square`` checked, without ``HodgeResult``'s per-term loop."""
-    if dim is None:
-        return _EMPTY
     result = object.__new__(HodgeResult)
     result.__dict__.update(poly=_wrap(_box_terms(0, 0, dim + 1, dim + 1, square)), complex_dim=dim)
     return result
 
 
 def hodge_triples_closed(spec: TripleSpec, sigma: StabilityValue) -> HodgeResult:
-    """Hodge polynomial of N_sigma by the closed chamber formula: the terms of ``hodge_triples_square``."""
-    return _square_result(*hodge_triples_square(spec, sigma)[1:])
-
-
-def hodge_triples_square(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optional[int], Optional[int], list[int]]:
-    """(d0, dim, square) of N_sigma by the closed chamber formula; (None, None, []) for an empty space.
+    """Hodge polynomial of N_sigma by the closed chamber formula.
 
     For rank (2,1), non-critical sigma > sigma_m and d0 the chamber index,
 
@@ -416,7 +411,8 @@ def hodge_triples_square(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optio
     resolved to its key by ``_triple_key`` and the key evaluated by
     ``_closed_square``, the row-major digits of the core times e(Jac X)^2.
     """
-    return _keyed_square(*_triple_key(spec, sigma))
+    key = _triple_key(spec, sigma)[1]
+    return _EMPTY if key is None else _square_result(*_closed_square(key))
 
 
 def _triple_key(spec: TripleSpec, sigma: StabilityValue) -> tuple[Optional[int], Optional[_Key]]:
@@ -542,14 +538,11 @@ def hodge_pairs(g: int, d: int, tau: StabilityValue, fixed_det: bool = False) ->
 
     with fixed determinant the Jacobian prefactor (1+u)^g (1+v)^g is
     dropped.  Critical values are the integers in J = [d/2, d]; outside the
-    open interval the moduli space is empty.  The terms are ``_pair_square``'s.
+    open interval the moduli space is empty.  The request is resolved to its
+    key by ``_pair_key`` and the key evaluated by ``_closed_square``.
     """
-    return _square_result(*_pair_square(g, d, tau, fixed_det)[1:])
-
-
-def _pair_square(g: int, d: int, tau: StabilityValue, fixed: bool) -> tuple[Optional[int], Optional[int], list[int]]:
-    """(d0, dim, square) of ``hodge_pairs``, as ``hodge_triples_square`` gives a triple's."""
-    return _keyed_square(*_pair_key(g, d, tau, fixed))
+    key = _pair_key(g, d, tau, fixed_det)[1]
+    return _EMPTY if key is None else _square_result(*_closed_square(key))
 
 
 def _pair_key(g: int, d: int, tau: StabilityValue, fixed: bool) -> tuple[Optional[int], Optional[_Key]]:
@@ -619,25 +612,34 @@ def hodge_bundles_odd(g: int, d: int, fixed_det: bool = False) -> HodgeResult:
                       - (uv)^g (1+u)^g (1+v)^g) / ((1-uv)(1-(uv)^2)).
 
     The first numerator is e(Jac X) times the second, so e(M(2,d)) =
-    e(Jac X) e(M(2,Lambda)).  The terms are ``_bundle_square``'s: the
+    e(Jac X) e(M(2,Lambda)).  The request is resolved to its key by
+    ``_bundle_key`` and the key evaluated by ``_bundle_square``: the
     quotient divided on its diagonals (``_bundle_diagonals``), where an
     inexact division raises ``NotDivisible``, and e(Jac X) shift-added in
     by the closed formulas' kernel, which checks extent and mirror.
     """
-    return _square_result(*_bundle_square(g, d, fixed_det))
+    return _square_result(*_bundle_square(_bundle_key(g, d, fixed_det)))
 
 
-def _bundle_square(g: int, d: int, fixed: bool) -> tuple[int, list[int]]:
-    """(dim, square) of ``hodge_bundles_odd``, the square as ``_closed_square`` gives a key's.
+def _bundle_key(g: int, d: int, fixed: bool) -> tuple[int, bool]:
+    """The ``_bundle_square`` key (g, fixed) of ``hodge_bundles_odd``: the forms read an odd degree only for its
+    parity, so every odd degree of one genus shares a key.  Raises ``GenusOutOfRange`` for g < 2 and ``EvenDegree``
+    for an even degree."""
+    _require_genus(g)
+    if d % 2 == 0:
+        raise EvenDegree(f"degree must be odd, got {d}")
+    return g, fixed
+
+
+def _bundle_square(key: tuple[int, bool]) -> tuple[int, list[int]]:
+    """(dim, square) of a ``_bundle_key``, the square as ``_closed_square`` gives a key's.
 
     The runs of ``_bundle_diagonals`` span [0, 3g - 3]^2, e(M(2,Lambda)) of
     dimension 3g - 3; times (1+u)^g (1+v)^g they give e(M(2,d)), of
     dimension 4g - 3.  ``_diagonal_square`` checks that extent and that
     the square is a palindrome, and raises ``AssertionError`` otherwise.
     """
-    _require_genus(g)
-    if d % 2 == 0:
-        raise EvenDegree(f"degree must be odd, got {d}")
+    g, fixed = key
     m, dim = (0, 3 * g - 3) if fixed else (g, 4 * g - 3)
     return dim, _diagonal_square(_bundle_diagonals(g), m, dim + 1)
 
@@ -668,19 +670,17 @@ def _bundle_diagonals(g: int) -> list[tuple[int, int, list[int]]]:
     the numerator's, so the division is exact iff all three running sums
     close at 0 by the numerator's top; any other diagonal raises
     ``NotDivisible``.  The form is symmetric in u and v, so the diagonals
-    delta > 0, cut to their nonzero spans and mirrored, give the rest.
+    delta > 0, mirrored, give the rest (``_mirrored_runs``).
     """
-    runs = []
+    quotients = []
     for delta in range(g + 1):
         q = list(itertools.accumulate(_bundle_numerator(g, delta)))  # / (1 - w)
         q[::2], q[1::2] = itertools.accumulate(q[::2]), itertools.accumulate(q[1::2])  # / (1 - w^2), per parity
         if any(q[-3:]):
             message = f"diagonal {delta} of the genus-{g} bundle numerator does not divide by (1 - uv)(1 - (uv)^2)"
             raise NotDivisible(message)
-        j = list(itertools.compress(range(len(q)), q))
-        if j:
-            runs.append((delta + j[0], j[0], q[j[0] : j[-1] + 1]))
-    return [(b, a, c) for a, b, c in reversed(runs) if a > b] + runs
+        quotients.append(q)
+    return _mirrored_runs(quotients, 0)
 
 
 def hodge_bundles_via_triples(g: int, d: int) -> LaurentPoly:
@@ -700,9 +700,7 @@ def hodge_bundles_via_triples(g: int, d: int) -> LaurentPoly:
     one variable (g + 1 slots).  Packing e(Jac X) whole was slower, and
     e_(2g-1) as one divisor was slower than the heap walk.
     """
-    _require_genus(g)
-    if d % 2 == 0:
-        raise EvenDegree(f"degree must be odd, got {d}")
+    _bundle_key(g, d, False)  # refuses g < 2 and an even degree, as ``hodge_bundles_odd`` does
     d2 = (d - (4 * g - 3)) // 2
     spec = TripleSpec(g, (2, 1), d, d2)
     small = hodge_triples_closed(spec, StabilityValue(spec.sigma_m, "plus"))

@@ -741,7 +741,7 @@ def _hodge_results(draw) -> triples.HodgeResult:
 
 
 def _square(result: triples.HodgeResult) -> tuple[Optional[int], list[int]]:
-    """(dim, square) of a result: its terms in [0, dim]^2, row-major as ``hodge_triples_square`` gives them."""
+    """(dim, square) of a result: its terms in [0, dim]^2, row-major as ``triples._closed_square`` gives them."""
     dim, square = result.complex_dim, [0] * ((result.complex_dim or 0) + 1) ** 2  # an empty result has no terms
     for (a, b), c in result.poly._terms.items():
         square[a * (dim + 1) + b] = c
@@ -851,7 +851,7 @@ class TestSquareReader:
         sigmas = triples.chamber_representatives(spec)
         boxes, shift_adds = [], laurent._shift_adds
 
-        def spy(packed, n, m, height, width, half=None):
+        def spy(packed, n, m, height, width, half):
             boxes.append((n, height, width))
             return shift_adds(packed, n, m, height, width, half)
 

@@ -58,7 +58,7 @@ def _arithmetic_cost(monkeypatch, work) -> tuple[int, int, int, int, int, int]:
         tally[3] += len(self) * (len(other) if isinstance(other, LaurentPoly) else 1)
         return mul(self, other)
 
-    def counted_kernel(packed, n, m, height, width, half=None):
+    def counted_kernel(packed, n, m, height, width, half):
         tally[4] += 1
         tally[5] += height * width
         return kernel(packed, n, m, height, width, half)
@@ -155,6 +155,40 @@ def test_bundles_odd_cost_pinned(monkeypatch, fixed_det, slots):
 
     assert _arithmetic_cost(monkeypatch, work) == (0, 0, 0, 0, 1, slots)
     assert calls == {"_diagonal_square": 1, "times_binomials": 0, "__pow__": 0, "_running_sum_quotient": 0}
+
+
+def _offsets(monkeypatch, work) -> tuple[int, int]:
+    """(offsets built, their slots in all) by ``work()``, from cold caches: the calls of ``laurent._offset``."""
+    _clear_block_caches()
+    built, offset = [], laurent._offset
+
+    def counted(n, slots):
+        built.append(slots)
+        return offset(n, slots)
+
+    monkeypatch.setattr(laurent, "_offset", counted)
+    work()
+    monkeypatch.undo()
+    return len(built), sum(built)
+
+
+def test_offsets_pinned(monkeypatch):
+    """Each packed box builds its offset once, which signs its packed integer, reads its digits, or both.
+
+    Over the 21 chamber representatives of g = 6, d1 = 40, d2 = 0 (one past sigma_M, an empty space), each of the
+    20 wall terms is one ``times_binomials`` box but that of d_M = 25, which is 0 (its two ranks are both 15), and
+    each of the 20 closed chambers is one ``_diagonal_square`` box.
+    The closed forms of ``hodge_bundles_odd(24, 1)`` are one box.  ``hodge_bundles_via_triples(12, 1)`` is one
+    closed square and two packed divisions, each of a numerator, a divisor and a quotient box.  The wall sum built
+    38 offsets over 68,822 slots while ``times_binomials`` built its offset for packing and again for reading.
+    """
+    spec = triples.TripleSpec(6, (2, 1), 40, 0)
+    reps = triples.chamber_representatives(spec, include_beyond=True)
+    assert len(reps) == 21
+    assert _offsets(monkeypatch, lambda: [triples.hodge_triples_sum(spec, sigma) for sigma in reps]) == (19, 34411)
+    assert _offsets(monkeypatch, lambda: [triples.hodge_triples_closed(spec, sigma) for sigma in reps]) == (20, 34200)
+    assert _offsets(monkeypatch, lambda: triples.hodge_bundles_odd(24, 1))[0] == 1
+    assert _offsets(monkeypatch, lambda: triples.hodge_bundles_via_triples(12, 1))[0] == 7
 
 
 def test_wall_sum_packs_nothing(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 from unittest import mock
 
@@ -190,6 +191,38 @@ class TestPackedProduct:
         assert widths == [width, width]
 
 
+def _divmod_digits(value: int, n: int, slots: int) -> list[int]:
+    """The low ``slots`` balanced base-B digits of ``value``, B = 2^(8n), taken one ``divmod`` at a time."""
+    base, digits = 1 << 8 * n, []
+    for _ in range(slots):
+        value, digit = divmod(value, base)
+        if digit >= base // 2:
+            value, digit = value + 1, digit - base
+        digits.append(digit)
+    return digits
+
+
+class TestBalancedDigits:
+    """``_balanced_digits`` reads any integer modulo B^slots, into digits in [-B/2, B/2)."""
+
+    @pytest.mark.parametrize("words", [True, False], ids=["words", "byte-slices"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 10], ids=["1-byte", "2-byte", "4-byte", "8-byte", "10-byte"])
+    def test_matches_divmod_digits(self, monkeypatch, n, words):
+        """Seeded values, negative ones and ones up to twice as wide as their slots, and the edges of the balanced
+        range: the digits equal ``_divmod_digits``, whatever lies above the slots.  Slots of 1 to 8 bytes are read
+        as machine words, or by byte slices with no word formats; 10-byte slots by byte slices on either path."""
+        if not words:
+            monkeypatch.setattr(laurent, "_WORD_FORMATS", {})
+        rng = random.Random(8 * n + words)
+        for slots in (1, 2, 3, 7, 16):
+            half, box = laurent._offset(n, slots), 1 << 8 * n * slots
+            values = [0, -1, half - 1, -half, -half - 1, box - half, box, -box, 3 * box + 5]
+            for bits in rng.sample(range(1, 16 * n * slots + 1), 12):
+                values += [rng.getrandbits(bits), -rng.getrandbits(bits)]
+            for value in values:
+                assert laurent._balanced_digits(value, n, slots, half) == _divmod_digits(value, n, slots), value
+
+
 def _binomials(m: int) -> dict:
     """Terms of (1+u)^m (1+v)^m."""
     return {(i, j): math.comb(m, i) * math.comb(m, j) for i in range(m + 1) for j in range(m + 1)}
@@ -216,7 +249,8 @@ def _whole_square(runs: list, m: int, width: int) -> list:
             start, digits = a * width + b, [c.to_bytes(n, "little", signed=True) for c in coeffs]
             cells[start : start + len(coeffs) * (width + 1) : width + 1] = digits
         raw = b"".join(cells)
-    return laurent._shift_adds(laurent._signed(raw, laurent._offset(n, slots)), n, m, width, width)
+    half = laurent._offset(n, slots)
+    return laurent._shift_adds(laurent._signed(raw, half), n, m, width, width, half)
 
 
 class TestTimesBinomials:

@@ -462,6 +462,18 @@ def _oracle_square(g, n, e2, m, dim):
     return square
 
 
+def _triple_square(spec, sigma):
+    """(d0, dim, square) of a triple request: its chamber index and the ``_closed_square`` of its key."""
+    d0, key = triples._triple_key(spec, sigma)
+    return (d0, *triples._closed_square(key))
+
+
+def _pair_square(g, d, tau, fixed):
+    """(d0, dim, square) of a pair request, as ``_triple_square`` gives a triple's."""
+    d0, key = triples._pair_key(g, d, tau, fixed)
+    return (d0, *triples._closed_square(key))
+
+
 class TestClosedCore:
     """The dense diagonals of ``_closed_diagonals`` equal the series-tail extraction and the dict oracle it replaced,
     and every chamber's checked square equals the oracle times e(Jac X)^k by ``times_binomials``."""
@@ -488,25 +500,26 @@ class TestClosedCore:
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
     def test_triple_squares_match_oracle(self, g):
-        """Every chamber of g, d1 = 1..30, d2 = -2..0: the square of ``hodge_triples_square`` is the oracle's."""
+        """Every chamber of g, d1 = 1..30, d2 = -2..0: the square of its key's ``_closed_square`` is the oracle's."""
         chambers = 0
         for d2 in (-2, -1, 0):
             for d1 in range(1, 31):
                 spec = TripleSpec(g, (2, 1), d1, d2)
                 for sigma in chamber_representatives(spec):
-                    d0, dim, square = triples.hodge_triples_square(spec, sigma)
+                    d0, dim, square = _triple_square(spec, sigma)
                     assert square == _oracle_square(g, d1 - d2 - d0, -d1 + g - 1 + 2 * d0, 2 * g, dim), (spec, sigma)
                     chambers += 1
         assert chambers == sum(d1 - d1 // 2 - d2 for d2 in (-2, -1, 0) for d1 in range(1, 31))
 
     @pytest.mark.parametrize("fixed_det", [False, True], ids=["unfixed", "fixed"])
     def test_pair_squares_match_oracle(self, fixed_det):
-        """Every pair chamber of g = 2..6, d = 1..24: the square of ``_pair_square`` is the oracle's, m = g or 0."""
+        """Every pair chamber of g = 2..6, d = 1..24: the square of its key's ``_closed_square`` is the oracle's, with
+        m = g or 0."""
         chambers = 0
         for g in range(2, 7):
             for d in range(1, 25):
                 for tau in pair_chamber_representatives(d):
-                    d0, dim, square = triples._pair_square(g, d, tau, fixed_det)
+                    d0, dim, square = _pair_square(g, d, tau, fixed_det)
                     fl = d0 - 1
                     assert square == _oracle_square(g, d - 1 - fl, g + 1 - d + 2 * fl, 0 if fixed_det else g, dim)
                     chambers += 1
@@ -519,7 +532,7 @@ class TestClosedCore:
         widths, shift_adds = [], laurent._shift_adds
         monkeypatch.setattr(laurent, "_shift_adds", lambda packed, n, *box: widths.append(n) or shift_adds(packed, n, *box))
         for sigma in (sigmas[0], sigmas[len(sigmas) // 2]):
-            d0, dim, square = triples.hodge_triples_square(spec, sigma)
+            d0, dim, square = _triple_square(spec, sigma)
             assert square == _oracle_square(12, 100 - d0, -100 + 11 + 2 * d0, 24, dim)
         assert widths[:2] == [10, 10]
 
@@ -537,11 +550,11 @@ class TestClosedCore:
         pairs = [(g, d, tau, f) for g in (2, 3, 4) for d in range(1, 7) for tau in pair_chamber_representatives(d) for f in (0, 1)]
 
         def squares():
-            return [triples.hodge_triples_square(*c) for c in chambers] + [triples._pair_square(*p) for p in pairs]
+            return [_triple_square(*c) for c in chambers] + [_pair_square(*p) for p in pairs]
 
         boxes, shift_adds = [], laurent._shift_adds
 
-        def spy(packed, n, m, height, width, half=None):
+        def spy(packed, n, m, height, width, half):
             boxes.append((n, height, width))
             return shift_adds(packed, n, m, height, width, half)
 
@@ -557,7 +570,7 @@ class TestClosedCore:
         """Closed squares over 110 chambers, with diagonals of many lengths, leave nothing allocated: no format cache
         or memo outlives a call.  Packing each run by ``struct.pack`` kept about 11 kB of compiled formats here."""
         spec = TripleSpec(2, (2, 1), 1, 0)
-        triples.hodge_triples_square(spec, chamber_representatives(spec)[0])  # the first call's own set-up
+        _triple_square(spec, chamber_representatives(spec)[0])  # the first call's own set-up
         specs = [TripleSpec(3, (2, 1), d1, 0) for d1 in range(1, 21)]
         points = [(spec, sigma) for spec in specs for sigma in chamber_representatives(spec)]
         tracemalloc.start()
@@ -565,7 +578,7 @@ class TestClosedCore:
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             for point in points:
-                triples.hodge_triples_square(*point)
+                _triple_square(*point)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -611,9 +624,22 @@ class TestResolvedKeys:
                 assert dim == m - 1 + 2 * (d - 1 - fl) + g + 1 - d + 2 * fl
             assert triples._pair_key(g, d, StabilityValue(Fraction(d + 1)), fixed_det) == (None, None)
 
+    def test_bundle_keys(self):
+        """Every odd d = -9..9 of one genus g = 2..6 and one form has one bundle key, (g, fixed); an even d raises
+        ``EvenDegree`` and g = 1 ``GenusOutOfRange``, as keying, before any evaluation."""
+        for g, fixed in itertools.product(range(2, 7), (False, True)):
+            assert {triples._bundle_key(g, d, fixed) for d in range(-9, 10, 2)} == {(g, fixed)}
+            for d in range(-8, 10, 2):
+                with pytest.raises(EvenDegree, match=f"degree must be odd, got {d}"):
+                    triples._bundle_key(g, d, fixed)
+        for d, fixed in itertools.product((1, 2), (False, True)):
+            with pytest.raises(GenusOutOfRange, match="genus must be >= 2, got 1"):
+                triples._bundle_key(1, d, fixed)
+
 
 class TestClosedMemo:
-    """The Jacobian square is held per genus and the wall sums per family; holding them changes no value."""
+    """Closed triples and pairs in shuffled order, with the block and wall-sum caches warming, equal each value from
+    cold caches; the closed formulas hold no memo of their own."""
 
     def test_closed_triples_warm_equals_cold(self):
         points = []
@@ -776,8 +802,9 @@ class TestBundles:
 
     @pytest.mark.parametrize("fixed_det", [False, True], ids=["full", "fixed"])
     def test_closed_forms_match_dict_oracle(self, monkeypatch, fixed_det):
-        """``hodge_bundles_odd`` and ``_bundle_square`` equal ``_bundle_oracle`` for g = 2..40.  The kernel's slots
-        are machine words up to g = 16 (full) and 33 (fixed) and wider from there on, so both pack paths are met."""
+        """``hodge_bundles_odd`` and the ``_bundle_square`` of its key equal ``_bundle_oracle`` for g = 2..40.  The
+        kernel's slots are machine words up to g = 16 (full) and 33 (fixed) and wider from there on, so both pack paths
+        are met."""
         oracles = [_bundle_oracle(g, fixed_det) for g in range(2, 41)]
         widths, shift_adds = [], laurent._shift_adds
         monkeypatch.setattr(laurent, "_shift_adds", lambda packed, n, *box: widths.append(n) or shift_adds(packed, n, *box))
@@ -786,7 +813,7 @@ class TestBundles:
             res = hodge_bundles_odd(g, 2 * g - 1, fixed_det=fixed_det)
             assert (res.poly, res.complex_dim) == (oracle, dim), g
             square = [oracle.coeff(a, b) for a in range(dim + 1) for b in range(dim + 1)]
-            assert triples._bundle_square(g, 1, fixed_det) == (dim, square), g
+            assert triples._bundle_square(triples._bundle_key(g, 1, fixed_det)) == (dim, square), g
         wide = 34 if fixed_det else 17
         assert max(widths[: 2 * (wide - 2)]) == 8 and min(widths[2 * (wide - 2) :]) > 8
 

@@ -353,16 +353,16 @@ class TestFaultInjection:
             monkeypatch.setattr(triples, "_closed_diagonals", faulty)
         elif fault == "one-v-step-short":
 
-            def faulty(packed, n, m, height, width, half=None):
+            def faulty(packed, n, m, height, width, half):
                 for shift in [8 * n] * max(m - 1, 0) + [8 * n * width] * m:
                     packed += packed << shift
-                return laurent._balanced_digits(packed, n, height * width, wrap=True, half=half)
+                return laurent._balanced_digits(packed, n, height * width, half)
 
             monkeypatch.setattr(laurent, "_shift_adds", faulty)
         else:
             kernel = laurent._shift_adds
 
-            def faulty(packed, n, m, height, width, half=None):
+            def faulty(packed, n, m, height, width, half):
                 digits = kernel(packed, n, m, height, width, half)
                 digits[width + 1] += 1
                 return digits
