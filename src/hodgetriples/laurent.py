@@ -46,8 +46,10 @@ palindromes, so ``times_binomials`` shift-adds the whole box.
 Each packed box builds its offset h = sum (B/2) B^i (``_offset``) once, and
 its caller passes it on: ``_signed`` reads the box's two's-complement slots
 into a signed integer by h, and ``_balanced_digits`` reads an integer's low
-digits in the box back by h, modulo B^slots.  No kernel function takes an
-optional argument.
+digits in the box back by h, modulo B^slots.  A packed product builds the
+product box's alone: each operand's slots are a prefix of it, and the
+operand's offset is h shifted down by the slots it lacks.  No kernel
+function takes an optional argument.
 
 Exact division takes one of three routes.  A divisor that is 1 - u^p v^q
 up to a monomial factor, such as the 1 - uv of the wall terms' raw
@@ -59,6 +61,10 @@ back in balanced digits and accepted on a certificate, with no check
 multiply.  The rest, and every numerator that a faster route cannot
 certify, goes to long division through a max-heap of remainder keys; it is
 the oracle of both other routes and the only one to raise ``NotDivisible``.
+A divisor known in advance, e_k(uv) (1+u)^m (1+v)^m of the via-triples
+bundle route, divides a dense row-major square with no ``LaurentPoly`` at
+all (``_square_quotient``): one list operation per row and step, each step
+raising ``NotDivisible`` unless every cell outside its quotient is 0.
 """
 
 from __future__ import annotations
@@ -377,9 +383,10 @@ def _packed_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> Optional[
     bound = max(map(abs, p.values())) * max(map(abs, q.values())) * min(len(p), len(q))
     n = _slot_bytes(bound.bit_length())
     p_slots, q_slots = p_height * width + p_width + 1, q_height * width + q_width + 1
-    packed = _signed(_pack(p, pa0, pb0, (width, 1), n, p_slots), _offset(n, p_slots))
-    packed *= _signed(_pack(q, qa0, qb0, (width, 1), n, q_slots), _offset(n, q_slots))
-    return _box_terms(pa0 + qa0, pb0 + qb0, height, width, _balanced_digits(packed, n, slots, _offset(n, slots)))
+    half = _offset(n, slots)  # each operand's slots are a prefix of the product's, so its offset is half's low part
+    packed = _signed(_pack(p, pa0, pb0, (width, 1), n, p_slots), half >> 8 * n * (slots - p_slots))
+    packed *= _signed(_pack(q, qa0, qb0, (width, 1), n, q_slots), half >> 8 * n * (slots - q_slots))
+    return _box_terms(pa0 + qa0, pb0 + qb0, height, width, _balanced_digits(packed, n, slots, half))
 
 
 def times_binomials(poly: LaurentPoly, m: int) -> LaurentPoly:
@@ -677,6 +684,43 @@ def _running_sum_quotient(
         keys = zip(itertools.count(a + lo * p + sa, p), itertools.count(b + lo * q + sb, q))
         quot.update(itertools.compress(zip(keys, sums), sums))
     return quot
+
+
+def _square_quotient(square: list[int], width: int, k: int, m: int) -> dict[Exponent, int]:
+    """Terms of the row-major ``square`` over [0, width)^2 divided by e_k(uv) (1+u)^m (1+v)^m, e_k(w) = 1 + ... w^(k-1).
+
+    The square is held as a list of rows, row a the u^a coefficients, and each step is one list operation per
+    row, with no ``LaurentPoly``:
+
+    * by e_k(uv) = (1 - w^k) / (1 - w), w = uv: times 1 - w, each row less the row below it moved one column
+      right, into [0, width]^2; then running sums of stride (k, k), each row plus the quotient's row k below it
+      moved k columns right;
+    * by (1+u)^m: m passes of row a -= row a - 1 from the bottom up, each the quotient by 1 + u;
+    * by (1+v)^m: the same passes on the columns, by transposing.
+
+    A step's quotient spans k - 1 fewer rows and columns than its numerator for e_k, and one fewer row (column)
+    per pass for 1 + u (1 + v).  The quotient times the step's divisor is the numerator exactly when every cell
+    the step computes outside that extent is 0, and otherwise the step raises ``NotDivisible``.  The result
+    spans [0, width - k + 1 - m)^2.
+    """
+    rows = [square[i : i + width] + [0] for i in range(0, width * width, width)] + [[0] * (width + 1)]
+    for a in range(width, 0, -1):  # times 1 - w, from the top row down so that row a - 1 is still the old one
+        rows[a][1:] = map(operator.sub, rows[a][1:], rows[a - 1])
+    for a in range(k, width + 1):  # by 1 - w^k, from the bottom row up so that row a - k is the quotient's
+        rows[a][k:] = map(operator.add, rows[a][k:], rows[a - k])
+    side = width + 1 - k
+    if any(map(any, rows[side:])) or any(any(row[side:]) for row in rows[:side]):
+        raise NotDivisible(f"the square does not divide by e_{k}(uv): a cell outside [0, {side})^2 is nonzero")
+    rows = [row[:side] for row in rows[:side]]
+    for name in ("u", "v"):
+        for _ in range(m):
+            for a in range(1, len(rows)):
+                rows[a] = list(map(operator.sub, rows[a], rows[a - 1]))
+            if any(rows.pop()):
+                raise NotDivisible(f"the square does not divide by (1 + {name})^{m}: a nonzero row is left over")
+        rows = list(map(list, zip(*rows)))  # the v passes run on columns, and the second transpose undoes the first
+    side -= m
+    return _box_terms(0, 0, side, side, list(itertools.chain.from_iterable(rows)))
 
 
 def monomial(c: int, a: int, b: int) -> LaurentPoly:

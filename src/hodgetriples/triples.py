@@ -52,7 +52,7 @@ from typing import Literal, Optional
 
 from .blocks import TypeVector, _require_genus, chi_triples, jacobian, sym_power
 from .laurent import ONE, UV, LaurentPoly, TruncatedSeries, U, UniPoly, V, _wrap, monomial, times_binomials
-from .laurent import NotDivisible, _box_terms, _diagonal_square
+from .laurent import NotDivisible, _box_terms, _diagonal_square, _square_quotient
 
 
 class OnWall(ValueError):
@@ -693,15 +693,15 @@ def hodge_bundles_via_triples(g: int, d: int) -> LaurentPoly:
         e(N_(sigma_m+)) = e(Jac X) e(M(2,d)) e_(2g-1)
 
     and the division by e(Jac X) e_(2g-1) must be exact.  Must agree with
-    ``hodge_bundles_odd(g, d)``.  The divisor is taken in factors, each on a
-    fast route of ``LaurentPoly.__truediv__``: e_(2g-1) (1 - uv) = 1 - (uv)^(2g-1)
-    is a running sum once the numerator is multiplied by 1 - uv, and
-    e(Jac X) = (1+u)^g (1+v)^g is two packed divisions, each by a divisor in
-    one variable (g + 1 slots).  Packing e(Jac X) whole was slower, and
-    e_(2g-1) as one divisor was slower than the heap walk.
+    ``hodge_bundles_odd(g, d)``.  The chamber is resolved to its key by
+    ``_triple_key`` and its (dim, square) taken from ``_closed_square``, and
+    ``laurent._square_quotient`` divides that square by e_(2g-1)(uv), then
+    (1+u)^g, then (1+v)^g, one list operation per row, raising
+    ``NotDivisible`` at the first step that leaves a nonzero cell outside its
+    quotient's extent.
     """
     _bundle_key(g, d, False)  # refuses g < 2 and an even degree, as ``hodge_bundles_odd`` does
     d2 = (d - (4 * g - 3)) // 2
     spec = TripleSpec(g, (2, 1), d, d2)
-    small = hodge_triples_closed(spec, StabilityValue(spec.sigma_m, "plus"))
-    return small.poly * (ONE - UV) / (ONE - UV ** (2 * g - 1)) / (ONE + U) ** g / (ONE + V) ** g
+    dim, square = _closed_square(_triple_key(spec, StabilityValue(spec.sigma_m, "plus"))[1])
+    return _wrap(_square_quotient(square, dim + 1, 2 * g - 1, g))

@@ -42,7 +42,8 @@ class TestProjSpace:
 
     @pytest.mark.parametrize("n", range(51))
     def test_geometric_identity(self, n):
-        """``hodge_bundles_via_triples`` divides by 1 - (uv)^n after a product by 1 - uv, in place of e_n."""
+        """e_n (1 - uv) = 1 - (uv)^n, by which ``laurent._square_quotient`` divides by e_n as a product by 1 - uv
+        and running sums of stride (n, n)."""
         assert proj_space(n) * (ONE - UV) == ONE - UV**n
 
 
@@ -66,7 +67,8 @@ class TestJacobian:
 
     @pytest.mark.parametrize("g", [2, 3, 6, 12, 24])
     def test_factors(self, g):
-        """``hodge_bundles_via_triples`` divides by (1+u)^g and (1+v)^g in place of e(Jac)."""
+        """e(Jac) = (1+u)^g (1+v)^g, by which ``laurent._square_quotient`` divides by e(Jac) in g passes over the
+        rows and g over the columns."""
         binomials = LaurentPoly({(a, b): math.comb(g, a) * math.comb(g, b) for a in range(g + 1) for b in range(g + 1)})
         assert (ONE + U) ** g * (ONE + V) ** g == jacobian(g) == binomials
 

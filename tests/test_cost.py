@@ -178,9 +178,10 @@ def test_offsets_pinned(monkeypatch):
     Over the 21 chamber representatives of g = 6, d1 = 40, d2 = 0 (one past sigma_M, an empty space), each of the
     20 wall terms is one ``times_binomials`` box but that of d_M = 25, which is 0 (its two ranks are both 15), and
     each of the 20 closed chambers is one ``_diagonal_square`` box.
-    The closed forms of ``hodge_bundles_odd(24, 1)`` are one box.  ``hodge_bundles_via_triples(12, 1)`` is one
-    closed square and two packed divisions, each of a numerator, a divisor and a quotient box.  The wall sum built
-    38 offsets over 68,822 slots while ``times_binomials`` built its offset for packing and again for reading.
+    The closed forms of ``hodge_bundles_odd(24, 1)`` are one box, and so is ``hodge_bundles_via_triples(12, 1)``:
+    its small chamber's closed square, which it divides as lists.  The wall sum built 38 offsets over 68,822 slots
+    while ``times_binomials`` built its offset for packing and again for reading, and the via route 7 while it took
+    two packed divisions, each of a numerator, a divisor and a quotient box.
     """
     spec = triples.TripleSpec(6, (2, 1), 40, 0)
     reps = triples.chamber_representatives(spec, include_beyond=True)
@@ -188,7 +189,51 @@ def test_offsets_pinned(monkeypatch):
     assert _offsets(monkeypatch, lambda: [triples.hodge_triples_sum(spec, sigma) for sigma in reps]) == (19, 34411)
     assert _offsets(monkeypatch, lambda: [triples.hodge_triples_closed(spec, sigma) for sigma in reps]) == (20, 34200)
     assert _offsets(monkeypatch, lambda: triples.hodge_bundles_odd(24, 1))[0] == 1
-    assert _offsets(monkeypatch, lambda: triples.hodge_bundles_via_triples(12, 1))[0] == 7
+    assert _offsets(monkeypatch, lambda: triples.hodge_bundles_via_triples(12, 1))[0] == 1
+
+
+def test_packed_product_offsets_pinned(monkeypatch):
+    """A packed product builds one offset, its product box's, and signs both operands by its low parts."""
+    calls = {"_packed_product": 0, "_offset": 0}
+
+    def counted(name):
+        real = getattr(laurent, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return count
+
+    p = LaurentPoly({(a, b): (a + 1) * (b - 2) for a in range(5) for b in range(7)})
+    q = LaurentPoly({(a, b): 3 * a - b - 1 for a in range(6) for b in range(4)})
+    expected = LaurentPoly(laurent._dict_product(p._terms, q._terms))
+    for name in calls:
+        monkeypatch.setattr(laurent, name, counted(name))
+    assert p * q == expected and q * p == expected
+    assert calls == {"_packed_product": 2, "_offset": 2}
+
+
+def test_via_route_calls_pinned(monkeypatch):
+    """``hodge_bundles_via_triples`` evaluates its small chamber's key by one ``_closed_square`` and divides the
+    square as lists: no ``LaurentPoly`` product, power or division, and no running-sum or packed quotient.  Its
+    ``LaurentPoly`` route took 19 products, 3 powers and 3 divisions per call."""
+    names = ["_closed_square", "__mul__", "__pow__", "__truediv__", "_running_sum_quotient", "_packed_quotient"]
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return count
+
+    _clear_block_caches()
+    for owner, name in zip([triples, LaurentPoly, LaurentPoly, LaurentPoly, laurent, laurent], names):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for d in (1, 3):
+        assert triples.hodge_bundles_via_triples(12, d) == triples.hodge_bundles_odd(12, d).poly
+    assert calls == {**dict.fromkeys(names, 0), "_closed_square": 2}
 
 
 def test_wall_sum_packs_nothing(monkeypatch):
@@ -489,10 +534,9 @@ def test_division_cost_pinned(monkeypatch):
     A division that rescans its remainder for the top term at every step
     computes a key per remainder term per step, over a million here, and
     the heap walk one per divisor term.  The closed forms divide each
-    diagonal as a list, with no ``LaurentPoly`` division; the via-triples
-    route divides by 1 - (uv)^(2g-1) as running sums and by (1+u)^g and
-    (1+v)^g on the packed route: at genus 6 and 12 no division computes a
-    key or takes the heap walk.
+    diagonal as a list, and the via-triples route its small chamber's
+    square as a list of rows, neither with a ``LaurentPoly`` division: at
+    genus 6 and 12 no division computes a key or takes the heap walk.
     """
     _clear_block_caches()
     calls, walks = [0], [0]

@@ -569,6 +569,46 @@ class TestRunningSumDivision:
             assert packed == [dict(large.terms())]
 
 
+def _square(poly: LaurentPoly, width: int) -> list:
+    """The row-major square of ``poly`` over [0, width)^2, u^a v^b at a width + b."""
+    return [poly.coeff(a, b) for a in range(width) for b in range(width)]
+
+
+class TestSquareQuotient:
+    """``laurent._square_quotient``: a square over [0, 13)^2 divided by e_5(uv) (1+u)^3 (1+v)^3 into [0, 6)^2."""
+
+    K, M, WIDTH = 5, 3, 13
+    QUOTIENT = LaurentPoly({(0, 0): 1, (1, 0): -7, (2, 5): 3, (4, 1): 2**70, (5, 5): -1, (5, 0): 4})
+
+    def _numerator(self, extra: LaurentPoly = ZERO) -> list:
+        """The square of e_5(uv) ((1+u)^3 (1+v)^3 QUOTIENT + ``extra``)."""
+        e_k = (ONE - UV**self.K) / (ONE - UV)
+        return _square(e_k * ((ONE + U) ** self.M * (ONE + V) ** self.M * self.QUOTIENT + extra), self.WIDTH)
+
+    def test_exact(self):
+        assert laurent._square_quotient(self._numerator(), self.WIDTH, self.K, self.M) == self.QUOTIENT._terms
+
+    @pytest.mark.parametrize("step, refused", [
+        ("e", r"e_5\(uv\)"), ("u", r"\(1 \+ u\)\^3"), ("v", r"\(1 \+ v\)\^3"),
+    ])  # fmt: skip
+    def test_first_step_to_refuse(self, step, refused):
+        """A cell raised by 1 fails the division by e_5(uv); adding 1 to the cofactor of e_5(uv) passes it and fails
+        the division by (1+u)^3; adding (1+u)^3 passes that too and fails the division by (1+v)^3."""
+        square = self._numerator({"e": ZERO, "u": ONE, "v": (ONE + U) ** self.M}[step])
+        if step == "e":
+            square[3 * self.WIDTH + 8] += 1
+        with pytest.raises(NotDivisible, match=refused):
+            laurent._square_quotient(square, self.WIDTH, self.K, self.M)
+
+    def test_every_single_cell_fault_is_refused(self):
+        exact = self._numerator()
+        for cell in range(self.WIDTH**2):
+            square = list(exact)
+            square[cell] -= 1
+            with pytest.raises(NotDivisible):
+                laurent._square_quotient(square, self.WIDTH, self.K, self.M)
+
+
 def _reduced(terms: dict) -> tuple[dict, tuple[int, int]]:
     """(``terms`` shifted to both exponent minima 0, the shift taken off)."""
     a0, b0 = min(a for a, _ in terms), min(b for _, b in terms)
