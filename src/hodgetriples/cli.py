@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from . import triples, verify
+from . import blocks, triples, verify
 from .laurent import NotDivisible, _format_terms, _mono, _t_mono
 
 CACHE_ENV = "HODGETRIPLES_CACHE"
@@ -414,7 +414,8 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[int, dict, Optional[str]
     _check_choices("table", math.prod(map(len, ranges), start=len(genera)))
     grid = list(itertools.product(*ranges))
     rows = []
-    for g in genera:
+    for g in genera:  # ascending, so a genus below 2 is refused before any row is built, keyed or not
+        blocks._require_genus(g)
         for degrees in grid:
             params = {**fixed, **dict(zip(family.degrees, degrees))}
             rows.extend((g, params, stability, d0) for stability, d0 in family.chambers(g, params))

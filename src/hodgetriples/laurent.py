@@ -51,16 +51,13 @@ product box's alone: each operand's slots are a prefix of it, and the
 operand's offset is h shifted down by the slots it lacks.  No kernel
 function takes an optional argument.
 
-Exact division takes one of three routes.  A divisor that is 1 - u^p v^q
-up to a monomial factor, such as the 1 - uv of the wall terms' raw
-extraction, divides by running sums along the chains e, e + (p, q),
-e + 2 (p, q), ... of the numerator.  Every other divisor, from
-``PACKED_MIN_PAIRS`` numerator-divisor term pairs on, divides by Kronecker
-substitution: one ``divmod`` of the packed integers, the quotient read
-back in balanced digits and accepted on a certificate, with no check
-multiply.  The rest, and every numerator that a faster route cannot
-certify, goes to long division through a max-heap of remainder keys; it is
-the oracle of both other routes and the only one to raise ``NotDivisible``.
+Exact division of a ``LaurentPoly`` takes one of two routes.  A divisor
+that is 1 - u^p v^q up to a monomial factor, such as the 1 - uv of the
+wall terms' raw extraction, divides by running sums along the chains e,
+e + (p, q), e + 2 (p, q), ... of the numerator.  Every other divisor, and
+every numerator that the running sums do not divide, goes to long division
+through a max-heap of remainder keys; it is the oracle of the running sums
+and the only route to raise ``NotDivisible``.
 A divisor known in advance, e_k(uv) (1+u)^m (1+v)^m of the via-triples
 bundle route, divides a dense row-major square with no ``LaurentPoly`` at
 all (``_square_quotient``): one list operation per row and step, each step
@@ -196,20 +193,15 @@ class LaurentPoly:
         """Exact division; raises NotDivisible when no Laurent quotient exists.
 
         The divisor is reduced by its monomial content and routed on its
-        shape and size, as ``__mul__`` routes on size.  A divisor 1 - u^p v^q
-        goes to ``_running_sum_quotient``, which takes prefix sums of the
-        numerator along each chain e, e + (p, q), ... in one pass.  With the
-        numerator also reduced by its content, divisibility in the Laurent
-        ring coincides with divisibility of honest polynomials.  Any other
-        divisor of a numerator with at least ``PACKED_MIN_PAIRS`` term pairs
-        goes to ``_packed_quotient``: one ``divmod`` of the two polynomials
-        packed into big integers (Kronecker substitution), its quotient
-        accepted only when a certificate proves it the polynomial quotient.
-        Every other division, and every numerator the first two routes
-        refuse, goes to ``_heap_quotient``, long division that walks the
-        remainder from the top through a max-heap of its keys.  The heap
-        walk is the one that raises NotDivisible, so its message does not
-        depend on the route.
+        shape.  A divisor 1 - u^p v^q goes to ``_running_sum_quotient``,
+        which takes prefix sums of the numerator along each chain e,
+        e + (p, q), ... in one pass.  With the numerator also reduced by its
+        content, divisibility in the Laurent ring coincides with
+        divisibility of honest polynomials.  Every other divisor, and every
+        numerator that the running sum refuses, goes to ``_heap_quotient``,
+        long division that walks the remainder from the top through a
+        max-heap of its keys.  The heap walk is the one that raises
+        NotDivisible, so its message does not depend on the route.
         """
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
@@ -232,10 +224,7 @@ class LaurentPoly:
         pb = min(b for _, b in self._terms)
         rem = {(a - pa, b - pb): c for (a, b), c in self._terms.items()}
         shift_a, shift_b = pa - qa, pb - qb
-        quot = _packed_quotient(rem, div, (shift_a, shift_b)) if len(rem) * len(div) >= PACKED_MIN_PAIRS else None
-        if quot is None:
-            quot = {(a + shift_a, b + shift_b): c for (a, b), c in _heap_quotient(rem, div).items()}
-        return _wrap(quot)
+        return _wrap({(a + shift_a, b + shift_b): c for (a, b), c in _heap_quotient(rem, div).items()})
 
     # -- structure -------------------------------------------------------
 
@@ -311,28 +300,12 @@ def _wrap(terms: dict[Exponent, int]) -> LaurentPoly:
 # timed on every distinct product of 64 or more term pairs that the closed and
 # wall-sum sweeps, both bundle routes, ``verify`` and ``table`` perform: the
 # total time saved is flat for thresholds 96..144, and above 144 it falls.
-# ``__truediv__`` packs from the same count of numerator-divisor term pairs:
-# on dense quotients over divisors of 1 to 13 terms, packed division was
-# 0.12x to 0.89x the heap walk from 144 pairs on and 0.65x to 3.0x below it,
-# and ``verify``'s random round trips (at most 96 pairs) stay on the walk.
 PACKED_MIN_PAIRS = 144
 # Terms the smaller operand needs for the packed product.  Packing costs about
 # one slot per product exponent, so an operand of one or two terms gains
 # nothing: on those products a monomial was 1.9x to 3.0x slower packed and a
-# binomial 0.95x, while 3- and 4-term operands were 0.56x to 1.05x.  Division
-# has no such floor: monomial and binomial divisors were 0.40x to 0.61x the
-# heap walk from 144 pairs on.
+# binomial 0.95x, while 3- and 4-term operands were 0.56x to 1.05x.
 PACKED_MIN_TERMS = 3
-
-
-# Byte products of the packed division's schoolbook ``divmod``, (quotient
-# bytes) x (divisor bytes), per numerator-divisor term pair, above which a
-# division stays on the heap walk.  Timed on dense quotients of 400 to 4,900
-# terms over the divisors e_5, e_12, e_23, e(Jac) at genus 4 and 8, (1 + u)^8
-# and sparse 2-D trinomials: the packed route was 0.12x to 0.80x the heap walk
-# up to 1,835 per pair and 0.56x to 2.7x from 2,068 on (e_23 with 8-byte
-# slots 2.7x): a divisor with many slots per term, such as e_n, does not pay.
-PACKED_DIV_COST = 2048
 
 
 # Slot widths in bytes that ``memoryview.cast`` writes and reads as native
@@ -384,8 +357,8 @@ def _packed_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> Optional[
     n = _slot_bytes(bound.bit_length())
     p_slots, q_slots = p_height * width + p_width + 1, q_height * width + q_width + 1
     half = _offset(n, slots)  # each operand's slots are a prefix of the product's, so its offset is half's low part
-    packed = _signed(_pack(p, pa0, pb0, (width, 1), n, p_slots), half >> 8 * n * (slots - p_slots))
-    packed *= _signed(_pack(q, qa0, qb0, (width, 1), n, q_slots), half >> 8 * n * (slots - q_slots))
+    packed = _signed(_pack(p, pa0, pb0, width, n, p_slots), half >> 8 * n * (slots - p_slots))
+    packed *= _signed(_pack(q, qa0, qb0, width, n, q_slots), half >> 8 * n * (slots - q_slots))
     return _box_terms(pa0 + qa0, pb0 + qb0, height, width, _balanced_digits(packed, n, slots, half))
 
 
@@ -407,7 +380,7 @@ def times_binomials(poly: LaurentPoly, m: int) -> LaurentPoly:
     height, width = max(pa) - a0 + m + 1, max(pb) - b0 + m + 1
     n = _slot_bytes(max(map(abs, poly._terms.values())).bit_length() + 2 * m)
     half = _offset(n, height * width)
-    packed = _signed(_pack(poly._terms, a0, b0, (width, 1), n, height * width), half)
+    packed = _signed(_pack(poly._terms, a0, b0, width, n, height * width), half)
     return _wrap(_box_terms(a0, b0, height, width, _shift_adds(packed, n, m, height, width, half)))
 
 
@@ -490,19 +463,18 @@ def _slot_bytes(bits: int) -> int:
     return n
 
 
-def _pack(terms: dict[Exponent, int], a0: int, b0: int, strides: Exponent, n: int, slots: int) -> bytes:
+def _pack(terms: dict[Exponent, int], a0: int, b0: int, width: int, n: int, slots: int) -> bytes:
     """The two's-complement little-endian n-byte slots of ``terms``, one per digit, for ``_signed`` to read.
 
-    u^a v^b goes to slot (a - a0) s_a + (b - b0) s_b for ``strides`` (s_a, s_b),
-    so either axis can be the minor one.  Each coefficient is written signed,
-    in place through ``memoryview.cast`` for a word-width slot, or by one
-    ``to_bytes`` for a wider one (or any slot on a big-endian host).
+    u^a v^b goes to slot (a - a0) width + b - b0.  Each coefficient is
+    written signed, in place through ``memoryview.cast`` for a word-width
+    slot, or by one ``to_bytes`` for a wider one (or any slot on a
+    big-endian host).
     """
-    stride_a, stride_b = strides
     word = _WORD_FORMATS.get(n, "").lower()
     cells = memoryview(raw := bytearray(slots * n)).cast(word) if word else [bytes(n)] * slots
     for (a, b), c in terms.items():
-        cells[(a - a0) * stride_a + (b - b0) * stride_b] = c if word else c.to_bytes(n, "little", signed=True)
+        cells[(a - a0) * width + b - b0] = c if word else c.to_bytes(n, "little", signed=True)
     return raw if word else b"".join(cells)
 
 
@@ -537,71 +509,6 @@ def _balanced_digits(value: int, n: int, slots: int, half: int) -> list[int]:
     return [int.from_bytes(raw[i : i + n], "little", signed=True) for i in range(0, slots * n, n)]
 
 
-def _packed_quotient(
-    rem: dict[Exponent, int], div: dict[Exponent, int], shift: Exponent
-) -> Optional[dict[Exponent, int]]:
-    """Terms of ``rem`` / ``div`` by Kronecker substitution, each exponent moved by ``shift``, or None if not certified.
-
-    Arguments as for ``_heap_quotient`` (nonnegative exponents, both minima
-    0), but neither is consumed.  The divisor's longer axis is the minor
-    digit axis, of width W the numerator's extent along it, so a divisor in
-    u alone, such as (1 + u)^g, packs into deg + 1 slots.  A quotient has
-    the numerator's extents less the divisor's.  The numerator's box must
-    not exceed its term pairs with the divisor (so 1 + u^(10^6) never
-    packs), and the byte products of the schoolbook ``divmod`` must not
-    exceed ``PACKED_DIV_COST`` per term pair.  A slot of n bytes with
-    8n > bits(max|P|) + bits(sum|d|) holds max|P| < B/2, B = 2^(8n).  One
-    ``divmod`` of the packed integers gives q, accepted only when the
-    remainder is 0 and a certificate holds:
-
-    * 0 <= q + h < B^slots for h the ``_offset`` of the quotient's slots, so
-      q has balanced digits there (``_balanced_digits``);
-    * none of them is nonzero outside the quotient's minor-axis extent, so
-      q = Q'(B) for the polynomial Q' they spell;
-    * max|Q'| sum|d| < B/2.
-
-    Then Q' D has minor extent below W and coefficients below B/2, and packs
-    to q D(B) = P(B): two balanced base-B expansions of one integer, so
-    Q' D = P term by term.  Any failed check returns None, and the heap walk
-    decides.
-    """
-    ra, rb = zip(*rem)
-    da, db = zip(*div)
-    height_a, height_b, div_a, div_b = max(ra), max(rb), max(da), max(db)
-    slots = (height_a + 1) * (height_b + 1)
-    if height_a < div_a or height_b < div_b or slots > len(rem) * len(div):
-        return None
-    minor_u = div_a >= div_b
-    if minor_u:  # u^a v^b in slot b W + a
-        major, minor, div_major, div_minor = height_b, height_a, div_b, div_a
-    else:  # in slot a W + b
-        major, minor, div_major, div_minor = height_a, height_b, div_a, div_b
-    width, rows, cols = minor + 1, major - div_major + 1, minor - div_minor + 1
-    div_slots, quot_slots = div_major * width + div_minor + 1, rows * width
-    div_sum = sum(map(abs, div.values()))
-    n = _slot_bytes(max(map(abs, rem.values())).bit_length() + div_sum.bit_length())
-    if quot_slots * div_slots * n * n > PACKED_DIV_COST * len(rem) * len(div):
-        return None
-    strides = (1, width) if minor_u else (width, 1)
-    packed_rem = _signed(_pack(rem, 0, 0, strides, n, slots), _offset(n, slots))
-    quot, r = divmod(packed_rem, _signed(_pack(div, 0, 0, strides, n, div_slots), _offset(n, div_slots)))
-    half = _offset(n, quot_slots)
-    if r or not 0 <= quot + half < 1 << 8 * n * quot_slots:  # q has no balanced digits in the quotient's slots
-        return None
-    digits = _balanced_digits(quot, n, quot_slots, half)
-    if any(any(digits[i + cols : i + width]) for i in range(0, quot_slots, width)):
-        return None
-    coeffs = list(itertools.chain.from_iterable(digits[i : i + cols] for i in range(0, quot_slots, width)))
-    if max(map(abs, coeffs)) * div_sum >= 1 << (8 * n - 1):
-        return None
-    sa, sb = shift
-    if minor_u:
-        keys = map(operator.itemgetter(1, 0), itertools.product(range(sb, sb + rows), range(sa, sa + cols)))
-    else:
-        keys = itertools.product(range(sa, sa + rows), range(sb, sb + cols))
-    return dict(itertools.compress(zip(keys, coeffs), coeffs))
-
-
 def _heap_quotient(rem: dict[Exponent, int], div: dict[Exponent, int]) -> dict[Exponent, int]:
     """Terms of ``rem`` / ``div`` by long division, for nonnegative exponents with both minima 0.
 
@@ -615,8 +522,8 @@ def _heap_quotient(rem: dict[Exponent, int], div: dict[Exponent, int]) -> dict[E
     when popped.  If n keys enter the remainder in all, the walk costs
     O(n log n) heap work plus one dict update per divisor term per quotient
     term.  Both arguments are consumed.  It serves every division that the
-    running sums and the packed route do not take or cannot certify, and it
-    is the oracle of ``_running_sum_quotient`` and ``_packed_quotient``.
+    one faster route, ``_running_sum_quotient``, does not take or does not
+    divide, and it is that route's oracle.
     """
     lead = max(div, key=_term_key)
     lead_c = div.pop(lead)

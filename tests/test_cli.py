@@ -269,6 +269,19 @@ class TestTable:
         assert lines[0].startswith("target,genus,rank,d1,d2,degree,stability,d0,dim,poly")
         assert len(lines) >= 3
 
+    @pytest.mark.parametrize(
+        "options, genus",
+        [
+            (("--target", "bundle", "--genus", "1", "--degree", "2"), 1),
+            (("--target", "pair", "--genus", "1", "--degree", "0"), 1),
+            (("--target", "pair-fixed", "--genus", "0..1", "--degree=-3..0"), 0),
+        ],
+        ids=["bundle-even", "pair-no-chamber", "pair-fixed-range"],
+    )
+    def test_genus_below_two_refused_without_rows(self, capsys, options, genus):
+        """A genus below 2 is refused though none of its degrees keys a row, as a keyed row refuses it."""
+        assert run(capsys, "table", *options) == (2, "", f"error: genus must be >= 2, got {genus}\n")
+
     def test_empty_range(self, capsys):
         code, out, err = run(capsys, "table", "--target", "bundle", "--genus", "2", "--degree", "2..2", "--format", "json-lines")
         assert code == 0

@@ -216,9 +216,9 @@ def test_packed_product_offsets_pinned(monkeypatch):
 
 def test_via_route_calls_pinned(monkeypatch):
     """``hodge_bundles_via_triples`` evaluates its small chamber's key by one ``_closed_square`` and divides the
-    square as lists: no ``LaurentPoly`` product, power or division, and no running-sum or packed quotient.  Its
+    square as lists: no ``LaurentPoly`` product, power or division, and no running-sum quotient.  Its
     ``LaurentPoly`` route took 19 products, 3 powers and 3 divisions per call."""
-    names = ["_closed_square", "__mul__", "__pow__", "__truediv__", "_running_sum_quotient", "_packed_quotient"]
+    names = ["_closed_square", "__mul__", "__pow__", "__truediv__", "_running_sum_quotient"]
     calls = dict.fromkeys(names, 0)
 
     def counted(name, real):
@@ -229,7 +229,7 @@ def test_via_route_calls_pinned(monkeypatch):
         return count
 
     _clear_block_caches()
-    for owner, name in zip([triples, LaurentPoly, LaurentPoly, LaurentPoly, laurent, laurent], names):
+    for owner, name in zip([triples, LaurentPoly, LaurentPoly, LaurentPoly, laurent], names):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     for d in (1, 3):
         assert triples.hodge_bundles_via_triples(12, d) == triples.hodge_bundles_odd(12, d).poly
@@ -529,7 +529,7 @@ def test_wall_sum_order_independent():
 
 
 def test_division_cost_pinned(monkeypatch):
-    """Canonical-order keys computed, and heap walks taken, by the two bundle routes, which divide exactly.
+    """Canonical-order keys computed, and heap walks taken, by the two bundle routes and the package's divisions.
 
     A division that rescans its remainder for the top term at every step
     computes a key per remainder term per step, over a million here, and
@@ -537,6 +537,14 @@ def test_division_cost_pinned(monkeypatch):
     diagonal as a list, and the via-triples route its small chamber's
     square as a list of rows, neither with a ``LaurentPoly`` division: at
     genus 6 and 12 no division computes a key or takes the heap walk.
+
+    Every ``LaurentPoly`` division the package makes is by a binomial
+    1 - u^p v^q: the 1 - uv of the wall sum (one per flip, over every
+    chamber of g=6 d1=40) and of ``flip_difference_series`` (one per wall of
+    that family), and Thaddeus's 1 - t^2 (one per chamber, g 2..4, d 1..9).
+    Each division of a nonzero numerator takes one running sum, which
+    divides it, and none the heap walk; the one wall whose two ranks agree
+    divides 0, which returns before any route.
     """
     _clear_block_caches()
     calls, walks = [0], [0]
@@ -560,3 +568,36 @@ def test_division_cost_pinned(monkeypatch):
     monkeypatch.undo()
     assert calls[0] == 0
     assert walks[0] == 0
+
+    _clear_block_caches()
+    divisions, sums = [0], []
+    truediv, running_sum = LaurentPoly.__truediv__, laurent._running_sum_quotient
+
+    def counted_division(self, other):
+        divisions[0] += bool(self)  # a zero numerator returns before any route
+        return truediv(self, other)
+
+    def recorded_sum(terms, step, shift):
+        sums.append(running_sum(terms, step, shift))
+        return sums[-1]
+
+    monkeypatch.setattr(laurent, "_heap_quotient", counted_walk)
+    monkeypatch.setattr(LaurentPoly, "__truediv__", counted_division)
+    monkeypatch.setattr(laurent, "_running_sum_quotient", recorded_sum)
+    spec = triples.TripleSpec(6, (2, 1), 40, 0)
+    for sigma in triples.chamber_representatives(spec):
+        triples.hodge_triples_sum(spec, sigma)
+    per_set = [divisions[0]]
+    for _, d_M in triples.critical_values(spec):
+        if d_M > spec.mu1:
+            triples.flip_difference_series(spec, d_M)
+    per_set.append(divisions[0] - sum(per_set))
+    for g in range(2, 5):
+        for d in range(1, 10):
+            for tau in triples.pair_chamber_representatives(d):
+                triples.poincare_pairs_fixed_det_thaddeus(g, d, tau)
+    per_set.append(divisions[0] - sum(per_set))
+    monkeypatch.undo()
+    assert per_set == [19, 19, 75]
+    assert walks[0] == 0
+    assert len(sums) == divisions[0] and None not in sums

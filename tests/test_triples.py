@@ -766,7 +766,7 @@ def _bundle_oracle(g: int, fixed_det: bool) -> LaurentPoly:
 
 def _via_oracle(g: int, d: int) -> LaurentPoly:
     """``hodge_bundles_via_triples`` by ``LaurentPoly`` arithmetic: the small chamber's closed polynomial times
-    1 - uv, divided by 1 - (uv)^(2g-1) as running sums and by (1+u)^g and then (1+v)^g on the packed route."""
+    1 - uv, divided by 1 - (uv)^(2g-1) as running sums and by (1+u)^g and then (1+v)^g by the heap walk."""
     spec = TripleSpec(g, (2, 1), d, (d - (4 * g - 3)) // 2)
     small = hodge_triples_closed(spec, StabilityValue(spec.sigma_m, "plus"))
     return small.poly * (ONE - UV) / (ONE - UV ** (2 * g - 1)) / (ONE + U) ** g / (ONE + V) ** g
