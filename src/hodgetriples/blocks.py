@@ -13,6 +13,7 @@ every wall-crossing contribution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,24 +51,28 @@ def jacobian(g: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def sym_power(g: int, k: int) -> LaurentPoly:
-    """e(Sym^k X) = [x^k] (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)), as a finite sum.
+    """e(Sym^k X) = [x^k] (1+ux)^g (1+vx)^g / ((1-x)(1-uvx)), one closed coefficient per term.
 
     With w = uv, 1/((1-x)(1-wx)) has x^j coefficient h_j(1, w) = 1 + w + ... + w^j
     (Macdonald, Symmetric Functions, I.2), so the value is the sum over
     s <= min(2g, k) of E_s (1 + w + ... + w^(k-s)), with
     E_s = sum_i C(g,i) C(g,s-i) u^i v^(s-i) the x^s coefficient of
-    (1+ux)^g (1+vx)^g, the E_s of ``triples._closed_diagonals``.
+    (1+ux)^g (1+vx)^g, the E_s of ``triples._closed_diagonals``.  The term
+    C(g, t+delta) C(g, t) u^(t+delta) v^t of E_(2t+delta), times w^(b-t),
+    reaches u^(b+delta) v^b for every t <= min(b, k - delta - b).  So on the
+    diagonal delta = a - b >= 0 the coefficient of u^(b+delta) v^b is
+    P_delta(min(b, k - delta - b)) for b = 0..k - delta, with P_delta the
+    prefix sums of C(g, t+delta) C(g, t) over t; the value is symmetric in u
+    and v, and delta > min(g, k) has no term.
     """
     _require_genus(g)
     if k < 0:
         raise ValueError(f"symmetric power must be >= 0, got {k}")
     terms: dict[tuple[int, int], int] = {}
-    for s in range(min(2 * g, k) + 1):
-        for i in range(max(0, s - g), min(g, s) + 1):
-            c = math.comb(g, i) * math.comb(g, s - i)
-            for j in range(k - s + 1):
-                key = (i + j, s - i + j)
-                terms[key] = terms.get(key, 0) + c
+    for delta in range(min(g, k) + 1):
+        sums = list(itertools.accumulate(math.comb(g, t + delta) * math.comb(g, t) for t in range(g - delta + 1)))
+        for b in range(k - delta + 1):
+            terms[b + delta, b] = terms[b, b + delta] = sums[min(b, k - delta - b, g - delta)]
     return _wrap(terms)  # exact positive sums: no zero to drop, nothing to convert
 
 

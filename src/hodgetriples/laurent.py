@@ -26,10 +26,11 @@ wide enough for max|c_p| * max|c_q| * min(len p, len q) plus a sign bit,
 and lets CPython's Karatsuba multiply do the convolution.  A slot of at
 most 8 bytes is rounded up to 1, 2, 4 or 8 bytes, so that on a
 little-endian host the product's balanced digits are read a machine word at
-a time by ``memoryview.cast``; wider slots are read by byte slices.  The
-thresholds are the crossover measured on the package's own products;
-operands too sparse to pack into a box of at most one slot per term pair
-stay on the dict loop.
+a time by ``memoryview.cast``; a slot of 9 to 16 bytes is read in C too, by
+one little-endian ``struct.Struct`` per width, and only wider slots by byte
+slices.  The thresholds are the crossover measured on the package's own
+products; operands too sparse to pack into a box of at most one slot per
+term pair stay on the dict loop.
 
 The factor e(Jac X)^k = (1+u)^(kg) (1+v)^(kg) of every chamber formula has
 its own kernel, ``_shift_adds``: the other operand, packed once from a dict
@@ -312,6 +313,13 @@ PACKED_MIN_TERMS = 3
 # words (unsigned, or signed in lower case); the byte order must be
 # little-endian, as ``to_bytes`` and ``from_bytes`` take it.
 _WORD_FORMATS = {struct.calcsize(word): word for word in "BHIQ"} if sys.byteorder == "little" else {}
+# Slot widths of 9 to 16 bytes that ``_balanced_digits`` reads in C, one ``struct.Struct`` each: the low 8 bytes
+# unsigned, any middle field unsigned and the top field signed, little-endian whatever the host's byte order.  Each
+# width maps to its ``Struct`` and the bit offsets of its fields past the first.
+_WIDE_SLOTS = {
+    layout.size: (layout, tuple(8 * struct.calcsize(layout.format[:i]) for i in range(2, len(layout.format))))
+    for layout in map(struct.Struct, ("<Qb", "<Qh", "<QHb", "<Qi", "<QIb", "<QIh", "<QIHb", "<Qq"))
+}
 
 
 def _dict_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> dict[Exponent, int]:
@@ -341,8 +349,10 @@ def _packed_product(p: dict[Exponent, int], q: dict[Exponent, int]) -> Optional[
     integers are signed, one multiply gives the packed product, and
     ``_balanced_digits`` reads its coefficients back.  A slot of at most 8
     bytes is rounded up to 1, 2, 4 or 8 bytes: on a little-endian host
-    ``memoryview.cast`` then reads all slots as native words in C, where a
-    wider slot (or a big-endian host) takes one ``int.from_bytes`` per slice.
+    ``memoryview.cast`` then reads all slots as native words in C.  A slot of
+    9 to 16 bytes is read in C by its ``struct.Struct`` on any host, and
+    only a wider slot (or one of at most 8 bytes on a big-endian host) takes
+    one ``int.from_bytes`` per slice.
     """
     pa, pb = zip(*p)
     qa, qb = zip(*q)
@@ -456,6 +466,8 @@ def _slot_bytes(bits: int) -> int:
 
     At most 8 bytes round up to 1, 2, 4 or 8, a machine word that
     ``memoryview.cast`` writes and reads in C on a little-endian host.
+    9 to 16 bytes stay as they are: ``_balanced_digits`` reads each of
+    those widths in C by its own ``struct.Struct``.
     """
     n = bits // 8 + 1
     if n <= 8 and _WORD_FORMATS:
@@ -499,14 +511,32 @@ def _balanced_digits(value: int, n: int, slots: int, half: int) -> list[int]:
     digit d_i + B/2 nonnegative; value + h is taken modulo B^slots, so
     whatever lies above the low ``slots`` digits is dropped, and XOR with h
     then leaves the two's-complement bytes of d_i in each slot.  A signed
-    read of the slots gives the digits: by ``memoryview.cast`` for a
-    word-width slot, else by one ``int.from_bytes`` per slice.
+    read of the slots gives the digits, in C up to 16 bytes: by
+    ``memoryview.cast`` for a word-width slot, by the ``iter_unpack`` of the
+    slot's ``_WIDE_SLOTS`` entry for 9 to 16 bytes, its fields joined as
+    lo | hi << 64, and so on; a slot of another width (1 to 8 bytes on a
+    big-endian host, or over 16) is read by ``_slice_digits``.
     """
     raw = (((value + half) & ((1 << 8 * n * slots) - 1)) ^ half).to_bytes(slots * n, "little")
     word = _WORD_FORMATS.get(n)
     if word:
         return memoryview(raw).cast(word.lower()).tolist()
-    return [int.from_bytes(raw[i : i + n], "little", signed=True) for i in range(0, slots * n, n)]
+    if n in _WIDE_SLOTS:
+        layout, shifts = _WIDE_SLOTS[n]
+        fields = layout.iter_unpack(raw)
+        if len(shifts) == 1:
+            return [lo | hi << 64 for lo, hi in fields]
+        if len(shifts) == 2:
+            _, top = shifts
+            return [lo | mid << 64 | hi << top for lo, mid, hi in fields]
+        _, upper, top = shifts
+        return [lo | mid << 64 | high << upper | hi << top for lo, mid, high, hi in fields]
+    return _slice_digits(raw, n)
+
+
+def _slice_digits(raw: bytes, n: int) -> list[int]:
+    """The signed little-endian n-byte slots of ``raw``, one ``int.from_bytes`` each: widths no C read takes."""
+    return [int.from_bytes(raw[i : i + n], "little", signed=True) for i in range(0, len(raw), n)]
 
 
 def _heap_quotient(rem: dict[Exponent, int], div: dict[Exponent, int]) -> dict[Exponent, int]:

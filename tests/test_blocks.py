@@ -82,6 +82,19 @@ def _series_sym_power(g, k):
     return TruncatedSeries.rational(k, [(U, g), (V, g)], [ONE, UV]).coeff(k)
 
 
+def _finite_sum_sym_power(g, k):
+    """e(Sym^k X) as the sum over s <= min(2g, k) of E_s (1 + uv + ... + (uv)^(k-s)), one dict update per term of
+    each product: ``sym_power`` before it took one closed coefficient per term."""
+    terms = {}
+    for s in range(min(2 * g, k) + 1):
+        for i in range(max(0, s - g), min(g, s) + 1):
+            c = math.comb(g, i) * math.comb(g, s - i)
+            for j in range(k - s + 1):
+                key = (i + j, s - i + j)
+                terms[key] = terms.get(key, 0) + c
+    return LaurentPoly(terms)
+
+
 class TestSymPower:
     def test_point(self):
         assert sym_power(2, 0) == ONE
@@ -98,6 +111,12 @@ class TestSymPower:
     @pytest.mark.parametrize("k", range(9))
     def test_matches_convolution_oracle(self, g, k):
         assert sym_power(g, k) == sym_power_oracle(g, k)
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_matches_finite_sum(self, g):
+        """Every k <= 50: below k = g, where the diagonals stop at delta = k, and past k = 2g, where s stops at 2g."""
+        for k in range(51):
+            assert sym_power(g, k) == _finite_sum_sym_power(g, k), k
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(2, 7), st.integers(0, 40))

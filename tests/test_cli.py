@@ -858,7 +858,7 @@ class TestSquareReader:
 
     def test_wide_slots_match_wall_sum(self, capsys, monkeypatch):
         """The lowest and a middle chamber of g=12, d1=100, d2=0, whose kernel slots are wider than a machine word, so
-        their digits are read by ``int.from_bytes``, each shift-added on rows 0..68 of its 135 x 135 square, one past
+        their digits are read by a ``struct.Struct``, each shift-added on rows 0..68 of its 135 x 135 square, one past
         the middle: the record, half read and mirrored, equals the sorted text of the wall sum."""
         spec = triples.TripleSpec(12, (2, 1), 100, 0)
         sigmas = triples.chamber_representatives(spec)

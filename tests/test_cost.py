@@ -236,6 +236,29 @@ def test_via_route_calls_pinned(monkeypatch):
     assert calls == {**dict.fromkeys(names, 0), "_closed_square": 2}
 
 
+def test_wide_slots_read_in_c(monkeypatch):
+    """Kernel slots of 9 to 16 bytes are read by their ``struct.Struct``, none by ``_slice_digits``, the per-slot read:
+    the 12-byte slots of ``hodge_bundles_odd(24, 1)``'s full form and the 10-byte slots of
+    ``hodge_bundles_via_triples(12, 1)``'s closed square."""
+    widths, sliced, digits, slice_digits = [], [], laurent._balanced_digits, laurent._slice_digits
+
+    def counted(value, n, slots, half):
+        widths.append(n)
+        return digits(value, n, slots, half)
+
+    def counted_slices(raw, n):
+        sliced.append(n)
+        return slice_digits(raw, n)
+
+    _clear_block_caches()
+    monkeypatch.setattr(laurent, "_balanced_digits", counted)
+    monkeypatch.setattr(laurent, "_slice_digits", counted_slices)
+    assert triples.hodge_bundles_odd(24, 1).complex_dim == 93
+    assert triples.hodge_bundles_via_triples(12, 1) == triples.hodge_bundles_odd(12, 1).poly
+    assert {12, 10} <= set(widths)
+    assert [n for n in sliced if 9 <= n <= 16] == []
+
+
 def test_wall_sum_packs_nothing(monkeypatch):
     """Each wall term multiplies only by its two-term numerator, on the dict loop: the wall sum packs no product."""
     _clear_block_caches()

@@ -172,7 +172,7 @@ class TestPackedProduct:
         """3 x 3 boxes whose bound max|c_p| max|c_q| 9 needs slots of ``width`` bytes.
 
         Slots of 1 to 8 bytes round up to a machine word and are read through
-        ``memoryview.cast``; wider ones are read by byte slices.  With all
+        ``memoryview.cast``; 11-byte ones by their ``struct.Struct``.  With all
         coefficients positive, no packed integer or digit is negative.
         """
         sign = (lambda i: (-1) ** (i // 2)) if mixed else (lambda i: 1)
@@ -204,21 +204,38 @@ class TestBalancedDigits:
     """``_balanced_digits`` reads any integer modulo B^slots, into digits in [-B/2, B/2)."""
 
     @pytest.mark.parametrize("words", [True, False], ids=["words", "byte-slices"])
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 10], ids=["1-byte", "2-byte", "4-byte", "8-byte", "10-byte"])
+    @pytest.mark.parametrize("n", [*range(1, 17), 24], ids=lambda n: f"{n}-byte")
     def test_matches_divmod_digits(self, monkeypatch, n, words):
-        """Seeded values, negative ones and ones up to twice as wide as their slots, and the edges of the balanced
-        range: the digits equal ``_divmod_digits``, whatever lies above the slots.  Slots of 1 to 8 bytes are read
-        as machine words, or by byte slices with no word formats; 10-byte slots by byte slices on either path."""
+        """Seeded values, negative ones and ones up to twice as wide as their slots, and digits drawn from the edges
+        -B/2 and B/2 - 1 of the balanced range: the digits equal ``_divmod_digits``, whatever lies above the slots.
+        On the word path slots of 1 to 8 bytes are read as machine words and 9 to 16 bytes by their ``struct.Struct``;
+        with neither table, every width is read by ``_slice_digits``, as 24-byte slots are on both paths."""
         if not words:
             monkeypatch.setattr(laurent, "_WORD_FORMATS", {})
-        rng = random.Random(8 * n + words)
+            monkeypatch.setattr(laurent, "_WIDE_SLOTS", {})
+        rng, base = random.Random(8 * n + words), 1 << 8 * n
         for slots in (1, 2, 3, 7, 16):
             half, box = laurent._offset(n, slots), 1 << 8 * n * slots
             values = [0, -1, half - 1, -half, -half - 1, box - half, box, -box, 3 * box + 5]
             for bits in rng.sample(range(1, 16 * n * slots + 1), 12):
                 values += [rng.getrandbits(bits), -rng.getrandbits(bits)]
+            for _ in range(4):
+                choices = (-base // 2, base // 2 - 1, -1, rng.randrange(-base // 2, base // 2))
+                edges = [rng.choice(choices) for _ in range(slots)]
+                value = sum(digit << 8 * n * i for i, digit in enumerate(edges))
+                assert laurent._balanced_digits(value - 2 * box, n, slots, half) == edges
+                values += [value, value + box]
             for value in values:
                 assert laurent._balanced_digits(value, n, slots, half) == _divmod_digits(value, n, slots), value
+
+    def test_wide_slot_table(self):
+        """One little-endian ``struct.Struct`` for each width 9..16, of that size: an unsigned low 8 bytes, unsigned
+        middle fields and a signed top field."""
+        assert sorted(laurent._WIDE_SLOTS) == list(range(9, 17))
+        for n, (layout, _) in laurent._WIDE_SLOTS.items():
+            fields = layout.format[1:]
+            assert layout.size == n and layout.format[0] == "<" and fields[0] == "Q", n
+            assert fields[:-1].isupper() and fields[-1].islower(), n
 
 
 def _binomials(m: int) -> dict:
@@ -273,7 +290,7 @@ class TestTimesBinomials:
         A positive and a negated (m+1) x (m+1) box of c each reach a product
         coefficient of +-c 4^m, the bound itself.  Slots of 1 to 8 bytes are
         machine words; 12-byte slots, which the odd-degree bundle forms reach
-        at genus 24, are read by byte slices.
+        at genus 24, are read by their ``struct.Struct``.
         """
         c = 2 ** (8 * n - 1 - 2 * m) - 1
         terms = {(i - 1, j + 2): c for i in range(m + 1) for j in range(m + 1)}
