@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import fcntl
 import io
 import itertools
 import json
@@ -30,6 +31,7 @@ import math
 import os
 import re
 import sys
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -37,7 +39,7 @@ from . import blocks, triples, verify
 from .laurent import NotDivisible, _format_terms, _mono, _t_mono
 
 CACHE_ENV = "HODGETRIPLES_CACHE"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # Stamped on every cache line; a line of another revision is recomputed.  Bump
 # it with any change that could alter the bytes of a record for some input.
 FORMULA_REVISION = 1
@@ -422,16 +424,21 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[int, dict, Optional[str]
     return rows
 
 
-_CACHE_HEAD = f'{{"schema_version":{SCHEMA_VERSION},"formula_revision":'
+# A cache line is ``{"schema_version":3,"crc32":"xxxxxxxx",`` then the stamped
+# bytes ``"formula_revision":N,"record":{...}}``: the stamp is the CRC-32 of those
+# bytes, up to and with the line's closing ``}``, in 8 lowercase hex digits.
+_CACHE_PREFIX = f'{{"schema_version":{SCHEMA_VERSION},"crc32":"'.encode("ascii")
+_STAMP_END = len(_CACHE_PREFIX) + 8  # the stamp's digits run from the prefix to here
+_STAMPED = _STAMP_END + 2  # the stamped bytes follow the stamp's closing quote and comma
+_REVISION = _STAMPED + len(b'"formula_revision":')  # where the revision's digits start
 _POINCARE = ',"poincare":'  # the text opening a record's last key, where ``_json_record`` cuts
 
-# The grammar of a cache line: exactly what ``_save_cache`` writes around the
-# echo of ``_request_echo`` and the body of ``_compute_record``.  Integers are
+# The head grammar of a cache line, up to where its request echo closes: what
+# ``_save_cache`` writes before the body of ``_compute_record``.  Integers are
 # spelled as ``str`` spells an int: no leading zero, no "-0", no "+".
 _NAT = "(?!0[0-9])[0-9]+"  # the lookahead runs faster in ``re`` than the alternation of ``_INT``
 _INT = "(?:0|-?[1-9][0-9]*)"
 _RATIONAL = f"{_INT}(?:/[1-9][0-9]*)?[+-]?"  # a stability value as ``StabilityValue.__str__`` spells it
-_COEFF = '"-?[1-9][0-9]*"'  # a nonzero coefficient, as a decimal string
 
 
 def _request_grammar(family: _Family) -> str:
@@ -445,104 +452,100 @@ def _request_grammar(family: _Family) -> str:
     return grammar
 
 
-def _list_grammar(item: str) -> str:
-    return rf"\[(?:{item}(?:,{item})*)?\]"
-
-
 _REQUEST = "|".join(map(_request_grammar, _FAMILIES))
-_TERMS = _list_grammar(rf'\{{"u":{_NAT},"v":{_NAT},"c":{_COEFF}\}}')
-_DIAGONAL = _list_grammar(rf'\{{"t":{_NAT},"c":{_COEFF}\}}')
 _RECORD_OPEN = b',"record":'
 _OTHER_SCHEMA = re.compile(rb'\{"schema_version":(?!%d,)[0-9]+,' % SCHEMA_VERSION)
-# The grammar of a cache line, split where the request echo closes: the head,
-# up to the echo's ``},``, and the body, the rest of the record and the line's
-# closing ``}``.  A request holds no ``}``, so every line of the language has
-# its first ``}`` where the echo closes, and a line is in the language exactly
-# when its text up to 2 bytes past its first ``}`` matches ``_CACHE_LINE_HEAD``
-# and the rest ``_CACHE_LINE_BODY``.  No possessive quantifier or atomic group
-# (Python 3.11 and up): every choice is settled within a few characters, so a
-# match takes time linear in the line.  No group captures: ``_cache_line``
-# cuts the fields out at fixed delimiters.
+# A request holds no ``}``, so the head ends 2 bytes past the line's first
+# ``}``.  No group captures: ``_cache_line`` cuts the fields out at fixed
+# delimiters.
 _CACHE_LINE_HEAD = re.compile(
-    (re.escape(_CACHE_HEAD) + rf'{_NAT},"record":\{{"request":\{{(?:{_REQUEST})\}},').encode("ascii")
-)
-_CACHE_LINE_BODY = re.compile(
-    rf'"dim":(?:{_NAT}|null),"terms":{_TERMS},"poincare":{_DIAGONAL}\}}\}}\n?'.encode("ascii")
+    re.escape(_CACHE_PREFIX)
+    + rf'[0-9a-f]{{8}}","formula_revision":{_NAT},"record":\{{"request":\{{(?:{_REQUEST})\}},'.encode("ascii")
 )
 
 
 def _cache_line(line: bytes, bodies: dict[str, str]) -> Optional[tuple[int, str, str]]:
-    """(formula revision, request echo, record body) of a line spelled as ``_save_cache`` writes it, else None.
+    """(formula revision, request echo, record body) of a line whose stamp verifies, else None.
 
-    The line must be in the language of ``_CACHE_LINE_HEAD`` then
-    ``_CACHE_LINE_BODY``: the head
-    ``{"schema_version":2,"formula_revision":N,"record":`` and a record with
-    the keys ``request``, ``dim``, ``terms`` and ``poincare`` in that order,
-    closing the line.  The request echoes the target, genus, rank (triples
-    only), degrees, and the stability value with its chamber index d0 (an
-    integer or ``null``); ``dim`` is a natural number or ``null``; each term
-    is ``{"u":a,"v":b,"c":"k"}`` and each ``poincare`` entry
-    ``{"t":k,"c":"k"}``, with k a nonzero decimal.  So a line holding
-    whitespace, an escape, a float, "-0", a reordered or extra key, a value
-    of another shape or a byte outside ASCII is refused, and ``_POINCARE``
-    occurs once.  Nothing is decoded as JSON.
+    A line is read when, checked in this order, it opens with the schema-3
+    prefix ``{"schema_version":3,"crc32":"``; its 8 stamp digits are, byte
+    for byte, the lowercase hex CRC-32 of its bytes from
+    ``"formula_revision"`` to its last byte but a newline; its head, up to 2
+    bytes past its first ``}``, is in ``_CACHE_LINE_HEAD``: the stamp, the
+    revision, then ``"record":`` and the request echo, which holds the
+    target, genus, rank (triples only), degrees, and the stability value
+    with its chamber index d0 (an integer or ``null``); and its last byte
+    but a newline is the ``}`` that closes it.  So any line whose bytes
+    differ from the bytes ``_save_cache`` stamped is refused, a request
+    echo edited to another row's included, and so is any head spelled
+    otherwise: whitespace, an escape, a float, "-0", a reordered or extra
+    key, a byte outside ASCII.  The body is not matched against a grammar:
+    a good stamp on a bad body comes only from a writer bug or a forged
+    stamp.  Nothing is decoded as JSON.
 
-    The head, up to 2 bytes past the line's first ``}``, is matched on every
-    line.  The body, from there to the line's last ``}``, which closes the
-    line, is looked up by its text in ``bodies``, which maps each body that
-    has passed ``_CACHE_LINE_BODY`` to itself: only a body not found there is
-    matched, and it is added once it matches.  So each distinct body is
-    matched once per ``bodies``, and the lines that share a body share one
-    string.  The other fields are slices at fixed delimiters: the revision
-    runs from the head to the first comma, and the echo ``{"request":{...},``
-    from ``,"record":`` to the end of the head.
+    The fields are slices at fixed delimiters: the revision runs to the
+    first comma after its key, the echo ``{"request":{...},`` from
+    ``,"record":`` to the end of the head, and the body from there to the
+    closing ``}``.  The body is looked up by its text in ``bodies``, which
+    maps each body read so far to itself, so the lines that share a body
+    share one string.
     """
-    cut = line.find(b"}") + 2
     end = len(line) - line.endswith(b"\n") - 1  # the line's closing brace
-    if not 2 <= cut <= end or line[end] != 0x7D or _CACHE_LINE_HEAD.fullmatch(line, 0, cut) is None:
+    cut = line.find(b"}") + 2
+    if (
+        not line.startswith(_CACHE_PREFIX)
+        or line[len(_CACHE_PREFIX) : _STAMP_END] != b"%08x" % zlib.crc32(line[_STAMPED : end + 1])
+        or _CACHE_LINE_HEAD.fullmatch(line, 0, cut) is None
+        or not cut <= end
+        or line[end] != 0x7D
+    ):
         return None
-    text = line[cut:end].decode("latin-1")  # every byte decodes, and only ASCII passes the body grammar
-    body = bodies.get(text)
-    if body is None:
-        if _CACHE_LINE_BODY.fullmatch(line, cut) is None:
-            return None
-        body = bodies[text] = text
-    comma = line.index(b",", len(_CACHE_HEAD))
-    return int(line[len(_CACHE_HEAD) : comma]), line[comma + len(_RECORD_OPEN) : cut].decode("ascii"), body
+    text = line[cut:end].decode("latin-1")  # every byte decodes, and ``_save_cache`` encodes it back alike
+    comma = line.index(b",", _REVISION)
+    echo = line[comma + len(_RECORD_OPEN) : cut].decode("ascii")
+    return int(line[_REVISION:comma]), echo, bodies.setdefault(text, text)
+
+
+def _read_cache(path: str) -> tuple[dict[str, str], int, int, int]:
+    """(body of each record by its request echo, bad lines, lines of another schema, records of another revision).
+
+    Reads the file at ``path`` line by line with ``_cache_line``, in one
+    memo of bodies; an ``OSError`` of the read is raised.
+    """
+    cache: dict[str, str] = {}
+    bodies: dict[str, str] = {}
+    dropped = outdated = stale = 0
+    # a buffer past the ~10 kB lines of a large table, which an 8 kB default splits
+    with open(path, "rb", buffering=1 << 20) as handle:
+        for line in handle:
+            read = _cache_line(line, bodies)
+            if read is None and _OTHER_SCHEMA.match(line):
+                outdated += 1
+            elif read is None:
+                dropped += 1
+            elif read[0] != FORMULA_REVISION:
+                stale += 1
+            else:
+                cache[read[1]] = read[2]
+    return cache, dropped, outdated, stale
 
 
 def _load_cache(path: str) -> tuple[dict[str, str], bool]:
-    """(body of each record by its request echo, whether the file needs rewriting).
+    """(body of each record by its request echo, whether the file needs rewriting), with a warning per kind of drop.
 
     Each line is read on its own by ``_cache_line``, so a bad line
-    (truncated, a record of another shape, or any spelling other than the
-    one ``_save_cache`` writes, as a line without a revision stamp has) is
-    dropped and counted, the rest kept.  Lines of another
-    ``schema_version``, as schema 1, or of another formula revision are
-    dropped and counted apart, so their records are recomputed.  Records are
-    held as their JSON text, never decoded here, so a large table holds a
-    few bytes per term.  The memo of bodies that passed the grammar lives
-    for this one read: each distinct body is matched once per run, and the
-    records that share a body hold one string.
+    (truncated, damaged, edited, or any spelling other than the one
+    ``_save_cache`` writes) is dropped and counted, the rest kept.  Lines of
+    another ``schema_version``, as schema 2, or of another formula revision
+    are dropped and counted apart, so their records are recomputed.
+    Records are held as their JSON text, never decoded here, so a large
+    table holds a few bytes per term.  The memo of bodies lives for this
+    one read: the records that share a body hold one string.
     """
-    cache: dict[str, str] = {}
     if not path or not os.path.exists(path):
-        return cache, False
-    bodies: dict[str, str] = {}
-    dropped = outdated = stale = 0
+        return {}, False
     try:
-        # a buffer past the ~10 kB lines of a large table, which an 8 kB default splits
-        with open(path, "rb", buffering=1 << 20) as handle:
-            for line in handle:
-                read = _cache_line(line, bodies)
-                if read is None and _OTHER_SCHEMA.match(line):
-                    outdated += 1
-                elif read is None:
-                    dropped += 1
-                elif read[0] != FORMULA_REVISION:
-                    stale += 1
-                else:
-                    cache[read[1]] = read[2]
+        cache, dropped, outdated, stale = _read_cache(path)
     except OSError as exc:
         _warn(path, f"is unreadable: {exc}; recomputing and overwriting")
         return {}, True
@@ -562,22 +565,35 @@ def _warn(path: str, problem: str) -> None:
 
 
 def _save_cache(path: str, cache: dict[str, str]) -> None:
-    """Write the cache beside ``path`` and rename it over the old file, so a failed write loses nothing.
+    """Merge the cache into the file at ``path`` under a lock, by a write beside it and a rename over it.
 
-    ``cache`` maps each request echo to the body of its record.  Each line
-    is the compact JSON of {schema_version, formula_revision, record}, the
-    record spliced from its echo and body, in the order of the echoes.  The
-    new file is flushed and synced to disk before the rename, so a crash
-    cannot leave the rename pointing at unwritten data.
+    ``cache`` maps each request echo to the body of its record.  The run
+    holds an exclusive ``flock`` on the sidecar ``<path>.lock`` while it
+    re-reads the file, without warnings, merges in the records of echoes
+    it does not hold (its own win), writes, syncs and renames; so of two
+    runs that save into one file, the later keeps what the earlier wrote.
+    Each line is ``{"schema_version":3,"crc32":"xxxxxxxx",`` then the
+    stamped bytes ``"formula_revision":N,"record":{...}}``, the record
+    spliced from its echo and body, in the order of the echoes; the stamp
+    is ``zlib.crc32`` of the stamped bytes in 8 lowercase hex digits.  Each
+    line is compact JSON.  The new file is flushed and synced to disk
+    before the rename, so a crash cannot leave the rename pointing at
+    unwritten data, and a failed write loses nothing.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for echo in sorted(cache):
-                handle.write(f'{_CACHE_HEAD}{FORMULA_REVISION},"record":{echo}{cache[echo]}}}\n')
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        with open(f"{path}.lock", "ab") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the lock file closes
+            with contextlib.suppress(OSError):  # a file gone or unreadable is overwritten
+                cache = {**_read_cache(path)[0], **cache}
+            with open(tmp, "wb") as handle:
+                for echo in sorted(cache):
+                    stamped = b'"formula_revision":%d,"record":%s%s}' % (
+                        FORMULA_REVISION, echo.encode("latin-1"), cache[echo].encode("latin-1"))
+                    handle.write(b'%s%08x",%s\n' % (_CACHE_PREFIX, zlib.crc32(stamped), stamped))
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)

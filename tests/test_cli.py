@@ -1,6 +1,7 @@
 import builtins
 import contextlib
 import errno
+import fcntl
 import functools
 import gc
 import hashlib
@@ -10,11 +11,12 @@ import json
 import operator
 import os
 import re
+import select
 import subprocess
 import sys
 import tempfile
 import tracemalloc
-import types
+import zlib
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -56,6 +58,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _stamped_line(record: bytes, revision: int = cli.FORMULA_REVISION) -> bytes:
+    """The schema-3 cache line of ``record``, without its newline: its stamp is the CRC-32, in 8 lowercase hex
+    digits, of its bytes from ``"formula_revision"`` to its closing brace."""
+    stamped = b'"formula_revision":%d,"record":%s}' % (revision, record)
+    return b'{"schema_version":3,"crc32":"%08x",%s' % (zlib.crc32(stamped), stamped)
 
 
 class TestCompute:
@@ -255,6 +264,14 @@ class TestTable:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
+    def test_formula_revision_pinned_to_golden_records(self):
+        """The formula revision and the bytes of the recorded JSON records change together: a change to a record's
+        bytes must bump ``FORMULA_REVISION``, which makes caches recompute what an older revision wrote, and pin the
+        new digest here."""
+        digest = hashlib.sha256(b"".join(path.read_bytes() for path in sorted(GOLDEN.glob("*json*.txt"))))
+        assert (cli.FORMULA_REVISION, digest.hexdigest()) == (
+            1, "76cc11b6252b368b7034fcc1bd7bde5ba813dc86b1dd1906360fed935735b405")
+
     def test_json_lines(self, capsys):
         code, out, err = run(capsys, "table", "--target", "pair-fixed", "--genus", "2", "--degree", "1..2", "--format", "json-lines")
         assert code == 0
@@ -382,7 +399,8 @@ class TestTable:
 
     @pytest.mark.parametrize("options", [options for options, _ in TABLES.values()], ids=list(TABLES))
     def test_rows_served_under_their_echo(self, capsys, tmp_path, monkeypatch, options):
-        """Each row's request echo opens the record written for it, so a warm run evaluates nothing and rewrites nothing."""
+        """Each row's request echo opens the record written for it, so a warm run evaluates nothing, takes no lock and
+        rewrites nothing."""
         cache = tmp_path / "records.jsonl"
         cold = run(capsys, "table", *options, "--cache", str(cache))
         rows = cli._table_rows(cli.build_parser().parse_args(["table", *options]))
@@ -390,14 +408,16 @@ class TestTable:
         assert [line[: len(echo)] for line, echo in zip(cold[1].splitlines(), echoes, strict=True)] == echoes
         assert sorted(cli._load_cache(str(cache))[0]) == sorted(echoes)
         written, inode = cache.read_bytes(), cache.stat().st_ino
-        computed = []
+        computed, locked = [], []
         monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a))
-        assert run(capsys, "table", *options, "--cache", str(cache)) == cold and computed == []
+        monkeypatch.setattr(cli.fcntl, "flock", lambda *a: locked.append(a))
+        assert run(capsys, "table", *options, "--cache", str(cache)) == cold and computed == locked == []
         assert (cache.read_bytes(), cache.stat().st_ino) == (written, inode)
 
     def test_partly_warm_run_copies_no_cached_text(self, capsys, tmp_path):
         """A row whose cache line is gone is computed afresh, though a row before it that shares its core is served
-        a cached record edited to a wrong coefficient, still well formed: a run reuses only the records it computed."""
+        a cached record edited to a wrong coefficient, still well formed and stamped again: a run reuses only the
+        records it computed."""
         cache = tmp_path / "records.jsonl"
         options = (*TABLES["triple"][0], "--poincare", "--cache", str(cache))
         cold = run(capsys, "table", *options)[1].splitlines()
@@ -405,18 +425,18 @@ class TestTable:
         keys = [cli._triple_row_key("triple", g, params, d0) for g, params, _, d0 in rows]
         first, later = next((keys.index(key), j) for j, key in enumerate(keys) if keys.index(key) < j)
         edited = cold[first].replace('{"u":0,"v":0,"c":"1"}', '{"u":0,"v":0,"c":"7"}', 1)
-        head = f'{cli._CACHE_HEAD}{cli.FORMULA_REVISION},"record":'
-        lines = cache.read_text(encoding="utf-8").splitlines()
-        changes = {f"{head}{cold[first]}}}": f"{head}{edited}}}", f"{head}{cold[later]}}}": ""}
-        assert edited != cold[first] and set(changes) <= set(lines)
-        cache.write_text("".join(f"{line}\n" for line in (changes.get(line, line) for line in lines) if line), encoding="utf-8")
+        lines = cache.read_bytes().splitlines()
+        stamped = {_stamped_line(cold[first].encode()): _stamped_line(edited.encode())}
+        stamped[_stamped_line(cold[later].encode())] = b""
+        assert edited != cold[first] and set(stamped) <= set(lines)  # the edited line is stamped again, so it is read
+        cache.write_bytes(b"".join(b"%s\n" % line for line in (stamped.get(line, line) for line in lines) if line))
         code, out, err = run(capsys, "table", *options)
         assert (code, err) == (0, "")
         assert out.splitlines() == [*cold[:first], edited, *cold[first + 1 :]]  # the edited line serves its own row only
 
     def test_schema_1_cache_rewritten_once(self, capsys, tmp_path, monkeypatch):
         """A cache file as the schema-1 cli wrote it, with a key before each record: its lines are dropped with one
-        out-of-date warning (not "corrupt"), every record is recomputed with the same output and rewritten in schema 2,
+        out-of-date warning (not "corrupt"), every record is recomputed with the same output and rewritten in schema 3,
         and the next run is quiet."""
         cache = tmp_path / "records.jsonl"
         schema_1 = (
@@ -438,21 +458,61 @@ class TestTable:
         code, out, err = run(capsys, *argv, "--cache", str(cache))
         assert (code, out, len(computed)) == (0, cold[1], 2)
         assert err == f"warning: cache file {cache} has 2 line(s) of another cache schema; recomputing them and rewriting the file\n"
-        head = b'{"schema_version":2,"formula_revision":%d,"record":' % cli.FORMULA_REVISION
-        records = [line[line.index(b'"record":') + len(b'"record":') :] for line in schema_1.splitlines()]
-        assert cache.read_bytes().splitlines() == sorted(head + record for record in records)  # in the order of the echoes
+        records = [line[line.index(b'"record":') + len(b'"record":') : -1] for line in schema_1.splitlines()]
+        assert cache.read_bytes().splitlines() == [_stamped_line(record) for record in sorted(records)]  # by echo
         assert run(capsys, *argv, "--cache", str(cache)) == (0, cold[1], "") and len(computed) == 2
 
+    def test_schema_2_cache_rewritten_once(self, capsys, tmp_path, monkeypatch):
+        """A cache file as the schema-2 cli wrote it, unstamped: one out-of-date warning, every record recomputed
+        with the same output, the file rewritten in schema 3 with the bytes a cold run writes, and the next run
+        quiet and computing nothing."""
+        cache, cold_cache = tmp_path / "records.jsonl", tmp_path / "cold.jsonl"
+        argv = ["table", "--target", "triple", "--genus", "2", "--d1", "1..3", "--d2", "0", "--poincare"]
+        cold = run(capsys, *argv, "--cache", str(cold_cache))
+        records = sorted(cold[1].encode().splitlines())
+        cache.write_bytes(b"".join(b'{"schema_version":2,"formula_revision":1,"record":%s}\n' % r for r in records))
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (0, cold[1]) and len(computed) == len(records) == 4
+        assert err == f"warning: cache file {cache} has 4 line(s) of another cache schema; recomputing them and rewriting the file\n"
+        assert cache.read_bytes() == cold_cache.read_bytes()
+        assert run(capsys, *argv, "--cache", str(cache)) == (0, cold[1], "") and len(computed) == 4
+
+    def test_echo_edited_to_another_rows_dropped(self, capsys, tmp_path, monkeypatch):
+        """A line whose request echo is edited to another row's, still well spelled, fails its stamp: it is dropped
+        with a warning, the row whose echo it took is served its own record, and the file is mended to the cold
+        bytes."""
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", "--target", "pair", "--genus", "2..3", "--degree", "1..6", "--poincare", "--cache", str(cache)]
+        cold, written = run(capsys, *argv), cache.read_bytes()
+        lines = written.splitlines(keepends=True)
+        echoes = [line[line.index(b'{"request":') : _split(line)] for line in lines]
+        bodies = [line[_split(line) :] for line in lines]
+        earlier, later = next((i, j) for j in range(len(lines)) for i in range(j) if bodies[i] != bodies[j])
+        lines[later] = lines[later].replace(echoes[later], echoes[earlier])  # later in the file, so it would win
+        assert _CAPTURING_CACHE_LINE.fullmatch(lines[later]) and _oracle_line(lines[later]) is None
+        cache.write_bytes(b"".join(lines))
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, len(computed)) == (0, cold[1], 1)
+        assert "is corrupt: dropped 1 bad line(s)" in err
+        assert cache.read_bytes() == written
+
     def test_other_schemas_counted_apart_from_damage(self, capsys, tmp_path):
-        """Lines of schemas 1 and 3 draw one out-of-date warning, apart from the "corrupt" one of a damaged line."""
+        """Lines of schemas 2 and 4 draw one out-of-date warning, apart from the "corrupt" one of a damaged line."""
         cache = tmp_path / "records.jsonl"
         argv = ["table", "--target", "bundle", "--genus", "2", "--degree", "1..5", "--cache", str(cache)]
         cold = run(capsys, *argv)
         lines = cache.read_bytes().splitlines(keepends=True)
         assert len(lines) == 3
-        head = b'{"schema_version":%d,' % cli.SCHEMA_VERSION
-        lines[0] = lines[0].replace(head, b'{"schema_version":1,"key":"x",')
-        lines[1] = lines[1].replace(head, b'{"schema_version":3,')
+        assert cli.SCHEMA_VERSION == 3
+        lines[0] = re.sub(rb'^\{"schema_version":3,"crc32":"[0-9a-f]{8}",', b'{"schema_version":2,', lines[0])
+        lines[1] = lines[1].replace(b'{"schema_version":3,', b'{"schema_version":4,')
+        assert lines[0].startswith(b'{"schema_version":2,"formula_revision":') and b"crc32" in lines[1]
         lines[2] = lines[2][:-9] + b"\n"
         cache.write_bytes(b"".join(lines))
         code, out, err = run(capsys, *argv)
@@ -472,7 +532,7 @@ class TestTable:
         lines = cache.read_text(encoding="utf-8").splitlines()
         entries = [json.loads(line) for line in lines]
         assert lines == [cli._dump_json(entry) for entry in entries]
-        assert list(entries[0]) == ["schema_version", "formula_revision", "record"]
+        assert list(entries[0]) == ["schema_version", "crc32", "formula_revision", "record"]
         assert sorted(cli._dump_json(entry["record"]) for entry in entries) == sorted(out.splitlines())
 
     def test_respelled_cache_lines_served_as_cold(self, capsys, tmp_path, monkeypatch):
@@ -499,34 +559,44 @@ class TestTable:
         assert cache.read_text(encoding="utf-8") == written
 
     def test_cache_line_reads_only_the_written_spelling(self, capsys, tmp_path):
-        """Each respelling is refused, read with a memo that holds the written lines' bodies, so a respelled head
-        in front of a body that passed is refused too."""
+        """Each respelling is refused, read with a memo that holds the written lines' bodies: under the written
+        stamp, which no longer verifies, and, for a respelled head or end of line, under a forged stamp that does.
+        A respelled body under a forged stamp is read: past the head, the stamp alone guards the bytes."""
         cache, bodies = tmp_path / "records.jsonl", {}
         run(capsys, "table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1", "--cache", str(cache))
         line = cache.read_bytes()
-        assert cli._cache_line(line, bodies)[0] == cli.FORMULA_REVISION
+        assert cli._cache_line(line, bodies)[0] == cli.FORMULA_REVISION and _restamped(line) == line
         stamp = b'"formula_revision":%d,' % cli.FORMULA_REVISION
         dim = b'"dim":%d,' % json.loads(line)["record"]["dim"]
-        respelled = [
-            line.replace(stamp, b'"formula_revision":true,'),
-            line.replace(stamp, b'"formula_revision":"%d",' % cli.FORMULA_REVISION),
-            line.replace(stamp, b'"formula_revision":%d.0,' % cli.FORMULA_REVISION),
-            line.replace(dim, dim[:-1] + b".0,"),
-            line.replace(dim, dim[:-1] + b"e0,"),
-            line.replace(dim, b'"dim":NaN,'),
-            line.replace(b'"u":0,', b'"u":-0,', 1),
-            line.replace(b'"request":{', b'"request":{"poincare":null,', 1),  # a second "poincare" to cut at
-            line.replace(b"\n", b"\r\n"),
-            line.replace(b"}\n", b"} \n"),
-            b"\n",
-        ]
         triple_cache = tmp_path / "triple.jsonl"
         run(capsys, "table", "--target", "triple", "--genus", "2", "--d1", "1", "--d2", "0", "--cache", str(triple_cache))
         triple_line = triple_cache.read_bytes().splitlines(keepends=True)[0]
         assert cli._cache_line(triple_line, bodies) is not None and b'"d2":0,' in triple_line and len(bodies) == 2
-        respelled.append(triple_line.replace(b'"d2":0,', b'"d2":-0,'))  # decodes to 0, but would be served as -0
-        assert line not in respelled
+        heads = [
+            line.replace(stamp, b'"formula_revision":true,'),
+            line.replace(stamp, b'"formula_revision":"%d",' % cli.FORMULA_REVISION),
+            line.replace(stamp, b'"formula_revision":%d.0,' % cli.FORMULA_REVISION),
+            line.replace(stamp, b'"formula_revision": %d,' % cli.FORMULA_REVISION),
+            line.replace(b'"request":{', b'"request":{"poincare":null,', 1),  # a second "poincare" to cut at
+            line.replace(b'"crc32":"', b'"crc32":"0', 1),  # nine stamp digits
+            line.replace(b"\n", b"\r\n"),
+            line.replace(b"}\n", b"} \n"),
+            b"\n",
+            triple_line.replace(b'"d2":0,', b'"d2":-0,'),  # decodes to 0, but would be served as -0
+        ]
+        respelled_bodies = [
+            line.replace(dim, dim[:-1] + b".0,"),
+            line.replace(dim, dim[:-1] + b"e0,"),
+            line.replace(dim, b'"dim":NaN,'),
+            line.replace(b'"u":0,', b'"u":-0,', 1),
+        ]
+        respelled = heads + respelled_bodies
+        assert line not in respelled and len(set(respelled)) == len(respelled)
         assert [cli._cache_line(other, bodies) for other in respelled] == [None] * len(respelled)
+        assert [cli._cache_line(_restamped(other), bodies) for other in heads] == [None] * len(heads)
+        assert [cli._cache_line(_restamped(other), bodies)[2] for other in respelled_bodies] == [
+            other[_split(other) : -2].decode() for other in respelled_bodies
+        ]
 
     def test_cache_via_environment(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-cache.jsonl"
@@ -585,9 +655,10 @@ class TestTable:
         written = cache.read_text(encoding="utf-8")
         entries = [json.loads(line) for line in written.splitlines()]
         assert [e["formula_revision"] for e in entries] == [cli.FORMULA_REVISION] * 3
-        entries[0]["formula_revision"] = cli.FORMULA_REVISION - 1
         del entries[1]["formula_revision"]  # a line written before revisions were stamped: a bad line
-        cache.write_text("".join(cli._dump_json(e) + "\n" for e in entries), encoding="utf-8")
+        lines = [cli._dump_json(e).encode() for e in entries]
+        lines[0] = _stamped_line(cli._dump_json(entries[0]["record"]).encode(), cli.FORMULA_REVISION - 1)
+        cache.write_bytes(b"".join(line + b"\n" for line in lines))
         computed = []
         compute = cli._compute_record
         monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
@@ -656,7 +727,7 @@ class TestTable:
         assert code == 0 and len(out.splitlines()) == 4
         assert "could not write cache file" in err
         assert cache.read_text(encoding="utf-8") == before
-        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl", "records.jsonl.lock"]  # no temporary
 
     def test_cache_synced_before_rename(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "records.jsonl"
@@ -677,6 +748,37 @@ class TestTable:
         code, out, err = run(capsys, *argv, "--degree", "1..5")
         assert (code, err) == (0, "") and len(synced) == 1
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_two_writers_keep_both_tables(self, capsys, tmp_path):
+        """Two processes write tables of disjoint genera into one cache file, both having read it before either
+        saves: the lock held here until each has warned of the file's bad line keeps them waiting.  Afterwards the
+        file holds both tables' records, as one run over both genera writes them."""
+        cache, both = tmp_path / "records.jsonl", tmp_path / "both.jsonl"
+        options = ("table", "--target", "pair-fixed", "--degree", "1..6", "--poincare")
+        assert run(capsys, *options, "--genus", "2..3", "--cache", str(both))[0] == 0
+        cache.write_bytes(b"not a cache line\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        env.pop(cli.CACHE_ENV, None)
+        argv = [sys.executable, "-m", "hodgetriples", *options, "--cache", str(cache), "--genus"]
+        writers = []
+        try:
+            with open(f"{cache}.lock", "ab") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                for genus in ("2", "3"):
+                    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+                    writers.append(subprocess.Popen([*argv, genus], env=env, **pipes))
+                for writer in writers:  # each has read the file before it saves; a writer that waits here fails
+                    assert select.select([writer.stderr], [], [], 60)[0], "no warning within 60 s"
+                    assert b"is corrupt: dropped 1 bad line(s), kept 0 record(s)" in writer.stderr.readline()
+            outputs = [writer.communicate(timeout=60) for writer in writers]
+        finally:
+            for writer in writers:
+                writer.kill()
+                writer.wait()
+        assert [writer.returncode for writer in writers] == [0, 0] and all(err == b"" for _, err in outputs)
+        for genus, (out, _) in zip(("2", "3"), outputs):
+            assert out.decode() == run(capsys, *options, "--genus", genus)[1]
+        assert cache.read_bytes() == both.read_bytes()
 
     def test_bad_d2_range_refused_when_d1_empty(self, capsys):
         code, out, err = run(capsys, "table", "--target", "triple", "--genus", "2", "--d1", "5..1", "--d2", "x")
@@ -1086,17 +1188,41 @@ class TestRowsAndEchoes:
             assert (code, err) == (0, "") and out.startswith(_oracle_echo(target, 3, {"degree": 5}, None, None))
 
 
-# The whole-line grammar of a cache line, with groups that capture the revision,
-# the record and the request echo that opens it: the language of
-# ``cli._CACHE_LINE_HEAD`` then ``cli._CACHE_LINE_BODY``, and the oracle of the
-# fields ``_cache_line`` cuts.
-_CAPTURING_CACHE_LINE = re.compile(
-    (
-        re.escape(cli._CACHE_HEAD) + rf'({cli._NAT}),"record":'
-        rf'((\{{"request":\{{(?:{cli._REQUEST})\}},)"dim":(?:{cli._NAT}|null),"terms":{cli._TERMS},"poincare":{cli._DIAGONAL}\}})'
-        r"\}\n?"
-    ).encode("ascii")
-)
+# The body grammar of a cache line: exactly what ``_save_cache`` writes after the
+# head that ``cli._CACHE_LINE_HEAD`` matches, the rest of the record and the
+# line's closing ``}``.  The loader no longer matches it; it is the oracle that
+# every written line is in the language of the head then the body.
+_COEFF = '"-?[1-9][0-9]*"'  # a nonzero coefficient, as a decimal string
+
+
+def _list_grammar(item: str) -> str:
+    return rf"\[(?:{item}(?:,{item})*)?\]"
+
+
+_TERMS = _list_grammar(rf'\{{"u":{cli._NAT},"v":{cli._NAT},"c":{_COEFF}\}}')
+_DIAGONAL = _list_grammar(rf'\{{"t":{cli._NAT},"c":{_COEFF}\}}')
+_RECORD_BODY = rf'"dim":(?:{cli._NAT}|null),"terms":{_TERMS},"poincare":{_DIAGONAL}\}}'
+_CACHE_LINE_BODY = re.compile(rf"{_RECORD_BODY}\}}\n?".encode("ascii"))
+_STAMP_AT = len(b'{"schema_version":3,"crc32":"')  # where a schema-3 line holds its 8 stamp digits
+
+
+def _capturing_line(body: str) -> re.Pattern:
+    """A whole cache line with ``body`` after the request echo, capturing the stamp, the stamped bytes, the revision,
+    the echo and the body; the stamped bytes run from ``"formula_revision"`` to the line's closing ``}``."""
+    return re.compile(
+        re.escape(cli._CACHE_PREFIX)
+        + (
+            rf'([0-9a-f]{{8}})",("formula_revision":({cli._NAT}),"record":'
+            rf'(\{{"request":\{{(?:{cli._REQUEST})\}},)({body})\}})\n?'
+        ).encode("ascii"),
+        re.S,
+    )
+
+
+# What ``_save_cache`` writes: the head grammar then the body grammar, the oracle
+# of the writer; and what ``_cache_line`` reads: the head grammar then any body.
+_CAPTURING_CACHE_LINE = _capturing_line(_RECORD_BODY)
+_CAPTURING_READ_LINE = _capturing_line(".*")
 
 
 def _without_captures(pattern: bytes) -> bytes:
@@ -1113,13 +1239,24 @@ def _without_captures(pattern: bytes) -> bytes:
     return b"".join(kept)
 
 
-def _oracle_line(line: bytes) -> Optional[tuple[int, str, str]]:
-    """(revision, echo, body) of a line by the capturing grammar, else None."""
-    match = _CAPTURING_CACHE_LINE.fullmatch(line)
-    if match is None:
+def _oracle_read(line: bytes, grammar: re.Pattern = _CAPTURING_READ_LINE) -> Optional[tuple[int, str, str]]:
+    """(revision, echo, body) of a line in ``grammar`` whose stamp is the CRC-32 of its stamped bytes, else None."""
+    match = grammar.fullmatch(line)
+    if match is None or int(match[1], 16) != zlib.crc32(match[2]):
         return None
-    revision, record, echo = (group.decode("ascii") for group in match.groups())
-    return int(revision), echo, record[len(echo) :]
+    return int(match[3]), match[4].decode("ascii"), match[5].decode("latin-1")
+
+
+def _oracle_line(line: bytes) -> Optional[tuple[int, str, str]]:
+    """(revision, echo, body) of a line in the whole written grammar whose stamp verifies, else None."""
+    return _oracle_read(line, _CAPTURING_CACHE_LINE)
+
+
+def _restamped(line: bytes) -> bytes:
+    """``line`` with a forged stamp: the 8 bytes where a schema-3 line holds its stamp set to the CRC-32, in lowercase
+    hex, of its bytes from 2 past them to its last byte but a newline, whatever those bytes are."""
+    stamped = line[_STAMP_AT + 10 : len(line) - line.endswith(b"\n")]
+    return line[:_STAMP_AT] + b"%08x" % zlib.crc32(stamped) + line[_STAMP_AT + 8 :]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1149,15 +1286,16 @@ def _split(line: bytes) -> int:
 
 @st.composite
 def _cache_lines(draw) -> bytes:
-    """A written line, its revision stamp redrawn, with or without its newline, then as it is or with one byte
-    substituted, inserted or deleted, or cut short."""
-    head, line = cli._CACHE_HEAD.encode("ascii"), draw(st.sampled_from(_written_lines()))
-    revision = b"%d" % draw(st.sampled_from((cli.FORMULA_REVISION,)) | st.integers(0, 10**4))
-    line = head + revision + line[line.index(b",", len(head)) :] + draw(st.sampled_from((b"", b"\n")))
+    """A written line, stamped again under a redrawn revision, with or without its newline, then as it is or with
+    one byte substituted, inserted or deleted, or cut short; the edit is made after the stamp, as damage is."""
+    _, echo, body = _oracle_line(draw(st.sampled_from(_written_lines())))
+    revision = draw(st.sampled_from((cli.FORMULA_REVISION,)) | st.integers(0, 10**4))
+    line = _stamped_line(f"{echo}{body}".encode(), revision)
+    line += draw(st.sampled_from((b"", b"\n")))
     edit = draw(st.sampled_from(("none", "substitute", "insert", "delete", "truncate")))
     last = len(line) - (edit in ("substitute", "delete"))
-    at = draw(st.integers(0, last) | st.integers(0, min(last, 100)))  # often in the head and request
-    byte = bytes([draw(st.sampled_from(b'0123456789-,:"{}[]\n') | st.integers(0, 255))])
+    at = draw(st.integers(0, last) | st.integers(0, min(last, 200)))  # often in the head and request
+    byte = bytes([draw(st.sampled_from(b'0123456789abcdef-,:"{}[]\n') | st.integers(0, 255))])
     return {
         "none": line,
         "substitute": line[:at] + byte + line[at + 1 :],
@@ -1171,41 +1309,96 @@ def _cache_lines(draw) -> bytes:
 def _cache_files(draw) -> bytes:
     """A cache file whose lines each join the head of one drawn line to the body of another, so bodies, damaged
     or not, recur under other heads, damaged or not; each drawn line is as written or as ``_cache_lines`` draws
-    it."""
+    it, and each joined line keeps the head's stamp or takes a forged one."""
     written = st.sampled_from(_written_lines()).map(lambda line: line + b"\n")
     drawn = draw(st.lists(written | _cache_lines(), min_size=1, max_size=6))
-    picks = draw(st.lists(st.tuples(st.sampled_from(drawn), st.sampled_from(drawn)), min_size=1, max_size=12))
-    return b"".join(head[: _split(head)] + body[_split(body) :] for head, body in picks)
+    picks = draw(st.lists(st.tuples(st.sampled_from(drawn), st.sampled_from(drawn), st.booleans()), min_size=1,
+                          max_size=12))
+    joined = [(head[: _split(head)] + body[_split(body) :], forged) for head, body, forged in picks]
+    return b"".join(_restamped(line) if forged else line for line, forged in joined)
+
+
+_STAMP_FIELD = rb'"crc32":"[0-9a-f]{8}",'
+_UNSTAMPED_LINE = re.compile(cli._CACHE_LINE_HEAD.pattern.replace(_STAMP_FIELD, b"", 1) + _CACHE_LINE_BODY.pattern)
+
+
+def _written_spelling(line: bytes) -> bool:
+    """Whether ``line`` is compact JSON, in the head and body grammar once its ``"crc32"`` field is removed, with a
+    stamp that verifies."""
+    unstamped = re.sub(_STAMP_FIELD, b"", line, count=1)
+    return (
+        unstamped != line
+        and _UNSTAMPED_LINE.fullmatch(unstamped) is not None
+        and _oracle_line(line) is not None
+        and cli._dump_json(json.loads(line)) == line.decode("ascii").rstrip("\n")
+    )
+
+
+@st.composite
+def _drawn_records(draw) -> dict[str, str]:
+    """Records as a table or ``compute`` makes them: the echo of a drawn request of any target and the body of a
+    drawn palindromic square of any dim, or of an empty space."""
+    target = draw(st.sampled_from(cli.TARGETS))
+    family = cli._FAMILY_OF[target]
+    integer = st.integers(-(10**6), 10**6)
+    params: dict = {"rank": draw(st.sampled_from(((2, 1), (1, 2))))} if family.ranked else {}
+    params.update((name, draw(integer)) for name in family.degrees)
+    quarters = st.integers(-(10**4), 10**4).map(cli._quarter_text)
+    stability = draw(quarters | quarters.map(lambda text: text + "+") | quarters.map(lambda text: text + "-"))
+    d0 = draw(st.none() | integer)
+    echo = cli._request_echo(target, draw(st.integers(2, 10**4)), params, stability, d0)
+    dim = draw(st.none() | st.integers(0, 6))
+    square: list[int] = []
+    if dim is not None:
+        half = draw(st.lists(st.integers(-(10**30), 10**30), min_size=(dim + 1) ** 2, max_size=(dim + 1) ** 2))
+        square = [half[min(i, (dim + 1) ** 2 - 1 - i)] for i in range((dim + 1) ** 2)]  # a palindrome
+    return {echo: cli._result_text(dim, square, cli._CanonicalBox())}
 
 
 class TestCacheLineGrammar:
-    """``cli._cache_line`` matches a head and a body, the body once per memo, and reads the fields by slices; the
-    capturing whole-line grammar it replaced is the oracle."""
+    """``cli._cache_line`` checks the prefix, the stamp, the head grammar and the closing brace, and reads the
+    fields by slices; the capturing whole-line grammars, with and without the body grammar, are the oracles."""
 
     def test_pattern_is_the_capturing_one_without_captures(self):
-        head, body = cli._CACHE_LINE_HEAD, cli._CACHE_LINE_BODY
-        assert (_CAPTURING_CACHE_LINE.groups, head.groups, body.groups) == (3, 0, 0)
+        head, body = cli._CACHE_LINE_HEAD, _CACHE_LINE_BODY
+        assert (_CAPTURING_CACHE_LINE.groups, head.groups, body.groups) == (5, 0, 0)
         assert head.pattern + body.pattern == _without_captures(_CAPTURING_CACHE_LINE.pattern)
-        assert head.pattern.count(b"}") == 1 and head.pattern.endswith(rb"\},")  # the head ends at its only "}"
+        assert head.pattern.count(rb"\}") == 1 and head.pattern.endswith(rb"\},")  # the head ends at its only "}"
+
+    def test_stamp_compared_as_bytes(self):
+        """A stamp spelled otherwise, with the value ``int(stamp, 16)`` reads, is refused: uppercase digits, a
+        space or an underscore in place of a leading zero."""
+        lines = [line + b"\n" for line in _written_lines() if int(line[_STAMP_AT : _STAMP_AT + 8], 16) < 1 << 28]
+        assert lines and all(cli._cache_line(line, {}) for line in lines)
+        for line in lines[:20]:
+            stamp = line[_STAMP_AT : _STAMP_AT + 8]
+            respelled = {stamp.upper(), b" " + stamp[1:], stamp[1:4] + b"_" + stamp[4:]} - {stamp}
+            assert respelled and all(int(other, 16) == int(stamp, 16) for other in respelled)
+            for other in respelled:
+                assert cli._cache_line(line[:_STAMP_AT] + other + line[_STAMP_AT + 8 :], {}) is None
 
     @settings(max_examples=600, deadline=None)
-    @given(_cache_lines())
-    def test_matches_capturing_oracle(self, line):
-        """Read with an empty memo and with one that holds every written body, so a damaged head in front of a body
-        that passed is refused; a body found in the memo is served as the memo's string."""
+    @given(_cache_lines(), st.booleans())
+    def test_matches_capturing_oracle(self, line, forged):
+        """Read with an empty memo and with one that holds every written body; a body found in the memo is served
+        as the memo's string.  A line stamped before its edit reads as the whole written grammar with its stamp
+        allows; one whose stamp is forged after the edit reads as the head grammar allows, with any body."""
+        if forged:
+            line = _restamped(line)
         for bodies in ({}, dict(_written_bodies())):
             read = cli._cache_line(line, bodies)
-            assert read == _oracle_line(line)
+            assert read == _oracle_read(line)
+            assert forged or read == _oracle_line(line)
             assert read is None or read[2] is bodies[read[2]]
 
     @settings(max_examples=300, deadline=None)
     @given(_cache_files())
     def test_load_cache_matches_oracle_line_by_line(self, data):
-        """``_load_cache`` over a whole file keeps exactly the echoes and bodies the capturing grammar accepts line
+        """``_load_cache`` over a whole file keeps exactly the echoes and bodies the capturing oracle accepts line
         by line (the last line of an echo wins), with the same counts in its warnings and one string per body."""
         expected, counts = {}, {"dropped": 0, "outdated": 0, "stale": 0}
         for line in io.BytesIO(data):
-            read = _oracle_line(line)
+            read = _oracle_read(line)
             if read is None:
                 counts["outdated" if cli._OTHER_SCHEMA.match(line) else "dropped"] += 1
             elif read[0] != cli.FORMULA_REVISION:
@@ -1228,14 +1421,31 @@ class TestCacheLineGrammar:
         }
         assert all(any(phrases[name] in warning for warning in warnings) for name, count in counts.items() if count)
 
+    def test_every_written_line_in_the_grammar(self):
+        """Every line ``_save_cache`` writes for the tables of ``TABLES`` is in the grammar with its stamp removed,
+        and its stamp verifies."""
+        assert all(_written_spelling(line + b"\n") for line in _written_lines())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_drawn_records(), max_size=4).map(lambda drawn: {k: v for d in drawn for k, v in d.items()}))
+    def test_every_saved_line_in_the_grammar(self, records):
+        """Every line ``_save_cache`` writes for drawn records is in the grammar with its stamp removed, its stamp
+        verifies, and it reads back as the record saved."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.jsonl")
+            cli._save_cache(path, records)
+            lines = Path(path).read_bytes().splitlines(keepends=True)
+        assert len(lines) == len(records) and all(map(_written_spelling, lines))
+        assert {read[1]: read[2] for read in map(_oracle_line, lines)} == records
+
 
 class TestCacheBodies:
-    """Each distinct record body of a cache file is matched once per run and held once."""
+    """Each distinct record body of a cache file is held once per run."""
 
-    def test_each_distinct_body_matched_once_and_held_once(self, capsys, tmp_path, monkeypatch):
-        """A warm run of the ``TABLES`` triple table matches the body grammar once per distinct body in the cache
-        file, counted from the file itself, and its rows that share a body share one string; a cold run holds one
-        string per key (a few keys have equal bodies)."""
+    def test_each_distinct_body_held_once(self, capsys, tmp_path, monkeypatch):
+        """A warm run of the ``TABLES`` triple table holds one string per distinct body in the cache file, counted
+        from the file itself, and its rows that share a body share one string; a cold run holds one string per key
+        (a few keys have equal bodies)."""
         cache = tmp_path / "records.jsonl"
         options = ("table", *TABLES["triple"][0], "--poincare", "--cache", str(cache))
         rows = cli._table_rows(cli.build_parser().parse_args(options[:-2]))
@@ -1247,11 +1457,7 @@ class TestCacheBodies:
         distinct = len({line[_split(line) :] for line in lines})
         assert 1 < distinct <= len(keys) < len(lines) == len(rows) and len(saved) == 1
         assert len(set(map(id, saved[0].values()))) == len(keys)
-        matched, grammar = [], cli._CACHE_LINE_BODY
-        spy = types.SimpleNamespace(fullmatch=lambda *args: matched.append(args) or grammar.fullmatch(*args))
-        monkeypatch.setattr(cli, "_CACHE_LINE_BODY", spy)
         assert run(capsys, *options) == cold and len(saved) == 1
-        assert len(matched) == distinct
         records, stale = cli._load_cache(str(cache))
         assert (len(records), len(set(map(id, records.values()))), stale) == (len(lines), distinct, False)
 
