@@ -47,6 +47,8 @@ FORMULA_REVISION = 1
 # (genus times degrees) one table or verify run may sweep; larger requests are
 # refused before any list is built.
 MAX_RANGE_VALUES = 10_000
+# (st_dev, st_ino, st_size, st_mtime_ns) of a cache file as read.
+_FileIdentity = tuple[int, int, int, int]
 
 
 class UserError(Exception):
@@ -506,17 +508,25 @@ def _cache_line(line: bytes, bodies: dict[str, str]) -> Optional[tuple[int, str,
     return int(line[_REVISION:comma]), echo, bodies.setdefault(text, text)
 
 
-def _read_cache(path: str) -> tuple[dict[str, str], int, int, int]:
-    """(body of each record by its request echo, bad lines, lines of another schema, records of another revision).
+def _file_identity(status: os.stat_result) -> _FileIdentity:
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+def _read_cache(path: str) -> tuple[dict[str, str], int, int, int, _FileIdentity]:
+    """(body of each record by its request echo, bad lines, lines of another schema, records of another revision,
+    the identity of the file read).
 
     Reads the file at ``path`` line by line with ``_cache_line``, in one
-    memo of bodies; an ``OSError`` of the read is raised.
+    memo of bodies; an ``OSError`` of the read is raised.  The identity,
+    (device, inode, size, modification time in ns), is taken from the open
+    file before its first line is read.
     """
     cache: dict[str, str] = {}
     bodies: dict[str, str] = {}
     dropped = outdated = stale = 0
     # a buffer past the ~10 kB lines of a large table, which an 8 kB default splits
     with open(path, "rb", buffering=1 << 20) as handle:
+        identity = _file_identity(os.fstat(handle.fileno()))
         for line in handle:
             read = _cache_line(line, bodies)
             if read is None and _OTHER_SCHEMA.match(line):
@@ -527,11 +537,12 @@ def _read_cache(path: str) -> tuple[dict[str, str], int, int, int]:
                 stale += 1
             else:
                 cache[read[1]] = read[2]
-    return cache, dropped, outdated, stale
+    return cache, dropped, outdated, stale, identity
 
 
-def _load_cache(path: str) -> tuple[dict[str, str], bool]:
-    """(body of each record by its request echo, whether the file needs rewriting), with a warning per kind of drop.
+def _load_cache(path: str) -> tuple[dict[str, str], bool, Optional[_FileIdentity]]:
+    """(body of each record by its request echo, whether the file needs rewriting, the identity of the file read or
+    None), with a warning per kind of drop.
 
     Each line is read on its own by ``_cache_line``, so a bad line
     (truncated, damaged, edited, or any spelling other than the one
@@ -543,12 +554,12 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
     one read: the records that share a body hold one string.
     """
     if not path or not os.path.exists(path):
-        return {}, False
+        return {}, False, None
     try:
-        cache, dropped, outdated, stale = _read_cache(path)
+        cache, dropped, outdated, stale, identity = _read_cache(path)
     except OSError as exc:
         _warn(path, f"is unreadable: {exc}; recomputing and overwriting")
-        return {}, True
+        return {}, True, None
     if dropped:
         _warn(path, f"is corrupt: dropped {dropped} bad line(s), kept {len(cache)} record(s); "
               "recomputing the dropped ones and rewriting the file")
@@ -557,21 +568,25 @@ def _load_cache(path: str) -> tuple[dict[str, str], bool]:
     if stale:
         _warn(path, f"has {stale} record(s) of another formula revision; "
               f"recomputing them with revision {FORMULA_REVISION} and rewriting the file")
-    return cache, bool(dropped or outdated or stale)
+    return cache, bool(dropped or outdated or stale), identity
 
 
 def _warn(path: str, problem: str) -> None:
     print(f"warning: cache file {path} {problem}", file=sys.stderr)
 
 
-def _save_cache(path: str, cache: dict[str, str]) -> None:
+def _save_cache(path: str, cache: dict[str, str], loaded: Optional[_FileIdentity]) -> None:
     """Merge the cache into the file at ``path`` under a lock, by a write beside it and a rename over it.
 
-    ``cache`` maps each request echo to the body of its record.  The run
-    holds an exclusive ``flock`` on the sidecar ``<path>.lock`` while it
-    re-reads the file, without warnings, merges in the records of echoes
-    it does not hold (its own win), writes, syncs and renames; so of two
-    runs that save into one file, the later keeps what the earlier wrote.
+    ``cache`` maps each request echo to the body of its record, and
+    ``loaded`` is the identity of the file it was loaded from, or None.
+    The run holds an exclusive ``flock`` on the sidecar ``<path>.lock``
+    while it re-reads the file, without warnings, merges in the records of
+    echoes it does not hold (its own win), writes, syncs and renames; so of
+    two runs that save into one file, the later keeps what the earlier
+    wrote.  A file whose identity is still ``loaded`` is not re-read: its
+    records are in ``cache`` already, and every writer renames a new file
+    into place, so another run's save changes the identity.
     Each line is ``{"schema_version":3,"crc32":"xxxxxxxx",`` then the
     stamped bytes ``"formula_revision":N,"record":{...}}``, the record
     spliced from its echo and body, in the order of the echoes; the stamp
@@ -585,7 +600,8 @@ def _save_cache(path: str, cache: dict[str, str]) -> None:
         with open(f"{path}.lock", "ab") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the lock file closes
             with contextlib.suppress(OSError):  # a file gone or unreadable is overwritten
-                cache = {**_read_cache(path)[0], **cache}
+                if loaded is None or _file_identity(os.stat(path)) != loaded:
+                    cache = {**_read_cache(path)[0], **cache}
             with open(tmp, "wb") as handle:
                 for echo in sorted(cache):
                     stamped = b'"formula_revision":%d,"record":%s%s}' % (
@@ -630,7 +646,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     # opening a FIFO would block, and the save would rename over a device or directory
     if cache_path and os.path.exists(cache_path) and not os.path.isfile(cache_path):
         raise UserError(f"cache path {cache_path} exists and is not a regular file")
-    cache, stale = _load_cache(cache_path)
+    cache, stale, loaded = _load_cache(cache_path)
     family, echoes, box = _FAMILY_OF[args.target], [], _CanonicalBox()
     computed: dict[Hashable, str] = {}
     for g, params, stability, d0 in _table_rows(args):
@@ -643,7 +659,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             stale = True
         echoes.append(echo)
     if cache_path and stale:
-        _save_cache(cache_path, cache)
+        _save_cache(cache_path, cache, loaded)
 
     # Records stay text until printed; formats other than JSON lines parse one at a time, never all.
     records = (json.loads(echo + cache[echo]) for echo in echoes)

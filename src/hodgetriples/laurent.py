@@ -52,6 +52,14 @@ product box's alone: each operand's slots are a prefix of it, and the
 operand's offset is h shifted down by the slots it lacks.  No kernel
 function takes an optional argument.
 
+Every route that reads a box back, product, shift-add or square, keys its
+nonzero digits by ``_box_terms``.  It holds the row-major keys of at most
+one box: the box asked for twice running, until another box is asked for.
+So the closed results of one chamber sweep, which all lie in the family's
+[0, dim]^2 box, share one key tuple per slot from the second result on,
+while a box asked for once, as most product boxes are, builds no list.
+Only keys are held; every coefficient is computed afresh.
+
 Exact division of a ``LaurentPoly`` takes one of two routes.  A divisor
 that is 1 - u^p v^q up to a monomial factor, such as the 1 - uv of the
 wall terms' raw extraction, divides by running sums along the chains e,
@@ -455,9 +463,27 @@ def _shift_adds(packed: int, n: int, m: int, height: int, width: int, half: int)
     return _balanced_digits(packed, n, height * width, half)
 
 
+# The box (a0, b0, height, width) that ``_box_terms`` was last asked for, and its row-major keys once it has been
+# asked for twice running (None before).  Rebound as one tuple and read once per call, so no box meets another's keys.
+_held_box: tuple[tuple[int, int, int, int], Optional[list[Exponent]]] = ((0, 0, 0, 0), None)
+
+
 def _box_terms(a0: int, b0: int, height: int, width: int, digits: list[int]) -> dict[Exponent, int]:
-    """The nonzero terms of row-major ``digits`` over the box [a0, a0 + height) x [b0, b0 + width)."""
-    keys = itertools.product(range(a0, a0 + height), range(b0, b0 + width))
+    """The nonzero terms of row-major ``digits`` over the box [a0, a0 + height) x [b0, b0 + width).
+
+    A box asked for twice running is keyed from one held list of its keys, row-major as ``itertools.product``
+    gives them, until another box is asked for: so every result of that box shares one key tuple per slot.  A box
+    asked for once is keyed by ``product`` and holds no list.  Only keys are held, never a coefficient.
+    """
+    global _held_box
+    box = (a0, b0, height, width)
+    held, keys = _held_box
+    if held != box:
+        _held_box = (box, None)
+        keys = itertools.product(range(a0, a0 + height), range(b0, b0 + width))
+    elif keys is None:
+        keys = list(itertools.product(range(a0, a0 + height), range(b0, b0 + width)))
+        _held_box = (box, keys)
     return dict(zip(itertools.compress(keys, digits), filter(None, digits)))
 
 

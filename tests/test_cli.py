@@ -380,7 +380,7 @@ class TestTable:
         assert len(lines) == colds["json-lines"][1].count("\n") > 0
         bodies: dict = {}
         assert None not in (cli._cache_line(line, bodies) for line in lines)
-        records, stale = cli._load_cache(str(cache))
+        records, stale, _ = cli._load_cache(str(cache))
         assert (len(records), stale) == (len(lines), False)
         assert any(b'"d0":-1},' in line for line in lines) == negative_d0
         for name, fmt in FORMATS.items():
@@ -393,9 +393,9 @@ class TestTable:
         echo = '{"request":{"target":"triple","genus":2,"rank":"2,1","d1":5,"d2":0,"sigma":"21","d0":null},'
         body = '"dim":null,"terms":[],"poincare":[]}'
         assert text == echo + body
-        cli._save_cache(str(cache), {echo: body})
+        cli._save_cache(str(cache), {echo: body}, None)
         assert capsys.readouterr() == ("", "")
-        assert cli._load_cache(str(cache)) == ({echo: body}, False)
+        assert cli._load_cache(str(cache))[:2] == ({echo: body}, False)
 
     @pytest.mark.parametrize("options", [options for options, _ in TABLES.values()], ids=list(TABLES))
     def test_rows_served_under_their_echo(self, capsys, tmp_path, monkeypatch, options):
@@ -779,6 +779,18 @@ class TestTable:
         for genus, (out, _) in zip(("2", "3"), outputs):
             assert out.decode() == run(capsys, *options, "--genus", genus)[1]
         assert cache.read_bytes() == both.read_bytes()
+
+    def test_unchanged_file_read_once(self, capsys, tmp_path, monkeypatch):
+        """A partly warm table over a cache file that no other run changed reads it once, at load: under the lock
+        the save finds the file's identity unchanged and merges nothing in.  It writes what a cold run writes."""
+        cache, cold = tmp_path / "records.jsonl", tmp_path / "cold.jsonl"
+        options = ("table", "--target", "pair-fixed", "--genus", "2..3", "--poincare")
+        assert run(capsys, *options, "--degree", "1..3", "--cache", str(cache))[0] == 0
+        expected = run(capsys, *options, "--degree", "1..6", "--cache", str(cold))
+        reads, read = [], cli._read_cache
+        monkeypatch.setattr(cli, "_read_cache", lambda path: reads.append(path) or read(path))
+        assert run(capsys, *options, "--degree", "1..6", "--cache", str(cache)) == expected
+        assert reads == [str(cache)] and cache.read_bytes() == cold.read_bytes()
 
     def test_bad_d2_range_refused_when_d1_empty(self, capsys):
         code, out, err = run(capsys, "table", "--target", "triple", "--genus", "2", "--d1", "5..1", "--d2", "x")
@@ -1409,7 +1421,7 @@ class TestCacheLineGrammar:
             path = os.path.join(tmp, "records.jsonl")
             Path(path).write_bytes(data)
             with contextlib.redirect_stderr(io.StringIO()) as err:
-                cache, stale = cli._load_cache(path)
+                cache, stale, _ = cli._load_cache(path)
         assert (cache, stale) == (expected, any(counts.values()))
         assert len(set(map(id, cache.values()))) == len(set(cache.values()))
         warnings = err.getvalue().splitlines()
@@ -1433,7 +1445,7 @@ class TestCacheLineGrammar:
         verifies, and it reads back as the record saved."""
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "records.jsonl")
-            cli._save_cache(path, records)
+            cli._save_cache(path, records, None)
             lines = Path(path).read_bytes().splitlines(keepends=True)
         assert len(lines) == len(records) and all(map(_written_spelling, lines))
         assert {read[1]: read[2] for read in map(_oracle_line, lines)} == records
@@ -1451,14 +1463,14 @@ class TestCacheBodies:
         rows = cli._table_rows(cli.build_parser().parse_args(options[:-2]))
         keys = {cli._triple_row_key("triple", g, params, d0) for g, params, _, d0 in rows}
         saved, save = [], cli._save_cache
-        monkeypatch.setattr(cli, "_save_cache", lambda path, records: saved.append(records) or save(path, records))
+        monkeypatch.setattr(cli, "_save_cache", lambda *args: saved.append(args[1]) or save(*args))
         cold = run(capsys, *options)
         lines = cache.read_bytes().splitlines()
         distinct = len({line[_split(line) :] for line in lines})
         assert 1 < distinct <= len(keys) < len(lines) == len(rows) and len(saved) == 1
         assert len(set(map(id, saved[0].values()))) == len(keys)
         assert run(capsys, *options) == cold and len(saved) == 1
-        records, stale = cli._load_cache(str(cache))
+        records, stale, _ = cli._load_cache(str(cache))
         assert (len(records), len(set(map(id, records.values()))), stale) == (len(lines), distinct, False)
 
     def test_damage_dropped_on_every_line_it_reaches(self, capsys, tmp_path):

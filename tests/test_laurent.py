@@ -1,6 +1,11 @@
+import gc
+import itertools
 import math
 import random
 import struct
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -397,6 +402,136 @@ class TestTimesBinomials:
             return
         with pytest.raises(AssertionError, match="not a palindrome: internal inconsistency"):
             laurent._diagonal_square(runs, m, width)
+
+
+def _box_oracle(a0: int, b0: int, height: int, width: int, digits: list) -> list:
+    """(key, digit) of every nonzero digit of the row-major box, in slot order: the route with no held keys."""
+    return [((a0 + i // width, b0 + i % width), d) for i, d in enumerate(digits) if d]
+
+
+# A few boxes, so that drawn call sequences repeat and alternate them: negative origins, a 1 x 1 box, and two boxes
+# of equal slot count, whose keys must never serve each other.
+_BOXES = [(0, 0, 3, 4), (0, 0, 4, 3), (-2, 1, 4, 3), (3, -5, 2, 2), (-1, -1, 1, 1), (-4, -6, 7, 9)]
+
+
+@st.composite
+def box_calls(draw) -> tuple:
+    """One ``_box_terms`` call on a box of ``_BOXES``: sparse, all-zero or all-nonzero digits, mixed signs."""
+    a0, b0, height, width = draw(st.sampled_from(_BOXES))
+    digit = draw(st.sampled_from([st.just(0), st.integers(-9, 9), coefficients]))
+    return a0, b0, height, width, draw(st.lists(digit, min_size=height * width, max_size=height * width))
+
+
+class TestBoxTerms:
+    """``_box_terms`` holds the keys of at most one box, that box asked for twice running, and only its keys."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh(self, monkeypatch):
+        monkeypatch.setattr(laurent, "_held_box", ((0, 0, 0, 0), None))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(box_calls(), max_size=12).flatmap(lambda calls: st.permutations(calls + calls[:3])))
+    def test_matches_oracle(self, calls):
+        """Any sequence of calls, repeats and alternations alike, gives each box's terms in row-major order."""
+        for call in calls:
+            assert list(laurent._box_terms(*call).items()) == _box_oracle(*call)
+
+    def test_held_only_from_the_second_call_running(self):
+        """A box asked for once holds no list; asked for again it holds its row-major keys, which the next call
+        reuses; any other box drops them.  The holder is one (box, keys) pair, so at most one box is held."""
+        held = []
+        for box in [(1, -2, 2, 3)] * 3 + [(0, 0, 2, 3), (1, -2, 2, 3), (0, 0, 2, 3)] + [(0, 0, 2, 3)] * 2:
+            terms = laurent._box_terms(*box, [1] * 6)
+            box_held, keys = laurent._held_box
+            assert box_held == box and list(terms) == (keys or list(terms))
+            held.append(keys)
+        assert held[0] is None and held[1] is held[2] is not None and held[3:6] == [None] * 3
+        assert held[6] is held[7] is not None and held[6] is not held[1]
+        keys = [(a, b) for a in range(2) for b in range(3)]
+        assert laurent._held_box == ((0, 0, 2, 3), keys)
+
+    def test_chamber_results_share_keys(self):
+        """All 20 closed results of g=6 d1=40 d2=0, built over one 57 x 57 box, share one key tuple per slot from
+        the second on: 3,366 distinct key objects for 32,316 terms, against one each with fresh keys per result.
+        Held, they take at most 2.5 MB traced (3.70 MB with fresh keys)."""
+        spec = triples.TripleSpec(6, (2, 1), 40, 0)
+        sigmas = triples.chamber_representatives(spec)
+        triples.hodge_triples_closed(spec, sigmas[0])  # fill the blocks' lru caches before tracing
+        laurent._held_box = ((0, 0, 0, 0), None)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            results = [triples.hodge_triples_closed(spec, sigma) for sigma in sigmas]
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        keys = [key for result in results for key in result.poly._terms]
+        held = set(map(id, laurent._held_box[1]))
+        assert (len(results), {r.complex_dim for r in results}, laurent._held_box[0]) == (20, {56}, (0, 0, 57, 57))
+        assert (len(keys), len(set(map(id, keys)))) == (32_316, 3_366)
+        assert all(id(key) in held for result in results[1:] for key in result.poly._terms)
+        assert traced <= 2_500_000
+
+    def test_two_threads(self):
+        """Two threads, each repeating and alternating its own boxes thousands of times under a short switch
+        interval, always get their own box's terms: no call meets the keys of the other thread's box."""
+        boxes = [[(0, 0, 3, 4), (-2, 1, 4, 3)], [(0, 0, 4, 3), (1, -1, 2, 6)]]
+        failures, finished = [], []
+
+        def worker(seed, own):
+            rng = random.Random(seed)
+            for _ in range(3000):
+                a0, b0, height, width = own[rng.random() < 0.3]  # mostly the first box, so repeats are common
+                call = (a0, b0, height, width, [rng.randint(-2, 2) for _ in range(height * width)])
+                if list(laurent._box_terms(*call).items()) != _box_oracle(*call):
+                    failures.append(call)
+            finished.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed, own)) for seed, own in enumerate(boxes)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == [0, 1] and failures == []
+
+    def test_other_thread_inside_a_call(self, monkeypatch):
+        """A thread that asks for its box twice while this thread is inside its own box's second call, the one that
+        builds the held list, still gets its own keys after that call stores the list: the holder is rebound whole,
+        so a stored list never lands under another thread's box."""
+        mine, theirs, digits = (0, 0, 3, 4), (0, 0, 4, 3), list(range(12))
+        inside, done, returned = threading.Event(), threading.Event(), threading.Event()
+        products, product, results = itertools.count(), itertools.product, []
+
+        def pausing_product(*ranges):
+            if threading.current_thread() is threading.main_thread() and next(products) == 1:
+                inside.set()
+                assert done.wait(10)
+            return product(*ranges)
+
+        def other():
+            inside.wait(10)
+            results.extend(laurent._box_terms(*theirs, digits) for _ in range(2))
+            done.set()
+            returned.wait(10)
+            results.append(laurent._box_terms(*theirs, digits))
+
+        monkeypatch.setattr(itertools, "product", pausing_product)
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            own = [laurent._box_terms(*mine, digits) for _ in range(2)]
+        finally:
+            returned.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert inside.is_set() and [list(terms.items()) for terms in own] == [_box_oracle(*mine, digits)] * 2
+        assert [list(terms.items()) for terms in results] == [_box_oracle(*theirs, digits)] * 3
 
 
 def _spy(monkeypatch, name: str) -> list:
