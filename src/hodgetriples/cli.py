@@ -39,7 +39,7 @@ from . import blocks, triples, verify
 from .laurent import NotDivisible, _format_terms, _mono, _t_mono
 
 CACHE_ENV = "HODGETRIPLES_CACHE"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 # Stamped on every cache line; a line of another revision is recomputed.  Bump
 # it with any change that could alter the bytes of a record for some input.
 FORMULA_REVISION = 1
@@ -426,16 +426,21 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[int, dict, Optional[str]
     return rows
 
 
-# A cache line is ``{"schema_version":3,"crc32":"xxxxxxxx",`` then the stamped
-# bytes ``"formula_revision":N,"record":{...}}``: the stamp is the CRC-32 of those
-# bytes, up to and with the line's closing ``}``, in 8 lowercase hex digits.
+# A cache line is ``{"schema_version":4,"crc32":"xxxxxxxx",`` then the stamped
+# bytes ``"formula_revision":N,"requests":[{...},...],"record":{...}}``: one line
+# per distinct record body, listing the request of every echo that shares it.
+# The stamp is the CRC-32 of the stamped bytes, up to and with the line's
+# closing ``}``, in 8 lowercase hex digits.
 _CACHE_PREFIX = f'{{"schema_version":{SCHEMA_VERSION},"crc32":"'.encode("ascii")
 _STAMP_END = len(_CACHE_PREFIX) + 8  # the stamp's digits run from the prefix to here
 _STAMPED = _STAMP_END + 2  # the stamped bytes follow the stamp's closing quote and comma
 _REVISION = _STAMPED + len(b'"formula_revision":')  # where the revision's digits start
+_REQUESTS_OPEN = b',"requests":['  # follows the revision's digits
+_RECORD_OPEN = b'],"record":{'  # closes the list of requests and opens the record's body
+_ECHO_OPEN = '{"request":'  # a request echo is this, the request and a comma
 _POINCARE = ',"poincare":'  # the text opening a record's last key, where ``_json_record`` cuts
 
-# The head grammar of a cache line, up to where its request echo closes: what
+# The head grammar of a cache line, up to where its record's body opens: what
 # ``_save_cache`` writes before the body of ``_compute_record``.  Integers are
 # spelled as ``str`` spells an int: no leading zero, no "-0", no "+".
 _NAT = "(?!0[0-9])[0-9]+"  # the lookahead runs faster in ``re`` than the alternation of ``_INT``
@@ -455,57 +460,56 @@ def _request_grammar(family: _Family) -> str:
 
 
 _REQUEST = "|".join(map(_request_grammar, _FAMILIES))
-_RECORD_OPEN = b',"record":'
 _OTHER_SCHEMA = re.compile(rb'\{"schema_version":(?!%d,)[0-9]+,' % SCHEMA_VERSION)
-# A request holds no ``}``, so the head ends 2 bytes past the line's first
-# ``}``.  No group captures: ``_cache_line`` cuts the fields out at fixed
-# delimiters.
+# A request holds no ``}`` and no ``]``, so the head ends at the line's first
+# ``]`` and the requests are cut apart at ``},{``.  No group captures:
+# ``_cache_line`` cuts the fields out at fixed delimiters.
 _CACHE_LINE_HEAD = re.compile(
     re.escape(_CACHE_PREFIX)
-    + rf'[0-9a-f]{{8}}","formula_revision":{_NAT},"record":\{{"request":\{{(?:{_REQUEST})\}},'.encode("ascii")
+    + rf'[0-9a-f]{{8}}","formula_revision":{_NAT},"requests":\[\{{(?:{_REQUEST})\}}(?:,\{{(?:{_REQUEST})\}})*'
+    rf'\],"record":\{{'.encode("ascii")
 )
 
 
-def _cache_line(line: bytes, bodies: dict[str, str]) -> Optional[tuple[int, str, str]]:
-    """(formula revision, request echo, record body) of a line whose stamp verifies, else None.
+def _cache_line(line: bytes) -> Optional[tuple[int, list[str], str]]:
+    """(formula revision, request echoes, record body) of a line whose stamp verifies, else None.
 
-    A line is read when, checked in this order, it opens with the schema-3
-    prefix ``{"schema_version":3,"crc32":"``; its 8 stamp digits are, byte
+    A line is read when, checked in this order, it opens with the schema-4
+    prefix ``{"schema_version":4,"crc32":"``; its 8 stamp digits are, byte
     for byte, the lowercase hex CRC-32 of its bytes from
-    ``"formula_revision"`` to its last byte but a newline; its head, up to 2
-    bytes past its first ``}``, is in ``_CACHE_LINE_HEAD``: the stamp, the
-    revision, then ``"record":`` and the request echo, which holds the
-    target, genus, rank (triples only), degrees, and the stability value
-    with its chamber index d0 (an integer or ``null``); and its last byte
-    but a newline is the ``}`` that closes it.  So any line whose bytes
-    differ from the bytes ``_save_cache`` stamped is refused, a request
-    echo edited to another row's included, and so is any head spelled
-    otherwise: whitespace, an escape, a float, "-0", a reordered or extra
-    key, a byte outside ASCII.  The body is not matched against a grammar:
-    a good stamp on a bad body comes only from a writer bug or a forged
-    stamp.  Nothing is decoded as JSON.
+    ``"formula_revision"`` to its last byte but a newline; its head, up to
+    ``],"record":{`` after its first ``]``, is in ``_CACHE_LINE_HEAD``: the
+    stamp, the revision, then ``"requests":`` and a list of one or more
+    requests, each of which holds the target, genus, rank (triples only),
+    degrees, and the stability value with its chamber index d0 (an integer
+    or ``null``); and its last byte but a newline is the ``}`` that closes
+    it.  So any line whose bytes differ from the bytes ``_save_cache``
+    stamped is refused, a request edited to another line's included, and so
+    is any head spelled otherwise: whitespace, an escape, a float, "-0", a
+    reordered or extra key, a byte outside ASCII.  The body is not matched
+    against a grammar: a good stamp on a bad body comes only from a writer
+    bug or a forged stamp.  Nothing is decoded as JSON.
 
     The fields are slices at fixed delimiters: the revision runs to the
-    first comma after its key, the echo ``{"request":{...},`` from
-    ``,"record":`` to the end of the head, and the body from there to the
-    closing ``}``.  The body is looked up by its text in ``bodies``, which
-    maps each body read so far to itself, so the lines that share a body
-    share one string.
+    first comma after its key, the requests from ``"requests":[`` to the
+    head's ``]``, cut apart at ``},{`` and each spelled as its echo
+    ``{"request":{...},``, and the body from the end of the head to the
+    closing ``}``.  The body is decoded once, as one string for every echo
+    of the line.
     """
     end = len(line) - line.endswith(b"\n") - 1  # the line's closing brace
-    cut = line.find(b"}") + 2
+    cut = line.find(b"]") + len(_RECORD_OPEN)
     if (
         not line.startswith(_CACHE_PREFIX)
         or line[len(_CACHE_PREFIX) : _STAMP_END] != b"%08x" % zlib.crc32(line[_STAMPED : end + 1])
         or _CACHE_LINE_HEAD.fullmatch(line, 0, cut) is None
-        or not cut <= end
         or line[end] != 0x7D
     ):
         return None
-    text = line[cut:end].decode("latin-1")  # every byte decodes, and ``_save_cache`` encodes it back alike
     comma = line.index(b",", _REVISION)
-    echo = line[comma + len(_RECORD_OPEN) : cut].decode("ascii")
-    return int(line[_REVISION:comma]), echo, bodies.setdefault(text, text)
+    requests = line[comma + len(_REQUESTS_OPEN) + 1 : cut - len(_RECORD_OPEN) - 1].decode("ascii")
+    echoes = [f"{_ECHO_OPEN}{{{request}}}," for request in requests.split("},{")]
+    return int(line[_REVISION:comma]), echoes, line[cut:end].decode("latin-1")  # ``_save_cache`` encodes it back alike
 
 
 def _file_identity(status: os.stat_result) -> _FileIdentity:
@@ -516,57 +520,58 @@ def _read_cache(path: str) -> tuple[dict[str, str], int, int, int, _FileIdentity
     """(body of each record by its request echo, bad lines, lines of another schema, records of another revision,
     the identity of the file read).
 
-    Reads the file at ``path`` line by line with ``_cache_line``, in one
-    memo of bodies; an ``OSError`` of the read is raised.  The identity,
-    (device, inode, size, modification time in ns), is taken from the open
-    file before its first line is read.
+    Reads the file at ``path`` line by line with ``_cache_line``, and maps
+    every echo of a line to the line's one body string; an ``OSError`` of
+    the read is raised.  The identity, (device, inode, size, modification
+    time in ns), is taken from the open file before its first line is read.
     """
     cache: dict[str, str] = {}
-    bodies: dict[str, str] = {}
     dropped = outdated = stale = 0
     # a buffer past the ~10 kB lines of a large table, which an 8 kB default splits
     with open(path, "rb", buffering=1 << 20) as handle:
         identity = _file_identity(os.fstat(handle.fileno()))
         for line in handle:
-            read = _cache_line(line, bodies)
+            read = _cache_line(line)
             if read is None and _OTHER_SCHEMA.match(line):
                 outdated += 1
             elif read is None:
                 dropped += 1
             elif read[0] != FORMULA_REVISION:
-                stale += 1
+                stale += len(read[1])
             else:
-                cache[read[1]] = read[2]
+                cache.update(dict.fromkeys(read[1], read[2]))
     return cache, dropped, outdated, stale, identity
 
 
-def _load_cache(path: str) -> tuple[dict[str, str], bool, Optional[_FileIdentity]]:
+def _load_cache(path: str, shown: Optional[str] = None) -> tuple[dict[str, str], bool, Optional[_FileIdentity]]:
     """(body of each record by its request echo, whether the file needs rewriting, the identity of the file read or
-    None), with a warning per kind of drop.
+    None), with a warning per kind of drop that names the file ``shown``, ``path`` unless given.
 
     Each line is read on its own by ``_cache_line``, so a bad line
     (truncated, damaged, edited, or any spelling other than the one
-    ``_save_cache`` writes) is dropped and counted, the rest kept.  Lines of
-    another ``schema_version``, as schema 2, or of another formula revision
-    are dropped and counted apart, so their records are recomputed.
-    Records are held as their JSON text, never decoded here, so a large
-    table holds a few bytes per term.  The memo of bodies lives for this
-    one read: the records that share a body hold one string.
+    ``_save_cache`` writes) is dropped and counted, the rest kept; every
+    record a dropped line lists is recomputed.  Lines of another
+    ``schema_version``, as schema 3, and records of another formula
+    revision are dropped and counted apart, so their records are
+    recomputed.  Records are held as their JSON text, never decoded here,
+    so a large table holds a few bytes per term, and the records of one
+    line share its body string.
     """
+    shown = path if shown is None else shown
     if not path or not os.path.exists(path):
         return {}, False, None
     try:
         cache, dropped, outdated, stale, identity = _read_cache(path)
     except OSError as exc:
-        _warn(path, f"is unreadable: {exc}; recomputing and overwriting")
+        _warn(shown, f"is unreadable: {exc}; recomputing and overwriting")
         return {}, True, None
     if dropped:
-        _warn(path, f"is corrupt: dropped {dropped} bad line(s), kept {len(cache)} record(s); "
+        _warn(shown, f"is corrupt: dropped {dropped} bad line(s), kept {len(cache)} record(s); "
               "recomputing the dropped ones and rewriting the file")
     if outdated:
-        _warn(path, f"has {outdated} line(s) of another cache schema; recomputing them and rewriting the file")
+        _warn(shown, f"has {outdated} line(s) of another cache schema; recomputing them and rewriting the file")
     if stale:
-        _warn(path, f"has {stale} record(s) of another formula revision; "
+        _warn(shown, f"has {stale} record(s) of another formula revision; "
               f"recomputing them with revision {FORMULA_REVISION} and rewriting the file")
     return cache, bool(dropped or outdated or stale), identity
 
@@ -575,25 +580,29 @@ def _warn(path: str, problem: str) -> None:
     print(f"warning: cache file {path} {problem}", file=sys.stderr)
 
 
-def _save_cache(path: str, cache: dict[str, str], loaded: Optional[_FileIdentity]) -> None:
+def _save_cache(path: str, cache: dict[str, str], loaded: Optional[_FileIdentity], shown: Optional[str] = None) -> None:
     """Merge the cache into the file at ``path`` under a lock, by a write beside it and a rename over it.
 
     ``cache`` maps each request echo to the body of its record, and
-    ``loaded`` is the identity of the file it was loaded from, or None.
-    The run holds an exclusive ``flock`` on the sidecar ``<path>.lock``
-    while it re-reads the file, without warnings, merges in the records of
-    echoes it does not hold (its own win), writes, syncs and renames; so of
-    two runs that save into one file, the later keeps what the earlier
-    wrote.  A file whose identity is still ``loaded`` is not re-read: its
-    records are in ``cache`` already, and every writer renames a new file
-    into place, so another run's save changes the identity.
-    Each line is ``{"schema_version":3,"crc32":"xxxxxxxx",`` then the
-    stamped bytes ``"formula_revision":N,"record":{...}}``, the record
-    spliced from its echo and body, in the order of the echoes; the stamp
-    is ``zlib.crc32`` of the stamped bytes in 8 lowercase hex digits.  Each
-    line is compact JSON.  The new file is flushed and synced to disk
-    before the rename, so a crash cannot leave the rename pointing at
-    unwritten data, and a failed write loses nothing.
+    ``loaded`` is the identity of the file it was loaded from, or None; a
+    failed write is warned of under the name ``shown``, ``path`` unless
+    given.  The run holds an exclusive ``flock`` on the sidecar
+    ``<path>.lock`` while it re-reads the file, without warnings, merges in
+    the records of echoes it does not hold (its own win), writes, syncs and
+    renames; so of two runs that save into one file, the later keeps what
+    the earlier wrote.  A file whose identity is still ``loaded`` is not
+    re-read: its records are in ``cache`` already, and every writer renames
+    a new file into place, so another run's save changes the identity.
+    The echoes are grouped by the text of their body, so the file's bytes
+    depend only on the map from echo to body: each line is
+    ``{"schema_version":4,"crc32":"xxxxxxxx",`` then the stamped bytes
+    ``"formula_revision":N,"requests":[...],"record":{...}}``, the requests
+    of one body's echoes in sorted order, then that body; the lines are in
+    the order of their least echo.  The stamp is ``zlib.crc32`` of the
+    stamped bytes in 8 lowercase hex digits.  Each line is compact JSON.
+    The new file is flushed and synced to disk before the rename, so a
+    crash cannot leave the rename pointing at unwritten data, and a failed
+    write loses nothing.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -602,10 +611,13 @@ def _save_cache(path: str, cache: dict[str, str], loaded: Optional[_FileIdentity
             with contextlib.suppress(OSError):  # a file gone or unreadable is overwritten
                 if loaded is None or _file_identity(os.stat(path)) != loaded:
                     cache = {**_read_cache(path)[0], **cache}
+            requests: dict[str, list[str]] = {}  # by body, in the order of each body's least echo
+            for echo in sorted(cache):
+                requests.setdefault(cache[echo], []).append(echo[len(_ECHO_OPEN) : -1])
             with open(tmp, "wb") as handle:
-                for echo in sorted(cache):
-                    stamped = b'"formula_revision":%d,"record":%s%s}' % (
-                        FORMULA_REVISION, echo.encode("latin-1"), cache[echo].encode("latin-1"))
+                for body, listed in requests.items():
+                    stamped = b'"formula_revision":%d,"requests":[%s],"record":{%s}' % (
+                        FORMULA_REVISION, ",".join(listed).encode("latin-1"), body.encode("latin-1"))
                     handle.write(b'%s%08x",%s\n' % (_CACHE_PREFIX, zlib.crc32(stamped), stamped))
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -613,7 +625,7 @@ def _save_cache(path: str, cache: dict[str, str], loaded: Optional[_FileIdentity
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        print(f"warning: could not write cache file {path}: {exc}", file=sys.stderr)
+        print(f"warning: could not write cache file {path if shown is None else shown}: {exc}", file=sys.stderr)
 
 
 def _latex_row(rec: dict) -> str:
@@ -637,16 +649,20 @@ def _cmd_table(args: argparse.Namespace) -> int:
     A row whose key an earlier row of this run evaluated takes that row's
     body; only a new key is evaluated.  ``computed`` maps each key to the
     body this run computed for it: strings the cache holds anyway, never a
-    copy, and never a cached body, so a damaged line is served for its own
-    row only.  It dies with the run, as the box does.  Rows that share a
-    body share one string, in the cache and in ``computed``, and each
-    record is spliced from its echo and body only where it is written.
+    copy, and never a cached body, so a body read from a line is served
+    only for the rows that line lists.  It dies with the run, as the box
+    does.  Rows that share a body share one string, in the cache and in
+    ``computed``, and each record is spliced from its echo and body only
+    where it is written.  The cache path is resolved once, so a run through
+    a symbolic link loads, locks and renames over the file it names, and a
+    warning names the path as given.
     """
     cache_path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV, "")
     # opening a FIFO would block, and the save would rename over a device or directory
     if cache_path and os.path.exists(cache_path) and not os.path.isfile(cache_path):
         raise UserError(f"cache path {cache_path} exists and is not a regular file")
-    cache, stale, loaded = _load_cache(cache_path)
+    real_path = os.path.realpath(cache_path) if cache_path else ""
+    cache, stale, loaded = _load_cache(real_path, cache_path)
     family, echoes, box = _FAMILY_OF[args.target], [], _CanonicalBox()
     computed: dict[Hashable, str] = {}
     for g, params, stability, d0 in _table_rows(args):
@@ -659,7 +675,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             stale = True
         echoes.append(echo)
     if cache_path and stale:
-        _save_cache(cache_path, cache, loaded)
+        _save_cache(real_path, cache, loaded, cache_path)
 
     # Records stay text until printed; formats other than JSON lines parse one at a time, never all.
     records = (json.loads(echo + cache[echo]) for echo in echoes)

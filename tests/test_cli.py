@@ -19,7 +19,7 @@ import tracemalloc
 import zlib
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -60,11 +60,29 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _stamped_line(record: bytes, revision: int = cli.FORMULA_REVISION) -> bytes:
-    """The schema-3 cache line of ``record``, without its newline: its stamp is the CRC-32, in 8 lowercase hex
-    digits, of its bytes from ``"formula_revision"`` to its closing brace."""
-    stamped = b'"formula_revision":%d,"record":%s}' % (revision, record)
-    return b'{"schema_version":3,"crc32":"%08x",%s' % (zlib.crc32(stamped), stamped)
+def _stamped_line(echoes: Iterable[bytes], body: bytes, revision: int = cli.FORMULA_REVISION) -> bytes:
+    """The schema-4 cache line of the records of ``echoes`` that share ``body``, without its newline: the requests
+    the echoes open with, in the order given, then the body; its stamp is the CRC-32, in 8 lowercase hex digits, of
+    its bytes from ``"formula_revision"`` to its closing brace."""
+    requests = b",".join(echo[len(b'{"request":') : -1] for echo in echoes)
+    stamped = b'"formula_revision":%d,"requests":[%s],"record":{%s}' % (revision, requests, body)
+    return b'{"schema_version":4,"crc32":"%08x",%s' % (zlib.crc32(stamped), stamped)
+
+
+def _split(line: bytes) -> int:
+    """Where ``_cache_line`` cuts a line into head and body: just past the ``],"record":{`` at its first ``]``, else
+    at its end."""
+    return line.find(b"]") + len(b'],"record":{') if b"]" in line else len(line)
+
+
+def _line_echoes(line: bytes) -> list[bytes]:
+    """The request echoes of the records a cache line lists: each request of its head spelled as an echo."""
+    return [b'{"request":%s,' % request for request in re.findall(rb"\{[^{}]*\}", line[: _split(line)])]
+
+
+def _record_split(record: str) -> int:
+    """Where a record's text, as a table prints it, cuts into its echo and its body: a request holds no ``}``."""
+    return record.index("}") + 2
 
 
 class TestCompute:
@@ -345,13 +363,15 @@ class TestTable:
 
     @pytest.mark.parametrize("options", FORMATS.values(), ids=FORMATS)
     def test_misshapen_values_dropped(self, capsys, tmp_path, monkeypatch, options):
-        """Lines with the written keys in order but values of another shape are dropped, never served."""
+        """Lines with the written keys in order but values of another shape are dropped, never served, with every
+        record they list."""
         cache = tmp_path / "records.jsonl"
-        argv = ["table", "--target", "bundle-fixed", "--genus", "2..3", "--degree", "1..5", *options, "--cache", str(cache)]
+        argv = ["table", "--target", "bundle-fixed", "--genus", "2..7", "--degree", "1..3", *options, "--cache", str(cache)]
         cold = run(capsys, *argv)
         written = cache.read_text(encoding="utf-8")
         lines = written.splitlines()
         assert len(lines) == 6 and all('"terms":[{"u":0,"v":0,"c":"1"},' in line for line in lines)
+        assert all(len(_line_echoes(line.encode())) == 2 for line in lines)  # odd degrees share a result
         first_term, dim = '{"u":0,"v":0,"c":"1"}', re.compile(r'"dim":(\d+),')
         lines[0] = re.sub(r'"terms":\[.*?\]', '"terms":"x"', lines[0])
         lines[1] = lines[1].replace(first_term, '{"u":0,"v":0,"c":"1","w":0}')  # a fourth key
@@ -366,7 +386,7 @@ class TestTable:
         compute = cli._compute_record
         monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (0, cold[1]) and len(computed) == 2  # one key per genus: odd degrees share a result
+        assert (code, out) == (0, cold[1]) and len(computed) == 6  # one key per genus
         assert "corrupt: dropped 6 bad line(s), kept 0 record(s)" in err
         assert cache.read_text(encoding="utf-8") == written
 
@@ -377,12 +397,14 @@ class TestTable:
         colds = {name: run(capsys, "table", *options, *fmt) for name, fmt in FORMATS.items()}
         assert run(capsys, "table", *options, "--cache", str(cache)) == colds["json-lines"]
         lines = cache.read_bytes().splitlines(keepends=True)
-        assert len(lines) == colds["json-lines"][1].count("\n") > 0
-        bodies: dict = {}
-        assert None not in (cli._cache_line(line, bodies) for line in lines)
+        rows = colds["json-lines"][1].splitlines()
+        bodies = {row[_record_split(row) :] for row in rows}
+        assert len(lines) == len({line[_split(line) :] for line in lines}) == len(bodies) > 0  # no body on two lines
+        assert sum(len(_line_echoes(line)) for line in lines) == len(rows)
+        assert None not in map(cli._cache_line, lines)
         records, stale, _ = cli._load_cache(str(cache))
-        assert (len(records), stale) == (len(lines), False)
-        assert any(b'"d0":-1},' in line for line in lines) == negative_d0
+        assert (len(records), stale) == (len(rows), False)
+        assert any(b'"d0":-1}' in line for line in lines) == negative_d0
         for name, fmt in FORMATS.items():
             assert run(capsys, "table", *options, *fmt, "--cache", str(cache)) == colds[name] and colds[name][2] == ""
 
@@ -415,28 +437,33 @@ class TestTable:
         assert (cache.read_bytes(), cache.stat().st_ino) == (written, inode)
 
     def test_partly_warm_run_copies_no_cached_text(self, capsys, tmp_path):
-        """A row whose cache line is gone is computed afresh, though a row before it that shares its core is served
-        a cached record edited to a wrong coefficient, still well formed and stamped again: a run reuses only the
-        records it computed."""
+        """A row whose request is gone from its cache line is computed afresh, though the rows that line still lists
+        share its core and are served its body edited to a wrong coefficient, still well formed and stamped again: a
+        run reuses only the records it computed."""
         cache = tmp_path / "records.jsonl"
         options = (*TABLES["triple"][0], "--poincare", "--cache", str(cache))
         cold = run(capsys, "table", *options)[1].splitlines()
         rows = cli._table_rows(cli.build_parser().parse_args(["table", *options]))
         keys = [cli._triple_row_key("triple", g, params, d0) for g, params, _, d0 in rows]
         first, later = next((keys.index(key), j) for j, key in enumerate(keys) if keys.index(key) < j)
-        edited = cold[first].replace('{"u":0,"v":0,"c":"1"}', '{"u":0,"v":0,"c":"7"}', 1)
+        echoes = [row[: _record_split(row)].encode() for row in cold]
+        body = cold[first][_record_split(cold[first]) :].encode()
+        edited = body.replace(b'{"u":0,"v":0,"c":"1"}', b'{"u":0,"v":0,"c":"7"}', 1)
         lines = cache.read_bytes().splitlines()
-        stamped = {_stamped_line(cold[first].encode()): _stamped_line(edited.encode())}
-        stamped[_stamped_line(cold[later].encode())] = b""
-        assert edited != cold[first] and set(stamped) <= set(lines)  # the edited line is stamped again, so it is read
-        cache.write_bytes(b"".join(b"%s\n" % line for line in (stamped.get(line, line) for line in lines) if line))
+        at = next(i for i, line in enumerate(lines) if echoes[first] in _line_echoes(line))
+        listed = _line_echoes(lines[at])  # first and later share a core, so a body and a line
+        assert edited != body and echoes[later] in listed and lines[at] == _stamped_line(listed, body)
+        kept = [echo for echo in listed if echo != echoes[later]]
+        lines[at] = _stamped_line(kept, edited)  # stamped again, so it is read
+        cache.write_bytes(b"".join(b"%s\n" % line for line in lines))
         code, out, err = run(capsys, "table", *options)
         assert (code, err) == (0, "")
-        assert out.splitlines() == [*cold[:first], edited, *cold[first + 1 :]]  # the edited line serves its own row only
+        served = [echo.decode() + edited.decode() if echo in kept else row for echo, row in zip(echoes, cold)]
+        assert out.splitlines() == served and served[later] == cold[later]  # the edited line serves its own rows only
 
     def test_schema_1_cache_rewritten_once(self, capsys, tmp_path, monkeypatch):
         """A cache file as the schema-1 cli wrote it, with a key before each record: its lines are dropped with one
-        out-of-date warning (not "corrupt"), every record is recomputed with the same output and rewritten in schema 3,
+        out-of-date warning (not "corrupt"), every record is recomputed with the same output and rewritten in schema 4,
         and the next run is quiet."""
         cache = tmp_path / "records.jsonl"
         schema_1 = (
@@ -459,12 +486,14 @@ class TestTable:
         assert (code, out, len(computed)) == (0, cold[1], 2)
         assert err == f"warning: cache file {cache} has 2 line(s) of another cache schema; recomputing them and rewriting the file\n"
         records = [line[line.index(b'"record":') + len(b'"record":') : -1] for line in schema_1.splitlines()]
-        assert cache.read_bytes().splitlines() == [_stamped_line(record) for record in sorted(records)]  # by echo
+        cut = [record.index(b"}") + 2 for record in records]  # the bodies differ, so one line each
+        expected = [_stamped_line([record[:at]], record[at:]) for record, at in sorted(zip(records, cut))]
+        assert cache.read_bytes().splitlines() == expected  # by echo
         assert run(capsys, *argv, "--cache", str(cache)) == (0, cold[1], "") and len(computed) == 2
 
     def test_schema_2_cache_rewritten_once(self, capsys, tmp_path, monkeypatch):
         """A cache file as the schema-2 cli wrote it, unstamped: one out-of-date warning, every record recomputed
-        with the same output, the file rewritten in schema 3 with the bytes a cold run writes, and the next run
+        with the same output, the file rewritten in schema 4 with the bytes a cold run writes, and the next run
         quiet and computing nothing."""
         cache, cold_cache = tmp_path / "records.jsonl", tmp_path / "cold.jsonl"
         argv = ["table", "--target", "triple", "--genus", "2", "--d1", "1..3", "--d2", "0", "--poincare"]
@@ -480,18 +509,41 @@ class TestTable:
         assert cache.read_bytes() == cold_cache.read_bytes()
         assert run(capsys, *argv, "--cache", str(cache)) == (0, cold[1], "") and len(computed) == 4
 
+    def test_schema_3_cache_rewritten_once(self, capsys, tmp_path, monkeypatch):
+        """A cache file as the schema-3 cli wrote it, one stamped line per record: one out-of-date warning, every
+        record recomputed with the same output, the file rewritten in schema 4 with the bytes a cold run writes, and
+        the next run quiet and computing nothing."""
+        cache, cold_cache = tmp_path / "records.jsonl", tmp_path / "cold.jsonl"
+        argv = ["table", *TABLES["triple"][0], "--poincare"]
+        rows = cli._table_rows(cli.build_parser().parse_args(argv))
+        keys = {cli._triple_row_key("triple", g, params, d0) for g, params, _, d0 in rows}
+        cold = run(capsys, *argv, "--cache", str(cold_cache))
+        records = sorted(cold[1].encode().splitlines())
+        stamped = [b'"formula_revision":%d,"record":%s}' % (cli.FORMULA_REVISION, record) for record in records]
+        cache.write_bytes(b"".join(b'{"schema_version":3,"crc32":"%08x",%s\n' % (zlib.crc32(s), s) for s in stamped))
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (0, cold[1]) and len(computed) == len(keys) < len(stamped) == len(rows)
+        assert err == (f"warning: cache file {cache} has {len(rows)} line(s) of another cache schema; "
+                       "recomputing them and rewriting the file\n")
+        assert cache.read_bytes() == cold_cache.read_bytes()
+        assert run(capsys, *argv, "--cache", str(cache)) == (0, cold[1], "") and len(computed) == len(keys)
+
     def test_echo_edited_to_another_rows_dropped(self, capsys, tmp_path, monkeypatch):
-        """A line whose request echo is edited to another row's, still well spelled, fails its stamp: it is dropped
-        with a warning, the row whose echo it took is served its own record, and the file is mended to the cold
+        """A line whose request is edited to another line's, still well spelled, fails its stamp: it is dropped
+        with a warning, the row whose request it took is served its own record, and the file is mended to the cold
         bytes."""
         cache = tmp_path / "records.jsonl"
         argv = ["table", "--target", "pair", "--genus", "2..3", "--degree", "1..6", "--poincare", "--cache", str(cache)]
         cold, written = run(capsys, *argv), cache.read_bytes()
         lines = written.splitlines(keepends=True)
-        echoes = [line[line.index(b'{"request":') : _split(line)] for line in lines]
+        requests = [[echo[len(b'{"request":') : -1] for echo in _line_echoes(line)] for line in lines]
+        earlier, later = 0, 1
         bodies = [line[_split(line) :] for line in lines]
-        earlier, later = next((i, j) for j in range(len(lines)) for i in range(j) if bodies[i] != bodies[j])
-        lines[later] = lines[later].replace(echoes[later], echoes[earlier])  # later in the file, so it would win
+        assert len(requests[later]) == 1 and bodies[earlier] != bodies[later]
+        lines[later] = lines[later].replace(requests[later][0], requests[earlier][0])  # later in the file, so it would win
         assert _CAPTURING_CACHE_LINE.fullmatch(lines[later]) and _oracle_line(lines[later]) is None
         cache.write_bytes(b"".join(lines))
         computed = []
@@ -503,15 +555,15 @@ class TestTable:
         assert cache.read_bytes() == written
 
     def test_other_schemas_counted_apart_from_damage(self, capsys, tmp_path):
-        """Lines of schemas 2 and 4 draw one out-of-date warning, apart from the "corrupt" one of a damaged line."""
+        """Lines of schemas 2 and 5 draw one out-of-date warning, apart from the "corrupt" one of a damaged line."""
         cache = tmp_path / "records.jsonl"
-        argv = ["table", "--target", "bundle", "--genus", "2", "--degree", "1..5", "--cache", str(cache)]
+        argv = ["table", "--target", "bundle", "--genus", "2..4", "--degree", "1..5", "--cache", str(cache)]
         cold = run(capsys, *argv)
         lines = cache.read_bytes().splitlines(keepends=True)
-        assert len(lines) == 3
-        assert cli.SCHEMA_VERSION == 3
-        lines[0] = re.sub(rb'^\{"schema_version":3,"crc32":"[0-9a-f]{8}",', b'{"schema_version":2,', lines[0])
-        lines[1] = lines[1].replace(b'{"schema_version":3,', b'{"schema_version":4,')
+        assert len(lines) == 3 and all(len(_line_echoes(line)) == 3 for line in lines)
+        assert cli.SCHEMA_VERSION == 4
+        lines[0] = re.sub(rb'^\{"schema_version":4,"crc32":"[0-9a-f]{8}",', b'{"schema_version":2,', lines[0])
+        lines[1] = lines[1].replace(b'{"schema_version":4,', b'{"schema_version":5,')
         assert lines[0].startswith(b'{"schema_version":2,"formula_revision":') and b"crc32" in lines[1]
         lines[2] = lines[2][:-9] + b"\n"
         cache.write_bytes(b"".join(lines))
@@ -532,8 +584,9 @@ class TestTable:
         lines = cache.read_text(encoding="utf-8").splitlines()
         entries = [json.loads(line) for line in lines]
         assert lines == [cli._dump_json(entry) for entry in entries]
-        assert list(entries[0]) == ["schema_version", "crc32", "formula_revision", "record"]
-        assert sorted(cli._dump_json(entry["record"]) for entry in entries) == sorted(out.splitlines())
+        assert list(entries[0]) == ["schema_version", "crc32", "formula_revision", "requests", "record"]
+        records = [cli._dump_json({"request": request, **entry["record"]}) for entry in entries for request in entry["requests"]]
+        assert sorted(records) == sorted(out.splitlines())
 
     def test_respelled_cache_lines_served_as_cold(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "records.jsonl"
@@ -541,14 +594,14 @@ class TestTable:
         cold = run(capsys, *argv)
         written = cache.read_text(encoding="utf-8")
         lines = written.splitlines()
-        assert len(lines) == 4 and all(cli._cache_line(f"{line}\n".encode(), {}) for line in lines)
+        assert len(lines) == 4 and all(cli._cache_line(f"{line}\n".encode()) for line in lines)
         entries = [json.loads(line) for line in lines]
         head = lines[1][: lines[1].index('"record":') + len('"record":')]
         lines[0] = json.dumps(entries[0])  # spaces everywhere, the head included
         lines[1] = head + json.dumps(entries[1]["record"]) + "}"  # the head as written, spaces in the record
         lines[2] = lines[2].replace('"triple"', '"\\u0074riple"')  # a \u escape in the record
         lines[3] = lines[3][:-1] + ',"note":1}'  # a field after the record
-        assert [cli._cache_line(f"{line}\n".encode(), {}) for line in lines] == [None] * 4
+        assert [cli._cache_line(f"{line}\n".encode()) for line in lines] == [None] * 4
         cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
         computed = []
         compute = cli._compute_record
@@ -559,25 +612,31 @@ class TestTable:
         assert cache.read_text(encoding="utf-8") == written
 
     def test_cache_line_reads_only_the_written_spelling(self, capsys, tmp_path):
-        """Each respelling is refused, read with a memo that holds the written lines' bodies: under the written
-        stamp, which no longer verifies, and, for a respelled head or end of line, under a forged stamp that does.
-        A respelled body under a forged stamp is read: past the head, the stamp alone guards the bytes."""
-        cache, bodies = tmp_path / "records.jsonl", {}
-        run(capsys, "table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1", "--cache", str(cache))
+        """Each respelling is refused: under the written stamp, which no longer verifies, and, for a respelled head
+        or end of line, under a forged stamp that does.  A respelled body under a forged stamp is read: past the
+        head, the stamp alone guards the bytes."""
+        cache = tmp_path / "records.jsonl"
+        run(capsys, "table", "--target", "bundle-fixed", "--genus", "2", "--degree", "1..3", "--cache", str(cache))
         line = cache.read_bytes()
-        assert cli._cache_line(line, bodies)[0] == cli.FORMULA_REVISION and _restamped(line) == line
+        assert cli._cache_line(line)[0] == cli.FORMULA_REVISION and _restamped(line) == line
+        assert len(_line_echoes(line)) == 2
         stamp = b'"formula_revision":%d,' % cli.FORMULA_REVISION
         dim = b'"dim":%d,' % json.loads(line)["record"]["dim"]
         triple_cache = tmp_path / "triple.jsonl"
         run(capsys, "table", "--target", "triple", "--genus", "2", "--d1", "1", "--d2", "0", "--cache", str(triple_cache))
         triple_line = triple_cache.read_bytes().splitlines(keepends=True)[0]
-        assert cli._cache_line(triple_line, bodies) is not None and b'"d2":0,' in triple_line and len(bodies) == 2
+        assert cli._cache_line(triple_line) is not None and b'"d2":0,' in triple_line
         heads = [
             line.replace(stamp, b'"formula_revision":true,'),
             line.replace(stamp, b'"formula_revision":"%d",' % cli.FORMULA_REVISION),
             line.replace(stamp, b'"formula_revision":%d.0,' % cli.FORMULA_REVISION),
             line.replace(stamp, b'"formula_revision": %d,' % cli.FORMULA_REVISION),
-            line.replace(b'"request":{', b'"request":{"poincare":null,', 1),  # a second "poincare" to cut at
+            line.replace(b'"requests":[{', b'"requests":[{"poincare":null,', 1),  # a second "poincare" to cut at
+            line.replace(b'"requests":[{', b'"request":[{', 1),
+            line.replace(b'},{', b'}, {', 1),
+            line.replace(b'},{', b'},,{', 1),
+            line.replace(b'],"record"', b',{}],"record"', 1),  # an empty request
+            line[: line.index(b"[")] + line[line.index(b"]") :].replace(b"]", b"[]", 1),  # no request
             line.replace(b'"crc32":"', b'"crc32":"0', 1),  # nine stamp digits
             line.replace(b"\n", b"\r\n"),
             line.replace(b"}\n", b"} \n"),
@@ -592,9 +651,9 @@ class TestTable:
         ]
         respelled = heads + respelled_bodies
         assert line not in respelled and len(set(respelled)) == len(respelled)
-        assert [cli._cache_line(other, bodies) for other in respelled] == [None] * len(respelled)
-        assert [cli._cache_line(_restamped(other), bodies) for other in heads] == [None] * len(heads)
-        assert [cli._cache_line(_restamped(other), bodies)[2] for other in respelled_bodies] == [
+        assert [cli._cache_line(other) for other in respelled] == [None] * len(respelled)
+        assert [cli._cache_line(_restamped(other)) for other in heads] == [None] * len(heads)
+        assert [cli._cache_line(_restamped(other))[2] for other in respelled_bodies] == [
             other[_split(other) : -2].decode() for other in respelled_bodies
         ]
 
@@ -649,24 +708,26 @@ class TestTable:
 
     def test_other_formula_revision_recomputed(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "records.jsonl"
-        # one degree, so each row has a key of its own and ``computed`` counts the rows recomputed
-        argv = ["table", "--target", "bundle-fixed", "--genus", "2..4", "--degree", "1", "--format", "json-lines", "--cache", str(cache)]
+        # one key per genus, and two records of each: ``computed`` counts the lines recomputed
+        argv = ["table", "--target", "bundle-fixed", "--genus", "2..4", "--degree", "1..3", "--format", "json-lines", "--cache", str(cache)]
         first = run(capsys, *argv)
         written = cache.read_text(encoding="utf-8")
         entries = [json.loads(line) for line in written.splitlines()]
         assert [e["formula_revision"] for e in entries] == [cli.FORMULA_REVISION] * 3
+        assert [len(e["requests"]) for e in entries] == [2] * 3
         del entries[1]["formula_revision"]  # a line written before revisions were stamped: a bad line
         lines = [cli._dump_json(e).encode() for e in entries]
-        lines[0] = _stamped_line(cli._dump_json(entries[0]["record"]).encode(), cli.FORMULA_REVISION - 1)
+        echoes = [b'{"request":%s,' % cli._dump_json(request).encode() for request in entries[0]["requests"]]
+        lines[0] = _stamped_line(echoes, cli._dump_json(entries[0]["record"])[1:].encode(), cli.FORMULA_REVISION - 1)
         cache.write_bytes(b"".join(line + b"\n" for line in lines))
         computed = []
         compute = cli._compute_record
         monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
         code, out, err = run(capsys, *argv)
         assert code == 0 and out == first[1]
-        assert len(computed) == 2  # only the third record is served from the cache
-        assert "has 1 record(s) of another formula revision" in err
-        assert "corrupt: dropped 1 bad line(s), kept 1 record(s)" in err
+        assert len(computed) == 2  # only the third line's records are served from the cache
+        assert "has 2 record(s) of another formula revision" in err
+        assert "corrupt: dropped 1 bad line(s), kept 2 record(s)" in err
         assert cache.read_text(encoding="utf-8") == written
         assert run(capsys, *argv) == first and len(computed) == 2
 
@@ -694,13 +755,13 @@ class TestTable:
 
     def test_failed_cache_write_keeps_old_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "records.jsonl"
-        argv = ["table", "--target", "bundle-fixed", "--genus", "2", "--format", "json-lines", "--cache", str(cache)]
-        assert run(capsys, *argv, "--degree", "1..5")[0] == 0
+        argv = ["table", "--target", "bundle-fixed", "--format", "json-lines", "--cache", str(cache)]
+        assert run(capsys, *argv, "--genus", "2..4", "--degree", "1..5")[0] == 0
         before = cache.read_text(encoding="utf-8")
         assert len(before.splitlines()) == 3
 
         class FullDisk:
-            """A file whose second record write fails with ENOSPC."""
+            """A file whose second line write fails with ENOSPC."""
 
             def __init__(self, handle):
                 self.handle, self.records = handle, 0
@@ -723,16 +784,16 @@ class TestTable:
             return FullDisk(handle) if "w" in mode else handle
 
         monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
-        code, out, err = run(capsys, *argv, "--degree", "1..7")
-        assert code == 0 and len(out.splitlines()) == 4
+        code, out, err = run(capsys, *argv, "--genus", "2..4", "--degree", "1..7")
+        assert code == 0 and len(out.splitlines()) == 12
         assert "could not write cache file" in err
         assert cache.read_text(encoding="utf-8") == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl", "records.jsonl.lock"]  # no temporary
 
     def test_cache_synced_before_rename(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "records.jsonl"
-        argv = ["table", "--target", "bundle-fixed", "--genus", "2", "--format", "json-lines", "--cache", str(cache)]
-        assert run(capsys, *argv, "--degree", "1")[0] == 0
+        argv = ["table", "--target", "bundle-fixed", "--format", "json-lines", "--cache", str(cache)]
+        assert run(capsys, *argv, "--genus", "2", "--degree", "1")[0] == 0
         before = cache.read_text(encoding="utf-8")
         synced = []
         fsync = cli.os.fsync
@@ -745,28 +806,30 @@ class TestTable:
             fsync(fd)
 
         monkeypatch.setattr(cli.os, "fsync", recording_fsync)
-        code, out, err = run(capsys, *argv, "--degree", "1..5")
+        code, out, err = run(capsys, *argv, "--genus", "2..4", "--degree", "1..5")
         assert (code, err) == (0, "") and len(synced) == 1
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 3
 
-    def test_two_writers_keep_both_tables(self, capsys, tmp_path):
-        """Two processes write tables of disjoint genera into one cache file, both having read it before either
-        saves: the lock held here until each has warned of the file's bad line keeps them waiting.  Afterwards the
-        file holds both tables' records, as one run over both genera writes them."""
-        cache, both = tmp_path / "records.jsonl", tmp_path / "both.jsonl"
+    def _two_writers(self, capsys, tmp_path: Path, through_link: bool) -> None:
+        """Two processes write tables of disjoint genera into one cache file, the second through a symbolic link to
+        it if ``through_link``, both having read it before either saves: the lock held here until each has warned
+        of the file's bad line keeps them waiting.  Afterwards the file holds both tables' records, as one run over
+        both genera writes them, and the link is still a link."""
+        cache, link, both = tmp_path / "records.jsonl", tmp_path / "link.jsonl", tmp_path / "both.jsonl"
         options = ("table", "--target", "pair-fixed", "--degree", "1..6", "--poincare")
         assert run(capsys, *options, "--genus", "2..3", "--cache", str(both))[0] == 0
         cache.write_bytes(b"not a cache line\n")
+        link.symlink_to(cache.name)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
         env.pop(cli.CACHE_ENV, None)
-        argv = [sys.executable, "-m", "hodgetriples", *options, "--cache", str(cache), "--genus"]
+        argv = [sys.executable, "-m", "hodgetriples", *options]
         writers = []
         try:
             with open(f"{cache}.lock", "ab") as lock:
                 fcntl.flock(lock, fcntl.LOCK_EX)
-                for genus in ("2", "3"):
+                for genus, path in (("2", cache), ("3", link if through_link else cache)):
                     pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
-                    writers.append(subprocess.Popen([*argv, genus], env=env, **pipes))
+                    writers.append(subprocess.Popen([*argv, "--cache", str(path), "--genus", genus], env=env, **pipes))
                 for writer in writers:  # each has read the file before it saves; a writer that waits here fails
                     assert select.select([writer.stderr], [], [], 60)[0], "no warning within 60 s"
                     assert b"is corrupt: dropped 1 bad line(s), kept 0 record(s)" in writer.stderr.readline()
@@ -778,7 +841,34 @@ class TestTable:
         assert [writer.returncode for writer in writers] == [0, 0] and all(err == b"" for _, err in outputs)
         for genus, (out, _) in zip(("2", "3"), outputs):
             assert out.decode() == run(capsys, *options, "--genus", genus)[1]
-        assert cache.read_bytes() == both.read_bytes()
+        assert cache.read_bytes() == both.read_bytes() and link.is_symlink()
+        assert not os.path.exists(f"{link}.lock")
+
+    def test_two_writers_keep_both_tables(self, capsys, tmp_path):
+        self._two_writers(capsys, tmp_path, through_link=False)
+
+    def test_two_writers_through_link_and_target_keep_both_tables(self, capsys, tmp_path):
+        """One writer through a symbolic link to the cache file and one through the file itself lock one sidecar,
+        the file's, and keep both tables."""
+        self._two_writers(capsys, tmp_path, through_link=True)
+
+    def test_save_through_link_keeps_link(self, capsys, tmp_path):
+        """A cache path that is a symbolic link is resolved: a run through it loads, locks and renames over the file
+        it names, so the link stays a link, that file holds both tables, and its warnings name the link."""
+        real, link, both = tmp_path / "real.jsonl", tmp_path / "link.jsonl", tmp_path / "both.jsonl"
+        options = ("table", "--target", "bundle", "--degree", "1")
+        assert run(capsys, *options, "--genus", "2..3", "--cache", str(both))[0] == 0
+        assert run(capsys, *options, "--genus", "2", "--cache", str(real))[0] == 0
+        link.symlink_to(real.name)
+        real.write_bytes(real.read_bytes() + b"not a cache line\n")
+        expected = run(capsys, *options, "--genus", "3")[1]
+        code, out, err = run(capsys, *options, "--genus", "3", "--cache", str(link))
+        assert (code, out) == (0, expected)
+        assert err.startswith(f"warning: cache file {link} is corrupt: dropped 1 bad line(s), kept 1 record(s);")
+        assert link.is_symlink() and os.readlink(link) == real.name and real.read_bytes() == both.read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "both.jsonl", "both.jsonl.lock", "link.jsonl", "real.jsonl", "real.jsonl.lock"
+        ]
 
     def test_unchanged_file_read_once(self, capsys, tmp_path, monkeypatch):
         """A partly warm table over a cache file that no other run changed reads it once, at load: under the lock
@@ -1065,7 +1155,7 @@ class TestSquareReader:
 
     def test_table_run_retains_nothing(self, monkeypatch, tmp_path):
         """After a cold table returns, and after a warm one on a cache file a cold run wrote, less than 16 kB it
-        allocated is still held: no box, index, record of a core or memo of cache bodies outlives its run.  A
+        allocated is still held: no box, index, record of a core or cached body outlives its run.  A
         different, tiny table imports what the cli imports lazily first, so a cache that a run fills shows in the
         first run of the measured table."""
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)
@@ -1215,17 +1305,19 @@ _TERMS = _list_grammar(rf'\{{"u":{cli._NAT},"v":{cli._NAT},"c":{_COEFF}\}}')
 _DIAGONAL = _list_grammar(rf'\{{"t":{cli._NAT},"c":{_COEFF}\}}')
 _RECORD_BODY = rf'"dim":(?:{cli._NAT}|null),"terms":{_TERMS},"poincare":{_DIAGONAL}\}}'
 _CACHE_LINE_BODY = re.compile(rf"{_RECORD_BODY}\}}\n?".encode("ascii"))
-_STAMP_AT = len(b'{"schema_version":3,"crc32":"')  # where a schema-3 line holds its 8 stamp digits
+_STAMP_AT = len(b'{"schema_version":4,"crc32":"')  # where a schema-4 line holds its 8 stamp digits
+_REQUEST_ITEM = rf"\{{(?:{cli._REQUEST})\}}"  # one request of a line's list
 
 
 def _capturing_line(body: str) -> re.Pattern:
-    """A whole cache line with ``body`` after the request echo, capturing the stamp, the stamped bytes, the revision,
-    the echo and the body; the stamped bytes run from ``"formula_revision"`` to the line's closing ``}``."""
+    """A whole cache line with ``body`` after its list of requests, capturing the stamp, the stamped bytes, the
+    revision, the requests and the body; the stamped bytes run from ``"formula_revision"`` to the line's closing
+    ``}``."""
     return re.compile(
         re.escape(cli._CACHE_PREFIX)
         + (
-            rf'([0-9a-f]{{8}})",("formula_revision":({cli._NAT}),"record":'
-            rf'(\{{"request":\{{(?:{cli._REQUEST})\}},)({body})\}})\n?'
+            rf'([0-9a-f]{{8}})",("formula_revision":({cli._NAT}),"requests":\['
+            rf'({_REQUEST_ITEM}(?:,{_REQUEST_ITEM})*)\],"record":\{{({body})\}})\n?'
         ).encode("ascii"),
         re.S,
     )
@@ -1251,21 +1343,23 @@ def _without_captures(pattern: bytes) -> bytes:
     return b"".join(kept)
 
 
-def _oracle_read(line: bytes, grammar: re.Pattern = _CAPTURING_READ_LINE) -> Optional[tuple[int, str, str]]:
-    """(revision, echo, body) of a line in ``grammar`` whose stamp is the CRC-32 of its stamped bytes, else None."""
+def _oracle_read(line: bytes, grammar: re.Pattern = _CAPTURING_READ_LINE) -> Optional[tuple[int, list[str], str]]:
+    """(revision, echoes, body) of a line in ``grammar`` whose stamp is the CRC-32 of its stamped bytes, else None;
+    the echoes are the line's requests, found one by one, each spelled as the echo that opens its record."""
     match = grammar.fullmatch(line)
     if match is None or int(match[1], 16) != zlib.crc32(match[2]):
         return None
-    return int(match[3]), match[4].decode("ascii"), match[5].decode("latin-1")
+    requests = re.findall(_REQUEST_ITEM.encode("ascii"), match[4])
+    return int(match[3]), ['{"request":%s,' % request.decode("ascii") for request in requests], match[5].decode("latin-1")
 
 
-def _oracle_line(line: bytes) -> Optional[tuple[int, str, str]]:
-    """(revision, echo, body) of a line in the whole written grammar whose stamp verifies, else None."""
+def _oracle_line(line: bytes) -> Optional[tuple[int, list[str], str]]:
+    """(revision, echoes, body) of a line in the whole written grammar whose stamp verifies, else None."""
     return _oracle_read(line, _CAPTURING_CACHE_LINE)
 
 
 def _restamped(line: bytes) -> bytes:
-    """``line`` with a forged stamp: the 8 bytes where a schema-3 line holds its stamp set to the CRC-32, in lowercase
+    """``line`` with a forged stamp: the 8 bytes where a schema-4 line holds its stamp set to the CRC-32, in lowercase
     hex, of its bytes from 2 past them to its last byte but a newline, whatever those bytes are."""
     stamped = line[_STAMP_AT + 10 : len(line) - line.endswith(b"\n")]
     return line[:_STAMP_AT] + b"%08x" % zlib.crc32(stamped) + line[_STAMP_AT + 8 :]
@@ -1284,25 +1378,15 @@ def _written_lines() -> tuple[bytes, ...]:
     return tuple(lines)
 
 
-@functools.lru_cache(maxsize=None)
-def _written_bodies() -> dict[str, str]:
-    """A memo as ``_load_cache`` leaves it after reading every written line: each body mapped to itself; copy it
-    before use, as ``_cache_line`` adds to its memo."""
-    return {body: body for body in (_oracle_line(line)[2] for line in _written_lines())}
-
-
-def _split(line: bytes) -> int:
-    """Where ``_cache_line`` cuts a line into head and body: 2 bytes past its first ``}``, else at its end."""
-    return line.find(b"}") + 2 if b"}" in line else len(line)
-
-
 @st.composite
 def _cache_lines(draw) -> bytes:
-    """A written line, stamped again under a redrawn revision, with or without its newline, then as it is or with
-    one byte substituted, inserted or deleted, or cut short; the edit is made after the stamp, as damage is."""
-    _, echo, body = _oracle_line(draw(st.sampled_from(_written_lines())))
+    """A written line, stamped again under a redrawn revision and a redrawn list of its requests (reordered, some
+    left out or repeated), with or without its newline, then as it is or with one byte substituted, inserted or
+    deleted, or cut short; the edit is made after the stamp, as damage is."""
+    _, echoes, body = _oracle_line(draw(st.sampled_from(_written_lines())))
     revision = draw(st.sampled_from((cli.FORMULA_REVISION,)) | st.integers(0, 10**4))
-    line = _stamped_line(f"{echo}{body}".encode(), revision)
+    listed = draw(st.just(echoes) | st.lists(st.sampled_from(echoes), min_size=1, max_size=len(echoes) + 1))
+    line = _stamped_line([echo.encode() for echo in listed], body.encode("latin-1"), revision)
     line += draw(st.sampled_from((b"", b"\n")))
     edit = draw(st.sampled_from(("none", "substitute", "insert", "delete", "truncate")))
     last = len(line) - (edit in ("substitute", "delete"))
@@ -1320,8 +1404,8 @@ def _cache_lines(draw) -> bytes:
 @st.composite
 def _cache_files(draw) -> bytes:
     """A cache file whose lines each join the head of one drawn line to the body of another, so bodies, damaged
-    or not, recur under other heads, damaged or not; each drawn line is as written or as ``_cache_lines`` draws
-    it, and each joined line keeps the head's stamp or takes a forged one."""
+    or not, recur under other heads, damaged or not, and requests recur on several lines; each drawn line is as
+    written or as ``_cache_lines`` draws it, and each joined line keeps the head's stamp or takes a forged one."""
     written = st.sampled_from(_written_lines()).map(lambda line: line + b"\n")
     drawn = draw(st.lists(written | _cache_lines(), min_size=1, max_size=6))
     picks = draw(st.lists(st.tuples(st.sampled_from(drawn), st.sampled_from(drawn), st.booleans()), min_size=1,
@@ -1347,9 +1431,8 @@ def _written_spelling(line: bytes) -> bool:
 
 
 @st.composite
-def _drawn_records(draw) -> dict[str, str]:
-    """Records as a table or ``compute`` makes them: the echo of a drawn request of any target and the body of a
-    drawn palindromic square of any dim, or of an empty space."""
+def _drawn_echoes(draw) -> str:
+    """The echo of a drawn request of any target."""
     target = draw(st.sampled_from(cli.TARGETS))
     family = cli._FAMILY_OF[target]
     integer = st.integers(-(10**6), 10**6)
@@ -1358,13 +1441,20 @@ def _drawn_records(draw) -> dict[str, str]:
     quarters = st.integers(-(10**4), 10**4).map(cli._quarter_text)
     stability = draw(quarters | quarters.map(lambda text: text + "+") | quarters.map(lambda text: text + "-"))
     d0 = draw(st.none() | integer)
-    echo = cli._request_echo(target, draw(st.integers(2, 10**4)), params, stability, d0)
+    return cli._request_echo(target, draw(st.integers(2, 10**4)), params, stability, d0)
+
+
+@st.composite
+def _drawn_records(draw) -> dict[str, str]:
+    """Records as a table or ``compute`` makes them: the echoes of one to three drawn requests sharing the body of
+    a drawn palindromic square of any dim, or of an empty space."""
+    echoes = draw(st.lists(_drawn_echoes(), min_size=1, max_size=3))
     dim = draw(st.none() | st.integers(0, 6))
     square: list[int] = []
     if dim is not None:
         half = draw(st.lists(st.integers(-(10**30), 10**30), min_size=(dim + 1) ** 2, max_size=(dim + 1) ** 2))
         square = [half[min(i, (dim + 1) ** 2 - 1 - i)] for i in range((dim + 1) ** 2)]  # a palindrome
-    return {echo: cli._result_text(dim, square, cli._CanonicalBox())}
+    return dict.fromkeys(echoes, cli._result_text(dim, square, cli._CanonicalBox()))
 
 
 class TestCacheLineGrammar:
@@ -1375,55 +1465,57 @@ class TestCacheLineGrammar:
         head, body = cli._CACHE_LINE_HEAD, _CACHE_LINE_BODY
         assert (_CAPTURING_CACHE_LINE.groups, head.groups, body.groups) == (5, 0, 0)
         assert head.pattern + body.pattern == _without_captures(_CAPTURING_CACHE_LINE.pattern)
-        assert head.pattern.count(rb"\}") == 1 and head.pattern.endswith(rb"\},")  # the head ends at its only "}"
+        assert head.pattern.count(rb"\]") == 1 and head.pattern.endswith(rb'\],"record":\{')  # it ends at its only "]"
 
     def test_stamp_compared_as_bytes(self):
         """A stamp spelled otherwise, with the value ``int(stamp, 16)`` reads, is refused: uppercase digits, a
         space or an underscore in place of a leading zero."""
         lines = [line + b"\n" for line in _written_lines() if int(line[_STAMP_AT : _STAMP_AT + 8], 16) < 1 << 28]
-        assert lines and all(cli._cache_line(line, {}) for line in lines)
+        assert lines and all(cli._cache_line(line) for line in lines)
         for line in lines[:20]:
             stamp = line[_STAMP_AT : _STAMP_AT + 8]
             respelled = {stamp.upper(), b" " + stamp[1:], stamp[1:4] + b"_" + stamp[4:]} - {stamp}
             assert respelled and all(int(other, 16) == int(stamp, 16) for other in respelled)
             for other in respelled:
-                assert cli._cache_line(line[:_STAMP_AT] + other + line[_STAMP_AT + 8 :], {}) is None
+                assert cli._cache_line(line[:_STAMP_AT] + other + line[_STAMP_AT + 8 :]) is None
 
     @settings(max_examples=600, deadline=None)
     @given(_cache_lines(), st.booleans())
     def test_matches_capturing_oracle(self, line, forged):
-        """Read with an empty memo and with one that holds every written body; a body found in the memo is served
-        as the memo's string.  A line stamped before its edit reads as the whole written grammar with its stamp
-        allows; one whose stamp is forged after the edit reads as the head grammar allows, with any body."""
+        """A line stamped before its edit reads as the whole written grammar with its stamp allows; one whose stamp
+        is forged after the edit reads as the head grammar allows, with any body."""
         if forged:
             line = _restamped(line)
-        for bodies in ({}, dict(_written_bodies())):
-            read = cli._cache_line(line, bodies)
-            assert read == _oracle_read(line)
-            assert forged or read == _oracle_line(line)
-            assert read is None or read[2] is bodies[read[2]]
+        read = cli._cache_line(line)
+        assert read == _oracle_read(line)
+        assert forged or read == _oracle_line(line)
 
     @settings(max_examples=300, deadline=None)
     @given(_cache_files())
     def test_load_cache_matches_oracle_line_by_line(self, data):
         """``_load_cache`` over a whole file keeps exactly the echoes and bodies the capturing oracle accepts line
-        by line (the last line of an echo wins), with the same counts in its warnings and one string per body."""
-        expected, counts = {}, {"dropped": 0, "outdated": 0, "stale": 0}
-        for line in io.BytesIO(data):
+        by line (the last line that lists an echo wins), with the same counts in its warnings, and the records one
+        line serves share one string."""
+        expected, served_by, counts = {}, {}, {"dropped": 0, "outdated": 0, "stale": 0}
+        for at, line in enumerate(io.BytesIO(data)):
             read = _oracle_read(line)
             if read is None:
                 counts["outdated" if cli._OTHER_SCHEMA.match(line) else "dropped"] += 1
             elif read[0] != cli.FORMULA_REVISION:
-                counts["stale"] += 1
+                counts["stale"] += len(read[1])  # records, not lines
             else:
-                expected[read[1]] = read[2]
+                expected.update(dict.fromkeys(read[1], read[2]))
+                served_by.update(dict.fromkeys(read[1], at))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "records.jsonl")
             Path(path).write_bytes(data)
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 cache, stale, _ = cli._load_cache(path)
         assert (cache, stale) == (expected, any(counts.values()))
-        assert len(set(map(id, cache.values()))) == len(set(cache.values()))
+        strings: dict = {}
+        for echo, at in served_by.items():
+            strings.setdefault(at, set()).add(id(cache[echo]))
+        assert all(len(ids) == 1 for ids in strings.values())
         warnings = err.getvalue().splitlines()
         assert len(warnings) == sum(map(bool, counts.values()))
         phrases = {
@@ -1442,22 +1534,27 @@ class TestCacheLineGrammar:
     @given(st.lists(_drawn_records(), max_size=4).map(lambda drawn: {k: v for d in drawn for k, v in d.items()}))
     def test_every_saved_line_in_the_grammar(self, records):
         """Every line ``_save_cache`` writes for drawn records is in the grammar with its stamp removed, its stamp
-        verifies, and it reads back as the record saved."""
+        verifies, and they read back as the records saved: one line per distinct body, its echoes sorted, the lines
+        in the order of their least echo."""
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "records.jsonl")
             cli._save_cache(path, records, None)
             lines = Path(path).read_bytes().splitlines(keepends=True)
-        assert len(lines) == len(records) and all(map(_written_spelling, lines))
-        assert {read[1]: read[2] for read in map(_oracle_line, lines)} == records
+        assert len(lines) == len(set(records.values())) and all(map(_written_spelling, lines))
+        reads = list(map(_oracle_line, lines))
+        assert {echo: read[2] for read in reads for echo in read[1]} == records
+        assert sum(len(read[1]) for read in reads) == len(records)  # no echo on two lines
+        assert all(read[1] == sorted(read[1]) for read in reads)
+        assert [read[1][0] for read in reads] == sorted(read[1][0] for read in reads)
 
 
 class TestCacheBodies:
-    """Each distinct record body of a cache file is held once per run."""
+    """Each distinct record body of a cache file is on one line, which lists every request that shares it, and a
+    warm run reads, checks and decodes it once."""
 
     def test_each_distinct_body_held_once(self, capsys, tmp_path, monkeypatch):
-        """A warm run of the ``TABLES`` triple table holds one string per distinct body in the cache file, counted
-        from the file itself, and its rows that share a body share one string; a cold run holds one string per key
-        (a few keys have equal bodies)."""
+        """A cold run of the ``TABLES`` triple table holds one string per key (a few keys have equal bodies) and
+        writes one line per distinct body; a warm run holds one string per line, which the rows it lists share."""
         cache = tmp_path / "records.jsonl"
         options = ("table", *TABLES["triple"][0], "--poincare", "--cache", str(cache))
         rows = cli._table_rows(cli.build_parser().parse_args(options[:-2]))
@@ -1467,36 +1564,89 @@ class TestCacheBodies:
         cold = run(capsys, *options)
         lines = cache.read_bytes().splitlines()
         distinct = len({line[_split(line) :] for line in lines})
-        assert 1 < distinct <= len(keys) < len(lines) == len(rows) and len(saved) == 1
+        assert 1 < distinct == len(lines) <= len(keys) < len(rows) and len(saved) == 1
         assert len(set(map(id, saved[0].values()))) == len(keys)
         assert run(capsys, *options) == cold and len(saved) == 1
         records, stale, _ = cli._load_cache(str(cache))
-        assert (len(records), len(set(map(id, records.values()))), stale) == (len(lines), distinct, False)
+        assert (len(records), len(set(map(id, records.values()))), stale) == (len(rows), len(lines), False)
+        assert all(len({id(records[echo.decode()]) for echo in _line_echoes(line)}) == 1 for line in lines)
 
     def test_damage_dropped_on_every_line_it_reaches(self, capsys, tmp_path):
-        """In a cache of the ``TABLES`` triple table, a head respelled ("genus":02) in front of a body that an
-        earlier line passed, and one body respelled alike (a leading zero) on two lines: each of the three lines is
-        dropped, the other lines of those bodies are served, and the rewritten file is the cold one."""
+        """In a cache of the ``TABLES`` triple table, a head respelled ("genus":02) on one line that lists several
+        records, and a body respelled (a leading zero) on another: both lines are dropped whole, with every record
+        they list, the other lines are served, and the rewritten file is the cold one."""
         cache = tmp_path / "records.jsonl"
         options = ("table", *TABLES["triple"][0], "--poincare", "--cache", str(cache))
         cold, written = run(capsys, *options), cache.read_bytes()
         lines = written.splitlines(keepends=True)
-        by_body: dict = {}
-        for at, line in enumerate(lines):
-            by_body.setdefault(line[_split(line) :], []).append(at)
-        (_, head_respelled, *_), (zeroed, zeroed_too, *_) = [ats for ats in by_body.values() if len(ats) > 1][:2]
+        head_respelled, zeroed = [at for at, line in enumerate(lines) if len(_line_echoes(line)) > 1][:2]
+        dropped = len(_line_echoes(lines[head_respelled])) + len(_line_echoes(lines[zeroed]))
         lines[head_respelled] = lines[head_respelled].replace(b'"genus":2,', b'"genus":02,', 1)
-        for at in (zeroed, zeroed_too):
-            cut = _split(lines[at])
-            lines[at] = lines[at][:cut] + lines[at][cut:].replace(b'"c":"', b'"c":"0', 1)
-        assert sum(a != b for a, b in zip(lines, written.splitlines(keepends=True))) == 3
+        cut = _split(lines[zeroed])
+        lines[zeroed] = lines[zeroed][:cut] + lines[zeroed][cut:].replace(b'"c":"', b'"c":"0', 1)
+        assert sum(a != b for a, b in zip(lines, written.splitlines(keepends=True))) == 2
         cache.write_bytes(b"".join(lines))
         code, out, err = run(capsys, *options)
         assert (code, out) == (0, cold[1])
         assert err == (
-            f"warning: cache file {cache} is corrupt: dropped 3 bad line(s), kept {len(lines) - 3} record(s); "
-            "recomputing the dropped ones and rewriting the file\n"
+            f"warning: cache file {cache} is corrupt: dropped 2 bad line(s), "
+            f"kept {len(cold[1].splitlines()) - dropped} record(s); recomputing the dropped ones and rewriting the file\n"
         )
+        assert cache.read_bytes() == written
+
+    @pytest.mark.parametrize("grid", ["table-sweep", "table-sweep-12"])
+    def test_table_sweep_reads_each_body_once(self, capsys, tmp_path, monkeypatch, grid):
+        """The benchmark's table sweep, in either rank, has 449 distinct bodies in 1,170 rows: its cache file has
+        449 lines, no body on two lines, and a warm load calls ``_cache_line``, so the stamp check and the decode,
+        once per line."""
+        cache = tmp_path / "records.jsonl"
+        options = ("table", *ROW_GRIDS[grid], "--poincare", "--cache", str(cache))
+        cold = run(capsys, *options)
+        lines = cache.read_bytes().splitlines()
+        assert len(cold[1].splitlines()) == sum(len(_line_echoes(line)) for line in lines) == 1170
+        assert len(lines) == len({line[_split(line) :] for line in lines}) == 449
+        reads, read = [], cli._cache_line
+        monkeypatch.setattr(cli, "_cache_line", lambda line: reads.append(line) or read(line))
+        assert run(capsys, *options) == cold and len(reads) == 449
+
+    def test_partly_warm_run_groups_by_body_text(self, capsys, tmp_path):
+        """A partly warm run whose recomputed rows share a body with cached rows writes the bytes a cold run writes:
+        rows are grouped by the text of their body, not by the string that holds it, and a run never reuses a
+        cached body for a row it computes."""
+        cache, cold = tmp_path / "records.jsonl", tmp_path / "cold.jsonl"
+        options = ("table", "--target", "triple", "--genus", "2", "--d2=-2..0", "--poincare")
+        assert run(capsys, *options, "--d1=-3..2", "--cache", str(cache))[0] == 0
+        cached = {echo.encode() for echo in cli._load_cache(str(cache))[0]}
+        expected = run(capsys, *options, "--d1=-3..8", "--cache", str(cold))
+        listed = [set(_line_echoes(line)) for line in cold.read_bytes().splitlines()]
+        assert any(echoes & cached and echoes - cached for echoes in listed)  # lines of cached and computed rows
+        assert run(capsys, *options, "--d1=-3..8", "--cache", str(cache)) == expected
+        assert cache.read_bytes() == cold.read_bytes()
+
+    def test_request_edited_to_another_lines_drops_the_line(self, capsys, tmp_path, monkeypatch):
+        """A line that lists several records, one request edited to a request of another line, still well spelled,
+        fails its stamp and is dropped whole: every row it lists is recomputed, no row is served another line's
+        body, and the file is mended to the cold bytes."""
+        cache = tmp_path / "records.jsonl"
+        argv = ["table", *TABLES["triple"][0], "--poincare", "--cache", str(cache)]
+        cold, written = run(capsys, *argv), cache.read_bytes()
+        rows = cli._table_rows(cli.build_parser().parse_args(argv[:-2]))
+        keys = {cli._request_echo("triple", g, params, stability, d0).encode(): cli._triple_row_key("triple", g, params, d0)
+                for g, params, stability, d0 in rows}
+        lines = written.splitlines(keepends=True)
+        several = [at for at, line in enumerate(lines) if len(_line_echoes(line)) > 1]
+        earlier, later = several[0], several[-1]
+        listed = _line_echoes(lines[later])
+        request, other = (echo[len(b'{"request":') : -1] for echo in (listed[1], _line_echoes(lines[earlier])[0]))
+        lines[later] = lines[later].replace(request, other, 1)
+        assert _CAPTURING_CACHE_LINE.fullmatch(lines[later]) and _oracle_line(lines[later]) is None
+        cache.write_bytes(b"".join(lines))
+        computed = []
+        compute = cli._compute_record
+        monkeypatch.setattr(cli, "_compute_record", lambda *a: computed.append(a) or compute(*a))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (0, cold[1]) and len(computed) == len({keys[echo] for echo in listed}) > 0
+        assert f"is corrupt: dropped 1 bad line(s), kept {len(rows) - len(listed)} record(s)" in err
         assert cache.read_bytes() == written
 
 
